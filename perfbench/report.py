@@ -11,9 +11,13 @@ of each op, node counts against the reference counts, failures and the
 cProfile table of a traced run.
 
 The diff compares medians.  It flags an end-to-end metric that got worse
-by more than its bound in BENCHMARK.json, a per-layer time that moved by
-more than MOVED (a share of the base value), any change in a count, any
-change in an op's node count and any change in the certificate digest.
+by more than its bound in BENCHMARK.json, a per-layer time of at least
+MIN_S that moved by more than MOVED (a share of the base value; the tracing
+overhead, a difference of two noisy sums, is shown but not flagged), any
+change in a count, any
+change in an op's node count, any change in the certificate digest and
+any rise in the share of attempted checks that failed.  It exits with 1
+when anything is flagged.
 """
 
 from __future__ import annotations
@@ -25,7 +29,11 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-MOVED = 0.15
+# Between four traced runs per workload at the commit that introduced the
+# benchmark, the spread (inter-quartile range over median) of each layer time
+# of at least MIN_S was at most 20%; the overhead's was 24-420%.
+MOVED = 0.25
+MIN_S = 0.05
 
 
 def load(paths: list[Path]) -> dict:
@@ -88,7 +96,7 @@ def report(groups: dict) -> None:
                for op in rs[0]["op_wall_s"]}
         nodes = rs[0]["determinism"]["nodes"]
         ref = rs[0]["determinism"]["seed_nodes"]
-        print("  median op wall time over passes, node count, op")
+        print("  median normalized op time over passes, node count, op")
         for op in nodes:
             flag = "" if ref.get(op) in (None, nodes[op]) else f"  NODES DIFFER from reference {ref[op]:,}"
             n = "" if nodes[op] is None else f"{nodes[op]:>9,} nodes"
@@ -101,13 +109,14 @@ def report(groups: dict) -> None:
                     print(f"  FAILED (seed {r['seed']}) self-check: {check}")
         if t == 1:
             r = rs[0]
-            print(f"  tracing overhead: traced {r['traced_wall_s']:.3f} s - untraced "
+            print(f"  tracing overhead: traced wall_s {r['traced_wall_s']:.3f} s - untraced "
                   f"{r['untraced_wall_s']:.3f} s = {r['traced_wall_s'] - r['untraced_wall_s']:.3f} s")
             prof = r["profile"]
-            print(f"  cProfile top-15 self time (seed {r['seed']}; first {prof['limit_s']:.0f} s of the pass, "
-                  f"{len(prof['ops_completed'])} op(s) completed):")
+            total = prof["total_s"]
+            print(f"  cProfile top-15 self time (seed {r['seed']}, one pass, {total:.3f} s profiled):")
             for row in prof["top15_self"]:
-                print(f"    {row['self_s']:8.3f} s self {row['cum_s']:8.3f} s cum {row['ncalls']:>10,}  {row['function']}")
+                print(f"    {row['self_s']:8.3f} s self {row['cum_s']:8.3f} s cum ({row['cum_s'] / total:4.0%})"
+                      f" {row['ncalls']:>10,}  {row['function']}")
 
 
 def _table(head: list, rows: list) -> None:
@@ -123,6 +132,10 @@ def _bounds() -> dict:
         return {}
     data = json.loads(spec.read_text(encoding="utf-8"))
     return {m["name"]: (m["bound"], m["better"]) for m in data["end_to_end"]}
+
+
+def _fail_frac(results: list) -> float:
+    return sum(r["failed"] for r in results) / sum(r["attempted"] for r in results)
 
 
 def diff(base: dict, new: dict) -> int:
@@ -147,10 +160,15 @@ def diff(base: dict, new: dict) -> int:
                     flag = f"WORSE beyond bound {bound:.0%}"
             elif unit in ("count",) and nv != bv:
                 flag = "COUNT CHANGED"
-            elif unit != "count" and abs(rel) > MOVED:
+            elif unit != "count" and name != "trace.overhead_s" and abs(rel) > MOVED \
+                    and (unit != "s" or max(bv, nv) >= MIN_S):
                 flag = "MOVED"
             flagged += bool(flag)
             print(f"  {name:<44} {_fmt(bv):>14} -> {_fmt(nv):>14} {unit:<6} {rel:+8.1%}  {flag}")
+        bf, nf = _fail_frac(base[key]), _fail_frac(new[key])
+        if nf > bf:
+            flagged += 1
+            print(f"  FAILURES ROSE {bf:.2%} -> {nf:.2%} of attempted")
         bd, nd = base[key][0]["determinism"], new[key][0]["determinism"]
         if bd["digest"] != nd["digest"]:
             flagged += 1
@@ -172,8 +190,7 @@ def main(argv=None) -> int:
     ap.add_argument("--diff", nargs=2, type=Path, metavar=("BASE", "NEW"))
     args = ap.parse_args(argv)
     if args.diff:
-        diff(load([args.diff[0]]), load([args.diff[1]]))
-        return 0
+        return 1 if diff(load([args.diff[0]]), load([args.diff[1]])) else 0
     groups = load(args.paths or [HERE / "out"])
     if not groups:
         print("no results found", file=sys.stderr)

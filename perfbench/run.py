@@ -6,26 +6,38 @@ Run it from the root of a checkout; it needs only the standard library.
 Every pass runs in a fresh interpreter (`passrun.py`) at parallel width 1;
 load comes from that one process.
 
---trace 0 runs untraced passes until the run has used S seconds (at least
-one pass) and reports the end-to-end metrics:
-  wall_s       the sum over ops of each op's slowest wall time over the
-               passes (on a shared VM the speed of a process switches
-               between levels for seconds to minutes; the slowest sample
-               reads the usual, slower level steadily: see README.md);
+Times are normalized to the speed of the machine at the moment they were
+taken: `passrun.py` runs a fixed calibration loop after set-up and after
+every op, and reports each time as t * REF_S / (calibration time next to
+it), the time on a machine where the loop takes REF_S = 0.02 s.  On a shared
+VM the speed of a process switches between levels about 2x apart, for
+seconds to minutes, and a whole run can fall on one level; the ratio stays
+put (see README.md).
+
+--trace 0 runs a fixed number of untraced passes, int(S / pass_s) with the
+workload's nominal pass time pass_s from `workloads`, so that every commit
+takes its statistics over the same count; the run takes about S seconds at
+the commit that introduced the benchmark.  It reports the end-to-end metrics:
+  wall_s       the sum over ops of each op's median normalized time over
+               the passes;
   setup_s      interpreter start to ready: `import zerosum` plus building the
-               inputs (median over at least five fresh interpreters);
+               inputs, normalized (median over at least five interpreters);
   peak_rss_mb  ru_maxrss of the pass process (median over passes).
---trace 1 runs one untraced pass, one traced pass and a cProfile pass of at
-most S seconds, and reports the per-layer metrics of `tracing`, with the
-tracing overhead (traced minus untraced wall_s).  Before that, a tiny pass
+--trace 1 alternates untraced and traced passes, max(2, round(S / (2 pass_s)))
+of each, then profiles one pass under cProfile.  It reports the per-layer
+metrics of `tracing`: each time is normalized like the op it ran in, and is
+the median over the traced passes; the tracing overhead is wall_s of the
+traced passes minus wall_s of the untraced ones.  Before that, a tiny pass
 checks that every wrapper is reached.
+Either mode makes fewer passes only when the next would not end within
+RUN_LIMIT_S; it then says so on standard error and in the result.
 
 The seed only rotates the order of the ops within a pass.  Every answer is
 checked (`workloads`, `oracle`); failed ops are reported as `failed` out of
 `attempted`.  Each run also checks that s(C4^2) gives byte-identical
 certificates at width 1 and 2, records the node count of every op and a
-digest of all certificates, the Python version, the CPU count and the
-quartiles of a fixed calibration loop.  The full result goes to
+digest of all certificates, the Python version, the CPU count, the
+quartiles of the calibration samples and the raw, unnormalized times.  The full result goes to
 perfbench/out/<workload>-seed<N>-trace<0|1>.json; `report.py` prints and
 diffs those files.  The last line of standard output is the summary JSON.
 """
@@ -45,29 +57,18 @@ import time
 from pathlib import Path
 
 import tracing
+import workloads
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = HERE / "out"
-WORKLOADS = ("exact_c3_3", "exact_mixed", "large_budgeted", "verify_persist")
 MIN_SETUP_SAMPLES = 5
 RUN_LIMIT_S = 170  # every run must end well within 180 s
+SAFETY_RESERVE_S = 15  # set-up samples, or the profile pass of a traced run
 
 
 class BenchError(Exception):
     pass
-
-
-def _calibrate(reps: int) -> list[float]:
-    """Wall times of a fixed pure-Python loop, about 0.1 s each on a 2-CPU VM."""
-    times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        acc = 0
-        for i in range(700_000):
-            acc = (acc + i * i) % 1_000_003
-        times.append(time.perf_counter() - start)
-    return times
 
 
 class Runner:
@@ -77,7 +78,7 @@ class Runner:
         self.started = started
         self.n = 0
 
-    def child(self, mode: str, seed: int = 0, limit: float = 0.0) -> dict:
+    def child(self, mode: str, seed: int = 0) -> dict:
         self.n += 1
         out = self.scratch / f"{self.n}-{mode}.json"
         remaining = RUN_LIMIT_S - (time.monotonic() - self.started)
@@ -86,7 +87,7 @@ class Runner:
         t0 = time.monotonic()
         cmd = [sys.executable, str(HERE / "passrun.py"), mode, self.workload,
                "--seed", str(seed), "--t0", repr(t0), "--scratch", str(self.scratch),
-               "--out", str(out), "--limit", repr(limit)]
+               "--out", str(out)]
         try:
             proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=remaining)
         except subprocess.TimeoutExpired as exc:  # run() has killed and reaped the child
@@ -96,7 +97,8 @@ class Runner:
         return json.loads(out.read_text(encoding="utf-8"))
 
 
-def _env(calibration: list[float]) -> dict:
+def _env(passes: list) -> dict:
+    calibration = [p["setup_cal_s"] for p in passes] + [r["cal_s"] for p in passes for r in p["ops"]]
     q1, q2, q3 = statistics.quantiles(calibration, n=4)
     return {
         "python": platform.python_version(),
@@ -109,11 +111,11 @@ def _env(calibration: list[float]) -> dict:
     }
 
 
-def _op_times(passes: list[dict], stat=statistics.median) -> dict:
+def _op_times(passes: list[dict], stat=statistics.median, key: str = "norm_s") -> dict:
     per_op: dict[str, list[float]] = {}
     for p in passes:
         for rec in p["ops"]:
-            per_op.setdefault(rec["op"], []).append(rec["wall_s"])
+            per_op.setdefault(rec["op"], []).append(rec[key])
     return {op: stat(v) for op, v in per_op.items()}
 
 
@@ -125,65 +127,95 @@ def _determinism(p: dict) -> dict:
     }
 
 
-def bench(workload: str, seed: int, seconds: int, trace: bool, scratch: Path) -> tuple[dict, dict]:
+def _wall(passes: list, key: str = "norm_s") -> float:
+    """wall_s: the sum over ops of each op's median normalized time over the passes."""
+    return sum(_op_times(passes, key=key).values())
+
+
+def _make_passes(runner: Runner, count: int, make) -> bool:
+    """Call make(i) for i < count, each making one or more passes; stop early only
+    when the next round would not fit in the run's time limit.  True if cut."""
+    slowest = 0.0
+    for i in range(count):
+        elapsed = time.monotonic() - runner.started
+        if i and elapsed + slowest + SAFETY_RESERVE_S > RUN_LIMIT_S:
+            print(f"warning: {count - i} of {count} pass rounds left out to end within "
+                  f"{RUN_LIMIT_S} s; statistics are over fewer passes", file=sys.stderr)
+            return True
+        t0 = time.monotonic()
+        make(i)
+        slowest = max(slowest, time.monotonic() - t0)
+    return False
+
+
+def bench(name: str, seed: int, seconds: int, trace: bool, scratch: Path) -> tuple[dict, dict]:
     started = time.monotonic()
-    runner = Runner(workload, scratch, started)
-    calibration = _calibrate(4)
+    workload = workloads.WORKLOADS[name]
+    runner = Runner(name, scratch, started)
     runner.child("setup")  # warm-up: byte-compiles the sources once; not a sample
     selfcheck = runner.child("selfcheck")
     checks = [("width 1 = width 2 certificates", selfcheck["identical"])]
-    result = {"workload": workload, "seed": seed, "seconds": seconds, "trace": int(trace),
+    result = {"workload": name, "seed": seed, "seconds": seconds, "trace": int(trace),
               "selfcheck": selfcheck}
-    passes = []
-    setup_samples = []
+    plain: list = []
     if not trace:
-        # passes until the run has used its seconds, counting the checks above
-        while True:
-            p = runner.child("plain", seed + len(passes))
-            passes.append(p)
-            setup_samples.append(p["setup_s"])
-            if time.monotonic() - started + p["wall_s"] + p["setup_s"] > seconds:
-                break
-        while len(setup_samples) < MIN_SETUP_SAMPLES:
-            setup_samples.append(runner.child("setup")["setup_s"])
+        planned = max(1, int(seconds / workload.pass_s))
+        cut = _make_passes(runner, planned, lambda i: plain.append(runner.child("plain", seed + i)))
+        passes = plain
+        setups = list(passes)
+        while len(setups) < MIN_SETUP_SAMPLES:
+            setups.append(runner.child("setup"))
         metrics = {
-            "wall_s": (sum(_op_times(passes, max).values()), "s"),
-            "setup_s": (statistics.median(setup_samples), "s"),
+            "wall_s": (_wall(passes), "s"),
+            "setup_s": (statistics.median(p["setup_norm_s"] for p in setups), "s"),
             "peak_rss_mb": (statistics.median(p["peak_rss_mb"] for p in passes), "MB"),
         }
+        result.update({
+            "raw_wall_s": _wall(passes, "wall_s"),
+            "raw_setup_s": statistics.median(p["setup_s"] for p in setups),
+            "setup_samples_s": [p["setup_norm_s"] for p in setups],
+        })
     else:
         coverage = runner.child("coverage")
         checks.append(("every wrapper reached by the self-test pass", not coverage["missed"]))
-        plain = runner.child("plain", seed)
-        traced = runner.child("traced", seed)
-        checks.append(("every expected wrapper reached by the traced pass", not traced["missed"]))
-        passes = [plain, traced]
-        profile = runner.child("profile", seed, limit=float(seconds))
-        layers = dict(traced["layers"])
-        layers["trace.overhead_s"] = traced["wall_s"] - plain["wall_s"]
-        metrics = {name: (layers[name], unit) for name, unit in tracing.LAYER_METRICS}
+        traced: list = []
+
+        def pair(i: int) -> None:
+            plain.append(runner.child("plain", seed + i))
+            traced.append(runner.child("traced", seed + i))
+
+        planned = max(2, round(seconds / (2 * workload.pass_s)))
+        cut = _make_passes(runner, planned, pair)
+        passes = plain + traced
+        checks.append(("every expected wrapper reached by every traced pass",
+                       not any(t["missed"] for t in traced)))
+        layers, counts_agree = tracing.combine([t["layers"] for t in traced])
+        checks.append(("every traced pass gives the same counts", counts_agree))
+        layers["trace.overhead_s"] = _wall(traced) - _wall(plain)
+        metrics = {m: (layers[m], unit) for m, unit in tracing.LAYER_METRICS}
+        profile = runner.child("profile", seed)
         result.update({
             "coverage_missed": coverage["missed"],
-            "traced_missed": traced["missed"],
-            "untraced_wall_s": plain["wall_s"],
-            "traced_wall_s": traced["wall_s"],
-            "traced_op_wall_s": _op_times([traced]),
-            "calls": traced["calls"],
+            "traced_missed": sorted({m for t in traced for m in t["missed"]}),
+            "untraced_wall_s": _wall(plain),
+            "traced_wall_s": _wall(traced),
+            "traced_op_wall_s": _op_times(traced),
+            "calls": traced[0]["calls"],
             "profile": profile,
         })
     checks.append(("every pass gives the same certificates", len({p["digest"] for p in passes}) == 1))
-    calibration += _calibrate(4)
     attempted = sum(len(p["ops"]) for p in passes) + len(checks)
     failed = sum(p["failed"] for p in passes) + sum(not ok for _, ok in checks)
     result.update({
-        "env": _env(calibration),
+        "env": _env(passes),
         "checks": dict(checks),
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
+        "pass_rounds": {"planned": planned, "cut": cut},
         "passes": [{"wall_s": p["wall_s"], "setup_s": p["setup_s"], "peak_rss_mb": p["peak_rss_mb"],
                     "mode": p["mode"]} for p in passes],
-        "setup_samples_s": setup_samples,
-        "op_wall_s": _op_times([p for p in passes if p["mode"] == "plain"]),
-        "op_samples_s": _op_times([p for p in passes if p["mode"] == "plain"], list),
+        "op_wall_s": _op_times(plain),
+        "op_samples_s": _op_times(plain, list),
+        "op_raw_samples_s": _op_times(plain, list, "wall_s"),
         "failures": [{"op": r["op"], "problems": r["problems"]}
                      for p in passes for r in p["ops"] if not r["ok"]],
         "determinism": _determinism(passes[0]),
@@ -202,7 +234,7 @@ def bench(workload: str, seed: int, seconds: int, trace: bool, scratch: Path) ->
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True, choices=WORKLOADS)
+    ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=int, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), required=True)

@@ -7,15 +7,19 @@ as `search` and `constructions` import `find_short_zero_sum` and
 wrapper records a span (name, start, end, parent span, op id) only while the
 tracer is active, that is, inside the timed call of an op, so answer checks
 do not count.  Functions called millions of times are only counted.
+`combine` merges the metrics of several traced passes of one run.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib
+import statistics
 import sys
 from collections import Counter
 from time import perf_counter
+
+from workloads import search_nodes
 
 # (metric prefix, module, attribute path, kind)
 #   span:  calls, inclusive seconds, self seconds
@@ -80,15 +84,6 @@ LAYER_METRICS = (
 )
 
 
-def _search_nodes(name: str, result) -> int:
-    if name == "search.max_extremal_length":
-        return result[1].nodes
-    if name == "search.compute_c0_at":
-        # the certificates of one sweep all carry the sweep's total
-        return max((c.nodes for c in result[1].values()), default=0)
-    return result.nodes  # enumeration report or property certificate
-
-
 _DONE = object()
 
 
@@ -148,7 +143,7 @@ class Tracer:
             elif name == "catalog.infer":
                 tracer.extra["catalog.infer.derived"] += len(result)
             elif outermost_search:  # each search counted once
-                tracer.extra["search.nodes"] += _search_nodes(name, result)
+                tracer.extra["search.nodes"] += search_nodes(result)
             return result
 
         return wrapper
@@ -199,22 +194,27 @@ class Tracer:
 
     # -- metrics ----------------------------------------------------------------
 
-    def metrics(self) -> dict:
+    def metrics(self, scale: dict) -> dict:
         """Per-layer metrics: calls, inclusive seconds (outermost spans of a name)
-        and self seconds (duration minus the direct children's durations)."""
+        and self seconds (duration minus the direct children's durations).
+
+        The duration of a span in op i is multiplied by scale[i], the op's
+        factor that normalizes wall time to the calibration speed.
+        """
+        duration = [(end - start) * scale[op] for _, start, end, _, op in self.spans]
         child_time = [0.0] * len(self.spans)
-        for name, start, end, parent, _ in self.spans:
+        for sid, (_, _, _, parent, _) in enumerate(self.spans):
             if parent >= 0:
-                child_time[parent] += end - start
+                child_time[parent] += duration[sid]
         inclusive: Counter = Counter()
         self_s: Counter = Counter()
-        for sid, (name, start, end, parent, _) in enumerate(self.spans):
-            self_s[name] += end - start - child_time[sid]
+        for sid, (name, _, _, parent, _) in enumerate(self.spans):
+            self_s[name] += duration[sid] - child_time[sid]
             p = parent
             while p >= 0 and self.spans[p][0] != name:
                 p = self.spans[p][3]
             if p < 0:
-                inclusive[name] += end - start
+                inclusive[name] += duration[sid]
         out = {}
         for metric, _unit in LAYER_METRICS:
             base, stat = metric.rsplit(".", 1)
@@ -224,13 +224,37 @@ class Tracer:
                 out[metric] = inclusive[base]
             elif stat == "self_s":
                 out[metric] = self_s[base]
-        search_s = sum(inclusive[f"search.{f}"] for f in SEARCH_OPS)
-        out["search.nodes"] = self.extra["search.nodes"]
-        out["search.nodes_per_s"] = out["search.nodes"] / search_s if search_s else 0.0
-        for key in ("group.close_symmetries.perms", "catalog.infer.derived",
+        for key in ("search.nodes", "group.close_symmetries.perms", "catalog.infer.derived",
                     "constructions.known_witnesses.yielded"):
             out[key] = self.extra[key]
+        out["search.nodes_per_s"] = _nodes_per_s(out)
         return out
+
+
+def _nodes_per_s(layers: dict) -> float:
+    search_s = sum(layers[f"search.{f}.s"] for f in SEARCH_OPS)
+    return layers["search.nodes"] / search_s if search_s else 0.0
+
+
+def combine(passes: list) -> tuple[dict, bool]:
+    """Merge the layer metrics of several traced passes of one run.
+
+    A time is the median over the passes, the statistic `wall_s` takes per
+    op; a count is the first pass's, and the flag says whether every pass
+    gave the same counts.  search.nodes_per_s is recomputed from the merged
+    nodes and seconds.
+    """
+    units = dict(LAYER_METRICS)
+    out, counts_agree = {}, True
+    for name in passes[0]:
+        values = [p[name] for p in passes]
+        if units.get(name) == "s":
+            out[name] = statistics.median(values)
+        else:
+            out[name] = values[0]
+            counts_agree &= units.get(name) != "count" or len(set(values)) == 1
+    out["search.nodes_per_s"] = _nodes_per_s(out)
+    return out, counts_agree
 
 
 def _resolve(owner, path: str):

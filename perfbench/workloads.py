@@ -8,12 +8,18 @@ The `seed_nodes` figures are the node counts the search reported at the
 commit that introduced this benchmark; a difference is reported, not failed,
 because a pruning change may alter the tree on purpose.
 
-Why these four workloads: each puts the cost in a different layer.
-`exact_c3_3` is dominated by the canonicity test (11 non-identity
-symmetries), `exact_mixed` by state push (C3+C6 has one non-identity
-symmetry), `large_budgeted` by per-root-job context setup and symmetry
-closure, and `verify_persist` by `subsum`, `constructions`, `catalog` and the
-cache paths of the CLI, which the three search workloads barely touch.
+Why these four workloads: each puts the cost in a different layer.  The
+shares below are inclusive times under cProfile over one pass at the
+commit that introduced this benchmark (cProfile inflates cheap, frequent
+calls, so they show the split, not exact costs).  `exact_c3_3` spends about
+55% in the canonicity test (11 non-identity symmetries) and 16% in state
+push; `exact_mixed` spends about 14% in the canonicity test and 34% in
+state push, its largest private cost (C3+C6 and C2+C6 have one non-identity
+symmetry); `large_budgeted` spends about 78% building the per-root-job
+context tables and closing the symmetries; `verify_persist` runs almost no
+search and spends about two thirds building `subsum.ReachTable` rows for
+`constructions`, the rest in `catalog` and the cache paths of the CLI,
+which the three search workloads barely touch.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ class Op:
     name: str
     run: Callable[[], object]
     check: Callable[[object], list]  # problems with the answer; empty means correct
-    nodes: Callable[[object], int | None] = lambda result: None
+    nodes: Callable[[object], int | None] = lambda result: None  # search_nodes for a search
     payload: Callable[[object], str] = lambda result: ""
     source: str = ""  # where the expected answer comes from
     seed_nodes: int | None = None
@@ -58,6 +64,12 @@ class Op:
 class Workload:
     name: str
     build: Callable[[Path], list]  # scratch dir -> ops
+    # Nominal seconds of run time per untraced pass at the commit that
+    # introduced this benchmark, the run's fixed checks included.  run.py
+    # sets a run's pass count from it and --seconds alone, not from the speed
+    # of the code under test, so every commit takes its statistics over the
+    # same count.
+    pass_s: float
     expect_called: tuple = ()  # wrapped functions a traced pass must see
 
 
@@ -69,6 +81,23 @@ def _moduli_name(moduli) -> str:
 
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def search_nodes(result) -> int:
+    """The node count of one search call's result, each search counted once.
+
+    (value, certificate) from max_extremal_length or invariant_value: the
+    certificate's count.  (members, {t: certificate}) from compute_c0_at or
+    compute_c0: every certificate of one sweep carries the sweep's total,
+    and constructions carry 0, so the maximum.  An enumeration report or a
+    property certificate: its own count.
+    """
+    if isinstance(result, tuple):
+        found = result[1]
+        if isinstance(found, dict):
+            return max((c.nodes for c in found.values()), default=0)
+        return found.nodes
+    return result.nodes
 
 
 # -- op builders ------------------------------------------------------------------
@@ -108,7 +137,7 @@ def invariant_op(moduli, kind, *, expected=None, source="", budget=0, seed_nodes
         name=label,
         run=lambda: search.invariant_value(group, kind, cfg),
         check=check,
-        nodes=lambda result: result[1].nodes,
+        nodes=search_nodes,
         payload=lambda result: result[1].to_json(),
         source=source or "no published value: status and witness only",
         seed_nodes=seed_nodes,
@@ -145,11 +174,6 @@ def _c0_payload(result) -> str:
     return _canonical({"members": members, "certs": {str(t): certs[t].payload() for t in sorted(certs)}})
 
 
-def _c0_nodes(result) -> int:
-    # every certificate of one sweep carries the sweep's total; constructions carry 0
-    return max((c.nodes for c in result[1].values()), default=0)
-
-
 def c0_at_op(moduli, targets, *, expected_members=None, source="", seed_nodes=None) -> Op:
     from zerosum import SearchConfig, make_group, search
 
@@ -160,7 +184,7 @@ def c0_at_op(moduli, targets, *, expected_members=None, source="", seed_nodes=No
         name=f"compute_c0_at {_moduli_name(moduli)} t={targets[0]}..{targets[-1]}",
         run=lambda: search.compute_c0_at(group, targets, cfg),
         check=lambda result: _c0_problems(moduli, targets, result, expected_members),
-        nodes=_c0_nodes,
+        nodes=search_nodes,
         payload=_c0_payload,
         source=source or "no published value: status and witness only",
         seed_nodes=seed_nodes,
@@ -177,7 +201,7 @@ def c0_op(moduli, d_value, eta_value, *, expected_members=None, source="", seed_
         name=f"compute_c0 {_moduli_name(moduli)}",
         run=lambda: compute_c0(group, cfg, d_value=d_value, eta_value=eta_value),
         check=lambda result: _c0_problems(moduli, targets, result, expected_members),
-        nodes=_c0_nodes,
+        nodes=search_nodes,
         payload=_c0_payload,
         source=source or "no published value: status and witness only",
         seed_nodes=seed_nodes,
@@ -199,7 +223,7 @@ def d0_op(moduli, c, *, source, seed_nodes=None) -> Op:
         name=f"check_property_D0 {_moduli_name(moduli)} c={c}",
         run=lambda: search.check_property_D0(group, c, cfg),
         check=check,
-        nodes=lambda cert: cert.nodes,
+        nodes=search_nodes,
         payload=lambda cert: cert.to_json(),
         source=source,
         seed_nodes=seed_nodes,
@@ -235,7 +259,7 @@ def enumerate_op(moduli, length, *, expected_count, source, seed_nodes=None) -> 
         name=f"enumerate_short_free {_moduli_name(moduli)} len={length}",
         run=lambda: search.enumerate_short_free(group, length, cfg, checks=("sum_zero",)),
         check=check,
-        nodes=lambda report: report.nodes,
+        nodes=search_nodes,
         payload=payload,
         source=source,
         seed_nodes=seed_nodes,
@@ -428,8 +452,8 @@ def cli_op(scratch: Path) -> Op:
 # Ops are kept to about a second or less, so that a run of 28 s repeats
 # every op several times.  On a shared 2-CPU VM the speed of one process
 # switches between levels for seconds at a time, so a single 10 s search
-# lands in a different mix of them on every run, while a quantile over
-# several short samples does not.  Searches that take longer (s(C3^3), the
+# lands in a different mix of them on every run, while a short op stays
+# next to the calibration sample that normalizes it (see passrun.py).  Searches that take longer (s(C3^3), the
 # C0 sweep of C3^3 over [13, 15], the length-16 enumeration, s(C3+C6),
 # eta(C6^3)) are left out for that reason; each layer they load is loaded
 # by a shorter op below.
@@ -443,6 +467,8 @@ def _exact_c3_3(scratch: Path) -> list:
         invariant_op(_C33, "D", expected=7, source="D(C_p^r)=1+r(p-1) [Olson 1969]", seed_nodes=3509),
         invariant_op(_C33, "eta", expected=17, source="eta(C3^3)=17 [Kemnitz 1983]", seed_nodes=5575),
         invariant_op(_C33, "g", seed_nodes=2180),
+        # settled by a construction, without search: it keeps the C0 entry point
+        # and known_witnesses in this workload at about 1 ms
         c0_at_op(_C33, [16], expected_members=[], seed_nodes=0,
                  source="16 is outside C0(C3^3) (source paper): the doubled 8-cap"),
         d0_op(_C33, 9, source=_D0_SOURCE, seed_nodes=7601),
@@ -511,12 +537,12 @@ _SEARCH = ("search.max_extremal_length", "group.symmetries", "group.close_symmet
 WORKLOADS = {
     w.name: w
     for w in (
-        Workload("exact_c3_3", _exact_c3_3,
+        Workload("exact_c3_3", _exact_c3_3, 5.5,
                  _SEARCH + ("search.compute_c0_at", "search.enumerate_short_free",
                             "search.check_property_D0", "constructions.known_witnesses")),
-        Workload("exact_mixed", _exact_mixed, _SEARCH + ("search.compute_c0_at",)),
-        Workload("large_budgeted", _large_budgeted, _SEARCH),
-        Workload("verify_persist", _verify_persist,
+        Workload("exact_mixed", _exact_mixed, 2.0, _SEARCH + ("search.compute_c0_at",)),
+        Workload("large_budgeted", _large_budgeted, 4.0, _SEARCH),
+        Workload("verify_persist", _verify_persist, 3.1,
                  ("constructions.verify_family", "constructions.build_family",
                   "subsum.ReachTable", "subsum.find_short_zero_sum", "catalog.instantiate_for",
                   "catalog.infer", "catalog.consistency_check", "catalog.FactStore.load",
