@@ -258,36 +258,43 @@ def _construct_outputs(args) -> tuple[list[Sequence], dict]:
 
 
 def _verify_construction(args, outputs: list[Sequence]) -> None:
+    """Re-check the claimed properties of a construction; AssertionError if one fails."""
     name = args.name
     if name == "span":
         seq = outputs[0]
         n, r = args.n, args.r
-        assert seq.length == (2**r - 1) * (n - 1)
+        _require(seq.length == (2**r - 1) * (n - 1), "span: wrong length")
         alpha = constructions.alpha_r(n, r).value
         diag = seq.group.element([1] * r)
-        assert seq.sum == alpha * diag
-        assert subsum.find_short_zero_sum(seq) is None
+        _require(seq.sum == alpha * diag, "span: wrong sum")
+        _require(subsum.find_short_zero_sum(seq) is None, "span: short zero-sum")
     elif name == "span-merge":
         seq = outputs[0]
         n, r = args.n, args.r
-        assert seq.length == (2**r - 1) * (n - 1) - args.m + 1
-        assert subsum.find_short_zero_sum(seq) is None
+        _require(seq.length == (2**r - 1) * (n - 1) - args.m + 1, "span-merge: wrong length")
+        _require(subsum.find_short_zero_sum(seq) is None, "span-merge: short zero-sum")
     elif name == "cap3":
         seq = outputs[0]
-        assert seq.length == 8 and seq.is_squarefree()
-        assert subsum.find_short_zero_sum(seq) is None
+        _require(seq.length == 8 and seq.is_squarefree(), "cap3: not a squarefree 8-set")
+        _require(subsum.find_short_zero_sum(seq) is None, "cap3: short zero-sum")
     elif name == "cap4":
         seq = outputs[0]
-        assert seq.length == 20 and seq.is_squarefree()
-        assert subsum.find_zero_sum_exact_length(seq, 3) is None
+        _require(seq.length == 20 and seq.is_squarefree(), "cap4: not a squarefree 20-set")
+        _require(subsum.find_zero_sum_exact_length(seq, 3) is None, "cap4: zero-sum of length 3")
     elif name == "cap4-trims":
         lengths = sorted(s.length for s in outputs)
-        assert lengths == list(range(30, 37))
+        _require(lengths == list(range(30, 37)), "cap4-trims: lengths are not 30..36")
         for seq in outputs:
-            assert seq.is_zero_sum()
-            assert subsum.find_short_zero_sum(seq) is None
+            _require(seq.is_zero_sum(), "cap4-trims: member is not zero-sum")
+            _require(subsum.find_short_zero_sum(seq) is None, "cap4-trims: short zero-sum")
     else:
         constructions.verify_family(constructions.build_family(name, args.n, args.r))
+
+
+def _require(ok: bool, message: str) -> None:
+    """A check that python -O keeps, unlike assert."""
+    if not ok:
+        raise AssertionError(message)
 
 
 def _cmd_construct(args) -> int:

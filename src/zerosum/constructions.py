@@ -470,10 +470,17 @@ def known_witnesses(group: AbelianGroup, t: int) -> Iterator[Sequence]:
 
 
 def verify_rank4_cap_claims() -> None:
-    """Re-check the transcribed cap tables against their stated properties."""
+    """Re-check the transcribed cap tables against their stated properties.
+
+    Raises AssertionError on any violation.
+    """
     cap3 = ternary_cap_rank3()
-    assert cap3.length == 8 and cap3.is_squarefree()
-    assert find_short_zero_sum(cap3) is None
+    if not (cap3.length == 8 and cap3.is_squarefree()):
+        raise AssertionError("rank-3 cap is not a squarefree 8-set")
+    if find_short_zero_sum(cap3) is not None:
+        raise AssertionError("rank-3 cap has a short zero-sum")
     cap4 = ternary_cap_rank4()
-    assert cap4.length == 20 and cap4.is_squarefree()
-    assert find_zero_sum_exact_length(cap4, 3) is None
+    if not (cap4.length == 20 and cap4.is_squarefree()):
+        raise AssertionError("rank-4 cap is not a squarefree 20-set")
+    if find_zero_sum_exact_length(cap4, 3) is not None:
+        raise AssertionError("rank-4 cap has a zero-sum of length 3")

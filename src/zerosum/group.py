@@ -47,10 +47,6 @@ class AbelianGroup:
     exponent: int
 
     @property
-    def rank_hint(self) -> int:
-        return len(self.moduli)
-
-    @property
     def rank(self) -> int:
         return len(self.moduli)
 
@@ -190,14 +186,6 @@ def make_group(moduli: Iterable[int]) -> AbelianGroup:
     if order > ORDER_OVERFLOW:
         raise ValueError(f"group order {order} overflows the supported range")
     return AbelianGroup(mods, order, math.lcm(*mods))
-
-
-def add(g: GroupElement, h: GroupElement) -> GroupElement:
-    return g + h
-
-
-def neg(g: GroupElement) -> GroupElement:
-    return -g
 
 
 def scalar_mul(k: int, g: GroupElement) -> GroupElement:

@@ -11,11 +11,20 @@ order, choosing each element's multiplicity at first visit.  Pruning rules:
 * a remaining-potential bound folding {g, -g} conflicts;
 * orderly generation: a node is explored only when its multiset is
   lexicographically minimal over the closed symmetry group, which is sound
-  because extensions only append indices >= the current maximum.
+  because extensions only append indices >= the current maximum.  A
+  multiset is carried as the integer sum of mult[x] << k*(order-1-x), with
+  k bits per digit enough for the largest multiplicity; on sorted tuples of
+  equal length lex order is reversed integer order.  The DFS carries this
+  code and the code of its image under every permutation, so the test of a
+  child is one add and one compare per permutation.  Goal and potential
+  cuts run first, and the scan over the next element stops at the first
+  one whose potential, counting the element itself, cannot reach the goal.
 
-Parallel runs split the root's children over workers; branches never share
-state, so node counts, outcomes and witnesses are byte-identical at any
-width.  Budgets bound each top-level subtree.
+The context (tables and closed symmetries) is built once per run, and once
+per worker process at width > 1.  Parallel runs split the root's children
+over workers; branches never share state, so node counts, outcomes and
+witnesses are byte-identical at any width.  Budgets bound each top-level
+subtree.
 """
 
 from __future__ import annotations
@@ -148,9 +157,13 @@ _KIND_TO_PRED = {
 
 
 class _Ctx:
-    """Per-run tables: addition, negation, multiplicity bounds, symmetry perms."""
+    """Per-run tables: addition, negation, multiplicity bounds, symmetry perms,
+    and the digit units of the multiset code for multiplicities up to max(bound).
 
-    __slots__ = ("group", "order", "exp", "add", "neg", "bound", "perms")
+    Immutable once built: one instance is shared by every root job of a run.
+    """
+
+    __slots__ = ("group", "order", "exp", "add", "neg", "bound", "perms", "unit")
 
     def __init__(
         self, group: AbelianGroup, pred_name: str, squarefree: bool, level: str
@@ -164,14 +177,14 @@ class _Ctx:
         self.exp = group.exponent
         coords = [group.coords_of(i) for i in range(order)]
         moduli = group.moduli
-        self.add = [
-            [
+        self.add = tuple(
+            tuple(
                 group.index_of(a + b for a, b in zip(coords[i], coords[j]))
                 for j in range(order)
-            ]
+            )
             for i in range(order)
-        ]
-        self.neg = [group.index_of(-c for c in coords[i]) for i in range(order)]
+        )
+        self.neg = tuple(group.index_of(-c for c in coords[i]) for i in range(order))
         if pred_name == _PRED_NO_EXACT_EXP:
             bounds = [self.exp - 1] * order
         else:
@@ -181,11 +194,55 @@ class _Ctx:
                 bounds.append(o - 1)
         if squarefree:
             bounds = [min(b, 1) for b in bounds]
-        self.bound = bounds
+        self.bound = tuple(bounds)
         actions = symmetries(group, level)
         closed = close_symmetries(actions)
         identity = tuple(range(order))
-        self.perms = [p for p in closed if p != identity]
+        self.perms = tuple(p for p in closed if p != identity)
+        self.unit = _units(order, max(bounds))
+
+
+_ctx_memo: dict[tuple, _Ctx] = {}
+
+
+def _context(group: AbelianGroup, pred_name: str, squarefree: bool, level: str) -> _Ctx:
+    """The context for these arguments, kept until another one is asked for.
+
+    The tables are a function of the key alone and never mutated, so every
+    root job of a run, and every run in a process, may share one instance.
+    """
+    key = (group.moduli, pred_name, squarefree, level)
+    ctx = _ctx_memo.get(key)
+    if ctx is None:
+        _ctx_memo.clear()
+        ctx = _ctx_memo[key] = _Ctx(group, pred_name, squarefree, level)
+    return ctx
+
+
+def _units(order: int, top: int) -> tuple[int, ...]:
+    """unit[x] = 1 << k*(order-1-x), with k bits enough for a multiplicity of top.
+
+    A multiset's code is sum(mult[x] * unit[x]); no digit carries, so on sorted
+    tuples of equal length a lex-smaller tuple has a larger code.
+    """
+    k = max(1, top.bit_length())
+    return tuple(1 << k * (order - 1 - x) for x in range(order))
+
+
+def _extend(enc: int, imgs, perms, unit, g: int, m: int) -> tuple[int, list[int]] | None:
+    """Add g^m to a multiset with code enc and image codes imgs (one per perm).
+
+    Returns the new code and image codes, or None as soon as an image code
+    exceeds the new code: the extension is then not canonical.
+    """
+    enc += m * unit[g]
+    out = []
+    for img, p in zip(imgs, perms):
+        img += m * unit[p[g]]
+        if img > enc:
+            return None
+        out.append(img)
+    return enc, out
 
 
 class _ShortFree:
@@ -304,14 +361,6 @@ def _make_pred(ctx: _Ctx, pred_name: str):
     if pred_name == _PRED_NO_EXACT_EXP:
         return _NoExactExp(ctx)
     raise ValueError(f"unknown predicate {pred_name!r}")
-
-
-def _is_canonical(seq: list[int], perms) -> bool:
-    for p in perms:
-        mapped = sorted([p[i] for i in seq])
-        if mapped < seq:
-            return False
-    return True
 
 
 # -- goals ----------------------------------------------------------------------
@@ -447,7 +496,12 @@ class _Stats:
         return False
 
 
-def _dfs(ctx: _Ctx, pred, goal, seq: list[int], state, sigma: int, last: int, stats: _Stats) -> None:
+def _dfs(
+    ctx: _Ctx, pred, goal, seq: list[int], state, sigma: int, last: int, stats: _Stats,
+    enc: int, imgs: list[int],
+) -> None:
+    """Visit seq, then its canonical feasible children; enc is the code of seq
+    and imgs[i] the code of its image under ctx.perms[i]."""
     if stats.should_stop():
         return
     stats.nodes += 1
@@ -460,12 +514,18 @@ def _dfs(ctx: _Ctx, pred, goal, seq: list[int], state, sigma: int, last: int, st
     bound = ctx.bound
     perms = ctx.perms
     add = ctx.add
+    unit = ctx.unit
     for g in range(last + 1, order):
         b = bound[g]
         if b <= 0:
             continue
         max_m = b if hi is None else min(b, hi - length)
         if max_m <= 0:
+            break
+        # potential(state, g) bounds the length any child with elements >= g
+        # can add; it does not grow with g and lo does not shrink, so no later
+        # element can reach lo either
+        if lo is not None and length + pred.potential(state, g) < lo:
             break
         chain = []
         st, sg = state, sigma
@@ -477,16 +537,16 @@ def _dfs(ctx: _Ctx, pred, goal, seq: list[int], state, sigma: int, last: int, st
             sg = row[sg]
             chain.append((st, sg))
         for m in range(len(chain), 0, -1):
-            st_m, sg_m = chain[m - 1]
-            child = seq + [g] * m
-            if not _is_canonical(child, perms):
-                continue
             lo, hi = goal.needs()
             if hi is not None and length + m > hi:
                 continue
+            st_m, sg_m = chain[m - 1]
             if lo is not None and length + m + pred.potential(st_m, g + 1) < lo:
                 continue
-            _dfs(ctx, pred, goal, child, st_m, sg_m, g, stats)
+            child = _extend(enc, imgs, perms, unit, g, m)
+            if child is None:
+                continue
+            _dfs(ctx, pred, goal, seq + [g] * m, st_m, sg_m, g, stats, *child)
             if stats.stopped:
                 return
         lo, hi = goal.needs()
@@ -522,7 +582,12 @@ def _d0_push_block(ctx: _Ctx, levels, g: int, copies: int):
     return levels
 
 
-def _d0_dfs(ctx: _Ctx, c: int, gs: list[int], levels, last: int, stats: _Stats, res: _D0Result) -> None:
+def _d0_dfs(
+    ctx: _Ctx, c: int, gs: list[int], levels, last: int, stats: _Stats, res: _D0Result,
+    unit: tuple[int, ...], enc: int, imgs: list[int],
+) -> None:
+    """Extend the g_i multiset gs (code enc, image codes imgs over digit units
+    sized for c repeats) by one element >= last at a time."""
     if res.counterexample is not None or stats.should_stop():
         return
     stats.nodes += 1
@@ -530,14 +595,15 @@ def _d0_dfs(ctx: _Ctx, c: int, gs: list[int], levels, last: int, stats: _Stats, 
         res.counterexample = tuple(gs)
         return
     n = ctx.exp
+    perms = ctx.perms
     for g in range(last, ctx.order):
-        child = gs + [g]
-        if not _is_canonical(child, ctx.perms):
+        child = _extend(enc, imgs, perms, unit, g, 1)
+        if child is None:
             continue
         nxt = _d0_push_block(ctx, levels, g, n - 1)
         if nxt is None:
             continue
-        _d0_dfs(ctx, c, child, nxt, g, stats, res)
+        _d0_dfs(ctx, c, gs + [g], nxt, g, stats, res, unit, *child)
         if res.counterexample is not None or stats.stopped:
             return
 
@@ -547,7 +613,7 @@ def _d0_dfs(ctx: _Ctx, c: int, gs: list[int], levels, last: int, stats: _Stats, 
 
 def _branch_worker(payload: dict) -> dict:
     group = make_group(payload["moduli"])
-    ctx = _Ctx(group, payload["pred"], payload["squarefree"], payload["level"])
+    ctx = _context(group, payload["pred"], payload["squarefree"], payload["level"])
     stats = _Stats(payload["node_budget"], payload["time_budget"])
     goal_spec = payload["goal"]
     if goal_spec["kind"] == "d0":
@@ -557,7 +623,10 @@ def _branch_worker(payload: dict) -> dict:
         start = payload["root"]
         nxt = _d0_push_block(ctx, levels, start, ctx.exp - 1)
         if nxt is not None:
-            _d0_dfs(ctx, goal_spec["c"], [start], nxt, start, stats, res)
+            c = goal_spec["c"]
+            unit = _units(ctx.order, c)
+            root = _extend(0, [0] * len(ctx.perms), ctx.perms, unit, start, 1)
+            _d0_dfs(ctx, c, [start], nxt, start, stats, res, unit, *root)
         return {
             "counterexample": res.counterexample,
             "nodes": stats.nodes,
@@ -569,11 +638,13 @@ def _branch_worker(payload: dict) -> dict:
     state, sigma = pred.initial(), 0
     seq: list[int] = []
     for _ in range(m):
-        assert not pred.forbid(state, g)
+        if pred.forbid(state, g):
+            raise AssertionError(f"root job {g}^{m} is infeasible")
         state = pred.push(state, g)
         sigma = ctx.add[g][sigma]
         seq.append(g)
-    _dfs(ctx, pred, goal, seq, state, sigma, g, stats)
+    root = _extend(0, [0] * len(ctx.perms), ctx.perms, ctx.unit, g, m)
+    _dfs(ctx, pred, goal, seq, state, sigma, g, stats, *root)
     out = goal.to_payload()
     out["nodes"] = stats.nodes
     out["exhausted"] = stats.exhausted
@@ -597,7 +668,7 @@ def _root_jobs(ctx: _Ctx, pred, goal_needs_hi) -> list[tuple[int, int]]:
         for m in range(chain, 0, -1):
             if goal_needs_hi is not None and m > goal_needs_hi:
                 continue
-            if _is_canonical([g] * m, ctx.perms):
+            if _extend(0, [0] * len(ctx.perms), ctx.perms, ctx.unit, g, m) is not None:
                 jobs.append((g, m))
     return jobs
 
@@ -650,7 +721,7 @@ def max_extremal_length(
     if kind not in INVARIANT_KINDS:
         raise ValueError(f"unknown invariant kind {kind!r}")
     pred_name, squarefree = _KIND_TO_PRED[kind]
-    ctx = _Ctx(group, pred_name, squarefree, cfg.symmetry_level)
+    ctx = _context(group, pred_name, squarefree, cfg.symmetry_level)
     pred = _make_pred(ctx, pred_name)
     t0 = time.monotonic()
     lb, lb_witness = _greedy_lb(ctx, pred)
@@ -764,7 +835,7 @@ def compute_c0_at(
         else:
             remaining.append(t)
     if remaining:
-        ctx = _Ctx(group, _PRED_SHORT_FREE, False, cfg.symmetry_level)
+        ctx = _context(group, _PRED_SHORT_FREE, False, cfg.symmetry_level)
         pred = _make_pred(ctx, _PRED_SHORT_FREE)
         base = _base_payload(group, _PRED_SHORT_FREE, False, cfg)
         payloads = [
@@ -881,7 +952,7 @@ def enumerate_short_free(
     """
     t0 = time.monotonic()
     do_collect = collect or visitor is not None
-    ctx = _Ctx(group, _PRED_SHORT_FREE, False, cfg.symmetry_level)
+    ctx = _context(group, _PRED_SHORT_FREE, False, cfg.symmetry_level)
     pred = _make_pred(ctx, _PRED_SHORT_FREE)
     base = _base_payload(group, _PRED_SHORT_FREE, False, cfg)
     goal = {
@@ -1032,7 +1103,7 @@ def check_property_D(
         )
     c = (s_value - 1) // (n - 1)
     length = s_value - 1
-    ctx = _Ctx(group, _PRED_NO_EXACT_EXP, False, cfg.symmetry_level)
+    ctx = _context(group, _PRED_NO_EXACT_EXP, False, cfg.symmetry_level)
     pred = _make_pred(ctx, _PRED_NO_EXACT_EXP)
     base = _base_payload(group, _PRED_NO_EXACT_EXP, False, cfg)
     goal = {
@@ -1078,12 +1149,13 @@ def check_property_D0(group: AbelianGroup, c: int, cfg: SearchConfig) -> Certifi
     n, _ = _require_cube(group)
     if c < 1:
         raise ValueError("c must be >= 1")
-    ctx = _Ctx(group, _PRED_NO_EXACT_EXP, False, cfg.symmetry_level)
+    ctx = _context(group, _PRED_NO_EXACT_EXP, False, cfg.symmetry_level)
+    unit = _units(ctx.order, c)
     base = _base_payload(group, _PRED_NO_EXACT_EXP, False, cfg)
     payloads = []
     levels0 = _d0_push_block(ctx, tuple(set() for _ in range(n)), 0, 1)
     for g in range(ctx.order):
-        if not _is_canonical([g], ctx.perms):
+        if _extend(0, [0] * len(ctx.perms), ctx.perms, unit, g, 1) is None:
             continue
         if _d0_push_block(ctx, levels0, g, n - 1) is None:
             continue

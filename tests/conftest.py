@@ -88,6 +88,12 @@ def brute_max_length(group: AbelianGroup, upper: int, keep) -> int:
     return 0
 
 
+def is_orbit_minimal(seq: list[int], perms) -> bool:
+    """Sort-based canonicity: the sorted index list is lex-least among its images."""
+    seq = sorted(seq)
+    return all(sorted(p[i] for i in seq) >= seq for p in perms)
+
+
 @pytest.fixture(scope="session")
 def c33():
     return make_group([3, 3, 3])

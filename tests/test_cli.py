@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +144,59 @@ def test_repro_search_tables(capsys):
     assert main(["repro", "propertyC"]) == 0
     out = capsys.readouterr().out
     assert out.count("pass") == 3
+
+
+# Each verifier gets a wrong input and must still raise under python -O,
+# which strips assert statements.
+_OPTIMIZED_CHECKS = r"""
+import argparse
+import sys
+
+from zerosum import cli, constructions, search
+from zerosum.group import make_group
+from zerosum.sequence import Sequence
+
+if not sys.flags.optimize:
+    sys.exit("not running under python -O")
+
+
+def rejects(fn, *args):
+    try:
+        fn(*args)
+    except AssertionError:
+        return True
+    return False
+
+
+group = make_group([3, 3, 3])
+# a squarefree 8-set that contains 0, so it has a short zero-sum
+bad_cap = Sequence.from_items(group, [(i, 1) for i in range(8)])
+failures = []
+if not rejects(cli._verify_construction, argparse.Namespace(name="cap3"), [bad_cap]):
+    failures.append("construct --verify")
+constructions.ternary_cap_rank3 = lambda: bad_cap
+if not rejects(constructions.verify_rank4_cap_claims):
+    failures.append("verify_rank4_cap_claims")
+payload = {
+    **search._base_payload(group, "zero_sum_free", False, search.SearchConfig()),
+    "goal": {"kind": "max", "lb": 0},
+    "root": (0, 1),  # the zero element is forbidden in a zero-sum-free sequence
+}
+if not rejects(search._branch_worker, payload):
+    failures.append("_branch_worker root check")
+print("accepted:", failures if failures else "none")
+sys.exit(1 if failures else 0)
+"""
+
+
+def test_verifiers_reject_wrong_input_under_python_O():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "accepted: none" in proc.stdout

@@ -1,14 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_max_length,
+    is_orbit_minimal,
     multisets_of_length,
     naive_is_short_free,
     naive_is_zero_sum_free,
     naive_profile,
 )
+from zerosum import search
 from zerosum.group import element_order, make_group
 from zerosum.search import (
     STATUS_EXHAUSTED,
@@ -258,3 +262,83 @@ def test_compute_c0_at_handles_construction_hints():
     members, certs = compute_c0_at(group, list(range(30, 37)), CFG)
     assert members == []
     assert all(c.status == STATUS_REFUTED and c.nodes == 0 for c in certs.values())
+
+
+# The search tree and certificate bytes of the default configuration; a
+# change to either is a change of behaviour and must update these on purpose.
+PINNED_SEARCHES = [
+    ("D", (3, 3, 3), 3509, "fd21010b24993d22"),
+    ("eta", (3, 3, 3), 5575, "600497b480f9f429"),
+    ("g", (3, 3, 3), 2180, "3c9f7d9124bd661a"),
+    ("s", (4, 4), 4725, "1fe61f10f7a70fee"),
+    ("s", (2, 6), 6189, "7003abb1fe947d76"),
+]
+
+
+@pytest.mark.parametrize("kind,moduli,nodes,cert_id", PINNED_SEARCHES)
+def test_search_tree_is_pinned(kind, moduli, nodes, cert_id):
+    _, cert = max_extremal_length(make_group(moduli), kind, CFG)
+    assert (cert.nodes, cert.cert_id()) == (nodes, cert_id)
+
+
+def test_d0_and_enumeration_trees_are_pinned(c33):
+    cert = check_property_D0(c33, 9, CFG)
+    assert (cert.nodes, cert.cert_id()) == (7601, "20465f1eb6a11b0c")
+    rep = enumerate_short_free(c33, 18, CFG)
+    assert (rep.nodes, rep.count, rep.status) == (2720, 0, STATUS_PROVED)
+
+
+CANON_GROUPS = {"C3^3": (3, 3, 3), "C3+C6": (3, 6), "C4^2": (4, 4), "C2^4": (2, 2, 2, 2)}
+CANON_LEVELS = ("none", "coord_perms+scalar", "full_small")
+_CANON_CTX: dict = {}
+
+
+def _canon_ctx(spec: str, pred: str, level: str):
+    key = (spec, pred, level)
+    if key not in _CANON_CTX:
+        _CANON_CTX[key] = search._Ctx(make_group(CANON_GROUPS[spec]), pred, False, level)
+    return _CANON_CTX[key]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_encoded_canonicity_matches_sort_oracle(data):
+    spec = data.draw(st.sampled_from(sorted(CANON_GROUPS)))
+    pred = data.draw(st.sampled_from(("short_free", "no_exact_exp")))
+    level = data.draw(st.sampled_from(CANON_LEVELS))
+    ctx = _canon_ctx(spec, pred, level)
+    if data.draw(st.booleans()):  # D0-style: any element repeated up to c times
+        c = data.draw(st.integers(1, 12))
+        unit, caps = search._units(ctx.order, c), [c] * ctx.order
+    else:
+        unit, caps = ctx.unit, ctx.bound
+    support = data.draw(st.sets(st.integers(0, ctx.order - 1), max_size=6))
+    # the DFS extends canonical multisets only, so the walk stops at the first
+    # prefix that is not canonical
+    code, seq = (0, [0] * len(ctx.perms)), []
+    for g in sorted(support):
+        if caps[g] <= 0:
+            continue
+        m = data.draw(st.integers(1, caps[g]))
+        code = search._extend(*code, ctx.perms, unit, g, m)
+        seq += [g] * m
+        assert (code is not None) == is_orbit_minimal(seq, ctx.perms), seq
+        if code is None:
+            break
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_potential_does_not_grow_with_start(data):
+    # _dfs stops scanning elements at the first g whose potential misses the
+    # goal, which is sound only because of this monotonicity
+    spec = data.draw(st.sampled_from(sorted(CANON_GROUPS)))
+    pred_name = data.draw(st.sampled_from(("short_free", "zero_sum_free", "no_exact_exp")))
+    ctx = _canon_ctx(spec, pred_name, "none")
+    pred = search._make_pred(ctx, pred_name)
+    state = pred.initial()
+    for g in sorted(data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=8))):
+        if not pred.forbid(state, g):
+            state = pred.push(state, g)
+    pots = [pred.potential(state, g) for g in range(ctx.order + 1)]
+    assert pots == sorted(pots, reverse=True)
