@@ -83,10 +83,7 @@ def _record_fact(cert: Certificate) -> None:
         return
     path = cache_dir() / "facts.jsonl"
     store = catalog.FactStore.load(path) if path.exists() else catalog.FactStore()
-    try:
-        store.add(fact)
-    except catalog.FactConflictError:
-        raise
+    store.add(fact)
     store.save(path)
 
 
@@ -333,8 +330,13 @@ def _cmd_construct(args) -> int:
 def _witness_valid(cert: Certificate) -> bool:
     claim = cert.claim
     witness = cert.witness
-    if witness is None:
+    if witness is None or witness.group.moduli != parse_group_spec(cert.group_spec).moduli:
         return False
+    n = witness.group.exponent
+
+    def no_zero_sum_of_length_n() -> bool:
+        return witness.length < n or subsum.find_zero_sum_exact_length(witness, n) is None
+
     if claim["type"] == "c0_membership":
         t = claim["t"]
         return (
@@ -352,13 +354,17 @@ def _witness_valid(cert: Certificate) -> bool:
             return subsum.find_nonempty_zero_sum(witness) is None
         if kind in ("eta", "f"):
             return subsum.find_short_zero_sum(witness) is None
-        exp = witness.group.exponent
-        return subsum.find_zero_sum_exact_length(witness, exp) is None
+        return no_zero_sum_of_length_n()
     if claim["type"] == "property":
-        n = witness.group.exponent
+        # C, D: c*(n-1) terms, not c distinct (n-1)-powers; D0: one term more
+        c = claim["c"]
+        if not isinstance(c, int) or witness.length != c * (n - 1) + (claim["property"] == "D0"):
+            return False
+        if claim["property"] != "D0" and all(v == n - 1 for _, v in witness.items):
+            return False
         if claim["property"] == "C":
             return subsum.find_short_zero_sum(witness) is None
-        return subsum.find_zero_sum_exact_length(witness, n) is None
+        return no_zero_sum_of_length_n()
     return False
 
 

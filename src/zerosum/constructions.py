@@ -179,9 +179,6 @@ class FamilySpec:
     def members(self) -> Iterator[Sequence]:
         return self.member_factory()
 
-    def realized_lengths(self) -> set[int]:
-        return {s.length for s in self.members()}
-
 
 def _zero_block_members(n: int, group: AbelianGroup) -> Iterator[Sequence]:
     e1, e2 = group.basis(0), group.basis(1)

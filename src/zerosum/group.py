@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -51,14 +52,6 @@ class AbelianGroup:
         return len(self.moduli)
 
     # -- codec ------------------------------------------------------------
-
-    def _strides(self) -> tuple[int, ...]:
-        strides = []
-        acc = 1
-        for m in reversed(self.moduli):
-            strides.append(acc)
-            acc *= m
-        return tuple(reversed(strides))
 
     def index_of(self, coords: Iterable[int]) -> int:
         idx = 0
@@ -255,6 +248,38 @@ def coordinate_projection(
     return quotient, project
 
 
+# -- element sets as bitmasks ------------------------------------------------
+
+
+@functools.lru_cache(maxsize=1024)
+def shift_steps(moduli: tuple[int, ...], g_index: int) -> tuple[tuple[int, int, int], ...]:
+    """How `shift_bits` adds the element of index g to a set of element indices.
+
+    Bit x of a set stands for the element of index x.  For each nonzero digit
+    b = g_i, the indices whose i-th digit is below m_i - b (set in `low`) move
+    up by b * stride_i and the others wrap down by (m_i - b) * stride_i.
+    """
+    order = stride = math.prod(moduli)
+    full = (1 << order) - 1
+    steps = []
+    for m in moduli:
+        stride //= m
+        b = g_index // stride % m
+        if b:
+            block_starts = full // ((1 << (m * stride)) - 1)
+            low = ((1 << ((m - b) * stride)) - 1) * block_starts
+            steps.append((low, b * stride, (m - b) * stride))
+    return tuple(steps)
+
+
+def shift_bits(mask: int, steps: tuple[tuple[int, int, int], ...]) -> int:
+    """The index set `mask` translated by the element whose `shift_steps` are given."""
+    for low, up, down in steps:
+        stay = mask & low
+        mask = (stay << up) | ((mask ^ stay) >> down)
+    return mask
+
+
 # -- group spec grammar -----------------------------------------------------
 
 _POWER_RE = re.compile(r"^C(\d+)(?:\^(\d+))?$")
@@ -322,11 +347,6 @@ class SymmetryAction:
 
     def apply_index(self, i: int) -> int:
         return self.perm[i]
-
-    def apply(self, g: GroupElement) -> GroupElement:
-        return self.group.element_by_index(self.perm[g.index])
-
-    __call__ = apply
 
     def inverse(self) -> SymmetryAction:
         inv = [0] * len(self.perm)

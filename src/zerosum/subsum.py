@@ -1,28 +1,25 @@
 """Decision kernel: subsequence-sum reachability with bounded length.
 
-The dynamic program tracks, for each count c in [1, cap] and each group
-element x, whether some subsequence of exactly c terms sums to x.  Terms are
+The dynamic program keeps, for each count c in [0, cap], one int bitmask whose
+bit x is set when some subsequence of exactly c terms sums to the element of
+index x; adding a term translates a layer with `group.shift_bits`.  Terms are
 processed in deterministic order (sorted by element index, multiplicities
-expanded), and one predecessor per newly reached state is stored, so witness
-reconstruction is reproducible: the same input always yields the same witness.
+expanded), and the bits each term adds first are recorded, so walking back
+through them rebuilds the same witness for the same input every time.
 """
 
 from __future__ import annotations
 
-from .group import AbelianGroup
+from .group import AbelianGroup, shift_bits, shift_steps
 from .sequence import Sequence
 
 
-def _add_row(group: AbelianGroup, g_index: int) -> list[int]:
-    base = group.coords_of(g_index)
-    row = []
-    for x in range(group.order):
-        row.append(group.index_of(a + b for a, b in zip(group.coords_of(x), base)))
-    return row
-
-
 class ReachTable:
-    """Exact-count reachability of subsequence sums, with parent links."""
+    """Exact-count reachability of subsequence sums, one bitmask per count.
+
+    fresh[c] lists, in term order, the (term position, mask) pairs of the bits
+    that first entered reach[c] when that term was added.
+    """
 
     def __init__(self, seq: Sequence, cap: int) -> None:
         if cap < 1:
@@ -32,44 +29,27 @@ class ReachTable:
         self.seq = seq
         self.cap = cap = min(cap, seq.length) if seq.length else 0
         self.terms = seq.term_indices()
-        # reach[c] = set of sums over subsequences of exactly c terms
-        self.reach: list[set[int]] = [set() for _ in range(cap + 1)]
-        self.reach[0].add(0)
-        # parent[(c, x)] = (term position, predecessor sum)
-        self.parent: dict[tuple[int, int], tuple[int, int]] = {}
-        rows: dict[int, list[int]] = {}
+        self.reach: list[int] = [1] + [0] * cap
+        self.fresh: list[list[tuple[int, int]]] = [[] for _ in range(cap + 1)]
+        reach, prev = self.reach, None
         for pos, g in enumerate(self.terms):
-            row = rows.get(g)
-            if row is None:
-                row = rows[g] = _add_row(self.group, g)
-            top = min(pos, cap - 1)
-            for c in range(top, -1, -1):
-                dst = self.reach[c + 1]
-                for x in self.reach[c]:
-                    y = row[x]
-                    if y not in dst:
-                        dst.add(y)
-                        self.parent[(c + 1, y)] = (pos, x)
-
-    def reachable(self, x_index: int, count: int) -> bool:
-        return 0 < count <= self.cap and x_index in self.reach[count]
-
-    def sums_with_count_at_most(self, r: int) -> set[int]:
-        out: set[int] = set()
-        for c in range(1, min(r, self.cap) + 1):
-            out |= self.reach[c]
-        return out
+            if g != prev:
+                steps, prev = shift_steps(self.group.moduli, g), g
+            for c in range(min(pos, cap - 1), -1, -1):
+                new = shift_bits(reach[c], steps) & ~reach[c + 1]
+                if new:
+                    reach[c + 1] |= new
+                    self.fresh[c + 1].append((pos, new))
 
     def witness(self, x_index: int, count: int) -> Sequence:
         """Reconstruct one subsequence of exactly `count` terms summing to x."""
-        if not self.reachable(x_index, count):
+        if not (0 < count <= self.cap and self.reach[count] >> x_index & 1):
             raise ValueError(f"state (count={count}, x={x_index}) is not reachable")
         positions = []
-        c, x = count, x_index
-        while c > 0:
-            pos, prev = self.parent[(c, x)]
+        x = x_index
+        for c in range(count, 0, -1):
+            pos, x = _step_back(self.group, self.terms, self.fresh[c], x)
             positions.append(pos)
-            c, x = c - 1, prev
         witness = Sequence.from_items(
             self.group, ((self.terms[p], 1) for p in positions)
         )
@@ -77,8 +57,16 @@ class ReachTable:
         return witness
 
 
+def _step_back(
+    group: AbelianGroup, terms: tuple[int, ...], fresh: list[tuple[int, int]], x: int
+) -> tuple[int, int]:
+    """The term position whose fresh bits hold x, and x minus that term."""
+    pos = next(p for p, new in fresh if new >> x & 1)
+    return pos, group.index_add(x, group.index_neg(terms[pos]))
+
+
 def _validate_witness(witness: Sequence, seq: Sequence, x_index: int, count: int) -> None:
-    # independent of the parent links: re-check the three defining properties
+    # independent of the walk back: re-check the three defining properties
     if witness.length != count:
         raise AssertionError("witness length mismatch")
     if witness.sum.index != x_index:
@@ -93,8 +81,11 @@ def bounded_sums(seq: Sequence, r: int) -> set:
         raise ValueError("r must be >= 1")
     if seq.length == 0:
         return set()
-    table = ReachTable(seq, min(r, seq.length))
-    return {seq.group.element_by_index(i) for i in table.sums_with_count_at_most(r)}
+    mask = 0
+    for layer in ReachTable(seq, min(r, seq.length)).reach[1:]:
+        mask |= layer
+    bits = bin(mask)[:1:-1]  # bit i of mask is bits[i]
+    return {seq.group.element_by_index(i) for i, bit in enumerate(bits) if bit == "1"}
 
 
 def find_short_zero_sum(seq: Sequence) -> Sequence | None:
@@ -104,7 +95,7 @@ def find_short_zero_sum(seq: Sequence) -> Sequence | None:
     cap = min(seq.group.exponent, seq.length)
     table = ReachTable(seq, cap)
     for c in range(1, cap + 1):
-        if 0 in table.reach[c]:
+        if table.reach[c] & 1:
             return table.witness(0, c)
     return None
 
@@ -117,7 +108,7 @@ def find_zero_sum_exact_length(seq: Sequence, n: int) -> Sequence | None:
     if not 1 <= n <= seq.length:
         raise ValueError(f"n must lie in [1, {seq.length}]")
     table = ReachTable(seq, n)
-    if 0 in table.reach[n]:
+    if table.reach[n] & 1:
         return table.witness(0, n)
     return None
 
@@ -129,32 +120,26 @@ def find_nonempty_zero_sum(seq: Sequence) -> Sequence | None:
     group = seq.group
     group.require_table_capacity()
     terms = seq.term_indices()
-    reach: set[int] = set()
-    parent: dict[int, tuple[int, int]] = {}  # sum -> (term position, prev sum or -1)
-    rows: dict[int, list[int]] = {}
+    reach, prev = 0, None  # sums of nonempty subsequences of the terms so far
+    fresh: list[tuple[int, int]] = []
     for pos, g in enumerate(terms):
-        row = rows.get(g)
-        if row is None:
-            row = rows[g] = _add_row(group, g)
-        # row is a permutation, so distinct x map to distinct y and the
-        # parent assignment is independent of set iteration order.
-        fresh = [(row[x], x) for x in reach if row[x] not in reach]
-        for y, x in fresh:
-            reach.add(y)
-            parent[y] = (pos, x)
-        if g not in reach:
-            reach.add(g)
-            parent[g] = (pos, -1)
-        if 0 in reach:
+        if g != prev:
+            steps, prev = shift_steps(group.moduli, g), g
+        # 0 is not reachable yet, so bit g of the new bits is the term alone
+        new = (shift_bits(reach, steps) | 1 << g) & ~reach
+        if new:
+            reach |= new
+            fresh.append((pos, new))
+        if reach & 1:
             break
-    if 0 not in reach:
+    else:
         return None
-    positions = []
-    x = 0
-    while x != -1:
-        pos, prev = parent[x]
+    # the walk ends at the term that started the sum on its own (x - g = 0)
+    pos, x = _step_back(group, terms, fresh, 0)
+    positions = [pos]
+    while x:
+        pos, x = _step_back(group, terms, fresh, x)
         positions.append(pos)
-        x = prev
     witness = Sequence.from_items(group, ((terms[p], 1) for p in positions))
     if witness.sum.index != 0 or witness.length == 0 or not witness.divides(seq):
         raise AssertionError("invalid zero-sum witness")
@@ -168,12 +153,4 @@ def has_zero_sum_with_length_in(seq: Sequence, a: int, b: int) -> bool:
     if seq.length == 0 or a > seq.length:
         return False
     table = ReachTable(seq, min(b, seq.length))
-    return any(0 in table.reach[c] for c in range(a, min(b, seq.length) + 1))
-
-
-def is_short_free(seq: Sequence) -> bool:
-    return find_short_zero_sum(seq) is None
-
-
-def is_zero_sum_free(seq: Sequence) -> bool:
-    return find_nonempty_zero_sum(seq) is None
+    return any(layer & 1 for layer in table.reach[a:])

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from zerosum.cli import main
-from zerosum.search import Certificate
-from zerosum.sequence import read_sequence
+from zerosum.constructions import build_family
+from zerosum.group import parse_group_spec
+from zerosum.search import Certificate, SearchConfig
+from zerosum.sequence import Sequence, read_sequence
 
 
 @pytest.fixture(autouse=True)
@@ -111,6 +113,47 @@ def test_certify_round_trip(tmp_path, capsys):
     tampered = tmp_path / "bad.json"
     tampered.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
     assert main(["certify", str(tampered)]) == 1
+
+
+def _write_cert(path, cert):
+    path.write_text(cert.to_json(), encoding="utf-8")
+    return str(path)
+
+
+def test_certify_rejects_witness_from_another_group(tmp_path, capsys):
+    # a zero-sum short-free member of length 16 over C4^3, passed off as a
+    # refutation of 16 in C0(C3^3)
+    member = next(
+        s for s in build_family("span-carve-block", 4, 3).members() if s.length == 16
+    )
+    group = parse_group_spec("C3^3")
+    cert = Certificate(
+        claim={"type": "c0_membership", "group": "C3^3", "t": 16, "member": False},
+        status="refuted_with_witness", group_spec=group.spec(), witness=member,
+        nodes=0, symmetry_level="none", config=SearchConfig(),
+    )
+    assert main(["certify", _write_cert(tmp_path / "c0.json", cert)]) == 1
+    assert "INVALID" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec, prop, c, items", [
+    # property D on C3^3 refutes with c*(n-1) = 18 terms; a 2-term witness is
+    # shorter than n and must not reach the exact-length DP
+    ("C3^3", "D", 9, [(1, 1), (2, 1)]),
+    # e1^2 e2^2 (e1+e2)^2 over C3^2 is short free but of the form property C
+    # asserts, so it refutes nothing
+    ("C3^2", "C", 3, [(1, 2), (3, 2), (4, 2)]),
+])
+def test_certify_rejects_property_witness_that_refutes_nothing(tmp_path, capsys, spec, prop, c, items):
+    group = parse_group_spec(spec)
+    cert = Certificate(
+        claim={"type": "property", "property": prop, "group": spec, "c": c, "holds": False},
+        status="refuted_with_witness", group_spec=group.spec(),
+        witness=Sequence.from_items(group, items),
+        nodes=0, symmetry_level="none", config=SearchConfig(),
+    )
+    assert main(["certify", _write_cert(tmp_path / "prop.json", cert)]) == 1
+    assert "INVALID" in capsys.readouterr().out
 
 
 def test_facts_verb(capsys):

@@ -12,6 +12,8 @@ from zerosum.group import (
     make_group,
     parse_group_spec,
     scalar_mul,
+    shift_bits,
+    shift_steps,
     symmetries,
 )
 from zerosum.sequence import Sequence
@@ -81,6 +83,17 @@ def test_exponent_annihilates(moduli, data):
     g = make_group(moduli)
     i = data.draw(st.integers(min_value=0, max_value=g.order - 1))
     assert scalar_mul(g.exponent, g.element_by_index(i)).is_zero()
+
+
+@pytest.mark.parametrize("moduli", [(7,), (2, 6), (3, 6), (4, 4), (3, 3, 3), (2, 2, 2, 2)])
+def test_shift_bits_matches_index_add(moduli):
+    # every element translated alone, and all of them at once, by every g
+    g = make_group(moduli)
+    for a in range(g.order):
+        steps = shift_steps(moduli, a)
+        for x in range(g.order):
+            assert shift_bits(1 << x, steps) == 1 << g.index_add(x, a)
+        assert shift_bits((1 << g.order) - 1, steps) == (1 << g.order) - 1
 
 
 def test_symmetry_generator_counts():

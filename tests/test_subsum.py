@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from zerosum.constructions import (
     ternary_cap_rank4,
 )
 from zerosum.group import make_group
-from zerosum.sequence import Sequence
+from zerosum.sequence import Sequence, write_sequence
 from zerosum.subsum import (
     ReachTable,
     bounded_sums,
@@ -153,19 +154,20 @@ def test_witness_reconstruction_is_deterministic():
 
 def test_reach_table_against_brute_force():
     rng = random.Random(31337)
-    for moduli in ([3, 3], [3, 3, 3], [2, 4]):
+    for moduli in ([3, 3], [3, 3, 3], [2, 4], [2, 6], [3, 6], [4, 4], [2, 2, 2, 2], [7]):
         g = make_group(moduli)
         for _ in range(40):
             seq = _random_sequence(g, rng, max_len=10)
             table = ReachTable(seq, seq.length)
             profile = naive_profile(seq)
             for c in range(1, seq.length + 1):
-                assert table.reach[c] == profile.get(c, set())
+                reached = {x for x in range(g.order) if table.reach[c] >> x & 1}
+                assert reached == profile.get(c, set())
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    st.sampled_from([(3, 3), (2, 4)]),
+    st.sampled_from([(3, 3), (2, 4), (2, 6), (3, 6), (4, 4), (2, 2, 2, 2), (7,)]),
     st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=9),
     st.integers(min_value=1, max_value=9),
 )
@@ -181,6 +183,26 @@ def test_dp_matches_oracle_property(moduli, idxs, r):
         0 in naive_profile(seq).get(n, set())
     )
     assert has_zero_sum_with_length_in(seq, 1, n) == naive_has_zero_sum_in(seq, 1, n)
+
+
+def test_witnesses_match_pinned_digest():
+    # digest of the witnesses as computed by the set-and-row DP this kernel
+    # replaced: every witness must stay byte-identical
+    rng = random.Random(20261018)
+    texts = []
+    for moduli in ([3, 3], [3, 3, 3], [2, 4], [2, 6], [3, 6], [4, 4], [2, 2, 2, 2], [7], [3, 3, 3, 3]):
+        g = make_group(moduli)
+        for _ in range(25):
+            seq = _random_sequence(g, rng, max_len=14)
+            k = rng.randrange(1, seq.length + 1)
+            for w in (
+                find_short_zero_sum(seq),
+                find_zero_sum_exact_length(seq, k),
+                find_nonempty_zero_sum(seq),
+            ):
+                texts.append("none\n" if w is None else write_sequence(w))
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == "69594eb4f0f4a413c4987a2508d5b37f33bdf1c2dedf4d4c228cb67da0b727b4"
 
 
 def test_bounded_sums_monotone():
