@@ -281,6 +281,31 @@ def test_search_tree_is_pinned(kind, moduli, nodes, cert_id):
     assert (cert.nodes, cert.cert_id()) == (nodes, cert_id)
 
 
+_C44 = make_group((4, 4))
+_BUDGET30 = SearchConfig(node_budget=30)
+
+# Property, C0 and D0 certificates, pinned the same way.
+PINNED_CERTS = [
+    ("C C4^2", lambda: check_property_C(_C44, CFG), 846, "623ddb63e0f1b135"),
+    ("D C4^2", lambda: check_property_D(_C44, CFG), 10997, "7f50b983ff788297"),
+    ("D C4^2 b30", lambda: check_property_D(_C44, _BUDGET30), 464, "e0ea6f38e9fc966d"),
+    ("C C3^3 b30", lambda: check_property_C(make_group((3, 3, 3)), _BUDGET30),
+     229, "d7483f90b5a3438d"),
+    ("c0 C4^2 t=8", lambda: compute_c0(_C44, CFG)[1][8], 745, "36547184e24c55f0"),
+    ("c0 C4^2 t=9", lambda: compute_c0(_C44, CFG)[1][9], 745, "ae6c245a4c1893bc"),
+    ("D0 C3^2 c=2", lambda: check_property_D0(make_group((3, 3)), 2, CFG), 6, "8a3cb99a35c78f22"),
+    ("D0 C3^3 c=9 w2", lambda: check_property_D0(
+        make_group((3, 3, 3)), 9, SearchConfig(parallel_width=2)), 7601, "20465f1eb6a11b0c"),
+]
+
+
+@pytest.mark.parametrize("run,nodes,cert_id", [p[1:] for p in PINNED_CERTS],
+                         ids=[p[0] for p in PINNED_CERTS])
+def test_certificate_is_pinned(run, nodes, cert_id):
+    cert = run()
+    assert (cert.nodes, cert.cert_id()) == (nodes, cert_id)
+
+
 def test_d0_and_enumeration_trees_are_pinned(c33):
     cert = check_property_D0(c33, 9, CFG)
     assert (cert.nodes, cert.cert_id()) == (7601, "20465f1eb6a11b0c")
