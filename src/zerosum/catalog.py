@@ -10,6 +10,7 @@ hard-errors on any contradiction.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -67,7 +68,7 @@ class Fact:
             },
         }
 
-    @property
+    @functools.cached_property
     def fact_id(self) -> str:
         text = json.dumps(self.payload(), sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]

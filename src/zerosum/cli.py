@@ -59,15 +59,21 @@ def _cache_key(verb: str, group_spec: str, cfg: SearchConfig, extra: str = "") -
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _cache_read(key: str) -> Certificate | None:
+def _cache_read(key: str, kind: str, group_spec: str) -> Certificate | None:
+    """The cached invariant certificate, or None (a miss) if there is none or
+    it does not hold: another claim than the one asked for, or a bad witness."""
     path = cache_dir() / f"{key}.json"
     if not path.exists():
         return None
     try:
         cert = Certificate.from_json(path.read_text(encoding="utf-8"))
-    except (ValueError, KeyError, json.JSONDecodeError):
+        claim = cert.claim
+        ok = (claim["type"], claim["invariant"], claim["group"]) == (
+            "invariant", kind, group_spec
+        ) and (claim["extremal_length"] <= 0 or search.witness_valid(cert))
+    except (ValueError, KeyError, TypeError):
         return None
-    return cert
+    return cert if ok else None
 
 
 def _cache_write(key: str, cert: Certificate) -> None:
@@ -120,7 +126,7 @@ def _cmd_invariant(args) -> int:
     group = parse_group_spec(args.group)
     cfg = _config_from_args(args)
     key = _cache_key("invariant", group.spec(), cfg, args.kind)
-    cert = None if args.no_cache else _cache_read(key)
+    cert = None if args.no_cache else _cache_read(key, args.kind, group.spec())
     cached = cert is not None
     if cert is None:
         value, cert = search.invariant_value(group, args.kind, cfg)
@@ -327,47 +333,6 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _witness_valid(cert: Certificate) -> bool:
-    claim = cert.claim
-    witness = cert.witness
-    if witness is None or witness.group.moduli != parse_group_spec(cert.group_spec).moduli:
-        return False
-    n = witness.group.exponent
-
-    def no_zero_sum_of_length_n() -> bool:
-        return witness.length < n or subsum.find_zero_sum_exact_length(witness, n) is None
-
-    if claim["type"] == "c0_membership":
-        t = claim["t"]
-        return (
-            witness.length == t
-            and witness.is_zero_sum()
-            and subsum.find_short_zero_sum(witness) is None
-        )
-    if claim["type"] == "invariant":
-        kind = claim["invariant"]
-        if witness.length != claim["extremal_length"]:
-            return False
-        if kind in ("f", "g") and not witness.is_squarefree():
-            return False
-        if kind == "D":
-            return subsum.find_nonempty_zero_sum(witness) is None
-        if kind in ("eta", "f"):
-            return subsum.find_short_zero_sum(witness) is None
-        return no_zero_sum_of_length_n()
-    if claim["type"] == "property":
-        # C, D: c*(n-1) terms, not c distinct (n-1)-powers; D0: one term more
-        c = claim["c"]
-        if not isinstance(c, int) or witness.length != c * (n - 1) + (claim["property"] == "D0"):
-            return False
-        if claim["property"] != "D0" and all(v == n - 1 for _, v in witness.items):
-            return False
-        if claim["property"] == "C":
-            return subsum.find_short_zero_sum(witness) is None
-        return no_zero_sum_of_length_n()
-    return False
-
-
 def _cmd_certify(args) -> int:
     text = Path(args.certificate).read_text(encoding="utf-8")
     cert = Certificate.from_json(text)
@@ -375,7 +340,7 @@ def _cmd_certify(args) -> int:
         if cert.witness is None:
             print("refuted certificate carries no sequence witness; nothing to re-check")
             return 0
-        ok = _witness_valid(cert)
+        ok = search.witness_valid(cert)
         print(f"witness re-validation: {'VALID' if ok else 'INVALID'}")
         return 0 if ok else 1
     if cert.status == STATUS_PROVED:

@@ -348,12 +348,6 @@ class SymmetryAction:
     def apply_index(self, i: int) -> int:
         return self.perm[i]
 
-    def inverse(self) -> SymmetryAction:
-        inv = [0] * len(self.perm)
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return SymmetryAction(self.group, self.kind, f"inv({self.name})", tuple(inv))
-
 
 def _perm_from_coord_map(
     group: AbelianGroup, fn: Callable[[tuple[int, ...]], Iterable[int]]

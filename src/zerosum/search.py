@@ -20,11 +20,17 @@ order, choosing each element's multiplicity at first visit.  Pruning rules:
   cuts run first, and the scan over the next element stops at the first
   one whose potential, counting the element itself, cannot reach the goal.
 
-The context (tables and closed symmetries) is built once per run, and once
-per worker process at width > 1.  Parallel runs split the root's children
-over workers; branches never share state, so node counts, outcomes and
-witnesses are byte-identical at any width.  Budgets bound each top-level
-subtree.
+Every search (an invariant, the C0 sweep, an enumeration, Properties C, D
+and D0) goes through one run loop, _run: it builds the context (tables and
+closed symmetries; once per run, and once per worker process at width > 1),
+makes one branch per canonical, feasible child of the empty root and runs
+the branches at the configured width.  Branches never share state, so node
+counts, outcomes and witnesses are byte-identical at any width.  Budgets
+bound each top-level subtree.  Property C is an enumeration under the
+short_free predicate and Property D one under no_exact_exp; D0 pushes n-1
+copies of each g_i onto the same no_exact_exp state, and a forbidden push
+is a zero-sum of length exactly n.  Every witness is re-checked by
+witness_valid before it is returned.
 """
 
 from __future__ import annotations
@@ -37,9 +43,9 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from . import constructions
-from .group import AbelianGroup, close_symmetries, make_group, symmetries
+from .group import AbelianGroup, close_symmetries, make_group, parse_group_spec, symmetries
 from .sequence import Sequence, read_sequence, write_sequence
-from .subsum import find_short_zero_sum, find_zero_sum_exact_length
+from .subsum import find_nonempty_zero_sum, find_short_zero_sum, find_zero_sum_exact_length
 
 TOOL_VERSION = "0.1.0"
 
@@ -554,105 +560,93 @@ def _dfs(
             return
 
 
-# -- Property D0 driver -------------------------------------------------------
+# -- Property D0 ----------------------------------------------------------------
 
 
-class _D0Result:
-    __slots__ = ("counterexample", "nodes", "exhausted")
-
-    def __init__(self) -> None:
-        self.counterexample: tuple[int, ...] | None = None
-        self.nodes = 0
-        self.exhausted = False
-
-
-def _d0_push_block(ctx: _Ctx, levels, g: int, copies: int):
-    """Push `copies` copies of g through exact-count levels 1..exp; None if a
-    zero-sum of length exactly exp appears (that branch satisfies the property)."""
-    row = ctx.add[g]
+def _push_copies(pred, state, g: int, copies: int):
+    """Push `copies` copies of g onto state; None as soon as one is forbidden."""
     for _ in range(copies):
-        new = []
-        prev = _ZERO_LEVEL
-        for level in levels:
-            new.append(level | {row[x] for x in prev})
-            prev = level
-        levels = tuple(new)
-        if 0 in levels[-1]:
+        if pred.forbid(state, g):
             return None
-    return levels
+        state = pred.push(state, g)
+    return state
 
 
 def _d0_dfs(
-    ctx: _Ctx, c: int, gs: list[int], levels, last: int, stats: _Stats, res: _D0Result,
+    ctx: _Ctx, pred, c: int, gs: list[int], state, stats: _Stats, found: list,
     unit: tuple[int, ...], enc: int, imgs: list[int],
 ) -> None:
     """Extend the g_i multiset gs (code enc, image codes imgs over digit units
-    sized for c repeats) by one element >= last at a time."""
-    if res.counterexample is not None or stats.should_stop():
+    sized for c repeats, so each g_i counts once) by one element >= gs[-1].
+
+    Each g_i pushes n-1 copies onto the no_exact_exp state; a forbidden push
+    is a zero-sum of length exactly n, so that branch has the property.  A
+    multiset of c elements that survives is a counterexample, put in found.
+    """
+    if found or stats.should_stop():
         return
     stats.nodes += 1
     if len(gs) == c:
-        res.counterexample = tuple(gs)
+        found.append(tuple(gs))
         return
-    n = ctx.exp
-    perms = ctx.perms
-    for g in range(last, ctx.order):
-        child = _extend(enc, imgs, perms, unit, g, 1)
+    for g in range(gs[-1], ctx.order):
+        child = _extend(enc, imgs, ctx.perms, unit, g, 1)
         if child is None:
             continue
-        nxt = _d0_push_block(ctx, levels, g, n - 1)
+        nxt = _push_copies(pred, state, g, ctx.exp - 1)
         if nxt is None:
             continue
-        _d0_dfs(ctx, c, gs + [g], nxt, g, stats, res, unit, *child)
-        if res.counterexample is not None or stats.stopped:
+        _d0_dfs(ctx, pred, c, gs + [g], nxt, stats, found, unit, *child)
+        if found or stats.stopped:
             return
 
 
-# -- branch workers -----------------------------------------------------------
+# -- the run loop ---------------------------------------------------------------
 
 
 def _branch_worker(payload: dict) -> dict:
+    """Search the subtree below one root job of a run (see _run)."""
     group = make_group(payload["moduli"])
     ctx = _context(group, payload["pred"], payload["squarefree"], payload["level"])
+    pred = _make_pred(ctx, payload["pred"])
     stats = _Stats(payload["node_budget"], payload["time_budget"])
     goal_spec = payload["goal"]
-    if goal_spec["kind"] == "d0":
-        res = _D0Result()
-        levels = tuple(set() for _ in range(ctx.exp))
-        levels = _d0_push_block(ctx, levels, 0, 1)  # the translated extra term g = 0
-        start = payload["root"]
-        nxt = _d0_push_block(ctx, levels, start, ctx.exp - 1)
-        if nxt is not None:
-            c = goal_spec["c"]
-            unit = _units(ctx.order, c)
-            root = _extend(0, [0] * len(ctx.perms), ctx.perms, unit, start, 1)
-            _d0_dfs(ctx, c, [start], nxt, start, stats, res, unit, *root)
-        return {
-            "counterexample": res.counterexample,
-            "nodes": stats.nodes,
-            "exhausted": stats.exhausted,
-        }
-    pred = _make_pred(ctx, payload["pred"])
-    goal = _goal_from_spec(goal_spec)
-    g, m = payload["root"]
-    state, sigma = pred.initial(), 0
-    seq: list[int] = []
-    for _ in range(m):
-        if pred.forbid(state, g):
-            raise AssertionError(f"root job {g}^{m} is infeasible")
-        state = pred.push(state, g)
-        sigma = ctx.add[g][sigma]
-        seq.append(g)
-    root = _extend(0, [0] * len(ctx.perms), ctx.perms, ctx.unit, g, m)
-    _dfs(ctx, pred, goal, seq, state, sigma, g, stats, *root)
-    out = goal.to_payload()
+    d0 = goal_spec["kind"] == "d0"
+    if d0:  # the translated extra term 0, then n-1 copies of the first g_i
+        g, m, unit = payload["root"], 1, _units(ctx.order, goal_spec["c"])
+        state = _push_copies(pred, _push_copies(pred, pred.initial(), 0, 1), g, ctx.exp - 1)
+    else:
+        (g, m), unit = payload["root"], ctx.unit
+        state = _push_copies(pred, pred.initial(), g, m)
+    if state is None:
+        raise AssertionError(f"root job {payload['root']} is infeasible")
+    root = _extend(0, [0] * len(ctx.perms), ctx.perms, unit, g, m)
+    if d0:
+        found: list[tuple[int, ...]] = []
+        _d0_dfs(ctx, pred, goal_spec["c"], [g], state, stats, found, unit, *root)
+        out = {"counterexample": found[0] if found else None}
+    else:
+        goal = _goal_from_spec(goal_spec)
+        _dfs(ctx, pred, goal, [g] * m, state, group.index_scalar(m, g), g, stats, *root)
+        out = goal.to_payload()
     out["nodes"] = stats.nodes
     out["exhausted"] = stats.exhausted
     return out
 
 
-def _root_jobs(ctx: _Ctx, pred, goal_needs_hi) -> list[tuple[int, int]]:
-    """Canonical, feasible (element, multiplicity) children of the empty root."""
+def _root_jobs(ctx: _Ctx, pred, goal: dict) -> list:
+    """Canonical, feasible children of the empty root: (element, multiplicity)
+    pairs within the goal's length cap, or for D0 the first g_i."""
+    empty = [0] * len(ctx.perms)
+    if goal["kind"] == "d0":
+        unit = _units(ctx.order, goal["c"])
+        start = _push_copies(pred, pred.initial(), 0, 1)
+        return [
+            g for g in range(ctx.order)
+            if _extend(0, empty, ctx.perms, unit, g, 1) is not None
+            and _push_copies(pred, start, g, ctx.exp - 1) is not None
+        ]
+    hi = _goal_from_spec(goal).needs()[1]
     jobs = []
     for g in range(ctx.order):
         b = ctx.bound[g]
@@ -666,29 +660,40 @@ def _root_jobs(ctx: _Ctx, pred, goal_needs_hi) -> list[tuple[int, int]]:
             st = pred.push(st, g)
             chain += 1
         for m in range(chain, 0, -1):
-            if goal_needs_hi is not None and m > goal_needs_hi:
+            if hi is not None and m > hi:
                 continue
-            if _extend(0, [0] * len(ctx.perms), ctx.perms, ctx.unit, g, m) is not None:
+            if _extend(0, empty, ctx.perms, ctx.unit, g, m) is not None:
                 jobs.append((g, m))
     return jobs
 
 
-def _run_branches(payloads: list[dict], width: int) -> list[dict]:
-    if width <= 1 or len(payloads) <= 1:
-        return [_branch_worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(_branch_worker, payloads, chunksize=1))
+def _run(
+    group: AbelianGroup, pred_name: str, squarefree: bool, cfg: SearchConfig, goal: dict
+) -> tuple[list[dict], int, bool]:
+    """Run one search: each root job is a branch, and branches run at
+    cfg.parallel_width.
 
-
-def _base_payload(group: AbelianGroup, pred_name: str, squarefree: bool, cfg: SearchConfig) -> dict:
-    return {
+    Returns the branch results in root-job order, the node count (the empty
+    root included) and whether a budget cut any branch.
+    """
+    ctx = _context(group, pred_name, squarefree, cfg.symmetry_level)
+    base = {
         "moduli": group.moduli,
         "pred": pred_name,
         "squarefree": squarefree,
         "level": cfg.symmetry_level,
         "node_budget": cfg.node_budget,
         "time_budget": cfg.time_budget,
+        "goal": goal,
     }
+    payloads = [{**base, "root": job} for job in _root_jobs(ctx, _make_pred(ctx, pred_name), goal)]
+    if cfg.parallel_width <= 1 or len(payloads) <= 1:
+        results = [_branch_worker(p) for p in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=cfg.parallel_width) as pool:
+            results = list(pool.map(_branch_worker, payloads, chunksize=1))
+    nodes = 1 + sum(res["nodes"] for res in results)
+    return results, nodes, any(res["exhausted"] for res in results)
 
 
 # -- public operations ----------------------------------------------------------
@@ -710,6 +715,48 @@ def _sequence_from_indices(group: AbelianGroup, indices) -> Sequence:
     return Sequence.from_items(group, ((i, 1) for i in indices))
 
 
+def witness_valid(cert: Certificate) -> bool:
+    """Re-check that the certificate's witness has the property its claim
+    says, using the subsum routines rather than the search."""
+    claim = cert.claim
+    witness = cert.witness
+    if witness is None or witness.group.moduli != parse_group_spec(cert.group_spec).moduli:
+        return False
+    n = witness.group.exponent
+
+    def no_zero_sum_of_length_n() -> bool:
+        return witness.length < n or find_zero_sum_exact_length(witness, n) is None
+
+    if claim["type"] == "c0_membership":
+        return (
+            witness.length == claim["t"]
+            and witness.is_zero_sum()
+            and find_short_zero_sum(witness) is None
+        )
+    if claim["type"] == "invariant":
+        kind = claim["invariant"]
+        if witness.length != claim["extremal_length"]:
+            return False
+        if kind in ("f", "g") and not witness.is_squarefree():
+            return False
+        if kind == "D":
+            return find_nonempty_zero_sum(witness) is None
+        if kind in ("eta", "f"):
+            return find_short_zero_sum(witness) is None
+        return no_zero_sum_of_length_n()
+    if claim["type"] == "property":
+        # C, D: c*(n-1) terms, not c distinct (n-1)-powers; D0: one term more
+        c = claim["c"]
+        if not isinstance(c, int) or witness.length != c * (n - 1) + (claim["property"] == "D0"):
+            return False
+        if claim["property"] != "D0" and all(v == n - 1 for _, v in witness.items):
+            return False
+        if claim["property"] == "C":
+            return find_short_zero_sum(witness) is None
+        return no_zero_sum_of_length_n()
+    return False
+
+
 def max_extremal_length(
     group: AbelianGroup, kind: str, cfg: SearchConfig
 ) -> tuple[int, Certificate]:
@@ -722,22 +769,12 @@ def max_extremal_length(
         raise ValueError(f"unknown invariant kind {kind!r}")
     pred_name, squarefree = _KIND_TO_PRED[kind]
     ctx = _context(group, pred_name, squarefree, cfg.symmetry_level)
-    pred = _make_pred(ctx, pred_name)
     t0 = time.monotonic()
-    lb, lb_witness = _greedy_lb(ctx, pred)
-    base = _base_payload(group, pred_name, squarefree, cfg)
-    payloads = [
-        {**base, "goal": {"kind": "max", "lb": lb}, "root": job}
-        for job in _root_jobs(ctx, pred, None)
-    ]
-    results = _run_branches(payloads, cfg.parallel_width)
-    best = lb
-    witness = lb_witness
-    nodes = 1  # the empty root
-    exhausted = False
+    best, witness = _greedy_lb(ctx, _make_pred(ctx, pred_name))
+    results, nodes, exhausted = _run(
+        group, pred_name, squarefree, cfg, {"kind": "max", "lb": best}
+    )
     for res in results:
-        nodes += res["nodes"]
-        exhausted = exhausted or res["exhausted"]
         if res["best"] > best or (
             res["best"] == best
             and res["witness"] is not None
@@ -776,14 +813,6 @@ def invariant_value(group: AbelianGroup, kind: str, cfg: SearchConfig) -> tuple[
     return best + 1, cert
 
 
-def _validated_zero_sum_short_free(seq: Sequence, t: int) -> bool:
-    return seq.length == t and seq.is_zero_sum() and find_short_zero_sum(seq) is None
-
-
-def _c0_claim(group: AbelianGroup, t: int, member: bool | None) -> dict:
-    return {"type": "c0_membership", "group": group.spec(), "t": t, "member": member}
-
-
 def _c0_range(
     group: AbelianGroup,
     cfg: SearchConfig,
@@ -814,41 +843,36 @@ def compute_c0_at(
     (sorted proved members, per-target certificates).
     """
     t0 = time.monotonic()
+
+    def c0_cert(t, status, witness=None, nodes=0, wall=0.0):
+        member = {STATUS_PROVED: True, STATUS_REFUTED: False}.get(status)
+        return Certificate(
+            claim={"type": "c0_membership", "group": group.spec(), "t": t, "member": member},
+            status=status,
+            group_spec=group.spec(),
+            witness=witness,
+            nodes=nodes,
+            symmetry_level=cfg.symmetry_level,
+            config=cfg,
+            wall_time_s=wall,
+        )
+
     certs: dict[int, Certificate] = {}
     remaining: list[int] = []
     for t in sorted(set(targets)):
-        hint = None
         for candidate in constructions.known_witnesses(group, t):
-            if _validated_zero_sum_short_free(candidate, t):
-                hint = candidate
+            cert = c0_cert(t, STATUS_REFUTED, candidate)
+            if witness_valid(cert):
+                certs[t] = cert
                 break
-        if hint is not None:
-            certs[t] = Certificate(
-                claim=_c0_claim(group, t, False),
-                status=STATUS_REFUTED,
-                group_spec=group.spec(),
-                witness=hint,
-                nodes=0,
-                symmetry_level=cfg.symmetry_level,
-                config=cfg,
-            )
         else:
             remaining.append(t)
     if remaining:
-        ctx = _context(group, _PRED_SHORT_FREE, False, cfg.symmetry_level)
-        pred = _make_pred(ctx, _PRED_SHORT_FREE)
-        base = _base_payload(group, _PRED_SHORT_FREE, False, cfg)
-        payloads = [
-            {**base, "goal": {"kind": "lengths", "lengths": remaining}, "root": job}
-            for job in _root_jobs(ctx, pred, max(remaining))
-        ]
-        results = _run_branches(payloads, cfg.parallel_width)
-        nodes = 1
-        exhausted = False
+        results, nodes, exhausted = _run(
+            group, _PRED_SHORT_FREE, False, cfg, {"kind": "lengths", "lengths": remaining}
+        )
         found: dict[int, tuple[int, ...]] = {}
         for res in results:
-            nodes += res["nodes"]
-            exhausted = exhausted or res["exhausted"]
             for key, items in res["witnesses"].items():
                 tt = int(key)
                 items = tuple(items)
@@ -858,29 +882,12 @@ def compute_c0_at(
         for t in remaining:
             if t in found:
                 witness = _sequence_from_indices(group, found[t])
-                if not _validated_zero_sum_short_free(witness, t):
+                certs[t] = c0_cert(t, STATUS_REFUTED, witness, nodes, wall)
+                if not witness_valid(certs[t]):
                     raise AssertionError("search produced an invalid witness")
-                certs[t] = Certificate(
-                    claim=_c0_claim(group, t, False),
-                    status=STATUS_REFUTED,
-                    group_spec=group.spec(),
-                    witness=witness,
-                    nodes=nodes,
-                    symmetry_level=cfg.symmetry_level,
-                    config=cfg,
-                    wall_time_s=wall,
-                )
             else:
-                certs[t] = Certificate(
-                    claim=_c0_claim(group, t, None if exhausted else True),
-                    status=STATUS_EXHAUSTED if exhausted else STATUS_PROVED,
-                    group_spec=group.spec(),
-                    witness=None,
-                    nodes=nodes,
-                    symmetry_level=cfg.symmetry_level,
-                    config=cfg,
-                    wall_time_s=wall,
-                )
+                status = STATUS_EXHAUSTED if exhausted else STATUS_PROVED
+                certs[t] = c0_cert(t, status, None, nodes, wall)
     members = sorted(t for t, cert in certs.items() if cert.status == STATUS_PROVED)
     return members, certs
 
@@ -935,6 +942,28 @@ class EnumerationReport:
     wall_time_s: float = 0.0
 
 
+def _enumerate(
+    group: AbelianGroup, pred_name: str, length: int, cfg: SearchConfig,
+    checks: tuple[str, ...], per_element: int, collect: bool,
+) -> tuple[int, dict[str, list[tuple[int, ...]]], list[tuple[int, ...]], int, bool]:
+    """Visit every sequence of one length under the predicate once up to symmetry.
+
+    Returns (count, violations by check, collected items, nodes, exhausted),
+    sequences as sorted index tuples in canonical order.
+    """
+    goal = {
+        "kind": "enum",
+        "length": length,
+        "checks": list(checks),
+        "per_element": per_element,
+        "collect": collect,
+    }
+    results, nodes, exhausted = _run(group, pred_name, False, cfg, goal)
+    violations = {c: [tuple(s) for res in results for s in res["violations"][c]] for c in checks}
+    items = [tuple(s) for res in results for s in res["items"]]
+    return sum(res["count"] for res in results), violations, items, nodes, exhausted
+
+
 def enumerate_short_free(
     group: AbelianGroup,
     length: int,
@@ -951,36 +980,12 @@ def enumerate_short_free(
     order after the (possibly parallel) walk completes.
     """
     t0 = time.monotonic()
-    do_collect = collect or visitor is not None
-    ctx = _context(group, _PRED_SHORT_FREE, False, cfg.symmetry_level)
-    pred = _make_pred(ctx, _PRED_SHORT_FREE)
-    base = _base_payload(group, _PRED_SHORT_FREE, False, cfg)
-    goal = {
-        "kind": "enum",
-        "length": length,
-        "checks": list(checks),
-        "per_element": per_element,
-        "collect": do_collect,
-    }
-    payloads = [
-        {**base, "goal": goal, "root": job} for job in _root_jobs(ctx, pred, length)
-    ]
-    results = _run_branches(payloads, cfg.parallel_width)
-    count = 0
-    nodes = 1
-    exhausted = False
-    violations: dict[str, list[Sequence]] = {c: [] for c in checks}
-    items: list[Sequence] = []
-    for res in results:
-        count += res["count"]
-        nodes += res["nodes"]
-        exhausted = exhausted or res["exhausted"]
-        for check, seqs in res["violations"].items():
-            violations[check].extend(_sequence_from_indices(group, s) for s in seqs)
-        if do_collect:
-            items.extend(_sequence_from_indices(group, s) for s in res["items"])
+    count, violations, items, nodes, exhausted = _enumerate(
+        group, _PRED_SHORT_FREE, length, cfg, checks, per_element, collect or visitor is not None
+    )
+    seqs = [_sequence_from_indices(group, s) for s in items]
     if visitor is not None:
-        for seq in items:
+        for seq in seqs:
             visitor(seq)
     return EnumerationReport(
         group_spec=group.spec(),
@@ -989,8 +994,10 @@ def enumerate_short_free(
         nodes=nodes,
         status=STATUS_EXHAUSTED if exhausted else STATUS_PROVED,
         symmetry_level=cfg.symmetry_level,
-        violations=violations,
-        items=items if collect else [],
+        violations={
+            c: [_sequence_from_indices(group, s) for s in bad] for c, bad in violations.items()
+        },
+        items=seqs if collect else [],
         wall_time_s=time.monotonic() - t0,
     )
 
@@ -1016,7 +1023,7 @@ def _property_cert(
     }
     if reason:
         claim["reason"] = reason
-    return Certificate(
+    cert = Certificate(
         claim=claim,
         status=status,
         group_spec=group.spec(),
@@ -1026,6 +1033,9 @@ def _property_cert(
         config=cfg,
         wall_time_s=wall,
     )
+    if witness is not None and not witness_valid(cert):
+        raise AssertionError(f"property {prop} counterexample is invalid")
+    return cert
 
 
 def _require_cube(group: AbelianGroup) -> tuple[int, int]:
@@ -1034,109 +1044,66 @@ def _require_cube(group: AbelianGroup) -> tuple[int, int]:
     return group.moduli[0], group.rank
 
 
+# Property C and D: the invariant whose extremal sequences are enumerated, and
+# the predicate that enumerates them
+_POWER_PROPERTIES = {"C": ("eta", _PRED_SHORT_FREE), "D": ("s", _PRED_NO_EXACT_EXP)}
+
+
+def _check_power_property(
+    group: AbelianGroup, cfg: SearchConfig, prop: str, value: int | None
+) -> Certificate:
+    """Every sequence of length value-1 (value the property's invariant, found
+    by search if None) that avoids the predicate's zero-sums is a product of
+    c distinct (n-1)-powers.  A violation's witness is the least index tuple.
+    """
+    t0 = time.monotonic()
+    n, _ = _require_cube(group)
+    kind, pred_name = _POWER_PROPERTIES[prop]
+    nodes = 0
+
+    def cert(c, holds, status, witness=None, reason=None):
+        return _property_cert(
+            group, cfg, prop, c, holds, status, witness, nodes, reason, time.monotonic() - t0
+        )
+
+    if value is None:
+        extremal, inv_cert = max_extremal_length(group, kind, cfg)
+        nodes = inv_cert.nodes
+        if inv_cert.status != STATUS_PROVED:
+            reason = f"{kind}(G) not established within budget"
+            return cert(None, None, STATUS_EXHAUSTED, reason=reason)
+        value = extremal + 1
+    length = value - 1
+    if length % (n - 1):
+        return cert(
+            None, False, STATUS_REFUTED,
+            reason=f"{kind}(G)-1 = {length} is not a multiple of n-1",
+        )
+    c = length // (n - 1)
+    _, violations, _, run_nodes, exhausted = _enumerate(
+        group, pred_name, length, cfg, ("power_form",), n - 1, False
+    )
+    nodes += run_nodes
+    bad = violations["power_form"]
+    if bad:
+        return cert(c, False, STATUS_REFUTED, _sequence_from_indices(group, min(bad)))
+    if exhausted:
+        return cert(c, None, STATUS_EXHAUSTED)
+    return cert(c, True, STATUS_PROVED)
+
+
 def check_property_C(
     group: AbelianGroup, cfg: SearchConfig, *, eta_value: int | None = None
 ) -> Certificate:
     """Every extremal short-free sequence is a product of c distinct (n-1)-powers."""
-    t0 = time.monotonic()
-    n, _ = _require_cube(group)
-    nodes = 0
-    if eta_value is None:
-        eta_minus, cert = max_extremal_length(group, "eta", cfg)
-        nodes += cert.nodes
-        if cert.status != STATUS_PROVED:
-            return _property_cert(
-                group, cfg, "C", None, None, STATUS_EXHAUSTED, None, nodes,
-                reason="eta(G) not established within budget",
-                wall=time.monotonic() - t0,
-            )
-        eta_value = eta_minus + 1
-    if (eta_value - 1) % (n - 1):
-        return _property_cert(
-            group, cfg, "C", None, False, STATUS_REFUTED, None, nodes,
-            reason=f"eta(G)-1 = {eta_value - 1} is not a multiple of n-1",
-            wall=time.monotonic() - t0,
-        )
-    c = (eta_value - 1) // (n - 1)
-    report = enumerate_short_free(
-        group, eta_value - 1, cfg, checks=("power_form",), per_element=n - 1
-    )
-    nodes += report.nodes
-    bad = report.violations["power_form"]
-    wall = time.monotonic() - t0
-    if report.status != STATUS_PROVED and not bad:
-        return _property_cert(
-            group, cfg, "C", c, None, STATUS_EXHAUSTED, None, nodes, wall=wall
-        )
-    if bad:
-        witness = min(bad, key=lambda s: s.items)
-        if find_short_zero_sum(witness) is not None:
-            raise AssertionError("property C violation witness is not short free")
-        return _property_cert(
-            group, cfg, "C", c, False, STATUS_REFUTED, witness, nodes, wall=wall
-        )
-    return _property_cert(group, cfg, "C", c, True, STATUS_PROVED, None, nodes, wall=wall)
+    return _check_power_property(group, cfg, "C", eta_value)
 
 
 def check_property_D(
     group: AbelianGroup, cfg: SearchConfig, *, s_value: int | None = None
 ) -> Certificate:
     """Every extremal sequence without length-exp zero-sums is a product of (n-1)-powers."""
-    t0 = time.monotonic()
-    n, _ = _require_cube(group)
-    nodes = 0
-    if s_value is None:
-        s_minus, cert = max_extremal_length(group, "s", cfg)
-        nodes += cert.nodes
-        if cert.status != STATUS_PROVED:
-            return _property_cert(
-                group, cfg, "D", None, None, STATUS_EXHAUSTED, None, nodes,
-                reason="s(G) not established within budget",
-                wall=time.monotonic() - t0,
-            )
-        s_value = s_minus + 1
-    if (s_value - 1) % (n - 1):
-        return _property_cert(
-            group, cfg, "D", None, False, STATUS_REFUTED, None, nodes,
-            reason=f"s(G)-1 = {s_value - 1} is not a multiple of n-1",
-            wall=time.monotonic() - t0,
-        )
-    c = (s_value - 1) // (n - 1)
-    length = s_value - 1
-    ctx = _context(group, _PRED_NO_EXACT_EXP, False, cfg.symmetry_level)
-    pred = _make_pred(ctx, _PRED_NO_EXACT_EXP)
-    base = _base_payload(group, _PRED_NO_EXACT_EXP, False, cfg)
-    goal = {
-        "kind": "enum",
-        "length": length,
-        "checks": ["power_form"],
-        "per_element": n - 1,
-        "collect": False,
-    }
-    payloads = [
-        {**base, "goal": goal, "root": job} for job in _root_jobs(ctx, pred, length)
-    ]
-    results = _run_branches(payloads, cfg.parallel_width)
-    exhausted = False
-    bad_items: list[tuple[int, ...]] = []
-    for res in results:
-        nodes += res["nodes"]
-        exhausted = exhausted or res["exhausted"]
-        bad_items.extend(tuple(s) for s in res["violations"]["power_form"])
-    nodes += 1
-    wall = time.monotonic() - t0
-    if bad_items:
-        witness = _sequence_from_indices(group, min(bad_items))
-        if find_zero_sum_exact_length(witness, n) is not None:
-            raise AssertionError("property D violation witness has a length-n zero-sum")
-        return _property_cert(
-            group, cfg, "D", c, False, STATUS_REFUTED, witness, nodes, wall=wall
-        )
-    if exhausted:
-        return _property_cert(
-            group, cfg, "D", c, None, STATUS_EXHAUSTED, None, nodes, wall=wall
-        )
-    return _property_cert(group, cfg, "D", c, True, STATUS_PROVED, None, nodes, wall=wall)
+    return _check_power_property(group, cfg, "D", s_value)
 
 
 def check_property_D0(group: AbelianGroup, c: int, cfg: SearchConfig) -> Certificate:
@@ -1149,38 +1116,12 @@ def check_property_D0(group: AbelianGroup, c: int, cfg: SearchConfig) -> Certifi
     n, _ = _require_cube(group)
     if c < 1:
         raise ValueError("c must be >= 1")
-    ctx = _context(group, _PRED_NO_EXACT_EXP, False, cfg.symmetry_level)
-    unit = _units(ctx.order, c)
-    base = _base_payload(group, _PRED_NO_EXACT_EXP, False, cfg)
-    payloads = []
-    levels0 = _d0_push_block(ctx, tuple(set() for _ in range(n)), 0, 1)
-    for g in range(ctx.order):
-        if _extend(0, [0] * len(ctx.perms), ctx.perms, unit, g, 1) is None:
-            continue
-        if _d0_push_block(ctx, levels0, g, n - 1) is None:
-            continue
-        payloads.append({**base, "goal": {"kind": "d0", "c": c}, "root": g})
-    results = _run_branches(payloads, cfg.parallel_width)
-    nodes = 1
-    exhausted = False
-    counterexamples = []
-    for res in results:
-        nodes += res["nodes"]
-        exhausted = exhausted or res["exhausted"]
-        if res["counterexample"] is not None:
-            counterexamples.append(tuple(res["counterexample"]))
+    results, nodes, exhausted = _run(group, _PRED_NO_EXACT_EXP, False, cfg, {"kind": "d0", "c": c})
+    found = [tuple(res["counterexample"]) for res in results if res["counterexample"] is not None]
     wall = time.monotonic() - t0
-    if counterexamples:
-        gs = min(counterexamples)
-        items = [(0, 1)]
-        witness = Sequence.from_items(
-            group, items + [(g, n - 1) for g in gs]
-        )
-        if find_zero_sum_exact_length(witness, n) is not None:
-            raise AssertionError("D0 counterexample has a length-n zero-sum")
-        return _property_cert(
-            group, cfg, "D0", c, False, STATUS_REFUTED, witness, nodes, wall=wall
-        )
+    if found:
+        witness = Sequence.from_items(group, [(0, 1)] + [(g, n - 1) for g in min(found)])
+        return _property_cert(group, cfg, "D0", c, False, STATUS_REFUTED, witness, nodes, wall=wall)
     if exhausted:
         return _property_cert(group, cfg, "D0", c, None, STATUS_EXHAUSTED, None, nodes, wall=wall)
     return _property_cert(group, cfg, "D0", c, True, STATUS_PROVED, None, nodes, wall=wall)

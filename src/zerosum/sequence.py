@@ -150,18 +150,6 @@ class Sequence:
         )
         return Sequence(self.group, tuple(shifted))
 
-    def apply_index_perm(self, perm: tuple[int, ...]) -> Sequence:
-        return Sequence(self.group, tuple(sorted((perm[idx], v) for idx, v in self.items)))
-
-    def orbit_minimal_key(self, perms: Iterable[tuple[int, ...]]) -> CanonicalKey:
-        """Lexicographically least key over the given closed permutation set."""
-        best = self.items
-        for p in perms:
-            mapped = tuple(sorted((p[idx], v) for idx, v in self.items))
-            if mapped < best:
-                best = mapped
-        return best
-
     # -- plumbing ------------------------------------------------------------
 
     def _check_group(self, other: Sequence) -> None:

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from zerosum.group import AbelianGroup, make_group
+from zerosum.group import AbelianGroup, SymmetryAction, make_group
 from zerosum.sequence import Sequence
 
 
@@ -92,6 +92,14 @@ def is_orbit_minimal(seq: list[int], perms) -> bool:
     """Sort-based canonicity: the sorted index list is lex-least among its images."""
     seq = sorted(seq)
     return all(sorted(p[i] for i in seq) >= seq for p in perms)
+
+
+def inverse(action: SymmetryAction) -> SymmetryAction:
+    """The action undoing `action`."""
+    inv = [0] * len(action.perm)
+    for i, j in enumerate(action.perm):
+        inv[j] = i
+    return SymmetryAction(action.group, action.kind, f"inv({action.name})", tuple(inv))
 
 
 @pytest.fixture(scope="session")

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from zerosum.cli import main
+from zerosum.cli import cache_dir, main
 from zerosum.constructions import build_family
 from zerosum.group import parse_group_spec
 from zerosum.search import Certificate, SearchConfig
-from zerosum.sequence import Sequence, read_sequence
+from zerosum.sequence import Sequence, read_sequence, write_sequence
 
 
 @pytest.fixture(autouse=True)
@@ -30,6 +30,22 @@ def test_invariant_uses_cache(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "(cached)" in out
     assert main(["invariant", "C3^2", "D", "--no-cache"]) == 0
+
+
+def test_cache_entry_with_a_bad_witness_is_recomputed(capsys):
+    assert main(["invariant", "C3^2", "eta"]) == 0
+    [path] = cache_dir().glob("*.json")
+    good = path.read_text()
+    data = json.loads(good)
+    # same length, but e1^3 is a short zero-sum
+    bad = Sequence.from_items(parse_group_spec("C3^2"), [(1, 3), (3, 3)])
+    data["witness"] = write_sequence(bad)
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    assert main(["invariant", "C3^2", "eta"]) == 0
+    out = capsys.readouterr().out
+    assert "eta(C3^2) = 7" in out and "(cached)" not in out
+    assert path.read_text() == good
 
 
 def test_c0_single_t_exit_codes(capsys, tmp_path):
@@ -221,7 +237,8 @@ constructions.ternary_cap_rank3 = lambda: bad_cap
 if not rejects(constructions.verify_rank4_cap_claims):
     failures.append("verify_rank4_cap_claims")
 payload = {
-    **search._base_payload(group, "zero_sum_free", False, search.SearchConfig()),
+    "moduli": group.moduli, "pred": "zero_sum_free", "squarefree": False,
+    "level": "coord_perms+scalar", "node_budget": 0, "time_budget": 0.0,
     "goal": {"kind": "max", "lb": 0},
     "root": (0, 1),  # the zero element is forbidden in a zero-sum-free sequence
 }

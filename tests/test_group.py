@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import inverse
 from zerosum.group import (
     GroupMismatchError,
     close_symmetries,
@@ -119,7 +120,7 @@ def test_actions_are_permutations_and_invertible():
         for level in ("translations", "coord_perms", "scalar"):
             for action in symmetries(g, level):
                 assert sorted(action.perm) == list(range(g.order))
-                inv = action.inverse()
+                inv = inverse(action)
                 assert all(inv.apply_index(action.apply_index(i)) == i for i in range(g.order))
 
 
