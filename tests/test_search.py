@@ -30,6 +30,7 @@ from zerosum.search import (
     invariant_value,
     max_extremal_length,
 )
+from zerosum.sequence import Sequence
 from zerosum.subsum import find_short_zero_sum, find_zero_sum_exact_length
 
 CFG = SearchConfig()
@@ -367,3 +368,32 @@ def test_potential_does_not_grow_with_start(data):
             state = pred.push(state, g)
     pots = [pred.potential(state, g) for g in range(ctx.order + 1)]
     assert pots == sorted(pots, reverse=True)
+
+
+# which lengths of zero-sum each predicate forbids, given the group's exponent
+_FORBIDDEN_LENGTHS = {
+    "short_free": lambda exp, n: range(1, exp + 1),
+    "zero_sum_free": lambda exp, n: range(1, n + 1),
+    "no_exact_exp": lambda exp, n: (exp,),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_predicate_states_match_naive_profile(data):
+    # forbid(state, g) must say exactly whether appending g to the pushed terms
+    # creates a zero-sum of a forbidden length; forbidden terms are not pushed
+    spec = data.draw(st.sampled_from(sorted(CANON_GROUPS)))
+    pred_name = data.draw(st.sampled_from(sorted(_FORBIDDEN_LENGTHS)))
+    ctx = _canon_ctx(spec, pred_name, "none")
+    group = ctx.group
+    pred = search._make_pred(ctx, pred_name)
+    state, terms = pred.initial(), []
+    for g in data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=8)):
+        profile = naive_profile(Sequence.from_items(group, ((i, 1) for i in terms + [g])))
+        lengths = _FORBIDDEN_LENGTHS[pred_name](group.exponent, len(terms) + 1)
+        creates = any(0 in profile.get(c, ()) for c in lengths)
+        assert pred.forbid(state, g) == creates, (terms, g)
+        if not creates:
+            state = pred.push(state, g)
+            terms.append(g)
