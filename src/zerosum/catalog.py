@@ -605,16 +605,10 @@ def _uniform(subject) -> tuple[int, int] | None:
     return None
 
 
-def _eta_fact(store: FactStore, subject) -> tuple[int, str] | None:
+def _invariant_fact(store: FactStore, subject, name: str) -> tuple[int, str] | None:
+    """The first stored value of invariant `name` for the subject, with its fact id."""
     for f in store.for_subject(subject):
-        if f.kind == KIND_INVARIANT and f.detail[0] == "eta":
-            return f.detail[1], f.fact_id
-    return None
-
-
-def _d_fact(store: FactStore, subject) -> tuple[int, str] | None:
-    for f in store.for_subject(subject):
-        if f.kind == KIND_INVARIANT and f.detail[0] == "D":
+        if f.kind == KIND_INVARIANT and f.detail[0] == name:
             return f.detail[1], f.fact_id
     return None
 
@@ -647,7 +641,7 @@ def _rule_r1(store: FactStore) -> list[Fact]:
         if u is None:
             continue
         n, _ = u
-        eta = _eta_fact(store, subject)
+        eta = _invariant_fact(store, subject, "eta")
         prop = _property_fact(store, subject, "C")
         if eta is None or prop is None:
             continue
@@ -675,7 +669,7 @@ def _transfer_rules(store: FactStore, rule_id: str) -> list[Fact]:
     uniforms = [(s, *_uniform(s)) for s in subjects if _uniform(s)]
     by_key = {(n, r): s for s, n, r in uniforms}
     for s1, n1, r in uniforms:
-        eta1 = _eta_fact(store, s1)
+        eta1 = _invariant_fact(store, s1, "eta")
         if eta1 is None:
             continue
         for s2, n2, r2 in uniforms:
@@ -684,8 +678,8 @@ def _transfer_rules(store: FactStore, rule_id: str) -> list[Fact]:
             target = by_key.get((n1 * n2, r))
             if target is None:
                 continue
-            eta2 = _eta_fact(store, s2)
-            eta_t = _eta_fact(store, target)
+            eta2 = _invariant_fact(store, s2, "eta")
+            eta_t = _invariant_fact(store, target, "eta")
             if eta2 is None or eta_t is None:
                 continue
             if rule_id == "R2":
@@ -740,7 +734,7 @@ def _rule_r3(store: FactStore) -> list[Fact]:
         a = alpha_r(n, r).value
         span = (2**r - 1) * (n - 1)
         if a != 0:
-            eta = _eta_fact(store, subject)
+            eta = _invariant_fact(store, subject, "eta")
             if eta is None:
                 continue
             detail = (span - a + 1, eta[0] - 1)
@@ -757,8 +751,8 @@ def _rule_r4(store: FactStore) -> list[Fact]:
     """[D+1, min(2 exp + 1, eta - 1)] lies inside C0."""
     out = []
     for subject in store.subjects():
-        d = _d_fact(store, subject)
-        eta = _eta_fact(store, subject)
+        d = _invariant_fact(store, subject, "D")
+        eta = _invariant_fact(store, subject, "eta")
         if d is None or eta is None:
             continue
         exp = _exp_of(subject)
@@ -775,18 +769,18 @@ def _rule_r5(store: FactStore) -> list[Fact]:
     uniforms = [(s, *_uniform(s)) for s in store.subjects() if _uniform(s)]
     keys = {(n, r) for _, n, r in uniforms}
     for s1, m, r in uniforms:
-        eta1 = _eta_fact(store, s1)
+        eta1 = _invariant_fact(store, s1, "eta")
         if eta1 is None:
             continue
         for s2, n, r2 in uniforms:
             if r2 != r or (m * n, r) not in keys:
                 continue
-            eta2 = _eta_fact(store, s2)
+            eta2 = _invariant_fact(store, s2, "eta")
             if eta2 is None:
                 continue
             target = (m * n,) * r
             bound = (eta1[0] - 1) * n + eta2[0]
-            existing = _eta_fact(store, target)
+            existing = _invariant_fact(store, target, "eta")
             if existing is not None and existing[0] <= bound:
                 continue
             if not store.has_statement(target, KIND_UPPER, ("eta", bound)):
@@ -809,9 +803,9 @@ def _rule_r6(store: FactStore) -> list[Fact]:
             if target is None:
                 continue
             eta1, eta2, eta_t = (
-                _eta_fact(store, s1),
-                _eta_fact(store, s2),
-                _eta_fact(store, target),
+                _invariant_fact(store, s1, "eta"),
+                _invariant_fact(store, s2, "eta"),
+                _invariant_fact(store, target, "eta"),
             )
             p1, p2 = _property_fact(store, s1, "C"), _property_fact(store, s2, "C")
             if None in (eta1, eta2, eta_t, p1, p2):
@@ -835,7 +829,7 @@ def _rule_r7(store: FactStore) -> list[Fact]:
     uniforms = [(s, *_uniform(s)) for s in store.subjects() if _uniform(s)]
     keys = {(n, r) for _, n, r in uniforms}
     for s1, m, r in uniforms:
-        eta1 = _eta_fact(store, s1)
+        eta1 = _invariant_fact(store, s1, "eta")
         if eta1 is None:
             continue
         c = _ratio(eta1[0], m)
@@ -844,11 +838,11 @@ def _rule_r7(store: FactStore) -> list[Fact]:
         for s2, n, r2 in uniforms:
             if r2 != r or (m * n, r) not in keys:
                 continue
-            eta2 = _eta_fact(store, s2)
+            eta2 = _invariant_fact(store, s2, "eta")
             if eta2 is None or _ratio(eta2[0], n) != c:
                 continue
             target = (m * n,) * r
-            if _eta_fact(store, target) is not None:
+            if _invariant_fact(store, target, "eta") is not None:
                 continue
             value = c * (m * n - 1) + 1
             lower_id = None
@@ -926,7 +920,7 @@ def _rule_r8(store: FactStore) -> list[Fact]:
                     _rule_fact(subject, KIND_INVARIANT, ("s", s_value), "R8", premises)
                 )
             eta_upper = s_value - k + 1
-            if _eta_fact(store, subject) is None and not store.has_statement(
+            if _invariant_fact(store, subject, "eta") is None and not store.has_statement(
                 subject, KIND_UPPER, ("eta", eta_upper)
             ):
                 out.append(
@@ -946,7 +940,7 @@ def _rule_r10(store: FactStore) -> list[Fact]:
                 exists = f
         if exists is None:
             continue
-        eta = _eta_fact(store, subject)
+        eta = _invariant_fact(store, subject, "eta")
         if eta is None:
             continue
         members, _ = store.membership(subject)
@@ -999,8 +993,8 @@ def _closure_full_range(store: FactStore) -> list[Fact]:
                 fr = f
         if fr is None:
             continue
-        d = _d_fact(store, subject)
-        eta = _eta_fact(store, subject)
+        d = _invariant_fact(store, subject, "D")
+        eta = _invariant_fact(store, subject, "eta")
         if d is None or eta is None:
             continue
         detail = tuple(range(d[0] + 1, eta[0]))

@@ -214,19 +214,26 @@ def _cmd_enumerate(args) -> int:
     return 0 if report.status == STATUS_PROVED else 2
 
 
+def _check_property(
+    group: AbelianGroup, prop: str, c: int | None, cfg: SearchConfig
+) -> Certificate:
+    """The property's certificate as check-property makes it and certify replays
+    it: C and D take eta and s from the catalog when it has them."""
+    known = _known_values(group)
+    if prop == "C":
+        return search.check_property_C(group, cfg, eta_value=known.get("eta"))
+    if prop == "D":
+        return search.check_property_D(group, cfg, s_value=known.get("s"))
+    return search.check_property_D0(group, c, cfg)
+
+
 def _cmd_check_property(args) -> int:
     group = parse_group_spec(args.group)
     cfg = _config_from_args(args)
-    known = _known_values(group)
-    if args.property == "C":
-        cert = search.check_property_C(group, cfg, eta_value=known.get("eta"))
-    elif args.property == "D":
-        cert = search.check_property_D(group, cfg, s_value=known.get("s"))
-    else:
-        if args.c is None:
-            print("check-property D0 requires --c", file=sys.stderr)
-            return USAGE_ERROR
-        cert = search.check_property_D0(group, args.c, cfg)
+    if args.property == "D0" and args.c is None:
+        print("check-property D0 requires --c", file=sys.stderr)
+        return USAGE_ERROR
+    cert = _check_property(group, args.property, args.c, cfg)
     holds = cert.claim["holds"]
     verdict = {True: "holds", False: "fails", None: "undecided"}[holds]
     c_text = f" (c = {cert.claim['c']})" if cert.claim.get("c") is not None else ""
@@ -352,13 +359,7 @@ def _cmd_certify(args) -> int:
         elif claim["type"] == "c0_membership":
             fresh = search.c0_contains(group, claim["t"], cfg)
         elif claim["type"] == "property":
-            prop = claim["property"]
-            if prop == "C":
-                fresh = search.check_property_C(group, cfg)
-            elif prop == "D":
-                fresh = search.check_property_D(group, cfg)
-            else:
-                fresh = search.check_property_D0(group, claim["c"], cfg)
+            fresh = _check_property(group, claim["property"], claim["c"], cfg)
         else:
             print(f"cannot replay claims of type {claim['type']!r}")
             return 1
@@ -493,7 +494,7 @@ def _repro_propertyC(args, cfg) -> bool:
     spec = args.group or "C3^3"
     t0 = time.monotonic()
     group = parse_group_spec(spec)
-    cert = search.check_property_C(group, cfg, eta_value=_known_values(group).get("eta"))
+    cert = _check_property(group, "C", None, cfg)
     return _row(f"property C ({spec})", cert.status == STATUS_PROVED, cert.status, t0)
 
 

@@ -6,8 +6,9 @@ order, choosing each element's multiplicity at first visit.  Pruning rules:
 * per-element multiplicity bounds (v_g <= ord(g)-1 for short-free and
   zero-sum-free predicates, v_g <= exp(G)-1 for exact-length predicates);
 * incremental feasibility: a partial state stores the sums of subsequences
-  by exact count, so "appending g creates a forbidden zero-sum" is one set
-  lookup;
+  by exact count as bitmask layers, advanced by the same subsum.add_term step
+  as subsum.ReachTable, so "appending g creates a forbidden zero-sum" is one
+  bit test;
 * a remaining-potential bound folding {g, -g} conflicts;
 * orderly generation: a node is explored only when its multiset is
   lexicographically minimal over the closed symmetry group, which is sound
@@ -43,11 +44,17 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from . import constructions
-from .group import AbelianGroup, close_symmetries, make_group, parse_group_spec, symmetries
+from .group import (
+    AbelianGroup, close_symmetries, make_group, parse_group_spec, shift_bits, shift_steps,
+    symmetries,
+)
 from .sequence import Sequence, read_sequence, write_sequence
-from .subsum import find_nonempty_zero_sum, find_short_zero_sum, find_zero_sum_exact_length
+from .subsum import (
+    add_term, find_nonempty_zero_sum, find_short_zero_sum, find_zero_sum_exact_length,
+)
 
 TOOL_VERSION = "0.1.0"
+_CERT_FORMAT = "zerosum.certificate/1"
 
 STATUS_PROVED = "proved_exhaustive"
 STATUS_REFUTED = "refuted_with_witness"
@@ -55,7 +62,8 @@ STATUS_EXHAUSTED = "budget_exhausted"
 
 INVARIANT_KINDS = ("D", "eta", "s", "f", "g")
 
-#: Search builds a full index-addition table; keep it bounded.
+#: Search keeps per-element tables (negation, shift steps, bounds, digit units)
+#: and states of order-bit masks; keep the order bounded.
 SEARCH_ORDER_CAP = 2048
 
 _EXIT_BY_STATUS = {STATUS_PROVED: 0, STATUS_REFUTED: 1, STATUS_EXHAUSTED: 2}
@@ -90,6 +98,10 @@ class SearchConfig:
             raise ValueError("parallel_width must be >= 1")
 
 
+# the SearchConfig fields a certificate records (parallel_width changes no result)
+_CONFIG_KEYS = ("node_budget", "time_budget", "symmetry_level", "record_witnesses")
+
+
 @dataclass
 class Certificate:
     """Machine-checkable outcome of a search or verification."""
@@ -105,19 +117,14 @@ class Certificate:
 
     def payload(self) -> dict:
         return {
-            "format": "zerosum.certificate/1",
+            "format": _CERT_FORMAT,
             "tool_version": TOOL_VERSION,
             "claim": self.claim,
             "status": self.status,
             "group": self.group_spec,
             "witness": None if self.witness is None else write_sequence(self.witness),
             "stats": {"nodes": self.nodes, "symmetry_level": self.symmetry_level},
-            "config": {
-                "node_budget": self.config.node_budget,
-                "time_budget": self.config.time_budget,
-                "symmetry_level": self.config.symmetry_level,
-                "record_witnesses": self.config.record_witnesses,
-            },
+            "config": {key: getattr(self.config, key) for key in _CONFIG_KEYS},
         }
 
     def to_json(self) -> str:
@@ -128,23 +135,29 @@ class Certificate:
 
     @classmethod
     def from_json(cls, text: str) -> Certificate:
+        """Parse what to_json wrote; ValueError on another format or tool
+        version, an unknown status or a missing field, never a default."""
         data = json.loads(text)
-        cfg = data.get("config", {})
-        witness = data.get("witness")
-        return cls(
-            claim=data["claim"],
-            status=data["status"],
-            group_spec=data["group"],
-            witness=None if witness is None else read_sequence(witness),
-            nodes=data.get("stats", {}).get("nodes", 0),
-            symmetry_level=data.get("stats", {}).get("symmetry_level", "none"),
-            config=SearchConfig(
-                node_budget=cfg.get("node_budget", 0),
-                time_budget=cfg.get("time_budget", 0.0),
-                symmetry_level=cfg.get("symmetry_level", "coord_perms+scalar"),
-                record_witnesses=cfg.get("record_witnesses", True),
-            ),
-        )
+        if not isinstance(data, dict):
+            raise ValueError("a certificate is a JSON object")
+        for key, want in (("format", _CERT_FORMAT), ("tool_version", TOOL_VERSION)):
+            if data.get(key) != want:
+                raise ValueError(f"certificate {key} {data.get(key)!r} is not {want!r}")
+        try:
+            if data["status"] not in _EXIT_BY_STATUS:
+                raise ValueError(f"unknown certificate status {data['status']!r}")
+            stats, cfg, witness = data["stats"], data["config"], data["witness"]
+            return cls(
+                claim=data["claim"],
+                status=data["status"],
+                group_spec=data["group"],
+                witness=None if witness is None else read_sequence(witness),
+                nodes=stats["nodes"],
+                symmetry_level=stats["symmetry_level"],
+                config=SearchConfig(**{key: cfg[key] for key in _CONFIG_KEYS}),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed certificate field: {exc}") from None
 
 
 # -- context and predicates -----------------------------------------------------
@@ -163,13 +176,14 @@ _KIND_TO_PRED = {
 
 
 class _Ctx:
-    """Per-run tables: addition, negation, multiplicity bounds, symmetry perms,
-    and the digit units of the multiset code for multiplicities up to max(bound).
+    """Per-run tables: negation, the shift steps that add each element to a
+    bitmask of element indices, multiplicity bounds, symmetry perms, and the
+    digit units of the multiset code for multiplicities up to max(bound).
 
     Immutable once built: one instance is shared by every root job of a run.
     """
 
-    __slots__ = ("group", "order", "exp", "add", "neg", "bound", "perms", "unit")
+    __slots__ = ("group", "order", "exp", "neg", "steps", "bound", "perms", "unit")
 
     def __init__(
         self, group: AbelianGroup, pred_name: str, squarefree: bool, level: str
@@ -183,14 +197,8 @@ class _Ctx:
         self.exp = group.exponent
         coords = [group.coords_of(i) for i in range(order)]
         moduli = group.moduli
-        self.add = tuple(
-            tuple(
-                group.index_of(a + b for a, b in zip(coords[i], coords[j]))
-                for j in range(order)
-            )
-            for i in range(order)
-        )
         self.neg = tuple(group.index_of(-c for c in coords[i]) for i in range(order))
+        self.steps = tuple(shift_steps(moduli, g) for g in range(order))
         if pred_name == _PRED_NO_EXACT_EXP:
             bounds = [self.exp - 1] * order
         else:
@@ -251,41 +259,15 @@ def _extend(enc: int, imgs, perms, unit, g: int, m: int) -> tuple[int, list[int]
     return enc, out
 
 
+def _initial_layers(exp: int) -> tuple[int, ...]:
+    """Layers 0..max(1, exp-1) of the empty sequence.  Search states are int
+    bitmasks with bit x for the element of index x; layer c holds the sums of
+    exactly c pushed terms, as in subsum.ReachTable."""
+    return (1,) + (0,) * max(1, exp - 1)
+
+
 class _ShortFree:
-    """State: sums by exact count 1..exp-1 plus their union."""
-
-    __slots__ = ("ctx", "k")
-
-    def __init__(self, ctx: _Ctx) -> None:
-        self.ctx = ctx
-        self.k = max(1, ctx.exp - 1)
-
-    def initial(self):
-        return tuple(set() for _ in range(self.k)) + (set(),)
-
-    def forbid(self, state, g: int) -> bool:
-        return g == 0 or self.ctx.neg[g] in state[-1]
-
-    def push(self, state, g: int):
-        row = self.ctx.add[g]
-        levels = state[:-1]
-        new = []
-        prev = _ZERO_LEVEL
-        for level in levels:
-            new.append(level | {row[x] for x in prev})
-            prev = level
-        union = state[-1].union(*new)
-        return (*new, union)
-
-    def potential(self, state, start: int) -> int:
-        return _pair_potential(self.ctx, state[-1], start)
-
-
-_ZERO_LEVEL = frozenset([0])
-
-
-class _ZeroSumFree:
-    """State: the full subsequence-sum set."""
+    """State: (layers 0..exp-1, the union of layers 1..exp-1)."""
 
     __slots__ = ("ctx",)
 
@@ -293,42 +275,59 @@ class _ZeroSumFree:
         self.ctx = ctx
 
     def initial(self):
-        return set()
+        return _initial_layers(self.ctx.exp), 0
 
     def forbid(self, state, g: int) -> bool:
-        return g == 0 or self.ctx.neg[g] in state
+        return g == 0 or state[1] >> self.ctx.neg[g] & 1
 
     def push(self, state, g: int):
-        row = self.ctx.add[g]
-        return state | {row[x] for x in state} | {g}
+        layers = add_term(state[0], self.ctx.steps[g])
+        union = 0
+        for layer in layers[1:]:
+            union |= layer
+        return layers, union
+
+    def potential(self, state, start: int) -> int:
+        return _pair_potential(self.ctx, state[1], start)
+
+
+class _ZeroSumFree:
+    """State: the mask of all nonempty subsequence sums."""
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx: _Ctx) -> None:
+        self.ctx = ctx
+
+    def initial(self):
+        return 0
+
+    def forbid(self, state, g: int) -> bool:
+        return g == 0 or state >> self.ctx.neg[g] & 1
+
+    def push(self, state, g: int):
+        return state | shift_bits(state | 1, self.ctx.steps[g])
 
     def potential(self, state, start: int) -> int:
         return _pair_potential(self.ctx, state, start)
 
 
 class _NoExactExp:
-    """State: sums by exact count 1..exp-1; forbids completing a length-exp zero-sum."""
+    """State: layers 0..exp-1; forbids completing a length-exp zero-sum."""
 
-    __slots__ = ("ctx", "k")
+    __slots__ = ("ctx",)
 
     def __init__(self, ctx: _Ctx) -> None:
         self.ctx = ctx
-        self.k = max(1, ctx.exp - 1)
 
     def initial(self):
-        return tuple(set() for _ in range(self.k))
+        return _initial_layers(self.ctx.exp)
 
     def forbid(self, state, g: int) -> bool:
-        return self.ctx.neg[g] in state[-1]
+        return state[-1] >> self.ctx.neg[g] & 1
 
     def push(self, state, g: int):
-        row = self.ctx.add[g]
-        new = []
-        prev = _ZERO_LEVEL
-        for level in state:
-            new.append(level | {row[x] for x in prev})
-            prev = level
-        return tuple(new)
+        return add_term(state, self.ctx.steps[g])
 
     def potential(self, state, start: int) -> int:
         ctx = self.ctx
@@ -337,22 +336,22 @@ class _NoExactExp:
         bound = ctx.bound
         pot = 0
         for h in range(start, ctx.order):
-            if bound[h] > 0 and neg[h] not in last:
+            if bound[h] > 0 and not last >> neg[h] & 1:
                 pot += bound[h]
         return pot
 
 
-def _pair_potential(ctx: _Ctx, forbidden_union, start: int) -> int:
+def _pair_potential(ctx: _Ctx, forbidden_union: int, start: int) -> int:
     """Upper bound on addable length from indices >= start, folding {g, -g} pairs."""
     neg = ctx.neg
     bound = ctx.bound
     pot = 0
     for h in range(max(start, 1), ctx.order):
         bh = bound[h]
-        if bh <= 0 or neg[h] in forbidden_union:
-            continue
         nh = neg[h]
-        partner = nh >= start and nh != h and bound[nh] > 0 and h not in forbidden_union
+        if bh <= 0 or forbidden_union >> nh & 1:
+            continue
+        partner = nh >= start and nh != h and bound[nh] > 0 and not forbidden_union >> h & 1
         if partner and nh < h:
             continue  # counted at the smaller pair member
         pot += max(bh, bound[nh]) if partner else bh
@@ -404,7 +403,7 @@ class _LengthsGoal:
 
     def visit(self, seq: list[int], sigma: int) -> None:
         n = len(seq)
-        if sigma == 0 and n in self.und:
+        if sigma == 1 and n in self.und:
             self.witnesses[n] = tuple(seq)
             self.und.discard(n)
 
@@ -439,7 +438,7 @@ class _EnumGoal:
             self.items.append(tuple(seq))
         for check in self.checks:
             if check == "sum_zero":
-                if sigma != 0:
+                if sigma != 1:
                     self.violations[check].append(tuple(seq))
             elif check == "power_form":
                 mults: dict[int, int] = {}
@@ -502,12 +501,25 @@ class _Stats:
         return False
 
 
+def _chain(pred, state, g: int, copies: int) -> list:
+    """The states after 1, 2, ... copies of g, at most `copies` of them,
+    stopping before the first forbidden push."""
+    out = []
+    for _ in range(copies):
+        if pred.forbid(state, g):
+            break
+        state = pred.push(state, g)
+        out.append(state)
+    return out
+
+
 def _dfs(
     ctx: _Ctx, pred, goal, seq: list[int], state, sigma: int, last: int, stats: _Stats,
     enc: int, imgs: list[int],
 ) -> None:
-    """Visit seq, then its canonical feasible children; enc is the code of seq
-    and imgs[i] the code of its image under ctx.perms[i]."""
+    """Visit seq, then its canonical feasible children; sigma is the one-bit
+    mask of the sum of seq, enc the code of seq and imgs[i] the code of its
+    image under ctx.perms[i]."""
     if stats.should_stop():
         return
     stats.nodes += 1
@@ -519,7 +531,7 @@ def _dfs(
     order = ctx.order
     bound = ctx.bound
     perms = ctx.perms
-    add = ctx.add
+    steps = ctx.steps
     unit = ctx.unit
     for g in range(last + 1, order):
         b = bound[g]
@@ -533,26 +545,21 @@ def _dfs(
         # element can reach lo either
         if lo is not None and length + pred.potential(state, g) < lo:
             break
-        chain = []
-        st, sg = state, sigma
-        row = add[g]
-        for _ in range(max_m):
-            if pred.forbid(st, g):
-                break
-            st = pred.push(st, g)
-            sg = row[sg]
-            chain.append((st, sg))
+        chain = _chain(pred, state, g, max_m)
         for m in range(len(chain), 0, -1):
             lo, hi = goal.needs()
             if hi is not None and length + m > hi:
                 continue
-            st_m, sg_m = chain[m - 1]
+            st_m = chain[m - 1]
             if lo is not None and length + m + pred.potential(st_m, g + 1) < lo:
                 continue
             child = _extend(enc, imgs, perms, unit, g, m)
             if child is None:
                 continue
-            _dfs(ctx, pred, goal, seq + [g] * m, st_m, sg_m, g, stats, *child)
+            sg = sigma
+            for _ in range(m):
+                sg = shift_bits(sg, steps[g])
+            _dfs(ctx, pred, goal, seq + [g] * m, st_m, sg, g, stats, *child)
             if stats.stopped:
                 return
         lo, hi = goal.needs()
@@ -564,12 +571,9 @@ def _dfs(
 
 
 def _push_copies(pred, state, g: int, copies: int):
-    """Push `copies` copies of g onto state; None as soon as one is forbidden."""
-    for _ in range(copies):
-        if pred.forbid(state, g):
-            return None
-        state = pred.push(state, g)
-    return state
+    """The state after `copies` (>= 1) copies of g, or None if one is forbidden."""
+    chain = _chain(pred, state, g, copies)
+    return chain[-1] if len(chain) == copies else None
 
 
 def _d0_dfs(
@@ -627,7 +631,7 @@ def _branch_worker(payload: dict) -> dict:
         out = {"counterexample": found[0] if found else None}
     else:
         goal = _goal_from_spec(goal_spec)
-        _dfs(ctx, pred, goal, [g] * m, state, group.index_scalar(m, g), g, stats, *root)
+        _dfs(ctx, pred, goal, [g] * m, state, 1 << group.index_scalar(m, g), g, stats, *root)
         out = goal.to_payload()
     out["nodes"] = stats.nodes
     out["exhausted"] = stats.exhausted
@@ -649,17 +653,7 @@ def _root_jobs(ctx: _Ctx, pred, goal: dict) -> list:
     hi = _goal_from_spec(goal).needs()[1]
     jobs = []
     for g in range(ctx.order):
-        b = ctx.bound[g]
-        if b <= 0:
-            continue
-        st = pred.initial()
-        chain = 0
-        for _ in range(b):
-            if pred.forbid(st, g):
-                break
-            st = pred.push(st, g)
-            chain += 1
-        for m in range(chain, 0, -1):
+        for m in range(len(_chain(pred, pred.initial(), g, ctx.bound[g])), 0, -1):
             if hi is not None and m > hi:
                 continue
             if _extend(0, empty, ctx.perms, ctx.unit, g, m) is not None:
@@ -703,11 +697,10 @@ def _greedy_lb(ctx: _Ctx, pred) -> tuple[int, tuple[int, ...] | None]:
     state = pred.initial()
     seq: list[int] = []
     for g in range(ctx.order):
-        for _ in range(ctx.bound[g]):
-            if pred.forbid(state, g):
-                break
-            state = pred.push(state, g)
-            seq.append(g)
+        chain = _chain(pred, state, g, ctx.bound[g])
+        if chain:
+            state = chain[-1]
+            seq += [g] * len(chain)
     return len(seq), tuple(seq) if seq else None
 
 

@@ -2,16 +2,26 @@
 
 The dynamic program keeps, for each count c in [0, cap], one int bitmask whose
 bit x is set when some subsequence of exactly c terms sums to the element of
-index x; adding a term translates a layer with `group.shift_bits`.  Terms are
-processed in deterministic order (sorted by element index, multiplicities
-expanded), and the bits each term adds first are recorded, so walking back
-through them rebuilds the same witness for the same input every time.
+index x; adding a term is one `add_term` step, which the search uses for its
+states too.  Terms are processed in deterministic order (sorted by element
+index, multiplicities expanded), and the bits each term adds first are
+recorded, so walking back through them rebuilds the same witness for the same
+input every time.
 """
 
 from __future__ import annotations
 
 from .group import AbelianGroup, shift_bits, shift_steps
 from .sequence import Sequence
+
+
+def add_term(layers: tuple[int, ...], steps) -> tuple[int, ...]:
+    """The layers after one more term, given that term's `shift_steps`.
+
+    layers[c] is the mask of sums of exactly c terms, so layers[0] == 1; a
+    sum of c terms either skips the new term or adds it to a sum of c-1.
+    """
+    return (1, *(cur | shift_bits(prev, steps) for prev, cur in zip(layers, layers[1:])))
 
 
 class ReachTable:
@@ -29,17 +39,17 @@ class ReachTable:
         self.seq = seq
         self.cap = cap = min(cap, seq.length) if seq.length else 0
         self.terms = seq.term_indices()
-        self.reach: list[int] = [1] + [0] * cap
         self.fresh: list[list[tuple[int, int]]] = [[] for _ in range(cap + 1)]
-        reach, prev = self.reach, None
+        reach, prev = (1,) + (0,) * cap, None
         for pos, g in enumerate(self.terms):
             if g != prev:
                 steps, prev = shift_steps(self.group.moduli, g), g
-            for c in range(min(pos, cap - 1), -1, -1):
-                new = shift_bits(reach[c], steps) & ~reach[c + 1]
+            old, reach = reach, add_term(reach, steps)
+            for c in range(1, cap + 1):
+                new = reach[c] & ~old[c]
                 if new:
-                    reach[c + 1] |= new
-                    self.fresh[c + 1].append((pos, new))
+                    self.fresh[c].append((pos, new))
+        self.reach: tuple[int, ...] = reach
 
     def witness(self, x_index: int, count: int) -> Sequence:
         """Reconstruct one subsequence of exactly `count` terms summing to x."""

@@ -131,6 +131,35 @@ def test_certify_round_trip(tmp_path, capsys):
     assert main(["certify", str(tampered)]) == 1
 
 
+@pytest.mark.parametrize("spec,prop", [("C3^2", "C"), ("C2^2", "C"), ("C3^2", "D")])
+def test_certify_replays_a_property_certificate(tmp_path, capsys, spec, prop):
+    # check-property takes eta (C) or s (D) from the catalog, so the replay
+    # must as well, or it also counts the nodes of that invariant's search
+    path = tmp_path / "prop.json"
+    assert main(["check-property", spec, prop, "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["certify", str(path)]) == 0
+    assert "replay: IDENTICAL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data.update(format="zerosum.certificate/0"),
+    lambda data: data.update(tool_version="9.9.9"),
+    lambda data: data["config"].pop("symmetry_level"),
+], ids=["format", "tool_version", "missing_config_field"])
+def test_certify_rejects_a_hand_edited_certificate(tmp_path, capsys, edit):
+    # an unknown format or version, or a missing field, is an error (exit 3),
+    # not a certificate read with defaults filled in
+    path = tmp_path / "eta.json"
+    assert main(["invariant", "C3^2", "eta", "--json", str(path)]) == 0
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    assert main(["certify", str(path)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def _write_cert(path, cert):
     path.write_text(cert.to_json(), encoding="utf-8")
     return str(path)
