@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from zerosum.catalog import (
@@ -10,8 +12,11 @@ from zerosum.catalog import (
     KIND_INVARIANT,
     KIND_LOWER,
     KIND_MEMBER,
+    KIND_NOT_MEMBER,
     KIND_PROPERTY,
     KIND_SUBSET,
+    KIND_SUBSET_SET,
+    KIND_UPPER,
     Provenance,
     builtin_facts,
     consistency_check,
@@ -150,6 +155,75 @@ def test_contradiction_is_hard_error():
         store.add(Fact((3, 3, 3), KIND_INVARIANT, ("eta", 18), Provenance("cited", "x")))
     with pytest.raises(FactConflictError):
         store.add(Fact((2, 2, 2), KIND_MEMBER, (4,), Provenance("cited", "x")))
+
+
+# one case per conflict rule: (kind, detail) of two facts that contradict each
+# other, and a nearby second fact that does not contradict the first
+_CONFLICTS = {
+    "invariant/invariant": (
+        (KIND_INVARIANT, ("eta", 17)), (KIND_INVARIANT, ("eta", 18)), (KIND_INVARIANT, ("D", 18))),
+    "invariant/lower": (
+        (KIND_INVARIANT, ("eta", 17)), (KIND_LOWER, ("eta", 18)), (KIND_LOWER, ("eta", 17))),
+    "invariant/upper": (
+        (KIND_INVARIANT, ("eta", 17)), (KIND_UPPER, ("eta", 16)), (KIND_UPPER, ("eta", 17))),
+    "lower/upper": (
+        (KIND_LOWER, ("eta", 18)), (KIND_UPPER, ("eta", 17)), (KIND_UPPER, ("eta", 18))),
+    "member/not-member": (
+        (KIND_MEMBER, (14,)), (KIND_NOT_MEMBER, (14,)), (KIND_NOT_MEMBER, (15,))),
+    "member/subset": (
+        (KIND_MEMBER, (12,)), (KIND_SUBSET, (13, 16)), (KIND_SUBSET, (12, 16))),
+    "member/subset-set": (
+        (KIND_MEMBER, (12,)), (KIND_SUBSET_SET, (13, 14)), (KIND_SUBSET_SET, (12, 14))),
+    "member/equals": (
+        (KIND_MEMBER, (12,)), (KIND_EQUALS, (13, 14)), (KIND_EQUALS, (12, 13))),
+    "not-member/equals": (
+        (KIND_NOT_MEMBER, (13,)), (KIND_EQUALS, (13, 14)), (KIND_EQUALS, (14, 15))),
+    "equals/equals": (
+        (KIND_EQUALS, (13, 14)), (KIND_EQUALS, (13, 15)), (KIND_EQUALS, (13, 14))),
+    "property/property": (
+        (KIND_PROPERTY, ("C", True)), (KIND_PROPERTY, ("C", False)), (KIND_PROPERTY, ("D", False))),
+    "property/property D0": (
+        (KIND_PROPERTY, ("D0", True, 9)), (KIND_PROPERTY, ("D0", False, 9)),
+        (KIND_PROPERTY, ("D0", False, 7))),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_CONFLICTS))
+def test_every_conflict_rule_holds_in_both_orders(rule):
+    first, clash, fine = (
+        Fact((3, 3, 3), kind, detail, Provenance("cited", ref))
+        for (kind, detail), ref in zip(_CONFLICTS[rule], ("a", "b", "c"))
+    )
+    for a, b in ((first, clash), (clash, first)):
+        store = FactStore()
+        store.add(a)
+        with pytest.raises(FactConflictError) as err:
+            store.add(b)
+        # the error names both facts
+        assert str(a.payload()) in str(err.value) and str(b.payload()) in str(err.value)
+    for a, b in ((first, fine), (fine, first)):
+        store = FactStore()
+        store.add_all([a, b])
+        assert len(store) == 2
+
+
+# builtin facts plus these presentations make R2, R5, R6 and R7 all fire
+_PINNED_INFERENCE_SUBJECTS = (
+    (15, 15, 15), (9, 9, 9), (6, 6, 6), (12, 12, 12), (16, 16, 16),
+    (10, 10), (3, 9), (2, 8), (4, 4, 4, 4),
+)
+
+
+def test_inferred_fact_ids_are_pinned():
+    store = fresh_store()
+    for subject in _PINNED_INFERENCE_SUBJECTS:
+        store.add_all(instantiate_for(subject))
+    derived = infer(store)
+    fired = {f.provenance.reference for f in derived}
+    assert {"R2", "R5", "R6", "R7"} <= fired
+    assert (len(store), len(derived)) == (142, 33)
+    digest = hashlib.sha256("\n".join(sorted(store.facts)).encode()).hexdigest()[:16]
+    assert digest == "de6e440aefd74b94"
 
 
 def test_rule_r10_flags_inconsistency():

@@ -113,6 +113,21 @@ def test_construct_verbs(tmp_path, capsys):
     assert main(["construct", "zero-block", "--n", "4", "--r", "3", "--verify"]) == 0
 
 
+# every construct choice, with parameters it accepts
+_CONSTRUCTIONS = {
+    "span": [], "span-merge": ["--axis", "3", "--m", "2"], "cap3": [], "cap4": [],
+    "cap4-trims": [], "zero-block": [], "slide": [], "pivot": [], "braid": [],
+    "span-carve-block": [], "span-carve-axes": [], "span-carve-axes-x": [],
+    "span-carve-mixed": [], "lift": ["--r", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTRUCTIONS))
+def test_construct_verify_accepts_every_construction(name, capsys):
+    assert main(["construct", name, "--verify", *_CONSTRUCTIONS[name]]) == 0
+    assert f"construct {name}: " in capsys.readouterr().out
+
+
 def test_certify_round_trip(tmp_path, capsys):
     cert_path = tmp_path / "eta.json"
     assert main(["invariant", "C3^2", "eta", "--json", str(cert_path)]) == 0
