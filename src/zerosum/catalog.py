@@ -92,6 +92,39 @@ def _exp_of(moduli: tuple[int, ...]) -> int:
     return math.lcm(*moduli)
 
 
+# (kind, other kind, clash(detail, other detail), reason): two facts about one
+# subject contradict each other when the row for their kinds says they clash
+_CONFLICT_RULES = (
+    (KIND_INVARIANT, KIND_INVARIANT, lambda a, b: a[0] == b[0] and a[1] != b[1],
+     "distinct invariant values"),
+    (KIND_INVARIANT, KIND_LOWER, lambda a, b: a[0] == b[0] and a[1] < b[1],
+     "value below lower bound"),
+    (KIND_INVARIANT, KIND_UPPER, lambda a, b: a[0] == b[0] and a[1] > b[1],
+     "value above upper bound"),
+    (KIND_LOWER, KIND_UPPER, lambda a, b: a[0] == b[0] and a[1] > b[1],
+     "lower bound exceeds upper bound"),
+    (KIND_MEMBER, KIND_NOT_MEMBER, lambda a, b: a[0] == b[0], "t both in and out of C0"),
+    (KIND_MEMBER, KIND_SUBSET, lambda a, b: not b[0] <= a[0] <= b[1],
+     "member outside C0 interval bound"),
+    (KIND_MEMBER, KIND_SUBSET_SET, lambda a, b: a[0] not in b, "member outside C0 set bound"),
+    (KIND_MEMBER, KIND_EQUALS, lambda a, b: a[0] not in b, "member not in determined C0"),
+    (KIND_NOT_MEMBER, KIND_EQUALS, lambda a, b: a[0] in b, "non-member in determined C0"),
+    (KIND_EQUALS, KIND_EQUALS, lambda a, b: a != b, "distinct C0 determinations"),
+    # D0 facts only clash for the same c
+    (KIND_PROPERTY, KIND_PROPERTY,
+     lambda a, b: a[0] == b[0] and a[1] != b[1] and (a[0] != "D0" or a[2] == b[2]),
+     "property both holds and fails"),
+)
+
+# each rule keyed by (new fact's kind, existing fact's kind), in both directions;
+# the swapped entry calls clash with its arguments swapped
+_CONFLICTS: dict[tuple[str, str], tuple[Callable[[tuple, tuple], bool], str]] = {
+    (other, kind): (lambda a, b, clash=clash: clash(b, a), why)
+    for kind, other, clash, why in _CONFLICT_RULES
+}
+_CONFLICTS.update({(kind, other): (clash, why) for kind, other, clash, why in _CONFLICT_RULES})
+
+
 class FactStore:
     """Single-writer fact collection with consistency checking on insert."""
 
@@ -166,65 +199,12 @@ class FactStore:
         return None
 
     def _check_consistent(self, fact: Fact) -> None:
-        existing = self.for_subject(fact.subject)
-        kind, detail = fact.kind, fact.detail
-
-        def conflict(other: Fact, why: str) -> None:
-            raise FactConflictError(
-                f"fact {fact.payload()} contradicts {other.payload()}: {why}"
-            )
-
-        for other in existing:
-            ok, od = other.kind, other.detail
-            if kind == KIND_INVARIANT and ok == KIND_INVARIANT and detail[0] == od[0]:
-                if detail[1] != od[1]:
-                    conflict(other, "distinct invariant values")
-            if kind == KIND_INVARIANT and ok == KIND_LOWER and detail[0] == od[0]:
-                if detail[1] < od[1]:
-                    conflict(other, "value below lower bound")
-            if kind == KIND_INVARIANT and ok == KIND_UPPER and detail[0] == od[0]:
-                if detail[1] > od[1]:
-                    conflict(other, "value above upper bound")
-            if kind == KIND_LOWER and ok == KIND_INVARIANT and detail[0] == od[0]:
-                if od[1] < detail[1]:
-                    conflict(other, "lower bound above value")
-            if kind == KIND_UPPER and ok == KIND_INVARIANT and detail[0] == od[0]:
-                if od[1] > detail[1]:
-                    conflict(other, "upper bound below value")
-            if kind == KIND_LOWER and ok == KIND_UPPER and detail[0] == od[0]:
-                if detail[1] > od[1]:
-                    conflict(other, "lower bound exceeds upper bound")
-            if kind == KIND_UPPER and ok == KIND_LOWER and detail[0] == od[0]:
-                if detail[1] < od[1]:
-                    conflict(other, "upper bound below lower bound")
-            if kind == KIND_MEMBER and ok == KIND_NOT_MEMBER and detail[0] == od[0]:
-                conflict(other, "t both in and out of C0")
-            if kind == KIND_NOT_MEMBER and ok == KIND_MEMBER and detail[0] == od[0]:
-                conflict(other, "t both in and out of C0")
-            if kind == KIND_MEMBER and ok == KIND_SUBSET:
-                if not od[0] <= detail[0] <= od[1]:
-                    conflict(other, "member outside C0 interval bound")
-            if kind == KIND_SUBSET and ok == KIND_MEMBER:
-                if not detail[0] <= od[0] <= detail[1]:
-                    conflict(other, "member outside C0 interval bound")
-            if kind == KIND_MEMBER and ok == KIND_SUBSET_SET and detail[0] not in od:
-                conflict(other, "member outside C0 set bound")
-            if kind == KIND_SUBSET_SET and ok == KIND_MEMBER and od[0] not in detail:
-                conflict(other, "member outside C0 set bound")
-            if kind == KIND_MEMBER and ok == KIND_EQUALS and detail[0] not in od:
-                conflict(other, "member not in determined C0")
-            if kind == KIND_EQUALS and ok == KIND_MEMBER and od[0] not in detail:
-                conflict(other, "member not in determined C0")
-            if kind == KIND_NOT_MEMBER and ok == KIND_EQUALS and detail[0] in od:
-                conflict(other, "non-member in determined C0")
-            if kind == KIND_EQUALS and ok == KIND_NOT_MEMBER and od[0] in detail:
-                conflict(other, "non-member in determined C0")
-            if kind == KIND_EQUALS and ok == KIND_EQUALS and detail != od:
-                conflict(other, "distinct C0 determinations")
-            if kind == KIND_PROPERTY and ok == KIND_PROPERTY and detail[0] == od[0]:
-                same_c = detail[0] != "D0" or detail[2] == od[2]
-                if same_c and detail[1] != od[1]:
-                    conflict(other, "property both holds and fails")
+        for other in self._by_subject.get(fact.subject, ()):
+            rule = _CONFLICTS.get((fact.kind, other.kind))
+            if rule is not None and rule[0](fact.detail, other.detail):
+                raise FactConflictError(
+                    f"fact {fact.payload()} contradicts {other.payload()}: {rule[1]}"
+                )
 
     # -- persistence ----------------------------------------------------------
 
@@ -633,6 +613,12 @@ def _member_ids(store: FactStore, subject) -> dict[int, str]:
     return out
 
 
+def _ratio(eta_value: int, n: int) -> int | None:
+    if (eta_value - 1) % (n - 1):
+        return None
+    return (eta_value - 1) // (n - 1)
+
+
 def _rule_r1(store: FactStore) -> list[Fact]:
     """eta = c(n-1)+1, c <= n, Property C  =>  eta-1 in C0."""
     out = []
@@ -646,70 +632,70 @@ def _rule_r1(store: FactStore) -> list[Fact]:
         if eta is None or prop is None:
             continue
         value, eta_id = eta
-        if (value - 1) % (n - 1):
-            continue
-        c = (value - 1) // (n - 1)
-        if c <= n and not store.has_statement(subject, KIND_MEMBER, (value - 1,)):
+        c = _ratio(value, n)
+        if c is not None and c <= n and not store.has_statement(subject, KIND_MEMBER, (value - 1,)):
             out.append(
                 _rule_fact(subject, KIND_MEMBER, (value - 1,), "R1", (eta_id, prop[1]))
             )
     return out
 
 
-def _ratio(eta_value: int, n: int) -> int | None:
-    if (eta_value - 1) % (n - 1):
-        return None
-    return (eta_value - 1) // (n - 1)
+def _uniform_products(store: FactStore):
+    """Pairs of cubes C_m^r, C_n^r on file whose product C_mn^r is on file too.
+
+    Yields (s1, m, eta1, s2, n, eta2, target, eta_t) in subject order, s1 then
+    s2, for the pairs where eta of both factors is on file; each eta is
+    (value, fact id), and eta_t, the target's, may be None.  Each subject's
+    eta is looked up once per call.
+    """
+    uniforms = [
+        (s, s[0], len(s), _invariant_fact(store, s, "eta"))
+        for s in store.subjects() if _uniform(s)
+    ]
+    by_key = {(n, r): (s, eta) for s, n, r, eta in uniforms}
+    for s1, m, r, eta1 in uniforms:
+        if eta1 is None:
+            continue
+        for s2, n, r2, eta2 in uniforms:
+            if r2 != r or eta2 is None:
+                continue
+            target = by_key.get((m * n, r))
+            if target is not None:
+                yield (s1, m, eta1, s2, n, eta2, *target)
 
 
 def _transfer_rules(store: FactStore, rule_id: str) -> list[Fact]:
     """Shared body of R2 (ratio form) and R9 (subgroup equality form)."""
     out = []
-    subjects = store.subjects()
-    uniforms = [(s, *_uniform(s)) for s in subjects if _uniform(s)]
-    by_key = {(n, r): s for s, n, r in uniforms}
-    for s1, n1, r in uniforms:
-        eta1 = _invariant_fact(store, s1, "eta")
-        if eta1 is None:
+    for _, n1, eta1, s2, n2, eta2, target, eta_t in _uniform_products(store):
+        if eta_t is None:
             continue
-        for s2, n2, r2 in uniforms:
-            if r2 != r:
+        if rule_id == "R2":
+            c1 = _ratio(eta1[0], n1)
+            if c1 is None or c1 != _ratio(eta2[0], n2) or c1 != _ratio(eta_t[0], n1 * n2):
                 continue
-            target = by_key.get((n1 * n2, r))
-            if target is None:
+        else:  # R9: eta(G) = (eta(H)-1) exp(G/H) + eta(G/H)
+            if eta_t[0] != (eta1[0] - 1) * n2 + eta2[0]:
                 continue
-            eta2 = _invariant_fact(store, s2, "eta")
-            eta_t = _invariant_fact(store, target, "eta")
-            if eta2 is None or eta_t is None:
-                continue
-            if rule_id == "R2":
-                c1 = _ratio(eta1[0], n1)
-                c2 = _ratio(eta2[0], n2)
-                ct = _ratio(eta_t[0], n1 * n2)
-                if c1 is None or c1 != c2 or c1 != ct:
-                    continue
-            else:  # R9: eta(G) = (eta(H)-1) exp(G/H) + eta(G/H)
-                if eta_t[0] != (eta1[0] - 1) * n2 + eta2[0]:
-                    continue
-            prop = _property_fact(store, s2, "C")
-            if prop is None:
-                continue
-            members = _member_ids(store, s2)
-            t2 = 1 if (eta2[0] - 1) in members else (2 if (eta2[0] - 2) in members else None)
-            if t2 is None or t2 > n2 - 1:
-                continue
-            t1 = t2
-            while (
-                t1 + 1 <= n2 - 1
-                and (eta2[0] - (t1 + 1)) in members
-            ):
-                t1 += 1
-            premises = [eta1[1], eta2[1], eta_t[1], prop[1]]
-            premises += [members[eta2[0] - k] for k in range(t2, t1 + 1)]
-            for k in range(t2, t1 + 1):
-                t = eta_t[0] - k
-                if not store.has_statement(target, KIND_MEMBER, (t,)):
-                    out.append(_rule_fact(target, KIND_MEMBER, (t,), rule_id, premises))
+        prop = _property_fact(store, s2, "C")
+        if prop is None:
+            continue
+        members = _member_ids(store, s2)
+        t2 = 1 if (eta2[0] - 1) in members else (2 if (eta2[0] - 2) in members else None)
+        if t2 is None or t2 > n2 - 1:
+            continue
+        t1 = t2
+        while (
+            t1 + 1 <= n2 - 1
+            and (eta2[0] - (t1 + 1)) in members
+        ):
+            t1 += 1
+        premises = [eta1[1], eta2[1], eta_t[1], prop[1]]
+        premises += [members[eta2[0] - k] for k in range(t2, t1 + 1)]
+        for k in range(t2, t1 + 1):
+            t = eta_t[0] - k
+            if not store.has_statement(target, KIND_MEMBER, (t,)):
+                out.append(_rule_fact(target, KIND_MEMBER, (t,), rule_id, premises))
     return out
 
 
@@ -766,97 +752,57 @@ def _rule_r4(store: FactStore) -> list[Fact]:
 def _rule_r5(store: FactStore) -> list[Fact]:
     """eta(C_mn^r) <= (eta(C_m^r) - 1) n + eta(C_n^r), for targets on file."""
     out = []
-    uniforms = [(s, *_uniform(s)) for s in store.subjects() if _uniform(s)]
-    keys = {(n, r) for _, n, r in uniforms}
-    for s1, m, r in uniforms:
-        eta1 = _invariant_fact(store, s1, "eta")
-        if eta1 is None:
+    for _, _, eta1, _, n, eta2, target, eta_t in _uniform_products(store):
+        bound = (eta1[0] - 1) * n + eta2[0]
+        if eta_t is not None and eta_t[0] <= bound:
             continue
-        for s2, n, r2 in uniforms:
-            if r2 != r or (m * n, r) not in keys:
-                continue
-            eta2 = _invariant_fact(store, s2, "eta")
-            if eta2 is None:
-                continue
-            target = (m * n,) * r
-            bound = (eta1[0] - 1) * n + eta2[0]
-            existing = _invariant_fact(store, target, "eta")
-            if existing is not None and existing[0] <= bound:
-                continue
-            if not store.has_statement(target, KIND_UPPER, ("eta", bound)):
-                out.append(
-                    _rule_fact(target, KIND_UPPER, ("eta", bound), "R5", (eta1[1], eta2[1]))
-                )
+        if not store.has_statement(target, KIND_UPPER, ("eta", bound)):
+            out.append(
+                _rule_fact(target, KIND_UPPER, ("eta", bound), "R5", (eta1[1], eta2[1]))
+            )
     return out
 
 
 def _rule_r6(store: FactStore) -> list[Fact]:
     """Property C is multiplicative under the exact eta ratio equalities."""
     out = []
-    uniforms = [(s, *_uniform(s)) for s in store.subjects() if _uniform(s)]
-    by_key = {(n, r): s for s, n, r in uniforms}
-    for s1, m, r in uniforms:
-        for s2, n, r2 in uniforms:
-            if r2 != r:
-                continue
-            target = by_key.get((m * n, r))
-            if target is None:
-                continue
-            eta1, eta2, eta_t = (
-                _invariant_fact(store, s1, "eta"),
-                _invariant_fact(store, s2, "eta"),
-                _invariant_fact(store, target, "eta"),
-            )
-            p1, p2 = _property_fact(store, s1, "C"), _property_fact(store, s2, "C")
-            if None in (eta1, eta2, eta_t, p1, p2):
-                continue
-            c1, c2, ct = _ratio(eta1[0], m), _ratio(eta2[0], n), _ratio(eta_t[0], m * n)
-            if c1 is None or c1 != c2 or c1 != ct:
-                continue
-            if not store.has_statement(target, KIND_PROPERTY, ("C", True)):
-                out.append(
-                    _rule_fact(
-                        target, KIND_PROPERTY, ("C", True), "R6",
-                        (eta1[1], eta2[1], eta_t[1], p1[1], p2[1]),
-                    )
+    for s1, m, eta1, s2, n, eta2, target, eta_t in _uniform_products(store):
+        p1, p2 = _property_fact(store, s1, "C"), _property_fact(store, s2, "C")
+        if None in (eta_t, p1, p2):
+            continue
+        c1 = _ratio(eta1[0], m)
+        if c1 is None or c1 != _ratio(eta2[0], n) or c1 != _ratio(eta_t[0], m * n):
+            continue
+        if not store.has_statement(target, KIND_PROPERTY, ("C", True)):
+            out.append(
+                _rule_fact(
+                    target, KIND_PROPERTY, ("C", True), "R6",
+                    (eta1[1], eta2[1], eta_t[1], p1[1], p2[1]),
                 )
+            )
     return out
 
 
 def _rule_r7(store: FactStore) -> list[Fact]:
     """Matching eta ratios plus a meeting lower bound pin eta of the product."""
     out = []
-    uniforms = [(s, *_uniform(s)) for s in store.subjects() if _uniform(s)]
-    keys = {(n, r) for _, n, r in uniforms}
-    for s1, m, r in uniforms:
-        eta1 = _invariant_fact(store, s1, "eta")
-        if eta1 is None:
-            continue
+    for _, m, eta1, _, n, eta2, target, eta_t in _uniform_products(store):
         c = _ratio(eta1[0], m)
-        if c is None:
+        if c is None or _ratio(eta2[0], n) != c or eta_t is not None:
             continue
-        for s2, n, r2 in uniforms:
-            if r2 != r or (m * n, r) not in keys:
-                continue
-            eta2 = _invariant_fact(store, s2, "eta")
-            if eta2 is None or _ratio(eta2[0], n) != c:
-                continue
-            target = (m * n,) * r
-            if _invariant_fact(store, target, "eta") is not None:
-                continue
-            value = c * (m * n - 1) + 1
-            lower_id = None
-            for f in store.for_subject(target):
-                if f.kind == KIND_LOWER and f.detail[0] == "eta" and f.detail[1] >= value:
-                    lower_id = f.fact_id
-                    break
-            if lower_id is None:
-                continue
-            if not store.has_statement(target, KIND_INVARIANT, ("eta", value)):
-                out.append(
-                    _rule_fact(target, KIND_INVARIANT, ("eta", value), "R7",
-                               (eta1[1], eta2[1], lower_id))
-                )
+        value = c * (m * n - 1) + 1
+        lower_id = None
+        for f in store.for_subject(target):
+            if f.kind == KIND_LOWER and f.detail[0] == "eta" and f.detail[1] >= value:
+                lower_id = f.fact_id
+                break
+        if lower_id is None:
+            continue
+        if not store.has_statement(target, KIND_INVARIANT, ("eta", value)):
+            out.append(
+                _rule_fact(target, KIND_INVARIANT, ("eta", value), "R7",
+                           (eta1[1], eta2[1], lower_id))
+            )
     return out
 
 

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from . import catalog, constructions, search, subsum
-from .group import AbelianGroup, parse_group_spec
+from .group import SYMMETRY_LEVELS, AbelianGroup, parse_group_spec
 from .sequence import Sequence, write_sequence
 from .search import (
     Certificate,
@@ -267,50 +267,10 @@ def _construct_outputs(args) -> tuple[list[Sequence], dict]:
     return list(fam.members()), {"n": n, "r": r}
 
 
-def _verify_construction(args, outputs: list[Sequence]) -> None:
-    """Re-check the claimed properties of a construction; AssertionError if one fails."""
-    name = args.name
-    if name == "span":
-        seq = outputs[0]
-        n, r = args.n, args.r
-        _require(seq.length == (2**r - 1) * (n - 1), "span: wrong length")
-        alpha = constructions.alpha_r(n, r).value
-        diag = seq.group.element([1] * r)
-        _require(seq.sum == alpha * diag, "span: wrong sum")
-        _require(subsum.find_short_zero_sum(seq) is None, "span: short zero-sum")
-    elif name == "span-merge":
-        seq = outputs[0]
-        n, r = args.n, args.r
-        _require(seq.length == (2**r - 1) * (n - 1) - args.m + 1, "span-merge: wrong length")
-        _require(subsum.find_short_zero_sum(seq) is None, "span-merge: short zero-sum")
-    elif name == "cap3":
-        seq = outputs[0]
-        _require(seq.length == 8 and seq.is_squarefree(), "cap3: not a squarefree 8-set")
-        _require(subsum.find_short_zero_sum(seq) is None, "cap3: short zero-sum")
-    elif name == "cap4":
-        seq = outputs[0]
-        _require(seq.length == 20 and seq.is_squarefree(), "cap4: not a squarefree 20-set")
-        _require(subsum.find_zero_sum_exact_length(seq, 3) is None, "cap4: zero-sum of length 3")
-    elif name == "cap4-trims":
-        lengths = sorted(s.length for s in outputs)
-        _require(lengths == list(range(30, 37)), "cap4-trims: lengths are not 30..36")
-        for seq in outputs:
-            _require(seq.is_zero_sum(), "cap4-trims: member is not zero-sum")
-            _require(subsum.find_short_zero_sum(seq) is None, "cap4-trims: short zero-sum")
-    else:
-        constructions.verify_family(constructions.build_family(name, args.n, args.r))
-
-
-def _require(ok: bool, message: str) -> None:
-    """A check that python -O keeps, unlike assert."""
-    if not ok:
-        raise AssertionError(message)
-
-
 def _cmd_construct(args) -> int:
     outputs, params = _construct_outputs(args)
     if args.verify:
-        _verify_construction(args, outputs)
+        constructions.verify_construction(args.name, outputs, n=args.n, r=args.r, m=args.m)
         cfg = _config_from_args(args)
         cert = Certificate(
             claim={
@@ -341,7 +301,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    text = Path(args.certificate).read_text(encoding="utf-8")
+    try:
+        text = Path(args.certificate).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read certificate: {exc}") from None
     cert = Certificate.from_json(text)
     if cert.status == STATUS_REFUTED:
         if cert.witness is None:
@@ -520,9 +483,8 @@ def _cmd_repro(args) -> int:
 def _add_common(p) -> None:
     p.add_argument("--budget-nodes", type=int, default=0, help="node budget per subtree")
     p.add_argument("--budget-secs", type=float, default=0.0, help="time budget per subtree")
-    p.add_argument("--symmetry", choices=(
-        "none", "translations", "coord_perms", "scalar", "coord_perms+scalar", "full_small"
-    ), default=None, help="symmetry reduction level")
+    p.add_argument("--symmetry", choices=SYMMETRY_LEVELS, default=None,
+                   help="symmetry reduction level")
     p.add_argument("--width", type=int, default=None, help="parallel width (never changes results)")
     p.add_argument("--json", metavar="PATH", help="write the certificate as JSON")
     p.add_argument("--no-cache", action="store_true", help="skip the certificate cache")

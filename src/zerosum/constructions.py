@@ -419,6 +419,44 @@ def verify_family(spec: FamilySpec, *, sample_stride: int = 1) -> set[int]:
     return lengths
 
 
+def verify_construction(
+    name: str, outputs: list[Sequence], *, n: int = 3, r: int = 3, m: int | None = None
+) -> None:
+    """Re-check the claimed properties of a named construction's outputs.
+
+    Raises AssertionError on the first claim that fails.  n, r and m are the
+    parameters the outputs were built with; a family is rebuilt from them and
+    checked by verify_family.
+    """
+
+    def require(ok: bool, message: str) -> None:
+        if not ok:
+            raise AssertionError(f"{name}: {message}")
+
+    seq = outputs[0]
+    if name == "span":
+        require(seq.length == (2**r - 1) * (n - 1), "wrong length")
+        require(seq.sum == alpha_r(n, r).value * seq.group.element([1] * r), "wrong sum")
+        require(find_short_zero_sum(seq) is None, "short zero-sum")
+    elif name == "span-merge":
+        require(seq.length == (2**r - 1) * (n - 1) - m + 1, "wrong length")
+        require(find_short_zero_sum(seq) is None, "short zero-sum")
+    elif name == "cap3":
+        require(seq.length == 8 and seq.is_squarefree(), "not a squarefree 8-set")
+        require(find_short_zero_sum(seq) is None, "short zero-sum")
+    elif name == "cap4":
+        require(seq.length == 20 and seq.is_squarefree(), "not a squarefree 20-set")
+        require(find_zero_sum_exact_length(seq, 3) is None, "zero-sum of length 3")
+    elif name == "cap4-trims":
+        lengths = sorted(s.length for s in outputs)
+        require(lengths == list(range(30, 37)), "lengths are not 30..36")
+        for member in outputs:
+            require(member.is_zero_sum(), "member is not zero-sum")
+            require(find_short_zero_sum(member) is None, "short zero-sum")
+    else:
+        verify_family(build_family(name, n, r))
+
+
 def length_swatch(n: int, r: int) -> dict[int, Sequence]:
     """One zero-sum short-free sequence per realized length, from all applicable families."""
     out: dict[int, Sequence] = {}
@@ -464,20 +502,3 @@ def known_witnesses(group: AbelianGroup, t: int) -> Iterator[Sequence]:
         span = build_span_sequence(n, r)
         if span.length == t and span.is_zero_sum():
             yield span
-
-
-def verify_rank4_cap_claims() -> None:
-    """Re-check the transcribed cap tables against their stated properties.
-
-    Raises AssertionError on any violation.
-    """
-    cap3 = ternary_cap_rank3()
-    if not (cap3.length == 8 and cap3.is_squarefree()):
-        raise AssertionError("rank-3 cap is not a squarefree 8-set")
-    if find_short_zero_sum(cap3) is not None:
-        raise AssertionError("rank-3 cap has a short zero-sum")
-    cap4 = ternary_cap_rank4()
-    if not (cap4.length == 20 and cap4.is_squarefree()):
-        raise AssertionError("rank-4 cap is not a squarefree 20-set")
-    if find_zero_sum_exact_length(cap4, 3) is not None:
-        raise AssertionError("rank-4 cap has a zero-sum of length 3")

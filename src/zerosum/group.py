@@ -22,7 +22,6 @@ ORDER_OVERFLOW = 10**18
 
 SYMMETRY_LEVELS = (
     "none",
-    "translations",
     "coord_perms",
     "scalar",
     "coord_perms+scalar",
@@ -336,8 +335,8 @@ def parse_element(group: AbelianGroup, text: str) -> GroupElement:
 class SymmetryAction:
     """A permutation of the element set arising from a declared symmetry.
 
-    kind is one of: translation, coord_perm, scalar, transvection.  The
-    stored permutation maps element indices to element indices.
+    kind is one of: coord_perm, scalar, transvection.  The stored
+    permutation maps element indices to element indices.
     """
 
     group: AbelianGroup
@@ -356,13 +355,6 @@ def _perm_from_coord_map(
     return tuple(
         group.index_of(fn(group.coords_of(i))) for i in range(group.order)
     )
-
-
-def translation_action(group: AbelianGroup, by: GroupElement) -> SymmetryAction:
-    perm = _perm_from_coord_map(
-        group, lambda c: (x + y for x, y in zip(c, by.coords))
-    )
-    return SymmetryAction(group, "translation", f"t{format_element(by)}", perm)
 
 
 def coord_perm_action(group: AbelianGroup, mapping: dict[int, int]) -> SymmetryAction:
@@ -441,16 +433,15 @@ def _equal_modulus_blocks(group: AbelianGroup) -> list[list[int]]:
 def symmetries(group: AbelianGroup, level: str) -> list[SymmetryAction]:
     """Generators of the requested symmetry group, in deterministic order.
 
-    Levels: none, translations, coord_perms, scalar, coord_perms+scalar,
-    full_small.  full_small adds transvections (the full automorphism group
-    for equal-modulus presentations) and requires order <= AUTOMORPHISM_CAP.
+    Levels: none, coord_perms, scalar, coord_perms+scalar, full_small.  Each
+    generator is a group automorphism, so it keeps every zero-sum property.
+    full_small adds transvections (the full automorphism group for
+    equal-modulus presentations) and requires order <= AUTOMORPHISM_CAP.
     """
     if level not in SYMMETRY_LEVELS:
         raise ValueError(f"unknown symmetry level {level!r}")
     if level == "none":
         return []
-    if level == "translations":
-        return [translation_action(group, group.basis(i)) for i in range(group.rank)]
 
     actions: list[SymmetryAction] = []
     if level in ("coord_perms", "coord_perms+scalar", "full_small"):

@@ -45,8 +45,8 @@ from math import gcd, lcm
 
 from . import constructions
 from .group import (
-    AbelianGroup, close_symmetries, make_group, parse_group_spec, shift_bits, shift_steps,
-    symmetries,
+    SYMMETRY_LEVELS, AbelianGroup, close_symmetries, make_group, parse_group_spec, shift_bits,
+    shift_steps, symmetries,
 )
 from .sequence import Sequence, read_sequence, write_sequence
 from .subsum import (
@@ -96,6 +96,8 @@ class SearchConfig:
             raise ValueError("budgets must be >= 0")
         if self.parallel_width < 1:
             raise ValueError("parallel_width must be >= 1")
+        if self.symmetry_level not in SYMMETRY_LEVELS:
+            raise ValueError(f"unknown symmetry level {self.symmetry_level!r}")
 
 
 # the SearchConfig fields a certificate records (parallel_width changes no result)

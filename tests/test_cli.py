@@ -161,10 +161,11 @@ def test_certify_replays_a_property_certificate(tmp_path, capsys, spec, prop):
     lambda data: data.update(format="zerosum.certificate/0"),
     lambda data: data.update(tool_version="9.9.9"),
     lambda data: data["config"].pop("symmetry_level"),
-], ids=["format", "tool_version", "missing_config_field"])
+    lambda data: data["config"].update(symmetry_level="translations"),
+], ids=["format", "tool_version", "missing_config_field", "unknown_symmetry_level"])
 def test_certify_rejects_a_hand_edited_certificate(tmp_path, capsys, edit):
-    # an unknown format or version, or a missing field, is an error (exit 3),
-    # not a certificate read with defaults filled in
+    # an unknown format, version or symmetry level, or a missing field, is an
+    # error (exit 3), not a certificate read with defaults filled in
     path = tmp_path / "eta.json"
     assert main(["invariant", "C3^2", "eta", "--json", str(path)]) == 0
     data = json.loads(path.read_text())
@@ -173,6 +174,19 @@ def test_certify_rejects_a_hand_edited_certificate(tmp_path, capsys, edit):
     capsys.readouterr()
     assert main(["certify", str(path)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_certify_reports_an_unreadable_path(tmp_path, capsys):
+    assert main(["certify", str(tmp_path / "missing.json")]) == 3
+    assert "error: cannot read certificate" in capsys.readouterr().err
+
+
+def test_translations_are_not_a_symmetry_level(capsys):
+    # translations do not keep zero-sum freeness; pruning by them once proved
+    # eta(C3^3) = 15 (the true value is 17) and cached that result
+    assert main(["invariant", "C3^3", "eta", "--symmetry", "translations"]) == 3
+    assert "invalid choice" in capsys.readouterr().err
+    assert not cache_dir().exists()
 
 
 def _write_cert(path, cert):
@@ -252,10 +266,9 @@ def test_repro_search_tables(capsys):
 # Each verifier gets a wrong input and must still raise under python -O,
 # which strips assert statements.
 _OPTIMIZED_CHECKS = r"""
-import argparse
 import sys
 
-from zerosum import cli, constructions, search
+from zerosum import constructions, search
 from zerosum.group import make_group
 from zerosum.sequence import Sequence
 
@@ -272,14 +285,15 @@ def rejects(fn, *args):
 
 
 group = make_group([3, 3, 3])
-# a squarefree 8-set that contains 0, so it has a short zero-sum
-bad_cap = Sequence.from_items(group, [(i, 1) for i in range(8)])
+# squarefree sets that contain 0, (0,..,0,1) and (0,..,0,2): 0 is a short
+# zero-sum, and the three of them are a zero-sum of length 3
+bad_cap3 = Sequence.from_items(group, [(i, 1) for i in range(8)])
+bad_cap4 = Sequence.from_items(make_group([3] * 4), [(i, 1) for i in range(20)])
 failures = []
-if not rejects(cli._verify_construction, argparse.Namespace(name="cap3"), [bad_cap]):
-    failures.append("construct --verify")
-constructions.ternary_cap_rank3 = lambda: bad_cap
-if not rejects(constructions.verify_rank4_cap_claims):
-    failures.append("verify_rank4_cap_claims")
+if not rejects(constructions.verify_construction, "cap3", [bad_cap3]):
+    failures.append("construct cap3 --verify")
+if not rejects(constructions.verify_construction, "cap4", [bad_cap4]):
+    failures.append("construct cap4 --verify")
 payload = {
     "moduli": group.moduli, "pred": "zero_sum_free", "squarefree": False,
     "level": "coord_perms+scalar", "node_budget": 0, "time_budget": 0.0,

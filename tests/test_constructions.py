@@ -10,8 +10,8 @@ from zerosum.constructions import (
     length_swatch,
     ternary_cap_rank3,
     ternary_cap_rank4,
+    verify_construction,
     verify_family,
-    verify_rank4_cap_claims,
 )
 from zerosum.group import make_group
 from zerosum.sequence import Sequence
@@ -164,7 +164,8 @@ def test_lift_members_verified_by_sampling():
 
 
 def test_cap_tables():
-    verify_rank4_cap_claims()
+    verify_construction("cap3", [ternary_cap_rank3()])
+    verify_construction("cap4", [ternary_cap_rank4()])
     cap3 = ternary_cap_rank3()
     assert cap3.length == 8 and cap3.is_squarefree()
     assert find_short_zero_sum(cap3) is None

@@ -99,7 +99,6 @@ def test_shift_bits_matches_index_add(moduli):
 
 def test_symmetry_generator_counts():
     assert len(symmetries(make_group([3, 3, 3]), "coord_perms")) == 2
-    assert len(symmetries(make_group([3, 3]), "translations")) == 2
     gens = symmetries(make_group([5, 5, 5]), "scalar")
     assert [a.name for a in gens] == ["x2"]
 
@@ -117,7 +116,7 @@ def test_scalar_generators_oracle():
 def test_actions_are_permutations_and_invertible():
     for moduli in ([3, 3], [2, 4], [2, 2, 2], [3, 3, 3]):
         g = make_group(moduli)
-        for level in ("translations", "coord_perms", "scalar"):
+        for level in ("coord_perms", "scalar"):
             for action in symmetries(g, level):
                 assert sorted(action.perm) == list(range(g.order))
                 inv = inverse(action)

@@ -13,7 +13,7 @@ from conftest import (
     naive_profile,
 )
 from zerosum import search
-from zerosum.group import element_order, make_group
+from zerosum.group import SYMMETRY_LEVELS, element_order, make_group
 from zerosum.search import (
     STATUS_EXHAUSTED,
     STATUS_PROVED,
@@ -64,7 +64,7 @@ def test_eta_matches_brute_force(spec):
 def test_invariants_independent_of_symmetry_level():
     for spec, want in [("C3^2", (5, 7)), ("C2+C4", (5, 6)), ("C2^3", (4, 8))]:
         group = make_group(TINY[spec])
-        for level in ("none", "coord_perms", "coord_perms+scalar", "full_small"):
+        for level in SYMMETRY_LEVELS:
             cfg = SearchConfig(symmetry_level=level)
             assert invariant_value(group, "D", cfg)[0] == want[0]
             assert invariant_value(group, "eta", cfg)[0] == want[1]
