@@ -182,8 +182,8 @@ def test_certify_reports_an_unreadable_path(tmp_path, capsys):
 
 
 def test_translations_are_not_a_symmetry_level(capsys):
-    # translations do not keep zero-sum freeness; pruning by them once proved
-    # eta(C3^3) = 15 (the true value is 17) and cached that result
+    # translations do not keep zero-sum freeness: pruning by them proves
+    # eta(C3^3) = 15, and the true value is 17
     assert main(["invariant", "C3^3", "eta", "--symmetry", "translations"]) == 3
     assert "invalid choice" in capsys.readouterr().err
     assert not cache_dir().exists()
