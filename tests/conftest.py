@@ -94,6 +94,76 @@ def is_orbit_minimal(seq: list[int], perms) -> bool:
     return all(sorted(p[i] for i in seq) >= seq for p in perms)
 
 
+def layers_by_count(group: AbelianGroup, terms, top: int) -> list[set[int]]:
+    """layers[c] is the set of sums of exactly c of the terms, c in [0, top]."""
+    layers = [{0}] + [set() for _ in range(top)]
+    for t in terms:
+        for c in range(top, 0, -1):
+            layers[c] |= {group.index_add(x, t) for x in layers[c - 1]}
+    return layers
+
+
+def loop_pair_potential(neg, bound, forbidden_union: int, start: int) -> int:
+    """The per-element loop the search used for the short-free and
+    zero-sum-free potential: the bounds of the indices >= start whose
+    negation is not a forbidden sum, counting a {g, -g} pair once."""
+    pot = 0
+    for h in range(max(start, 1), len(bound)):
+        bh = bound[h]
+        nh = neg[h]
+        if bh <= 0 or forbidden_union >> nh & 1:
+            continue
+        partner = nh >= start and nh != h and bound[nh] > 0 and not forbidden_union >> h & 1
+        if partner and nh < h:
+            continue  # counted at the smaller pair member
+        pot += max(bh, bound[nh]) if partner else bh
+    return pot
+
+
+def loop_no_exact_exp_potential(neg, bound, last: int, start: int) -> int:
+    """The per-element loop the search used for the no-exact-exp potential:
+    the bounds of the indices >= start whose negation is not a sum of
+    exactly exp-1 terms."""
+    pot = 0
+    for h in range(start, len(bound)):
+        if bound[h] > 0 and not last >> neg[h] & 1:
+            pot += bound[h]
+    return pot
+
+
+def loop_close_symmetries(actions, cap: int) -> list[tuple[int, ...]]:
+    """Breadth-first closure composing one element at a time, the way
+    group.close_symmetries used to."""
+    gens = [a.perm for a in actions]
+    if not gens:
+        return []
+    identity = tuple(range(len(gens[0])))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[x] for x in p)
+                if q not in seen:
+                    if len(seen) >= cap:
+                        raise ValueError(
+                            f"symmetry closure exceeds the cap of {cap} permutations"
+                        )
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return sorted(seen)
+
+
+def pairwise_sum_index(group: AbelianGroup, items) -> int:
+    """The index of sum(v * g) over (g, v) items, one index_add per item."""
+    total = 0
+    for idx, v in items:
+        total = group.index_add(total, group.index_scalar(v, idx))
+    return total
+
+
 def inverse(action: SymmetryAction) -> SymmetryAction:
     """The action undoing `action`."""
     inv = [0] * len(action.perm)

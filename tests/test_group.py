@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import inverse
+from conftest import inverse, loop_close_symmetries
 from zerosum.group import (
+    CLOSURE_CAP,
+    SYMMETRY_LEVELS,
     GroupMismatchError,
     close_symmetries,
     coordinate_projection,
@@ -130,6 +132,27 @@ def test_full_small_closure_sizes():
     # Aut(C3^2) = GL(2,3) has order 48
     perms = close_symmetries(symmetries(make_group([3, 3]), "full_small"))
     assert len(perms) == 48
+
+
+@pytest.mark.parametrize(
+    "moduli", [(3,), (7,), (2, 2), (3, 3), (3, 6), (4, 4), (2, 2, 2, 2), (3, 3, 3)]
+)
+def test_closure_matches_loop_oracle(moduli):
+    # the same sorted permutation list at every level
+    g = make_group(moduli)
+    for level in SYMMETRY_LEVELS:
+        actions = symmetries(g, level)
+        assert close_symmetries(actions) == loop_close_symmetries(actions, CLOSURE_CAP), level
+
+
+def test_closure_cap_is_exact():
+    actions = symmetries(make_group([3, 3, 3]), "coord_perms+scalar")
+    size = len(loop_close_symmetries(actions, CLOSURE_CAP))
+    assert len(close_symmetries(actions, cap=size)) == size
+    with pytest.raises(ValueError, match=f"exceeds the cap of {size - 1} permutations"):
+        close_symmetries(actions, cap=size - 1)
+    with pytest.raises(ValueError, match="exceeds the cap of 5 permutations"):
+        close_symmetries(actions, cap=5)
 
 
 def test_full_small_cap():

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from conftest import (
     brute_max_length,
     is_orbit_minimal,
+    layers_by_count,
+    loop_no_exact_exp_potential,
+    loop_pair_potential,
     multisets_of_length,
     naive_is_short_free,
     naive_is_zero_sum_free,
@@ -273,6 +276,7 @@ PINNED_SEARCHES = [
     ("g", (3, 3, 3), 2180, "3c9f7d9124bd661a"),
     ("s", (4, 4), 4725, "1fe61f10f7a70fee"),
     ("s", (2, 6), 6189, "7003abb1fe947d76"),
+    ("eta", (2,) * 7, 8, "cf2f5c4b4037911e"),
 ]
 
 
@@ -284,6 +288,7 @@ def test_search_tree_is_pinned(kind, moduli, nodes, cert_id):
 
 _C44 = make_group((4, 4))
 _BUDGET30 = SearchConfig(node_budget=30)
+_BUDGET20 = SearchConfig(node_budget=20)
 
 # Property, C0 and D0 certificates, pinned the same way.
 PINNED_CERTS = [
@@ -297,6 +302,13 @@ PINNED_CERTS = [
     ("D0 C3^2 c=2", lambda: check_property_D0(make_group((3, 3)), 2, CFG), 6, "8a3cb99a35c78f22"),
     ("D0 C3^3 c=9 w2", lambda: check_property_D0(
         make_group((3, 3, 3)), 9, SearchConfig(parallel_width=2)), 7601, "20465f1eb6a11b0c"),
+    # the node-budgeted searches of groups above order 64
+    ("eta C3^4 b20", lambda: max_extremal_length(make_group((3,) * 4), "eta", _BUDGET20)[1],
+     290, "e2b4ff9e7100396c"),
+    ("s C4^3 b20", lambda: max_extremal_length(make_group((4,) * 3), "s", _BUDGET20)[1],
+     724, "8c2e218cf7afa415"),
+    ("f C5^3 b20", lambda: max_extremal_length(make_group((5,) * 3), "f", _BUDGET20)[1],
+     181, "c76240fa91c74482"),
 ]
 
 
@@ -368,6 +380,51 @@ def test_potential_does_not_grow_with_start(data):
             state = pred.push(state, g)
     pots = [pred.potential(state, g) for g in range(ctx.order + 1)]
     assert pots == sorted(pots, reverse=True)
+
+
+# C4^3 and C3^4 make masks of 64 and 81 bits, wider than one machine word
+POTENTIAL_GROUPS = {**CANON_GROUPS, "C4^3": (4, 4, 4), "C3^4": (3, 3, 3, 3)}
+_POTENTIAL_CTX: dict = {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_potentials_match_loop_oracle(data):
+    # the potential at every start, against the per-element loops, on states
+    # the search can reach: pushes that are neither forbidden nor over bound
+    spec = data.draw(st.sampled_from(sorted(POTENTIAL_GROUPS)))
+    pred_name = data.draw(st.sampled_from(("short_free", "zero_sum_free", "no_exact_exp")))
+    squarefree = data.draw(st.booleans())
+    key = (spec, pred_name, squarefree)
+    if key not in _POTENTIAL_CTX:
+        group = make_group(POTENTIAL_GROUPS[spec])
+        _POTENTIAL_CTX[key] = search._Ctx(group, pred_name, squarefree, "none")
+    ctx = _POTENTIAL_CTX[key]
+    group, order, exp = ctx.group, ctx.order, ctx.exp
+    neg = [group.index_neg(x) for x in range(order)]
+    if pred_name == "no_exact_exp":
+        bound = [exp - 1] * order
+    else:
+        bound = [element_order(group.element_by_index(x)) - 1 for x in range(order)]
+    if squarefree:
+        bound = [min(b, 1) for b in bound]
+    pred = search._make_pred(ctx, pred_name)
+    state, terms = pred.initial(), []
+    for g in data.draw(st.lists(st.integers(0, order - 1), max_size=16)):
+        if terms.count(g) < bound[g] and not pred.forbid(state, g):
+            state = pred.push(state, g)
+            terms.append(g)
+    top = len(terms) if pred_name == "zero_sum_free" else max(1, exp - 1)
+    layers = [sum(1 << x for x in layer) for layer in layers_by_count(group, terms, top)]
+    for start in range(order + 1):
+        if pred_name == "no_exact_exp":
+            want = loop_no_exact_exp_potential(neg, bound, layers[-1], start)
+        else:
+            union = 0
+            for layer in layers[1:]:
+                union |= layer
+            want = loop_pair_potential(neg, bound, union, start)
+        assert pred.potential(state, start) == want, (terms, start)
 
 
 # which lengths of zero-sum each predicate forbids, given the group's exponent

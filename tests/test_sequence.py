@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import pairwise_sum_index
 from zerosum.group import make_group
 from zerosum.sequence import Sequence, read_sequence, write_sequence
 from zerosum.constructions import ternary_cap_rank3, ternary_cap_rank4, build_span_sequence
@@ -62,6 +63,18 @@ def test_squarefree_and_support():
     s = Sequence.from_terms(g, [e1, e1, e2])
     assert not s.is_squarefree()
     assert set(s.support()) == {e1, e2}
+
+
+@settings(max_examples=200)
+@given(
+    moduli=st.sampled_from([(2,), (7,), (3, 3), (2, 4), (3, 6), (4, 4, 4), (2, 2, 2, 2)]),
+    data=st.data(),
+)
+def test_sum_index_matches_pairwise_formula(moduli, data):
+    g = make_group(moduli)
+    mult = data.draw(st.dictionaries(st.integers(0, g.order - 1), st.integers(1, 40), max_size=8))
+    items = tuple(sorted(mult.items()))
+    assert Sequence(g, items)._sum_index == pairwise_sum_index(g, items)
 
 
 @settings(max_examples=60)
