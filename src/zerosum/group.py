@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -470,19 +471,20 @@ def symmetries(group: AbelianGroup, level: str) -> list[SymmetryAction]:
 def close_symmetries(
     actions: Iterable[SymmetryAction], *, cap: int = CLOSURE_CAP
 ) -> list[tuple[int, ...]]:
-    """Close a generator set into the full permutation group (identity included)."""
-    gens = [a.perm for a in actions]
-    if not gens:
+    """Close a generator set into the full permutation group (identity included),
+    composing on the right, q[x] = p[g[x]], with one itemgetter per generator."""
+    perms = [a.perm for a in actions]
+    if not perms:
         return []
-    n = len(gens[0])
-    identity = tuple(range(n))
+    gens = [operator.itemgetter(*p) for p in perms]
+    identity = tuple(range(len(perms[0])))
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for p in frontier:
             for g in gens:
-                q = tuple(g[x] for x in p)
+                q = g(p)
                 if q not in seen:
                     if len(seen) >= cap:
                         raise ValueError(

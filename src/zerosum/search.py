@@ -9,7 +9,8 @@ order, choosing each element's multiplicity at first visit.  Pruning rules:
   by exact count as bitmask layers, advanced by the same subsum.add_term step
   as subsum.ReachTable, so "appending g creates a forbidden zero-sum" is one
   bit test;
-* a remaining-potential bound folding {g, -g} conflicts;
+* a remaining-potential bound folding {g, -g} conflicts, a few popcounts
+  over masks built once per context;
 * orderly generation: a node is explored only when its multiset is
   lexicographically minimal over the closed symmetry group, which is sound
   because extensions only append indices >= the current maximum.  A
@@ -179,13 +180,15 @@ _KIND_TO_PRED = {
 
 class _Ctx:
     """Per-run tables: negation, the shift steps that add each element to a
-    bitmask of element indices, multiplicity bounds, symmetry perms, and the
-    digit units of the multiset code for multiplicities up to max(bound).
+    bitmask of element indices, multiplicity bounds, symmetry perms, the
+    digit units of the multiset code for multiplicities up to max(bound), and
+    the masks of the popcount potentials (see _PairPred) and of _negated.
 
     Immutable once built: one instance is shared by every root job of a run.
     """
 
-    __slots__ = ("group", "order", "exp", "neg", "steps", "bound", "perms", "unit")
+    __slots__ = ("group", "order", "exp", "neg", "steps", "bound", "perms", "unit",
+                 "ge", "nge", "weights", "less", "nbytes", "pad", "one")
 
     def __init__(
         self, group: AbelianGroup, pred_name: str, squarefree: bool, level: str
@@ -199,7 +202,7 @@ class _Ctx:
         self.exp = group.exponent
         coords = [group.coords_of(i) for i in range(order)]
         moduli = group.moduli
-        self.neg = tuple(group.index_of(-c for c in coords[i]) for i in range(order))
+        neg = self.neg = tuple(group.index_of(-c for c in coords[i]) for i in range(order))
         self.steps = tuple(shift_steps(moduli, g) for g in range(order))
         if pred_name == _PRED_NO_EXACT_EXP:
             bounds = [self.exp - 1] * order
@@ -211,6 +214,22 @@ class _Ctx:
         if squarefree:
             bounds = [min(b, 1) for b in bounds]
         self.bound = tuple(bounds)
+        # ge[s]: the indices >= s with a positive bound; nge[s]: their negations.
+        # bound[h] == bound[-h], so one mask per distinct bound weighs both.
+        ge, nge = [0] * (order + 1), [0] * (order + 1)
+        weights: dict[int, int] = {}
+        for h in range(order - 1, -1, -1):
+            ge[h], nge[h] = ge[h + 1], nge[h + 1]
+            if bounds[h] > 0:
+                ge[h] |= 1 << h
+                nge[h] |= 1 << neg[h]
+                weights[bounds[h]] = weights.get(bounds[h], 0) | 1 << h
+        self.ge, self.nge = tuple(ge), tuple(nge)
+        self.weights = tuple(sorted(weights.items()))
+        self.less = sum(1 << h for h in range(order) if neg[h] < h)
+        self.nbytes = (order + 7) // 8
+        self.pad = 8 * self.nbytes - order
+        self.one = shift_steps(moduli, group.index_of([1] * group.rank))
         actions = symmetries(group, level)
         closed = close_symmetries(actions)
         identity = tuple(range(order))
@@ -268,59 +287,81 @@ def _initial_layers(exp: int) -> tuple[int, ...]:
     return (1,) + (0,) * max(1, exp - 1)
 
 
-class _ShortFree:
-    """State: (layers 0..exp-1, the union of layers 1..exp-1)."""
+#: _BIT_REVERSED[b] is the byte b with its bit order reversed.
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
+
+def _negated(ctx: _Ctx, mask: int) -> int:
+    """The index set {-x : x in mask}.
+
+    Reversing the order bits maps index x to order-1-x, whose digits are
+    m_i-1-c_i; adding (1, ..., 1) then gives -c_i in every coordinate.
+    """
+    rev = mask.to_bytes(ctx.nbytes, "little").translate(_BIT_REVERSED)
+    return shift_bits(int.from_bytes(rev, "big") >> ctx.pad, ctx.one)
+
+
+class _Pred:
     __slots__ = ("ctx",)
 
     def __init__(self, ctx: _Ctx) -> None:
         self.ctx = ctx
 
-    def initial(self):
-        return _initial_layers(self.ctx.exp), 0
+
+class _PairPred(_Pred):
+    """State ends with (F, -F): F the sums g must not negate, -F its negation.
+
+    The potential weighs the h >= start with -h not in F; when -h >= start
+    counts too (h not in F), the pair {h, -h} counts once, at its smaller member.
+    """
+
+    __slots__ = ()
 
     def forbid(self, state, g: int) -> bool:
-        return g == 0 or state[1] >> self.ctx.neg[g] & 1
+        return g == 0 or state[-1] >> g & 1
+
+    def potential(self, state, start: int) -> int:
+        ctx = self.ctx
+        counted = ~state[-1] & ctx.ge[start] & ~(~state[-2] & ctx.nge[start] & ctx.less)
+        pot = 0
+        for b, mask in ctx.weights:
+            pot += b * (counted & mask).bit_count()
+        return pot
+
+
+class _ShortFree(_PairPred):
+    """State: (layers 0..exp-1, their union F over 1..exp-1, -F)."""
+
+    __slots__ = ()
+
+    def initial(self):
+        return _initial_layers(self.ctx.exp), 0, 0
 
     def push(self, state, g: int):
         layers = add_term(state[0], self.ctx.steps[g])
         union = 0
         for layer in layers[1:]:
             union |= layer
-        return layers, union
-
-    def potential(self, state, start: int) -> int:
-        return _pair_potential(self.ctx, state[1], start)
+        return layers, union, _negated(self.ctx, union)
 
 
-class _ZeroSumFree:
-    """State: the mask of all nonempty subsequence sums."""
+class _ZeroSumFree(_PairPred):
+    """State: (the mask F of all nonempty subsequence sums, -F)."""
 
-    __slots__ = ("ctx",)
-
-    def __init__(self, ctx: _Ctx) -> None:
-        self.ctx = ctx
+    __slots__ = ()
 
     def initial(self):
-        return 0
-
-    def forbid(self, state, g: int) -> bool:
-        return g == 0 or state >> self.ctx.neg[g] & 1
+        return 0, 0
 
     def push(self, state, g: int):
-        return state | shift_bits(state | 1, self.ctx.steps[g])
-
-    def potential(self, state, start: int) -> int:
-        return _pair_potential(self.ctx, state, start)
+        sums = state[0] | shift_bits(state[0] | 1, self.ctx.steps[g])
+        return sums, _negated(self.ctx, sums)
 
 
-class _NoExactExp:
+class _NoExactExp(_Pred):
     """State: layers 0..exp-1; forbids completing a length-exp zero-sum."""
 
-    __slots__ = ("ctx",)
-
-    def __init__(self, ctx: _Ctx) -> None:
-        self.ctx = ctx
+    __slots__ = ()
 
     def initial(self):
         return _initial_layers(self.ctx.exp)
@@ -332,42 +373,25 @@ class _NoExactExp:
         return add_term(state, self.ctx.steps[g])
 
     def potential(self, state, start: int) -> int:
+        """The bounds of the h >= start with -h not a sum of exp-1 terms,
+        counted over the negations -h: popcount does not see the negation,
+        and bound[h] == bound[-h]."""
         ctx = self.ctx
-        last = state[-1]
-        neg = ctx.neg
-        bound = ctx.bound
+        free = ~state[-1] & ctx.nge[start]
         pot = 0
-        for h in range(start, ctx.order):
-            if bound[h] > 0 and not last >> neg[h] & 1:
-                pot += bound[h]
+        for b, mask in ctx.weights:
+            pot += b * (free & mask).bit_count()
         return pot
 
 
-def _pair_potential(ctx: _Ctx, forbidden_union: int, start: int) -> int:
-    """Upper bound on addable length from indices >= start, folding {g, -g} pairs."""
-    neg = ctx.neg
-    bound = ctx.bound
-    pot = 0
-    for h in range(max(start, 1), ctx.order):
-        bh = bound[h]
-        nh = neg[h]
-        if bh <= 0 or forbidden_union >> nh & 1:
-            continue
-        partner = nh >= start and nh != h and bound[nh] > 0 and not forbidden_union >> h & 1
-        if partner and nh < h:
-            continue  # counted at the smaller pair member
-        pot += max(bh, bound[nh]) if partner else bh
-    return pot
+_PREDS = {_PRED_SHORT_FREE: _ShortFree, _PRED_ZERO_SUM_FREE: _ZeroSumFree,
+          _PRED_NO_EXACT_EXP: _NoExactExp}
 
 
 def _make_pred(ctx: _Ctx, pred_name: str):
-    if pred_name == _PRED_SHORT_FREE:
-        return _ShortFree(ctx)
-    if pred_name == _PRED_ZERO_SUM_FREE:
-        return _ZeroSumFree(ctx)
-    if pred_name == _PRED_NO_EXACT_EXP:
-        return _NoExactExp(ctx)
-    raise ValueError(f"unknown predicate {pred_name!r}")
+    if pred_name not in _PREDS:
+        raise ValueError(f"unknown predicate {pred_name!r}")
+    return _PREDS[pred_name](ctx)
 
 
 # -- goals ----------------------------------------------------------------------

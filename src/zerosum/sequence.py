@@ -31,10 +31,11 @@ class Sequence:
         self.group = group
         self.items = items
         self.length = sum(v for _, v in items)
-        sum_idx = 0
+        total = [0] * group.rank
         for idx, v in items:
-            sum_idx = group.index_add(sum_idx, group.index_scalar(v, idx))
-        self._sum_index = sum_idx
+            for i, c in enumerate(group.coords_of(idx)):
+                total[i] += v * c
+        self._sum_index = group.index_of(total)
 
     # -- construction -------------------------------------------------------
 

@@ -40,12 +40,14 @@ class ReachTable:
         self.cap = cap = min(cap, seq.length) if seq.length else 0
         self.terms = seq.term_indices()
         self.fresh: list[list[tuple[int, int]]] = [[] for _ in range(cap + 1)]
-        reach, prev = (1,) + (0,) * cap, None
+        # layers above pos are 0 before term pos; all cap + 1 are live at the end
+        reach, prev = (1,), None
         for pos, g in enumerate(self.terms):
             if g != prev:
                 steps, prev = shift_steps(self.group.moduli, g), g
-            old, reach = reach, add_term(reach, steps)
-            for c in range(1, cap + 1):
+            old = reach if pos >= cap else reach + (0,)
+            reach = add_term(old, steps)
+            for c in range(1, len(reach)):
                 new = reach[c] & ~old[c]
                 if new:
                     self.fresh[c].append((pos, new))
