@@ -384,14 +384,14 @@ class _NoExactExp(_Pred):
         return pot
 
 
-_PREDS = {_PRED_SHORT_FREE: _ShortFree, _PRED_ZERO_SUM_FREE: _ZeroSumFree,
-          _PRED_NO_EXACT_EXP: _NoExactExp}
-
-
 def _make_pred(ctx: _Ctx, pred_name: str):
-    if pred_name not in _PREDS:
-        raise ValueError(f"unknown predicate {pred_name!r}")
-    return _PREDS[pred_name](ctx)
+    if pred_name == _PRED_SHORT_FREE:
+        return _ShortFree(ctx)
+    if pred_name == _PRED_ZERO_SUM_FREE:
+        return _ZeroSumFree(ctx)
+    if pred_name == _PRED_NO_EXACT_EXP:
+        return _NoExactExp(ctx)
+    raise ValueError(f"unknown predicate {pred_name!r}")
 
 
 # -- goals ----------------------------------------------------------------------
