@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from zerosum.group import AbelianGroup, SymmetryAction, make_group
+from zerosum.group import AbelianGroup, SymmetryAction, make_group, shift_bits, shift_steps
 from zerosum.sequence import Sequence
 
 
@@ -101,6 +101,29 @@ def layers_by_count(group: AbelianGroup, terms, top: int) -> list[set[int]]:
         for c in range(top, 0, -1):
             layers[c] |= {group.index_add(x, t) for x in layers[c - 1]}
     return layers
+
+
+def tuple_add_term(layers: tuple[int, ...], steps) -> tuple[int, ...]:
+    """The tuple kernel subsum.add_term used to be: one shift_bits per layer,
+    layer c of the result being layer c or layer c-1 translated by the term."""
+    return (1, *(cur | shift_bits(prev, steps) for prev, cur in zip(layers, layers[1:])))
+
+
+def loop_reach_table(seq: Sequence, cap: int):
+    """(reach, fresh) the way subsum.ReachTable built them with tuple_add_term,
+    on the live layers only: cap is the table's own cap, min(cap, length)."""
+    fresh: list[list[tuple[int, int]]] = [[] for _ in range(cap + 1)]
+    reach, prev = (1,), None
+    for pos, g in enumerate(seq.term_indices()):
+        if g != prev:
+            steps, prev = shift_steps(seq.group.moduli, g), g
+        old = reach if pos >= cap else reach + (0,)
+        reach = tuple_add_term(old, steps)
+        for c in range(1, len(reach)):
+            new = reach[c] & ~old[c]
+            if new:
+                fresh[c].append((pos, new))
+    return reach, fresh
 
 
 def loop_pair_potential(neg, bound, forbidden_union: int, start: int) -> int:

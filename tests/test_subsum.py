@@ -2,14 +2,16 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    loop_reach_table,
     naive_bounded_sums,
     naive_has_zero_sum_in,
     naive_is_short_free,
     naive_is_zero_sum_free,
     naive_profile,
+    tuple_add_term,
 )
 from zerosum.constructions import (
     build_family,
@@ -17,10 +19,11 @@ from zerosum.constructions import (
     ternary_cap_rank3,
     ternary_cap_rank4,
 )
-from zerosum.group import make_group
+from zerosum.group import make_group, shift_steps
 from zerosum.sequence import Sequence, write_sequence
 from zerosum.subsum import (
     ReachTable,
+    add_term,
     bounded_sums,
     find_nonempty_zero_sum,
     find_short_zero_sum,
@@ -183,6 +186,46 @@ def test_dp_matches_oracle_property(moduli, idxs, r):
         0 in naive_profile(seq).get(n, set())
     )
     assert has_zero_sum_with_length_in(seq, 1, n) == naive_has_zero_sum_in(seq, 1, n)
+
+
+# the benchmark's search groups and the paper's rank-2 and elementary
+# examples: exponents 2 to 6, masks of 16 to 128 bits per layer
+KERNEL_GROUPS = [(3, 3, 3), (3, 6), (2, 6), (4, 4), (5, 5, 5), (2,) * 7]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_add_term_matches_tuple_oracle(data):
+    moduli = data.draw(st.sampled_from(KERNEL_GROUPS))
+    group = make_group(moduli)
+    count = data.draw(st.integers(2, group.exponent + 1))
+    # exact-count layers start from the empty sequence; cumulative ones (sums
+    # of at most c terms, the short-free search state) have 0 in every layer
+    if data.draw(st.booleans()):
+        want = (1,) * count
+    else:
+        want = (1,) + (0,) * (count - 1)
+    got = want
+    for g in data.draw(st.lists(st.integers(0, group.order - 1), max_size=12)):
+        want = tuple_add_term(want, shift_steps(moduli, g))
+        got = add_term(got, shift_steps(moduli, g))
+        assert got == want, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(KERNEL_GROUPS),
+    st.lists(st.integers(0, 127), max_size=14),
+    st.integers(1, 16),
+)
+@example((3, 3, 3), [1, 2, 3, 4, 5], 1)
+@example((3, 6), [5, 5, 5, 7, 7, 11, 2], 16)
+@example((2, 6), [], 3)
+def test_reach_table_matches_loop_oracle(moduli, idxs, cap):
+    group = make_group(moduli)
+    seq = Sequence.from_items(group, ((i % group.order, 1) for i in idxs))
+    table = ReachTable(seq, cap)
+    assert (table.reach, table.fresh) == loop_reach_table(seq, table.cap)
 
 
 def test_witnesses_match_pinned_digest():
