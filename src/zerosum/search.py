@@ -6,9 +6,11 @@ order, choosing each element's multiplicity at first visit.  Pruning rules:
 * per-element multiplicity bounds (v_g <= ord(g)-1 for short-free and
   zero-sum-free predicates, v_g <= exp(G)-1 for exact-length predicates);
 * incremental feasibility: a partial state stores the sums of subsequences
-  by exact count as bitmask layers, advanced by the same subsum.add_term step
-  as subsum.ReachTable, so "appending g creates a forbidden zero-sum" is one
-  bit test;
+  by count as bitmask layers packed in one int, advanced by the same
+  subsum.add_term step as subsum.ReachTable, so "appending g creates a
+  forbidden zero-sum" is one bit test.  The no_exact_exp layers count exactly
+  c terms; the short_free layers are cumulative (at most c terms), so the top
+  one is the whole set of sums of at most exp-1 terms;
 * a remaining-potential bound folding {g, -g} conflicts, a few popcounts
   over masks built once per context;
 * orderly generation: a node is explored only when its multiset is
@@ -52,6 +54,7 @@ from .group import (
 from .sequence import Sequence, read_sequence, write_sequence
 from .subsum import (
     add_term, find_nonempty_zero_sum, find_short_zero_sum, find_zero_sum_exact_length,
+    repeated_steps,
 )
 
 TOOL_VERSION = "0.1.0"
@@ -181,14 +184,18 @@ _KIND_TO_PRED = {
 class _Ctx:
     """Per-run tables: negation, the shift steps that add each element to a
     bitmask of element indices, multiplicity bounds, symmetry perms, the
-    digit units of the multiset code for multiplicities up to max(bound), and
-    the masks of the popcount potentials (see _PairPred) and of _negated.
+    digit units of the multiset code for multiplicities up to max(bound), the
+    masks of the popcount potentials (see _PairPred) and of _negated, and for
+    the layered states the steps repeated in every layer (lsteps), the offset
+    of the top layer, the mask of all layers and the int with bit 0 set in
+    every layer (see subsum.add_term).
 
     Immutable once built: one instance is shared by every root job of a run.
     """
 
     __slots__ = ("group", "order", "exp", "neg", "steps", "bound", "perms", "unit",
-                 "ge", "nge", "weights", "less", "nbytes", "pad", "one")
+                 "ge", "nge", "weights", "less", "nbytes", "pad", "one", "lsteps", "top",
+                 "full", "rep")
 
     def __init__(
         self, group: AbelianGroup, pred_name: str, squarefree: bool, level: str
@@ -204,6 +211,14 @@ class _Ctx:
         moduli = group.moduli
         neg = self.neg = tuple(group.index_of(-c for c in coords[i]) for i in range(order))
         self.steps = tuple(shift_steps(moduli, g) for g in range(order))
+        # count layers 0..max(1, exp-1); the zero-sum-free state has none
+        layers = max(2, self.exp)
+        self.top = (layers - 1) * order
+        self.full = (1 << layers * order) - 1
+        self.rep = self.full // ((1 << order) - 1)
+        self.lsteps = () if pred_name == _PRED_ZERO_SUM_FREE else tuple(
+            repeated_steps(steps, self.rep) for steps in self.steps
+        )
         if pred_name == _PRED_NO_EXACT_EXP:
             bounds = [self.exp - 1] * order
         else:
@@ -280,13 +295,6 @@ def _extend(enc: int, imgs, perms, unit, g: int, m: int) -> tuple[int, list[int]
     return enc, out
 
 
-def _initial_layers(exp: int) -> tuple[int, ...]:
-    """Layers 0..max(1, exp-1) of the empty sequence.  Search states are int
-    bitmasks with bit x for the element of index x; layer c holds the sums of
-    exactly c pushed terms, as in subsum.ReachTable."""
-    return (1,) + (0,) * max(1, exp - 1)
-
-
 #: _BIT_REVERSED[b] is the byte b with its bit order reversed.
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
@@ -330,19 +338,23 @@ class _PairPred(_Pred):
 
 
 class _ShortFree(_PairPred):
-    """State: (layers 0..exp-1, their union F over 1..exp-1, -F)."""
+    """State: (cumulative layers 0..exp-1, the top layer F, -F).
+
+    Layer c holds the sums of at most c terms, so F is every sum of at most
+    exp-1 terms, 0 included.  0 in F is harmless: bound[0] == 0 keeps it out
+    of ge and nge, and forbid rejects g == 0 on its own.
+    """
 
     __slots__ = ()
 
     def initial(self):
-        return _initial_layers(self.ctx.exp), 0, 0
+        return self.ctx.rep, 1, 1
 
     def push(self, state, g: int):
-        layers = add_term(state[0], self.ctx.steps[g])
-        union = 0
-        for layer in layers[1:]:
-            union |= layer
-        return layers, union, _negated(self.ctx, union)
+        ctx = self.ctx
+        layers = add_term(state[0], ctx.lsteps[g], ctx.order, ctx.full)
+        frame = layers >> ctx.top
+        return layers, frame, _negated(ctx, frame)
 
 
 class _ZeroSumFree(_PairPred):
@@ -354,30 +366,36 @@ class _ZeroSumFree(_PairPred):
         return 0, 0
 
     def push(self, state, g: int):
-        sums = state[0] | shift_bits(state[0] | 1, self.ctx.steps[g])
-        return sums, _negated(self.ctx, sums)
+        # F' = F | (F | {0}) + g, so -F' = -F | (-F | {0}) - g
+        sums, negs = state
+        steps = self.ctx.steps
+        return (sums | shift_bits(sums | 1, steps[g]),
+                negs | shift_bits(negs | 1, steps[self.ctx.neg[g]]))
 
 
 class _NoExactExp(_Pred):
-    """State: layers 0..exp-1; forbids completing a length-exp zero-sum."""
+    """State: exact-count layers 0..exp-1; forbids completing a length-exp
+    zero-sum, that is pushing g while -g is a sum of exactly exp-1 terms."""
 
     __slots__ = ()
 
     def initial(self):
-        return _initial_layers(self.ctx.exp)
+        return 1
 
     def forbid(self, state, g: int) -> bool:
-        return state[-1] >> self.ctx.neg[g] & 1
+        ctx = self.ctx
+        return state >> (ctx.top + ctx.neg[g]) & 1
 
     def push(self, state, g: int):
-        return add_term(state, self.ctx.steps[g])
+        ctx = self.ctx
+        return add_term(state, ctx.lsteps[g], ctx.order, ctx.full)
 
     def potential(self, state, start: int) -> int:
         """The bounds of the h >= start with -h not a sum of exp-1 terms,
         counted over the negations -h: popcount does not see the negation,
         and bound[h] == bound[-h]."""
         ctx = self.ctx
-        free = ~state[-1] & ctx.nge[start]
+        free = ~(state >> ctx.top) & ctx.nge[start]
         pot = 0
         for b, mask in ctx.weights:
             pot += b * (free & mask).bit_count()

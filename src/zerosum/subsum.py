@@ -1,12 +1,13 @@
 """Decision kernel: subsequence-sum reachability with bounded length.
 
-The dynamic program keeps, for each count c in [0, cap], one int bitmask whose
-bit x is set when some subsequence of exactly c terms sums to the element of
-index x; adding a term is one `add_term` step, which the search uses for its
-states too.  Terms are processed in deterministic order (sorted by element
-index, multiplicities expanded), and the bits each term adds first are
-recorded, so walking back through them rebuilds the same witness for the same
-input every time.
+The dynamic program keeps, for each count c in [0, cap], the bitmask of the
+sums of exactly c terms (bit x for the element of index x), all of them
+packed in one int with layer c at bits [c*order, (c+1)*order).  Adding a
+term is one `add_term` step, a single `shift_bits` over every layer, which
+the search uses for its states too.  Terms are processed in deterministic
+order (sorted by element index, multiplicities expanded), and the bits each
+term adds first are recorded, so walking back through them rebuilds the same
+witness for the same input every time.
 """
 
 from __future__ import annotations
@@ -15,13 +16,23 @@ from .group import AbelianGroup, shift_bits, shift_steps
 from .sequence import Sequence
 
 
-def add_term(layers: tuple[int, ...], steps) -> tuple[int, ...]:
-    """The layers after one more term, given that term's `shift_steps`.
+def repeated_steps(steps, rep: int):
+    """A term's `shift_steps` acting on every layer of a packed int: rep has
+    bit c*order set for each layer c, so each `low` mask repeats per layer."""
+    return tuple((low * rep, up, down) for low, up, down in steps)
 
-    layers[c] is the mask of sums of exactly c terms, so layers[0] == 1; a
-    sum of c terms either skips the new term or adds it to a sum of c-1.
+
+def add_term(packed: int, steps, order: int, full: int) -> int:
+    """The layers after one more term, given that term's `repeated_steps`.
+
+    A sum of c terms either skips the new term or adds it to a sum of c-1, so
+    layer c gains layer c-1 translated by the term.  A translation moves bits
+    only within one layer's block, so one `shift_bits` moves every layer and
+    a shift by order lifts each to the next; full masks off the layer above
+    the top one.  The step is the same for cumulative layers (sums of at most
+    c terms).
     """
-    return (1, *(cur | shift_bits(prev, steps) for prev, cur in zip(layers, layers[1:])))
+    return (packed | shift_bits(packed, steps) << order) & full
 
 
 class ReachTable:
@@ -40,18 +51,25 @@ class ReachTable:
         self.cap = cap = min(cap, seq.length) if seq.length else 0
         self.terms = seq.term_indices()
         self.fresh: list[list[tuple[int, int]]] = [[] for _ in range(cap + 1)]
-        # layers above pos are 0 before term pos; all cap + 1 are live at the end
-        reach, prev = (1,), None
+        fresh = self.fresh
+        order = self.group.order
+        layer = (1 << order) - 1
+        full = (1 << (cap + 1) * order) - 1
+        rep = full // layer  # bit c*order for c in [0, cap]
+        reach, prev = 1, None
         for pos, g in enumerate(self.terms):
             if g != prev:
-                steps, prev = shift_steps(self.group.moduli, g), g
-            old = reach if pos >= cap else reach + (0,)
-            reach = add_term(old, steps)
-            for c in range(1, len(reach)):
-                new = reach[c] & ~old[c]
-                if new:
-                    self.fresh[c].append((pos, new))
-        self.reach: tuple[int, ...] = reach
+                steps, prev = repeated_steps(shift_steps(self.group.moduli, g), rep), g
+            old, reach = reach, add_term(reach, steps, order, full)
+            # layer 0 never changes, and the layers above pos + 1 are still 0
+            new, c = (reach ^ old) >> order, 1
+            while new:
+                bits = new & layer
+                if bits:
+                    fresh[c].append((pos, bits))
+                new >>= order
+                c += 1
+        self.reach: tuple[int, ...] = tuple(reach >> c * order & layer for c in range(cap + 1))
 
     def witness(self, x_index: int, count: int) -> Sequence:
         """Reconstruct one subsequence of exactly `count` terms summing to x."""

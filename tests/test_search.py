@@ -387,11 +387,9 @@ POTENTIAL_GROUPS = {**CANON_GROUPS, "C4^3": (4, 4, 4), "C3^4": (3, 3, 3, 3)}
 _POTENTIAL_CTX: dict = {}
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_potentials_match_loop_oracle(data):
-    # the potential at every start, against the per-element loops, on states
-    # the search can reach: pushes that are neither forbidden nor over bound
+def _reachable_state(data):
+    """A state the search can reach (pushes neither forbidden nor over bound),
+    with its context, predicate name, pushed terms and the bounds used."""
     spec = data.draw(st.sampled_from(sorted(POTENTIAL_GROUPS)))
     pred_name = data.draw(st.sampled_from(("short_free", "zero_sum_free", "no_exact_exp")))
     squarefree = data.draw(st.booleans())
@@ -401,7 +399,6 @@ def test_potentials_match_loop_oracle(data):
         _POTENTIAL_CTX[key] = search._Ctx(group, pred_name, squarefree, "none")
     ctx = _POTENTIAL_CTX[key]
     group, order, exp = ctx.group, ctx.order, ctx.exp
-    neg = [group.index_neg(x) for x in range(order)]
     if pred_name == "no_exact_exp":
         bound = [exp - 1] * order
     else:
@@ -414,8 +411,22 @@ def test_potentials_match_loop_oracle(data):
         if terms.count(g) < bound[g] and not pred.forbid(state, g):
             state = pred.push(state, g)
             terms.append(g)
+    return ctx, pred_name, pred, state, terms, bound
+
+
+def _mask(indices) -> int:
+    return sum(1 << x for x in indices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_potentials_match_loop_oracle(data):
+    # the potential at every start, against the per-element loops
+    ctx, pred_name, pred, state, terms, bound = _reachable_state(data)
+    group, order, exp = ctx.group, ctx.order, ctx.exp
+    neg = [group.index_neg(x) for x in range(order)]
     top = len(terms) if pred_name == "zero_sum_free" else max(1, exp - 1)
-    layers = [sum(1 << x for x in layer) for layer in layers_by_count(group, terms, top)]
+    layers = [_mask(layer) for layer in layers_by_count(group, terms, top)]
     for start in range(order + 1):
         if pred_name == "no_exact_exp":
             want = loop_no_exact_exp_potential(neg, bound, layers[-1], start)
@@ -425,6 +436,27 @@ def test_potentials_match_loop_oracle(data):
                 union |= layer
             want = loop_pair_potential(neg, bound, union, start)
         assert pred.potential(state, start) == want, (terms, start)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_search_states_match_layer_oracle(data):
+    ctx, pred_name, pred, state, terms, bound = _reachable_state(data)
+    group, order = ctx.group, ctx.order
+    top = len(terms) if pred_name == "zero_sum_free" else max(1, ctx.exp - 1)
+    exact = layers_by_count(group, terms, top)
+    if pred_name == "no_exact_exp":
+        assert state == sum(_mask(layer) << c * order for c, layer in enumerate(exact)), terms
+        return
+    frame = _mask(set().union(*exact[1:]))
+    if pred_name == "short_free":
+        # the layers are cumulative: layer c holds the sums of at most c terms,
+        # the empty sum 0 among them, so 0 is in the frame from the start
+        frame |= 1
+        cumulative = [set().union(*exact[:c + 1]) for c in range(top + 1)]
+        assert state[0] == sum(_mask(layer) << c * order for c, layer in enumerate(cumulative))
+    assert state[-2] == frame, terms
+    assert state[-1] == _mask(group.index_neg(x) for x in range(order) if frame >> x & 1), terms
 
 
 # which lengths of zero-sum each predicate forbids, given the group's exponent

@@ -29,6 +29,7 @@ from zerosum.subsum import (
     find_short_zero_sum,
     find_zero_sum_exact_length,
     has_zero_sum_with_length_in,
+    repeated_steps,
 )
 
 
@@ -205,11 +206,17 @@ def test_add_term_matches_tuple_oracle(data):
         want = (1,) * count
     else:
         want = (1,) + (0,) * (count - 1)
-    got = want
-    for g in data.draw(st.lists(st.integers(0, group.order - 1), max_size=12)):
-        want = tuple_add_term(want, shift_steps(moduli, g))
-        got = add_term(got, shift_steps(moduli, g))
-        assert got == want, g
+    order = group.order
+    layer = (1 << order) - 1
+    full = (1 << count * order) - 1
+    got = sum(mask << c * order for c, mask in enumerate(want))
+    for g in data.draw(st.lists(st.integers(0, order - 1), max_size=12)):
+        steps = shift_steps(moduli, g)
+        want = tuple_add_term(want, steps)
+        got = add_term(got, repeated_steps(steps, full // layer), order, full)
+        # nothing of the top layer's translate may survive above it
+        assert got >> count * order == 0, g
+        assert tuple(got >> c * order & layer for c in range(count)) == want, g
 
 
 @settings(max_examples=150, deadline=None)
