@@ -218,12 +218,22 @@ class FactStore:
 
     @classmethod
     def load(cls, path) -> FactStore:
+        """Read what save wrote.  A line whose stored id is missing or is not
+        its fact's id raises ValueError naming the line: an edited line (a
+        derived claim marked cited, say) must not load as a new fact."""
         store = cls()
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if line:
-                    store.add(Fact.from_payload(json.loads(line)))
+                    data = json.loads(line)
+                    fact = Fact.from_payload(data)
+                    if data.get("id") != fact.fact_id:
+                        raise ValueError(
+                            f"{path}, line {number}: stored id {data.get('id')!r}"
+                            f" is not the fact's id {fact.fact_id}"
+                        )
+                    store.add(fact)
         return store
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -287,6 +288,38 @@ def test_store_persistence_round_trip(tmp_path):
     # ids are content hashes, so equality of id sets implies equality of facts
     for fid, fact in loaded.facts.items():
         assert fact.fact_id == fid
+
+
+def _edited_fact_lines(tmp_path, edit):
+    """facts.jsonl of an inferred store with one rule-derived C0 determination
+    edited; returns the path and the 1-based number of the edited line."""
+    store = fresh_store()
+    infer(store)
+    path = tmp_path / "facts.jsonl"
+    store.save(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    number, data = next(
+        (i, d) for i, d in enumerate(map(json.loads, lines), 1)
+        if d["kind"] == KIND_EQUALS and d["provenance"]["source"] == "rule"
+    )
+    edit(data)
+    lines[number - 1] = json.dumps(data, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path, number
+
+
+def _upgrade_to_cited(data):
+    data["provenance"].update(source="cited", premises=[])
+
+
+@pytest.mark.parametrize(
+    "edit", [_upgrade_to_cited, lambda data: data.pop("id")], ids=["upgraded", "no-id"]
+)
+def test_load_rejects_a_line_whose_id_is_not_its_fact(tmp_path, edit):
+    # a derived claim edited to "cited" would otherwise load under a new id
+    path, number = _edited_fact_lines(tmp_path, edit)
+    with pytest.raises(ValueError, match=f"line {number}:"):
+        FactStore.load(path)
 
 
 def test_default_subjects_consistent():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from zerosum import catalog
 from zerosum.cli import cache_dir, main
 from zerosum.constructions import build_family
 from zerosum.group import parse_group_spec
@@ -245,6 +246,22 @@ def test_facts_pick_up_search_results(capsys):
     assert main(["facts", "--provenance", "search"]) == 0
     out = capsys.readouterr().out
     assert "search:" in out
+
+
+def test_facts_report_an_edited_fact_store(capsys):
+    # a rule-derived C0 determination edited to "cited": its stored id no
+    # longer matches, so reading facts.jsonl fails instead of upgrading it
+    store = catalog.FactStore()
+    store.add_all(catalog.builtin_facts())
+    catalog.infer(store)
+    fact = next(f for f in store if f.kind == catalog.KIND_EQUALS)
+    data = {"id": fact.fact_id, **fact.payload()}
+    data["provenance"].update(source="cited", premises=[])
+    cache_dir().mkdir(parents=True)
+    (cache_dir() / "facts.jsonl").write_text(json.dumps(data, sort_keys=True) + "\n")
+    assert main(["facts"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 1:" in err
 
 
 def test_repro_fast_tables(capsys):
