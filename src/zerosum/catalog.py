@@ -218,22 +218,27 @@ class FactStore:
 
     @classmethod
     def load(cls, path) -> FactStore:
-        """Read what save wrote.  A line whose stored id is missing or is not
-        its fact's id raises ValueError naming the line: an edited line (a
-        derived claim marked cited, say) must not load as a new fact."""
+        """Read what save wrote.  A malformed line, or one whose stored id is
+        missing or is not its fact's id, raises ValueError naming the line: an
+        edited line (a derived claim marked cited, say) must not load as a
+        new fact."""
         store = cls()
         with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     data = json.loads(line)
-                    fact = Fact.from_payload(data)
-                    if data.get("id") != fact.fact_id:
-                        raise ValueError(
-                            f"{path}, line {number}: stored id {data.get('id')!r}"
-                            f" is not the fact's id {fact.fact_id}"
-                        )
-                    store.add(fact)
+                    fact, stored = Fact.from_payload(data), data.get("id")
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise ValueError(f"{path}, line {number}: malformed fact ({exc!r})") from None
+                if stored != fact.fact_id:
+                    raise ValueError(
+                        f"{path}, line {number}: stored id {stored!r} is not the fact's id"
+                        f" {fact.fact_id}"
+                    )
+                store.add(fact)
         return store
 
 

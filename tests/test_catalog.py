@@ -322,6 +322,14 @@ def test_load_rejects_a_line_whose_id_is_not_its_fact(tmp_path, edit):
         FactStore.load(path)
 
 
+@pytest.mark.parametrize("line", ["[1]", '{"id": "x"}', "not json"])
+def test_load_rejects_a_malformed_line(tmp_path, line):
+    path = tmp_path / "facts.jsonl"
+    path.write_text("\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: malformed fact"):
+        FactStore.load(path)
+
+
 def test_default_subjects_consistent():
     store = fresh_store()
     infer(store)

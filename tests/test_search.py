@@ -451,7 +451,9 @@ def test_search_states_match_layer_oracle(data):
     frame = _mask(set().union(*exact[1:]))
     if pred_name == "short_free":
         # the layers are cumulative: layer c holds the sums of at most c terms,
-        # the empty sum 0 among them, so 0 is in the frame from the start
+        # the empty sum 0 among them, so 0 is in the frame from the start;
+        # harmless, as bound[0] == 0 keeps index 0 out of every potential
+        # mask and forbid rejects g == 0 on its own
         frame |= 1
         cumulative = [set().union(*exact[:c + 1]) for c in range(top + 1)]
         assert state[0] == sum(_mask(layer) << c * order for c, layer in enumerate(cumulative))
