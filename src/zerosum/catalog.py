@@ -231,7 +231,7 @@ class FactStore:
                 try:
                     data = json.loads(line)
                     fact, stored = Fact.from_payload(data), data.get("id")
-                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                except (ValueError, KeyError, TypeError) as exc:
                     raise ValueError(f"{path}, line {number}: malformed fact ({exc!r})") from None
                 if stored != fact.fact_id:
                     raise ValueError(
