@@ -326,6 +326,27 @@ def test_d0_and_enumeration_trees_are_pinned(c33):
     assert (rep.nodes, rep.count, rep.status) == (2720, 0, STATUS_PROVED)
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_refuted_d0_certificate_is_pinned(c33, width):
+    # a counterexample found deep in the tree: every root branch still runs to
+    # its end, so the node count and the least counterexample hold at any width
+    cert = check_property_D0(c33, 8, SearchConfig(parallel_width=width))
+    assert (cert.status, cert.nodes, cert.cert_id()) == (STATUS_REFUTED, 449, "fb7c02635af45164")
+    assert cert.witness.items == (
+        (0, 1), (1, 2), (3, 2), (4, 2), (9, 2), (10, 2), (14, 2), (17, 2), (23, 2)
+    )
+
+
+def test_c0_search_witness_is_pinned():
+    # no construction settles t=9 on C2^4, so the sweep's running sum finds it
+    group = make_group((2, 2, 2, 2))
+    cert = compute_c0_at(group, list(range(6, 16)), CFG)[1][9]
+    assert (cert.status, cert.nodes, cert.cert_id()) == (STATUS_REFUTED, 558, "87590f0691f9f7e3")
+    assert cert.witness.items == (
+        (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (8, 1), (10, 1), (12, 1), (15, 1)
+    )
+
+
 CANON_GROUPS = {"C3^3": (3, 3, 3), "C3+C6": (3, 6), "C4^2": (4, 4), "C2^4": (2, 2, 2, 2)}
 CANON_LEVELS = ("none", "coord_perms+scalar", "full_small")
 _CANON_CTX: dict = {}
