@@ -10,7 +10,9 @@ order, choosing each element's multiplicity at first visit.  Pruning rules:
   subsum.add_term step as subsum.ReachTable, so "appending g creates a
   forbidden zero-sum" is one bit test.  The no_exact_exp layers count exactly
   c terms; the short_free layers are cumulative (at most c terms), so the top
-  one is the whole set of sums of at most exp-1 terms;
+  one is the whole set of sums of at most exp-1 terms, and the short_free
+  state carries the layers of the negated terms beside them, whose top layer
+  is the negated frame that the bit test and the potential read;
 * a remaining-potential bound folding {g, -g} conflicts, a few popcounts
   over masks built once per context;
 * orderly generation: a node is explored only when its multiset is
@@ -33,8 +35,11 @@ counts, outcomes and witnesses are byte-identical at any width.  Budgets
 bound each top-level subtree.  Property C is an enumeration under the
 short_free predicate and Property D one under no_exact_exp; D0 pushes n-1
 copies of each g_i onto the same no_exact_exp state, and a forbidden push
-is a zero-sum of length exactly n.  Every witness is re-checked by
-witness_valid before it is returned.
+is a zero-sum of length exactly n.  D0 tests those pushes before the
+canonicity test: both only filter the children, and most pushes fail at the
+first copy.  The DFS carries the running sum of the sequence only for goals
+that read it (the C0 sweep and the sum_zero enumeration check).  Every
+witness is re-checked by witness_valid before it is returned.
 """
 
 from __future__ import annotations
@@ -185,17 +190,16 @@ class _Ctx:
     """Per-run tables: negation, the shift steps that add each element to a
     bitmask of element indices, multiplicity bounds, symmetry perms, the
     digit units of the multiset code for multiplicities up to max(bound), the
-    masks of the popcount potentials (see _PairPred) and of _negated, and for
-    the layered states the steps repeated in every layer (lsteps), the offset
-    of the top layer, the mask of all layers and the int with bit 0 set in
-    every layer (see subsum.add_term).
+    masks of the popcount potentials (see _PairPred), and for the layered
+    states the steps repeated in every layer (lsteps), the offset of the top
+    layer, the mask of all layers and the int with bit 0 set in every layer
+    (see subsum.add_term).
 
     Immutable once built: one instance is shared by every root job of a run.
     """
 
     __slots__ = ("group", "order", "exp", "neg", "steps", "bound", "perms", "unit",
-                 "ge", "nge", "weights", "less", "nbytes", "pad", "one", "lsteps", "top",
-                 "full", "rep")
+                 "ge", "nge", "weights", "less", "lsteps", "top", "full", "rep")
 
     def __init__(
         self, group: AbelianGroup, pred_name: str, squarefree: bool, level: str
@@ -242,9 +246,6 @@ class _Ctx:
         self.ge, self.nge = tuple(ge), tuple(nge)
         self.weights = tuple(sorted(weights.items()))
         self.less = sum(1 << h for h in range(order) if neg[h] < h)
-        self.nbytes = (order + 7) // 8
-        self.pad = 8 * self.nbytes - order
-        self.one = shift_steps(moduli, group.index_of([1] * group.rank))
         actions = symmetries(group, level)
         closed = close_symmetries(actions)
         identity = tuple(range(order))
@@ -295,20 +296,6 @@ def _extend(enc: int, imgs, perms, unit, g: int, m: int) -> tuple[int, list[int]
     return enc, out
 
 
-#: _BIT_REVERSED[b] is the byte b with its bit order reversed.
-_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _negated(ctx: _Ctx, mask: int) -> int:
-    """The index set {-x : x in mask}.
-
-    Reversing the order bits maps index x to order-1-x, whose digits are
-    m_i-1-c_i; adding (1, ..., 1) then gives -c_i in every coordinate.
-    """
-    rev = mask.to_bytes(ctx.nbytes, "little").translate(_BIT_REVERSED)
-    return shift_bits(int.from_bytes(rev, "big") >> ctx.pad, ctx.one)
-
-
 class _Pred:
     __slots__ = ("ctx",)
 
@@ -338,23 +325,26 @@ class _PairPred(_Pred):
 
 
 class _ShortFree(_PairPred):
-    """State: (cumulative layers 0..exp-1, the top layer F, -F).
+    """State: (cumulative layers 0..exp-1 of seq, the same of -seq, the top
+    layer F, -F).
 
     Layer c holds the sums of at most c terms, so F is every sum of at most
-    exp-1 terms, 0 included.  0 in F is harmless: bound[0] == 0 keeps it out
-    of ge and nge, and forbid rejects g == 0 on its own.
+    exp-1 terms, 0 included, and -F is the top layer of -seq.  0 in F is
+    harmless: bound[0] == 0 keeps it out of ge and nge, and forbid rejects
+    g == 0 on its own.
     """
 
     __slots__ = ()
 
     def initial(self):
-        return self.ctx.rep, 1, 1
+        rep = self.ctx.rep
+        return rep, rep, 1, 1
 
     def push(self, state, g: int):
         ctx = self.ctx
         layers = add_term(state[0], ctx.lsteps[g], ctx.order, ctx.full)
-        frame = layers >> ctx.top
-        return layers, frame, _negated(ctx, frame)
+        negs = add_term(state[1], ctx.lsteps[ctx.neg[g]], ctx.order, ctx.full)
+        return layers, negs, layers >> ctx.top, negs >> ctx.top
 
 
 class _ZeroSumFree(_PairPred):
@@ -419,6 +409,7 @@ class _MaxGoal:
     """Track the longest sequence seen; needs() asks for strictly longer ones."""
 
     __slots__ = ("best", "witness")
+    reads_sum = False
 
     def __init__(self, lb: int, witness: tuple[int, ...] | None) -> None:
         self.best = lb
@@ -440,6 +431,7 @@ class _LengthsGoal:
     """Find a zero-sum sequence at each target length (the C0 sweep)."""
 
     __slots__ = ("und", "witnesses")
+    reads_sum = True
 
     def __init__(self, lengths) -> None:
         self.und = set(lengths)
@@ -463,11 +455,13 @@ class _LengthsGoal:
 class _EnumGoal:
     """Visit every sequence of one exact length; optionally test named checks."""
 
-    __slots__ = ("length", "checks", "per_element", "count", "violations", "collect", "items")
+    __slots__ = ("length", "checks", "per_element", "count", "violations", "collect", "items",
+                 "reads_sum")
 
     def __init__(self, length: int, checks: tuple[str, ...], per_element: int, collect: bool) -> None:
         self.length = length
         self.checks = checks
+        self.reads_sum = "sum_zero" in checks
         self.per_element = per_element  # expected multiplicity for power_form
         self.count = 0
         self.violations: dict[str, list[tuple[int, ...]]] = {c: [] for c in checks}
@@ -562,8 +556,8 @@ def _dfs(
     enc: int, imgs: list[int],
 ) -> None:
     """Visit seq, then its canonical feasible children; sigma is the one-bit
-    mask of the sum of seq, enc the code of seq and imgs[i] the code of its
-    image under ctx.perms[i]."""
+    mask of the sum of seq, or 0 when the goal does not read the sum, enc the
+    code of seq and imgs[i] the code of its image under ctx.perms[i]."""
     if stats.should_stop():
         return
     stats.nodes += 1
@@ -601,8 +595,9 @@ def _dfs(
             if child is None:
                 continue
             sg = sigma
-            for _ in range(m):
-                sg = shift_bits(sg, steps[g])
+            if sg:
+                for _ in range(m):
+                    sg = shift_bits(sg, steps[g])
             _dfs(ctx, pred, goal, seq + [g] * m, st_m, sg, g, stats, *child)
             if stats.stopped:
                 return
@@ -638,11 +633,12 @@ def _d0_dfs(
         found.append(tuple(gs))
         return
     for g in range(gs[-1], ctx.order):
-        child = _extend(enc, imgs, ctx.perms, unit, g, 1)
-        if child is None:
-            continue
+        # both are filters on g; the pushes are cheaper and most stop early
         nxt = _push_copies(pred, state, g, ctx.exp - 1)
         if nxt is None:
+            continue
+        child = _extend(enc, imgs, ctx.perms, unit, g, 1)
+        if child is None:
             continue
         _d0_dfs(ctx, pred, c, gs + [g], nxt, stats, found, unit, *child)
         if found or stats.stopped:
@@ -675,7 +671,8 @@ def _branch_worker(payload: dict) -> dict:
         out = {"counterexample": found[0] if found else None}
     else:
         goal = _goal_from_spec(goal_spec)
-        _dfs(ctx, pred, goal, [g] * m, state, 1 << group.index_scalar(m, g), g, stats, *root)
+        sigma = 1 << group.index_scalar(m, g) if goal.reads_sum else 0
+        _dfs(ctx, pred, goal, [g] * m, state, sigma, g, stats, *root)
         out = goal.to_payload()
     out["nodes"] = stats.nodes
     out["exhausted"] = stats.exhausted
@@ -691,8 +688,8 @@ def _root_jobs(ctx: _Ctx, pred, goal: dict) -> list:
         start = _push_copies(pred, pred.initial(), 0, 1)
         return [
             g for g in range(ctx.order)
-            if _extend(0, empty, ctx.perms, unit, g, 1) is not None
-            and _push_copies(pred, start, g, ctx.exp - 1) is not None
+            if _push_copies(pred, start, g, ctx.exp - 1) is not None
+            and _extend(0, empty, ctx.perms, unit, g, 1) is not None
         ]
     hi = _goal_from_spec(goal).needs()[1]
     jobs = []

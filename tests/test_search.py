@@ -476,8 +476,13 @@ def test_search_states_match_layer_oracle(data):
         # harmless, as bound[0] == 0 keeps index 0 out of every potential
         # mask and forbid rejects g == 0 on its own
         frame |= 1
-        cumulative = [set().union(*exact[:c + 1]) for c in range(top + 1)]
-        assert state[0] == sum(_mask(layer) << c * order for c, layer in enumerate(cumulative))
+        def packed_cumulative(terms):
+            exact = layers_by_count(group, terms, top)
+            cumulative = [set().union(*exact[:c + 1]) for c in range(top + 1)]
+            return sum(_mask(layer) << c * order for c, layer in enumerate(cumulative))
+
+        assert state[0] == packed_cumulative(terms), terms
+        assert state[1] == packed_cumulative([group.index_neg(x) for x in terms]), terms
     assert state[-2] == frame, terms
     assert state[-1] == _mask(group.index_neg(x) for x in range(order) if frame >> x & 1), terms
 
