@@ -14,6 +14,8 @@ import functools
 import hashlib
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -75,17 +77,38 @@ class Fact:
 
     @classmethod
     def from_payload(cls, data: dict) -> Fact:
+        """The fact whose payload() this is; ValueError on a field of another
+        type, so that a hand-edited line cannot build an unhashable fact."""
         prov = data["provenance"]
         return cls(
-            subject=tuple(data["subject"]),
-            kind=data["kind"],
-            detail=tuple(
-                tuple(d) if isinstance(d, list) else d for d in data["detail"]
-            ),
+            subject=_typed_tuple(data["subject"], int, "subject"),
+            kind=_typed(data["kind"], str, "kind"),
+            detail=_detail(_typed(data["detail"], list, "detail")),
             provenance=Provenance(
-                prov["source"], prov["reference"], tuple(prov.get("premises", ()))
+                _typed(prov["source"], str, "source"),
+                _typed(prov["reference"], str, "reference"),
+                _typed_tuple(prov.get("premises", []), str, "premises"),
             ),
         )
+
+
+def _typed(value, kind: type, field: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"{field} {value!r} is of the wrong type {type(value).__name__}")
+    return value
+
+
+def _typed_tuple(value, kind: type, field: str) -> tuple:
+    return tuple(_typed(x, kind, field) for x in _typed(value, list, field))
+
+
+def _detail(value: list) -> tuple:
+    """A detail list as a tuple of str, int or bool items and, recursively,
+    tuples of them; ValueError on any other item (a JSON object, say)."""
+    return tuple(
+        _detail(x) if isinstance(x, list) else _typed(x, (str, int), "detail item")
+        for x in value
+    )
 
 
 def _exp_of(moduli: tuple[int, ...]) -> int:
@@ -213,8 +236,7 @@ class FactStore:
         for fid in sorted(self.facts):
             f = self.facts[fid]
             lines.append(json.dumps({"id": fid, **f.payload()}, sort_keys=True))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+        write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
     @classmethod
     def load(cls, path) -> FactStore:
@@ -240,6 +262,21 @@ class FactStore:
                     )
                 store.add(fact)
         return store
+
+
+def write_atomic(path, text: str) -> None:
+    """Write text to path by way of a temp file in the same directory and
+    os.replace: a reader sees the old file or the new one, never part of one,
+    and a failed write leaves the old file and no temp file."""
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # -- closed-form evaluators --------------------------------------------------

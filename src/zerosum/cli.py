@@ -79,7 +79,7 @@ def _cache_read(key: str, kind: str, group_spec: str) -> Certificate | None:
 def _cache_write(key: str, cert: Certificate) -> None:
     d = cache_dir()
     d.mkdir(parents=True, exist_ok=True)
-    (d / f"{key}.json").write_text(cert.to_json(), encoding="utf-8")
+    catalog.write_atomic(d / f"{key}.json", cert.to_json())
     _record_fact(cert)
 
 

@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -328,6 +330,87 @@ def test_load_rejects_a_malformed_line(tmp_path, line):
     path.write_text("\n" + line + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2: malformed fact"):
         FactStore.load(path)
+
+
+def _fact_line(payload) -> str:
+    """A facts.jsonl line holding payload under its correctly computed id."""
+    fid = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+    return json.dumps({"id": fid, **payload}, sort_keys=True)
+
+
+def _cited_payload(**changes) -> dict:
+    payload = {
+        "subject": [3, 3], "kind": KIND_INVARIANT, "detail": ["D", 5],
+        "provenance": {"source": "cited", "reference": "Olson", "premises": []},
+    }
+    payload.update(changes)
+    return payload
+
+
+def test_load_accepts_a_line_written_by_hand(tmp_path):
+    path = tmp_path / "facts.jsonl"
+    path.write_text(_fact_line(_cited_payload(detail=["D", [5, [True, "x"]]])) + "\n")
+    [fact] = FactStore.load(path)
+    assert fact.detail == ("D", (5, (True, "x")))
+
+
+@pytest.mark.parametrize("changes", [
+    {"detail": ["D", {"value": 5}]},
+    {"detail": ["D", [5, {"value": 5}]]},
+    {"detail": ["D", 5.0]},
+    {"detail": "D5"},
+    {"kind": 7},
+    {"subject": ["3", 3]},
+    {"provenance": {"source": "cited", "reference": ["Olson"], "premises": []}},
+    {"provenance": {"source": "rule", "reference": "R1", "premises": "abc"}},
+], ids=["object", "nested-object", "float", "str-detail", "kind", "subject", "reference",
+        "premises"])
+def test_load_rejects_a_field_of_the_wrong_type(tmp_path, changes):
+    # the stored id is right, so only the type check can stop the line
+    path = tmp_path / "facts.jsonl"
+    path.write_text(_fact_line(_cited_payload(**changes)) + "\n")
+    with pytest.raises(ValueError, match="line 1: malformed fact"):
+        FactStore.load(path)
+
+
+class _DiskFull:
+    """Stands in for an open file: keeps half of what it is given, then raises."""
+
+    def __init__(self, fh) -> None:
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
+    def write(self, text: str) -> None:
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fail_replace(src, dst):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fail", ["write", "replace"])
+def test_save_that_fails_partway_keeps_the_old_file(tmp_path, monkeypatch, fail):
+    path = tmp_path / "facts.jsonl"
+    fresh_store().save(path)
+    before = path.read_bytes()
+    store = fresh_store()
+    infer(store)
+    if fail == "write":
+        real_fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda *args, **kw: _DiskFull(real_fdopen(*args, **kw)))
+    else:
+        monkeypatch.setattr(os, "replace", _fail_replace)
+    with pytest.raises(OSError):
+        store.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["facts.jsonl"]
 
 
 def test_default_subjects_consistent():

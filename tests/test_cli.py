@@ -1,3 +1,5 @@
+import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from zerosum import catalog
+from zerosum import catalog, cli
 from zerosum.cli import cache_dir, main
 from zerosum.constructions import build_family
 from zerosum.group import parse_group_spec
@@ -47,6 +49,22 @@ def test_cache_entry_with_a_bad_witness_is_recomputed(capsys):
     out = capsys.readouterr().out
     assert "eta(C3^2) = 7" in out and "(cached)" not in out
     assert path.read_text() == good
+
+
+def test_cache_write_that_fails_keeps_the_old_entry(monkeypatch):
+    assert main(["invariant", "C3^2", "eta"]) == 0
+    [path] = cache_dir().glob("*.json")
+    before = {p.name: p.read_bytes() for p in cache_dir().iterdir()}
+    cert = Certificate.from_json(path.read_text())
+    cert.nodes += 1  # another entry under the same key
+
+    def fail_replace(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", fail_replace)
+    with pytest.raises(OSError):
+        cli._cache_write(path.stem, cert)
+    assert {p.name: p.read_bytes() for p in cache_dir().iterdir()} == before
 
 
 def test_c0_single_t_exit_codes(capsys, tmp_path):
@@ -262,6 +280,21 @@ def test_facts_report_an_edited_fact_store(capsys):
     assert main(["facts"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "line 1:" in err
+
+
+def test_facts_report_a_fact_store_line_with_an_object(capsys):
+    # the id is computed for the edited payload, so only the type check fails
+    payload = {
+        "subject": [3, 3], "kind": catalog.KIND_INVARIANT, "detail": ["D", {"value": 5}],
+        "provenance": {"source": "cited", "reference": "Olson", "premises": []},
+    }
+    text = json.dumps(payload, sort_keys=True)
+    fid = hashlib.sha256(text.encode()).hexdigest()[:16]
+    cache_dir().mkdir(parents=True)
+    (cache_dir() / "facts.jsonl").write_text(json.dumps({"id": fid, **payload}) + "\n")
+    assert main(["facts"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 1: malformed fact" in err
 
 
 def test_repro_fast_tables(capsys):
