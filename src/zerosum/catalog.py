@@ -92,19 +92,18 @@ class Fact:
         )
 
 
-def _typed(value, kind: type, field: str):
-    if not isinstance(value, kind):
-        raise ValueError(f"{field} {value!r} is of the wrong type {type(value).__name__}")
+def _typed(value, kind, field: str):
+    _require(isinstance(value, kind), f"{field} {value!r} is of the wrong type")
     return value
 
 
-def _typed_tuple(value, kind: type, field: str) -> tuple:
+def _typed_tuple(value, kind, field: str) -> tuple:
     return tuple(_typed(x, kind, field) for x in _typed(value, list, field))
 
 
 def _detail(value: list) -> tuple:
-    """A detail list as a tuple of str, int or bool items and, recursively,
-    tuples of them; ValueError on any other item (a JSON object, say)."""
+    """Lists as tuples, all the way down; ValueError on an item that is not
+    a str, an int or a bool (a JSON object, say)."""
     return tuple(
         _detail(x) if isinstance(x, list) else _typed(x, (str, int), "detail item")
         for x in value
@@ -232,11 +231,10 @@ class FactStore:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path) -> None:
-        lines = []
-        for fid in sorted(self.facts):
-            f = self.facts[fid]
-            lines.append(json.dumps({"id": fid, **f.payload()}, sort_keys=True))
-        write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+        write_atomic(path, "".join(
+            json.dumps({"id": fid, **self.facts[fid].payload()}, sort_keys=True) + "\n"
+            for fid in sorted(self.facts)
+        ))
 
     @classmethod
     def load(cls, path) -> FactStore:
@@ -265,11 +263,10 @@ class FactStore:
 
 
 def write_atomic(path, text: str) -> None:
-    """Write text to path by way of a temp file in the same directory and
-    os.replace: a reader sees the old file or the new one, never part of one,
-    and a failed write leaves the old file and no temp file."""
-    directory, name = os.path.split(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    """Write text to a temp file beside path, then os.replace it over path: a
+    reader sees the old file or the new one, and a failed write leaves the
+    old file and no temp file."""
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -10,9 +10,8 @@ order, choosing each element's multiplicity at first visit.  Pruning rules:
   subsum.add_term step as subsum.ReachTable, so "appending g creates a
   forbidden zero-sum" is one bit test.  The no_exact_exp layers count exactly
   c terms; the short_free layers are cumulative (at most c terms), so the top
-  one is the whole set of sums of at most exp-1 terms, and the short_free
-  state carries the layers of the negated terms beside them, whose top layer
-  is the negated frame that the bit test and the potential read;
+  one is the whole set of sums of at most exp-1 terms, and beside them the
+  short_free state carries those of the negated terms, whose top one is -F;
 * a remaining-potential bound folding {g, -g} conflicts, a few popcounts
   over masks built once per context;
 * orderly generation: a node is explored only when its multiset is
@@ -35,10 +34,8 @@ counts, outcomes and witnesses are byte-identical at any width.  Budgets
 bound each top-level subtree.  Property C is an enumeration under the
 short_free predicate and Property D one under no_exact_exp; D0 pushes n-1
 copies of each g_i onto the same no_exact_exp state, and a forbidden push
-is a zero-sum of length exactly n.  D0 tests those pushes before the
-canonicity test: both only filter the children, and most pushes fail at the
-first copy.  The DFS carries the running sum of the sequence only for goals
-that read it (the C0 sweep and the sum_zero enumeration check).  Every
+is a zero-sum of length exactly n; those pushes run before the canonicity
+test.  The running sum is carried only for goals that read it.  Every
 witness is re-checked by witness_valid before it is returned.
 """
 
