@@ -80,34 +80,24 @@ class Fact:
         """The fact whose payload() this is; ValueError on a field of another
         type, so that a hand-edited line cannot build an unhashable fact."""
         prov = data["provenance"]
-        return cls(
-            subject=_typed_tuple(data["subject"], int, "subject"),
-            kind=_typed(data["kind"], str, "kind"),
-            detail=_detail(_typed(data["detail"], list, "detail")),
-            provenance=Provenance(
-                _typed(prov["source"], str, "source"),
-                _typed(prov["reference"], str, "reference"),
-                _typed_tuple(prov.get("premises", []), str, "premises"),
-            ),
+        subject, kind = data["subject"], data["kind"]
+        source, reference, premises = prov["source"], prov["reference"], prov.get("premises", [])
+        _require(
+            isinstance(subject, list) and all(isinstance(x, int) for x in subject)
+            and isinstance(kind, str) and isinstance(source, str) and isinstance(reference, str)
+            and isinstance(premises, list) and all(isinstance(x, str) for x in premises),
+            "subject, kind, source, reference or premises of the wrong type",
         )
+        return cls(tuple(subject), kind, _detail(data["detail"]),
+                   Provenance(source, reference, tuple(premises)))
 
 
-def _typed(value, kind, field: str):
-    _require(isinstance(value, kind), f"{field} {value!r} is of the wrong type")
-    return value
-
-
-def _typed_tuple(value, kind, field: str) -> tuple:
-    return tuple(_typed(x, kind, field) for x in _typed(value, list, field))
-
-
-def _detail(value: list) -> tuple:
-    """Lists as tuples, all the way down; ValueError on an item that is not
-    a str, an int or a bool (a JSON object, say)."""
-    return tuple(
-        _detail(x) if isinstance(x, list) else _typed(x, (str, int), "detail item")
-        for x in value
-    )
+def _detail(items) -> tuple:
+    """A detail list with lists as tuples, all the way down; ValueError on an
+    item that is not a str, an int, a bool or a list (a JSON object, say)."""
+    if not (isinstance(items, list) and all(isinstance(x, (str, int, list)) for x in items)):
+        raise ValueError(f"detail {items!r} is not a list of str, int, bool or lists")
+    return tuple(_detail(x) if isinstance(x, list) else x for x in items)
 
 
 def _exp_of(moduli: tuple[int, ...]) -> int:
