@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from zerosum import catalog
 from zerosum.group import AbelianGroup, SymmetryAction, make_group, shift_bits, shift_steps
 from zerosum.sequence import Sequence
 
@@ -193,6 +194,37 @@ def inverse(action: SymmetryAction) -> SymmetryAction:
     for i, j in enumerate(action.perm):
         inv[j] = i
     return SymmetryAction(action.group, action.kind, f"inv({action.name})", tuple(inv))
+
+
+def scan_conflicts(facts, fact) -> list:
+    """The facts, all about fact's subject, that fact contradicts, each with
+    the reason: the check FactStore.add used to run, one _CONFLICTS lookup per
+    fact of the subject."""
+    out = []
+    for other in facts:
+        rule = catalog._CONFLICTS.get((fact.kind, other.kind))
+        if rule is not None and rule[0](fact.detail, other.detail):
+            out.append((other, rule[1]))
+    return out
+
+
+def all_pairs_uniform_products(store):
+    """catalog._uniform_products the way it used to pair every uniform subject
+    with every other, across ranks too."""
+    uniforms = [
+        (s, s[0], len(s), catalog._invariant_fact(store, s, "eta"))
+        for s in store.subjects() if catalog._uniform(s)
+    ]
+    by_key = {(n, r): (s, eta) for s, n, r, eta in uniforms}
+    for s1, m, r, eta1 in uniforms:
+        if eta1 is None:
+            continue
+        for s2, n, r2, eta2 in uniforms:
+            if r2 != r or eta2 is None:
+                continue
+            target = by_key.get((m * n, r))
+            if target is not None:
+                yield (s1, m, eta1, s2, n, eta2, *target)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,10 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import all_pairs_uniform_products, scan_conflicts
 from zerosum.catalog import (
     DEFAULT_SUBJECTS,
     Fact,
@@ -12,6 +15,7 @@ from zerosum.catalog import (
     FactStore,
     KIND_EQUALS,
     KIND_EXTREMAL_NONZERO,
+    KIND_FULL_RANGE,
     KIND_INVARIANT,
     KIND_LOWER,
     KIND_MEMBER,
@@ -21,6 +25,7 @@ from zerosum.catalog import (
     KIND_SUBSET_SET,
     KIND_UPPER,
     Provenance,
+    _uniform_products,
     builtin_facts,
     consistency_check,
     eval_formula,
@@ -210,6 +215,57 @@ def test_every_conflict_rule_holds_in_both_orders(rule):
         assert len(store) == 2
 
 
+_BOUND = st.tuples(st.sampled_from(("D", "eta")), st.integers(10, 13))
+_LENGTHS = st.lists(st.integers(10, 13), max_size=3).map(tuple)
+# small detail ranges, so that most lists hold facts that clash, often with
+# more than one earlier fact
+_DETAILS = {
+    KIND_INVARIANT: _BOUND,
+    KIND_LOWER: _BOUND,
+    KIND_UPPER: _BOUND,
+    KIND_MEMBER: st.tuples(st.integers(10, 13)),
+    KIND_NOT_MEMBER: st.tuples(st.integers(10, 13)),
+    KIND_SUBSET: st.tuples(st.integers(10, 13), st.integers(10, 13)),
+    KIND_SUBSET_SET: _LENGTHS,
+    KIND_EQUALS: _LENGTHS,
+    KIND_FULL_RANGE: st.just(()),
+    KIND_PROPERTY: st.one_of(
+        st.tuples(st.sampled_from(("C", "D")), st.booleans()),
+        st.tuples(st.just("D0"), st.booleans(), st.sampled_from((7, 9))),
+    ),
+    KIND_EXTREMAL_NONZERO: st.tuples(st.booleans()),
+}
+_FACTS = st.sampled_from(sorted(_DETAILS)).flatmap(
+    lambda kind: st.builds(
+        lambda detail, ref: Fact((3, 3, 3), kind, detail, Provenance("cited", ref)),
+        _DETAILS[kind], st.sampled_from("ab"),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FACTS, max_size=14))
+def test_conflict_check_matches_the_all_facts_scan(facts):
+    store, kept = FactStore(), []
+    for fact in facts:
+        if fact in kept:  # a fact already on file is not checked again
+            assert store.add(fact) == fact.fact_id
+            continue
+        clashes = scan_conflicts(kept, fact)
+        if not clashes:
+            store.add(fact)
+            kept.append(fact)
+            continue
+        with pytest.raises(FactConflictError) as err:
+            store.add(fact)
+        # the error names the new fact, one fact it contradicts and the reason
+        message = str(err.value)
+        assert str(fact.payload()) in message
+        assert any(str(other.payload()) in message and message.endswith(why)
+                   for other, why in clashes)
+    assert list(store) == kept
+
+
 # builtin facts plus these presentations make R2, R5, R6 and R7 all fire
 _PINNED_INFERENCE_SUBJECTS = (
     (15, 15, 15), (9, 9, 9), (6, 6, 6), (12, 12, 12), (16, 16, 16),
@@ -227,6 +283,54 @@ def test_inferred_fact_ids_are_pinned():
     assert (len(store), len(derived)) == (142, 33)
     digest = hashlib.sha256("\n".join(sorted(store.facts)).encode()).hexdigest()[:16]
     assert digest == "de6e440aefd74b94"
+
+
+def _sha16(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _catalog_subjects() -> list:
+    """583 presentations: cubes C_n^r (n <= 64, r <= 5) and C_m + C_n with m | n, n < 97."""
+    subjects = {(n,) * r for n in range(2, 65) for r in range(1, 6)}
+    subjects |= {(m, n) for n in range(3, 97) for m in range(2, n) if n % m == 0}
+    return sorted(subjects)
+
+
+@pytest.fixture(scope="module")
+def full_store():
+    """The builtin facts and those of the 583 presentations, inferred: the
+    store of the benchmark's catalog op.  Returns (store, derived facts)."""
+    store = fresh_store()
+    for subject in _catalog_subjects():
+        store.add_all(instantiate_for(subject))
+    return store, infer(store)
+
+
+def test_full_store_bytes_and_derived_ids_are_pinned(full_store, tmp_path):
+    store, derived = full_store
+    assert (len(store), len(derived)) == (5016, 2978)
+    assert _sha16("\n".join(f.fact_id for f in derived).encode()) == "44b9f246a30b7c74"
+    path, again = tmp_path / "facts.jsonl", tmp_path / "again.jsonl"
+    store.save(path)
+    assert _sha16(path.read_bytes()) == "abb881335bb3bf43"
+    FactStore.load(path).save(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_builtin_store_bytes_are_pinned(tmp_path):
+    store = fresh_store()
+    infer(store)
+    path = tmp_path / "facts.jsonl"
+    store.save(path)
+    assert len(store) == 96
+    assert _sha16(path.read_bytes()) == "3101479ac65569dd"
+
+
+def test_uniform_products_match_the_all_pairs_oracle(full_store):
+    store, _ = full_store
+    pairs = list(_uniform_products(store))
+    assert len(pairs) > 100
+    assert pairs == list(all_pairs_uniform_products(store))
 
 
 def test_rule_r10_flags_inconsistency():
