@@ -10,7 +10,6 @@ hard-errors on any contradiction.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -37,6 +36,10 @@ KIND_PROPERTY = "property"         # detail ("C"|"D", holds) or ("D0", holds, c)
 KIND_EXTREMAL_NONZERO = "extremal_nonzero_sum"  # detail (exists,)
 
 
+# json.dumps(obj, sort_keys=True) builds a new encoder on every call
+_canonical = json.JSONEncoder(sort_keys=True).encode
+
+
 class FactConflictError(Exception):
     """Two facts about the same subject contradict each other."""
 
@@ -54,6 +57,11 @@ class Fact:
     kind: str
     detail: tuple
     provenance: Provenance
+    fact_id: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        digest = hashlib.sha256(_canonical(self.payload()).encode()).hexdigest()[:16]
+        object.__setattr__(self, "fact_id", digest)
 
     def statement(self) -> tuple:
         return (self.subject, self.kind, self.detail)
@@ -69,11 +77,6 @@ class Fact:
                 "premises": list(self.provenance.premises),
             },
         }
-
-    @functools.cached_property
-    def fact_id(self) -> str:
-        text = json.dumps(self.payload(), sort_keys=True)
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     @classmethod
     def from_payload(cls, data: dict) -> Fact:
@@ -136,6 +139,11 @@ _CONFLICTS: dict[tuple[str, str], tuple[Callable[[tuple, tuple], bool], str]] = 
 }
 _CONFLICTS.update({(kind, other): (clash, why) for kind, other, clash, why in _CONFLICT_RULES})
 
+# the same rows by new fact's kind: [(other kind, clash, why), ...]
+_PARTNERS: dict[str, list[tuple[str, Callable[[tuple, tuple], bool], str]]] = {}
+for (_kind, _other), _rule in _CONFLICTS.items():
+    _PARTNERS.setdefault(_kind, []).append((_other, *_rule))
+
 
 class FactStore:
     """Single-writer fact collection with consistency checking on insert."""
@@ -144,6 +152,7 @@ class FactStore:
         self.facts: dict[str, Fact] = {}
         self._statements: set[tuple] = set()
         self._by_subject: dict[tuple[int, ...], list[Fact]] = {}
+        self._by_kind: dict[tuple[tuple[int, ...], str], list[Fact]] = {}
 
     def __len__(self) -> int:
         return len(self.facts)
@@ -157,6 +166,10 @@ class FactStore:
     def for_subject(self, subject: tuple[int, ...]) -> list[Fact]:
         return list(self._by_subject.get(tuple(subject), ()))
 
+    def of_kind(self, subject, kind: str) -> list[Fact]:
+        """The subject's facts of one kind, in the order they were added."""
+        return list(self._by_kind.get((tuple(subject), kind), ()))
+
     def has_statement(self, subject, kind, detail) -> bool:
         return (tuple(subject), kind, tuple(detail)) in self._statements
 
@@ -168,6 +181,7 @@ class FactStore:
         self.facts[fid] = fact
         self._statements.add(fact.statement())
         self._by_subject.setdefault(fact.subject, []).append(fact)
+        self._by_kind.setdefault((fact.subject, fact.kind), []).append(fact)
         return fid
 
     def add_all(self, facts: Iterable[Fact]) -> list[str]:
@@ -176,8 +190,8 @@ class FactStore:
     # -- consistency ---------------------------------------------------------
 
     def invariant_value(self, subject, name) -> int | None:
-        for f in self.for_subject(subject):
-            if f.kind == KIND_INVARIANT and f.detail[0] == name:
+        for f in self.of_kind(subject, KIND_INVARIANT):
+            if f.detail[0] == name:
                 return f.detail[1]
         return None
 
@@ -192,37 +206,36 @@ class FactStore:
                 non.add(f.detail[0])
             elif f.kind == KIND_EQUALS:
                 members.update(f.detail)
-        for f in self.for_subject(subject):
-            if f.kind == KIND_EQUALS:
-                eta = self.invariant_value(subject, "eta")
-                d = self.invariant_value(subject, "D")
-                if eta is not None and d is not None:
-                    non.update(
-                        t for t in range(d + 1, eta) if t not in f.detail
-                    )
+        for f in self.of_kind(subject, KIND_EQUALS):
+            eta = self.invariant_value(subject, "eta")
+            d = self.invariant_value(subject, "D")
+            if eta is not None and d is not None:
+                non.update(t for t in range(d + 1, eta) if t not in f.detail)
         return members, non
 
     def property_holds(self, subject, name, c=None) -> bool | None:
-        for f in self.for_subject(subject):
-            if f.kind == KIND_PROPERTY and f.detail[0] == name:
+        for f in self.of_kind(subject, KIND_PROPERTY):
+            if f.detail[0] == name:
                 if name == "D0" and c is not None and f.detail[2] != c:
                     continue
                 return f.detail[1]
         return None
 
     def _check_consistent(self, fact: Fact) -> None:
-        for other in self._by_subject.get(fact.subject, ()):
-            rule = _CONFLICTS.get((fact.kind, other.kind))
-            if rule is not None and rule[0](fact.detail, other.detail):
-                raise FactConflictError(
-                    f"fact {fact.payload()} contradicts {other.payload()}: {rule[1]}"
-                )
+        """Raise FactConflictError if fact clashes with a fact on file; only
+        the kinds that share a _CONFLICT_RULES row with its kind are read."""
+        for kind, clash, why in _PARTNERS.get(fact.kind, ()):
+            for other in self._by_kind.get((fact.subject, kind), ()):
+                if clash(fact.detail, other.detail):
+                    raise FactConflictError(
+                        f"fact {fact.payload()} contradicts {other.payload()}: {why}"
+                    )
 
     # -- persistence ----------------------------------------------------------
 
     def save(self, path) -> None:
         write_atomic(path, "".join(
-            json.dumps({"id": fid, **self.facts[fid].payload()}, sort_keys=True) + "\n"
+            _canonical({"id": fid, **self.facts[fid].payload()}) + "\n"
             for fid in sorted(self.facts)
         ))
 
@@ -626,15 +639,15 @@ def _uniform(subject) -> tuple[int, int] | None:
 
 def _invariant_fact(store: FactStore, subject, name: str) -> tuple[int, str] | None:
     """The first stored value of invariant `name` for the subject, with its fact id."""
-    for f in store.for_subject(subject):
-        if f.kind == KIND_INVARIANT and f.detail[0] == name:
+    for f in store.of_kind(subject, KIND_INVARIANT):
+        if f.detail[0] == name:
             return f.detail[1], f.fact_id
     return None
 
 
 def _property_fact(store: FactStore, subject, name, c=None) -> tuple[bool, str] | None:
-    for f in store.for_subject(subject):
-        if f.kind == KIND_PROPERTY and f.detail[0] == name and f.detail[1]:
+    for f in store.of_kind(subject, KIND_PROPERTY):
+        if f.detail[0] == name and f.detail[1]:
             if name == "D0" and c is not None and f.detail[2] != c:
                 continue
             return f.detail[1], f.fact_id
@@ -685,21 +698,26 @@ def _uniform_products(store: FactStore):
     Yields (s1, m, eta1, s2, n, eta2, target, eta_t) in subject order, s1 then
     s2, for the pairs where eta of both factors is on file; each eta is
     (value, fact id), and eta_t, the target's, may be None.  Each subject's
-    eta is looked up once per call.
+    eta is looked up once per call.  s2 runs over the cubes of s1's rank in
+    order of n, up to the largest n of that rank over m.
     """
     uniforms = [
         (s, s[0], len(s), _invariant_fact(store, s, "eta"))
         for s in store.subjects() if _uniform(s)
     ]
     by_key = {(n, r): (s, eta) for s, n, r, eta in uniforms}
+    by_rank: dict[int, list] = {}
+    for s, n, r, eta in uniforms:
+        by_rank.setdefault(r, []).append((s, n, eta))
     for s1, m, r, eta1 in uniforms:
         if eta1 is None:
             continue
-        for s2, n, r2, eta2 in uniforms:
-            if r2 != r or eta2 is None:
-                continue
+        rank = by_rank[r]
+        for s2, n, eta2 in rank:
+            if m * n > rank[-1][1]:
+                break
             target = by_key.get((m * n, r))
-            if target is not None:
+            if eta2 is not None and target is not None:
                 yield (s1, m, eta1, s2, n, eta2, *target)
 
 
@@ -831,8 +849,8 @@ def _rule_r7(store: FactStore) -> list[Fact]:
             continue
         value = c * (m * n - 1) + 1
         lower_id = None
-        for f in store.for_subject(target):
-            if f.kind == KIND_LOWER and f.detail[0] == "eta" and f.detail[1] >= value:
+        for f in store.of_kind(target, KIND_LOWER):
+            if f.detail[0] == "eta" and f.detail[1] >= value:
                 lower_id = f.fact_id
                 break
         if lower_id is None:
@@ -920,8 +938,8 @@ def _rule_r10(store: FactStore) -> list[Fact]:
     adjacent memberships right below eta."""
     for subject in store.subjects():
         exists = None
-        for f in store.for_subject(subject):
-            if f.kind == KIND_EXTREMAL_NONZERO and f.detail[0]:
+        for f in store.of_kind(subject, KIND_EXTREMAL_NONZERO):
+            if f.detail[0]:
                 exists = f
         if exists is None:
             continue
@@ -944,18 +962,15 @@ def _closure_bounds_meet(store: FactStore) -> list[Fact]:
     for subject in store.subjects():
         lowers: dict[str, tuple[int, str]] = {}
         uppers: dict[str, tuple[int, str]] = {}
-        values = set()
-        for f in store.for_subject(subject):
-            if f.kind == KIND_LOWER:
-                name, v = f.detail
-                if name not in lowers or v > lowers[name][0]:
-                    lowers[name] = (v, f.fact_id)
-            elif f.kind == KIND_UPPER:
-                name, v = f.detail
-                if name not in uppers or v < uppers[name][0]:
-                    uppers[name] = (v, f.fact_id)
-            elif f.kind == KIND_INVARIANT:
-                values.add(f.detail[0])
+        for f in store.of_kind(subject, KIND_LOWER):
+            name, v = f.detail
+            if name not in lowers or v > lowers[name][0]:
+                lowers[name] = (v, f.fact_id)
+        for f in store.of_kind(subject, KIND_UPPER):
+            name, v = f.detail
+            if name not in uppers or v < uppers[name][0]:
+                uppers[name] = (v, f.fact_id)
+        values = {f.detail[0] for f in store.of_kind(subject, KIND_INVARIANT)}
         for name in lowers:
             if name in uppers and name not in values:
                 lo, lo_id = lowers[name]
@@ -972,12 +987,10 @@ def _closure_full_range(store: FactStore) -> list[Fact]:
     """c0_full_range plus known D and eta values yields the explicit set."""
     out = []
     for subject in store.subjects():
-        fr = None
-        for f in store.for_subject(subject):
-            if f.kind == KIND_FULL_RANGE:
-                fr = f
-        if fr is None:
+        full = store.of_kind(subject, KIND_FULL_RANGE)
+        if not full:
             continue
+        fr = full[-1]
         d = _invariant_fact(store, subject, "D")
         eta = _invariant_fact(store, subject, "eta")
         if d is None or eta is None:
