@@ -10,6 +10,7 @@ hard-errors on any contradiction.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import math
@@ -146,7 +147,8 @@ for (_kind, _other), _rule in _CONFLICTS.items():
 
 
 class FactStore:
-    """Single-writer fact collection with consistency checking on insert."""
+    """Fact collection with consistency checking on insert.  One process at a
+    time may update a saved store: use record_fact, which holds a lock."""
 
     def __init__(self) -> None:
         self.facts: dict[str, Fact] = {}
@@ -263,6 +265,18 @@ class FactStore:
                     )
                 store.add(fact)
         return store
+
+
+def record_fact(path, fact: Fact) -> None:
+    """Load the store saved at path (an empty one if there is none), add fact
+    and save it, all under an exclusive flock on path + ".lock", so that a
+    concurrent writer's fact is not dropped; FactConflictError if fact
+    contradicts a fact on file."""
+    with open(f"{path}.lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        store = FactStore.load(path) if os.path.exists(path) else FactStore()
+        store.add(fact)
+        store.save(path)
 
 
 def write_atomic(path, text: str) -> None:

@@ -85,12 +85,8 @@ def _cache_write(key: str, cert: Certificate) -> None:
 
 def _record_fact(cert: Certificate) -> None:
     fact = catalog.fact_from_certificate(cert)
-    if fact is None:
-        return
-    path = cache_dir() / "facts.jsonl"
-    store = catalog.FactStore.load(path) if path.exists() else catalog.FactStore()
-    store.add(fact)
-    store.save(path)
+    if fact is not None:
+        catalog.record_fact(cache_dir() / "facts.jsonl", fact)
 
 
 def _config_from_args(args) -> SearchConfig:
@@ -568,7 +564,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, catalog.FactConflictError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -32,6 +33,7 @@ from zerosum.catalog import (
     fact_from_certificate,
     infer,
     instantiate_for,
+    record_fact,
 )
 from zerosum.group import make_group
 from zerosum.search import SearchConfig, invariant_value
@@ -515,6 +517,30 @@ def test_save_that_fails_partway_keeps_the_old_file(tmp_path, monkeypatch, fail)
         store.save(path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["facts.jsonl"]
+
+
+def _record_after(barrier, path, facts) -> None:
+    barrier.wait(timeout=60)
+    for fact in facts:
+        record_fact(path, fact)
+
+
+def test_concurrent_writers_keep_every_fact(tmp_path):
+    # four processes, started together, each record ten facts into one store:
+    # a writer that loaded before another's save would drop that fact unlocked
+    path = str(tmp_path / "facts.jsonl")
+    facts = [Fact((3, 3, 3), KIND_LOWER, ("eta", 100 + i), Provenance("search", str(i)))
+             for i in range(40)]
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(4)
+    workers = [ctx.Process(target=_record_after, args=(barrier, path, facts[i::4]))
+               for i in range(4)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=120)
+    assert [(w.is_alive(), w.exitcode) for w in workers] == [(False, 0)] * 4
+    assert set(FactStore.load(path).facts) == {f.fact_id for f in facts}
 
 
 def test_default_subjects_consistent():

@@ -297,6 +297,21 @@ def test_facts_report_a_fact_store_line_with_an_object(capsys):
     assert err.startswith("error:") and "line 1: malformed fact" in err
 
 
+@pytest.mark.parametrize("argv", [["facts"], ["invariant", "C3^3", "eta"]],
+                         ids=["facts", "record-after-search"])
+def test_a_contradicting_fact_on_file_is_a_usage_error(argv, capsys):
+    # a well-formed line under its own id: eta(C3^3) = 16 contradicts both the
+    # cited value and the search's 17
+    fact = catalog.Fact((3, 3, 3), catalog.KIND_INVARIANT, ("eta", 16),
+                        catalog.Provenance("search", "x"))
+    cache_dir().mkdir(parents=True)
+    (cache_dir() / "facts.jsonl").write_text(
+        json.dumps({"id": fact.fact_id, **fact.payload()}, sort_keys=True) + "\n")
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: fact") and "distinct invariant values" in err
+
+
 def test_repro_fast_tables(capsys):
     assert main(["repro", "thmB", "--q", "3"]) == 0
     assert main(["repro", "thm13", "--group", "C2^3"]) == 0
