@@ -152,9 +152,9 @@ class FactStore:
 
     def __init__(self) -> None:
         self.facts: dict[str, Fact] = {}
-        self._statements: set[tuple] = set()
         self._by_subject: dict[tuple[int, ...], list[Fact]] = {}
-        self._by_kind: dict[tuple[tuple[int, ...], str], list[Fact]] = {}
+        # (subject, kind) -> {detail: the first fact added with it}
+        self._by_kind: dict[tuple[tuple[int, ...], str], dict[tuple, Fact]] = {}
 
     def __len__(self) -> int:
         return len(self.facts)
@@ -169,11 +169,12 @@ class FactStore:
         return list(self._by_subject.get(tuple(subject), ()))
 
     def of_kind(self, subject, kind: str) -> list[Fact]:
-        """The subject's facts of one kind, in the order they were added."""
-        return list(self._by_kind.get((tuple(subject), kind), ()))
+        """The subject's facts of one kind in the order they were added, only
+        the first of those with equal details."""
+        return list(self._by_kind.get((tuple(subject), kind), {}).values())
 
     def has_statement(self, subject, kind, detail) -> bool:
-        return (tuple(subject), kind, tuple(detail)) in self._statements
+        return tuple(detail) in self._by_kind.get((tuple(subject), kind), ())
 
     def add(self, fact: Fact) -> str:
         fid = fact.fact_id
@@ -181,9 +182,8 @@ class FactStore:
             return fid
         self._check_consistent(fact)
         self.facts[fid] = fact
-        self._statements.add(fact.statement())
         self._by_subject.setdefault(fact.subject, []).append(fact)
-        self._by_kind.setdefault((fact.subject, fact.kind), []).append(fact)
+        self._by_kind.setdefault((fact.subject, fact.kind), {}).setdefault(fact.detail, fact)
         return fid
 
     def add_all(self, facts: Iterable[Fact]) -> list[str]:
@@ -227,10 +227,11 @@ class FactStore:
         """Raise FactConflictError if fact clashes with a fact on file; only
         the kinds that share a _CONFLICT_RULES row with its kind are read."""
         for kind, clash, why in _PARTNERS.get(fact.kind, ()):
-            for other in self._by_kind.get((fact.subject, kind), ()):
-                if clash(fact.detail, other.detail):
+            others = self._by_kind.get((fact.subject, kind), ())
+            for detail in others:
+                if clash(fact.detail, detail):
                     raise FactConflictError(
-                        f"fact {fact.payload()} contradicts {other.payload()}: {why}"
+                        f"fact {fact.payload()} contradicts {others[detail].payload()}: {why}"
                     )
 
     # -- persistence ----------------------------------------------------------
@@ -1001,10 +1002,12 @@ def _closure_full_range(store: FactStore) -> list[Fact]:
     """c0_full_range plus known D and eta values yields the explicit set."""
     out = []
     for subject in store.subjects():
-        full = store.of_kind(subject, KIND_FULL_RANGE)
-        if not full:
+        fr = None
+        for f in store.for_subject(subject):
+            if f.kind == KIND_FULL_RANGE:
+                fr = f
+        if fr is None:
             continue
-        fr = full[-1]
         d = _invariant_fact(store, subject, "D")
         eta = _invariant_fact(store, subject, "eta")
         if d is None or eta is None:
