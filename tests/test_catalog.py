@@ -266,6 +266,13 @@ def test_conflict_check_matches_the_all_facts_scan(facts):
         assert any(str(other.payload()) in message and message.endswith(why)
                    for other, why in clashes)
     assert list(store) == kept
+    statements = {f.statement() for f in kept}
+    assert all(store.has_statement(*f.statement()) == (f.statement() in statements) for f in facts)
+    # readers of one kind still take the first match in the order added
+    for name in ("D", "eta"):
+        first = next((f.detail[1] for f in kept
+                      if f.kind == KIND_INVARIANT and f.detail[0] == name), None)
+        assert store.invariant_value((3, 3, 3), name) == first
 
 
 # builtin facts plus these presentations make R2, R5, R6 and R7 all fire
