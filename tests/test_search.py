@@ -289,6 +289,7 @@ def test_search_tree_is_pinned(kind, moduli, nodes, cert_id):
 _C44 = make_group((4, 4))
 _BUDGET30 = SearchConfig(node_budget=30)
 _BUDGET20 = SearchConfig(node_budget=20)
+_FULL = SearchConfig(symmetry_level="full_small")
 
 # Property, C0 and D0 certificates, pinned the same way.
 PINNED_CERTS = [
@@ -309,6 +310,11 @@ PINNED_CERTS = [
      724, "8c2e218cf7afa415"),
     ("f C5^3 b20", lambda: max_extremal_length(make_group((5,) * 3), "f", _BUDGET20)[1],
      181, "c76240fa91c74482"),
+    # the full automorphism group: 11,231 non-identity permutations on C3^3
+    ("s C3^3 full", lambda: max_extremal_length(make_group((3, 3, 3)), "s", _FULL)[1],
+     457, "0da5f0e555c1f2ce"),
+    ("D C3^3 s=19 full", lambda: check_property_D(make_group((3, 3, 3)), _FULL, s_value=19),
+     541, "c315e0fac8a47528"),
 ]
 
 
