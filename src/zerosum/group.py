@@ -472,25 +472,40 @@ def close_symmetries(
     actions: Iterable[SymmetryAction], *, cap: int = CLOSURE_CAP
 ) -> list[tuple[int, ...]]:
     """Close a generator set into the full permutation group (identity included),
-    composing on the right, q[x] = p[g[x]], with one itemgetter per generator."""
-    perms = [a.perm for a in actions]
-    if not perms:
+    composing on the right, q[x] = p[g[x]], with one itemgetter per generator.
+
+    Every generator must be an automorphism.  Each composite is then one too,
+    and the images of the standard basis determine it, so the closure dedupes
+    on those images: the key of q is p read at the basis images of g, and q
+    is built only when its key is new.
+    """
+    actions = list(actions)
+    if not actions:
         return []
-    gens = [operator.itemgetter(*p) for p in perms]
-    identity = tuple(range(len(perms[0])))
-    seen = {identity}
+    group = actions[0].group
+    basis = [group.basis(i).index for i in range(group.rank)]
+    # at rank 1 an itemgetter returns a bare item; every key comes from one, so they agree
+    key = operator.itemgetter(*basis)
+    gens = [
+        (operator.itemgetter(*a.perm), operator.itemgetter(*(a.perm[b] for b in basis)))
+        for a in actions
+    ]
+    identity = tuple(range(len(actions[0].perm)))
+    seen = {key(identity)}
+    closed = [identity]
     frontier = [identity]
     while frontier:
         nxt = []
         for p in frontier:
-            for g in gens:
-                q = g(p)
-                if q not in seen:
+            for compose, image_key in gens:
+                k = image_key(p)
+                if k not in seen:
                     if len(seen) >= cap:
                         raise ValueError(
                             f"symmetry closure exceeds the cap of {cap} permutations"
                         )
-                    seen.add(q)
-                    nxt.append(q)
+                    seen.add(k)
+                    nxt.append(compose(p))
+        closed += nxt
         frontier = nxt
-    return sorted(seen)
+    return sorted(closed)

@@ -17,13 +17,16 @@ order, choosing each element's multiplicity at first visit.  Pruning rules:
 * orderly generation: a node is explored only when its multiset is
   lexicographically minimal over the closed symmetry group, which is sound
   because extensions only append indices >= the current maximum.  A
-  multiset is carried as the integer sum of mult[x] << k*(order-1-x), with
-  k bits per digit enough for the largest multiplicity; on sorted tuples of
-  equal length lex order is reversed integer order.  The DFS carries this
-  code and the code of its image under every permutation, so the test of a
-  child is one add and one compare per permutation.  Goal and potential
-  cuts run first, and the scan over the next element stops at the first
-  one whose potential, counting the element itself, cannot reach the goal.
+  multiset's code is the integer sum of mult[x] << k*(order-1-x), with k
+  bits per digit enough for the largest multiplicity; on sorted tuples of
+  equal length lex order is reversed integer order.  The DFS carries one
+  packed int per node, a field per permutation holding the node's code
+  minus the code of its image plus a guard bit (see _Codes), so the test of
+  a child is one big-int add and one mask, whatever the number of
+  permutations.  A root job g^m is canonical iff g is the least element of
+  its orbit.  Goal and potential cuts run first, and the scan over the next
+  element stops at the first one whose potential, counting the element
+  itself, cannot reach the goal.
 
 Every search (an invariant, the C0 sweep, an enumeration, Properties C, D
 and D0) goes through one run loop, _run: it builds the context (tables and
@@ -185,18 +188,23 @@ _KIND_TO_PRED = {
 
 class _Ctx:
     """Per-run tables: negation, the shift steps that add each element to a
-    bitmask of element indices, multiplicity bounds, symmetry perms, the
-    digit units of the multiset code for multiplicities up to max(bound), the
-    masks of the popcount potentials (see _PairPred), and for the layered
+    bitmask of element indices, multiplicity bounds, the non-identity perms
+    of the closed symmetry group, the least element of each orbit (minima),
+    the masks of the popcount potentials (see _PairPred), and for the layered
     states the steps repeated in every layer (lsteps), the offset of the top
     layer, the mask of all layers and the int with bit 0 set in every layer
-    (see subsum.add_term).
+    (see subsum.add_term).  codes holds the packed image codes for
+    multiplicities up to max(bound); packed() gives those for other digit
+    widths (D0's units sized for c), one _Codes per width.
 
-    Immutable once built: one instance is shared by every root job of a run.
+    One instance is shared by every root job of a run.  Once built, it
+    changes only by packed() adding a _Codes and a _Codes filling in its
+    deltas, and each of those is a function of the context's key alone.
     """
 
-    __slots__ = ("group", "order", "exp", "neg", "steps", "bound", "perms", "unit",
-                 "ge", "nge", "weights", "less", "lsteps", "top", "full", "rep")
+    __slots__ = ("group", "order", "exp", "neg", "steps", "bound", "perms", "minima",
+                 "tables", "codes", "ge", "nge", "weights", "less", "lsteps", "top", "full",
+                 "rep")
 
     def __init__(
         self, group: AbelianGroup, pred_name: str, squarefree: bool, level: str
@@ -247,7 +255,17 @@ class _Ctx:
         closed = close_symmetries(actions)
         identity = tuple(range(order))
         self.perms = tuple(p for p in closed if p != identity)
-        self.unit = _units(order, max(bounds))
+        self.minima = _orbit_minima([a.perm for a in actions], order)
+        self.tables: dict[int, _Codes] = {}
+        self.codes = self.packed(max(bounds))
+
+    def packed(self, top: int) -> _Codes:
+        """The packed image codes for multiplicities up to top."""
+        k = max(1, top.bit_length())
+        codes = self.tables.get(k)
+        if codes is None:
+            codes = self.tables[k] = _Codes(self.perms, self.order, k)
+        return codes
 
 
 _ctx_memo: dict[tuple, _Ctx] = {}
@@ -256,8 +274,9 @@ _ctx_memo: dict[tuple, _Ctx] = {}
 def _context(group: AbelianGroup, pred_name: str, squarefree: bool, level: str) -> _Ctx:
     """The context for these arguments, kept until another one is asked for.
 
-    The tables are a function of the key alone and never mutated, so every
-    root job of a run, and every run in a process, may share one instance.
+    The tables are a function of the key alone, and so is every delta the
+    packed codes fill in later, so every root job of a run, and every run in
+    a process, may share one instance.
     """
     key = (group.moduli, pred_name, squarefree, level)
     ctx = _ctx_memo.get(key)
@@ -267,30 +286,65 @@ def _context(group: AbelianGroup, pred_name: str, squarefree: bool, level: str) 
     return ctx
 
 
-def _units(order: int, top: int) -> tuple[int, ...]:
-    """unit[x] = 1 << k*(order-1-x), with k bits enough for a multiplicity of top.
+def _orbit_minima(gens, order: int) -> tuple[int, ...]:
+    """The least element of each orbit of the group the generator perms
+    generate, in increasing order."""
+    seen = [False] * order
+    minima = []
+    for x in range(order):
+        if seen[x]:
+            continue
+        # every smaller element's orbit is already seen, so x is its orbit's least
+        minima.append(x)
+        seen[x] = True
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for p in gens:
+                z = p[y]
+                if not seen[z]:
+                    seen[z] = True
+                    stack.append(z)
+    return tuple(minima)
 
-    A multiset's code is sum(mult[x] * unit[x]); no digit carries, so on sorted
-    tuples of equal length a lex-smaller tuple has a larger code.
+
+class _Codes:
+    """Packed image codes for digit units of k bits, over the perms p_0, p_1, ...
+
+    unit[x] = 1 << k*(order-1-x), and a multiset's code is enc =
+    sum(mult[x] * unit[x]); no digit carries, so on sorted tuples of equal
+    length a lex-smaller tuple has a larger code.  Every code is below 2^F,
+    F = order*k.  A node's packed int holds in field i, of F // 8 + 1 bytes,
+    the value 2^F + enc - img_i, img_i the code of the multiset's image
+    under p_i.  That value lies in (0, 2^(F+1)), so no field borrows from the
+    next, and the multiset is canonical iff every guard bit 2^F is set.
+    Adding g^m adds m * delta(g), where field i of delta(g) is
+    unit[g] - unit[p_i[g]]; delta(g) is one join of per-element field bytes,
+    built on first use and kept.
     """
-    k = max(1, top.bit_length())
-    return tuple(1 << k * (order - 1 - x) for x in range(order))
 
+    __slots__ = ("perms", "unit", "fields", "rep", "guard", "deltas")
 
-def _extend(enc: int, imgs, perms, unit, g: int, m: int) -> tuple[int, list[int]] | None:
-    """Add g^m to a multiset with code enc and image codes imgs (one per perm).
+    def __init__(self, perms: tuple[tuple[int, ...], ...], order: int, k: int) -> None:
+        self.perms = perms
+        self.unit = tuple(1 << k * (order - 1 - x) for x in range(order))
+        nbytes = order * k // 8 + 1
+        self.fields = tuple(u.to_bytes(nbytes, "little") for u in self.unit)
+        self.rep = int.from_bytes(b"\x01".ljust(nbytes, b"\0") * len(perms), "little")
+        self.guard = self.rep << order * k  # also the packed int of the empty multiset
+        self.deltas: list[int | None] = [None] * order
 
-    Returns the new code and image codes, or None as soon as an image code
-    exceeds the new code: the extension is then not canonical.
-    """
-    enc += m * unit[g]
-    out = []
-    for img, p in zip(imgs, perms):
-        img += m * unit[p[g]]
-        if img > enc:
-            return None
-        out.append(img)
-    return enc, out
+    def build(self, g: int) -> int:
+        """delta(g), one field per perm, not cached."""
+        fields = self.fields
+        images = int.from_bytes(b"".join([fields[p[g]] for p in self.perms]), "little")
+        return self.unit[g] * self.rep - images
+
+    def delta(self, g: int) -> int:
+        d = self.deltas[g]
+        if d is None:
+            d = self.deltas[g] = self.build(g)
+        return d
 
 
 class _Pred:
@@ -550,11 +604,17 @@ def _chain(pred, state, g: int, copies: int) -> list:
 
 def _dfs(
     ctx: _Ctx, pred, goal, seq: list[int], state, sigma: int, last: int, stats: _Stats,
-    enc: int, imgs: list[int],
+    q: int | None,
 ) -> None:
     """Visit seq, then its canonical feasible children; sigma is the one-bit
-    mask of the sum of seq, or 0 when the goal does not read the sum, enc the
-    code of seq and imgs[i] the code of its image under ctx.perms[i]."""
+    mask of the sum of seq, or 0 when the goal does not read the sum, and q
+    the packed image codes of seq in ctx.codes, or None at a root job.
+
+    A root job's q is made when its first child is tested, so a root that
+    tests none builds nothing.  Its root element is the least of its orbit
+    (see _root_jobs), so that q has every guard bit, and its delta is built,
+    not kept: no later node of the subtree adds that element again.
+    """
     if stats.should_stop():
         return
     stats.nodes += 1
@@ -565,9 +625,9 @@ def _dfs(
         return
     order = ctx.order
     bound = ctx.bound
-    perms = ctx.perms
     steps = ctx.steps
-    unit = ctx.unit
+    codes = ctx.codes
+    deltas, guard = codes.deltas, codes.guard
     for g in range(last + 1, order):
         b = bound[g]
         if b <= 0:
@@ -588,14 +648,19 @@ def _dfs(
             st_m = chain[m - 1]
             if lo is not None and length + m + pred.potential(st_m, g + 1) < lo:
                 continue
-            child = _extend(enc, imgs, perms, unit, g, m)
-            if child is None:
+            if q is None:  # the root job last^length
+                q = guard + length * codes.build(last)
+            delta = deltas[g]
+            if delta is None:
+                delta = codes.delta(g)
+            child = q + m * delta
+            if child & guard != guard:
                 continue
             sg = sigma
             if sg:
                 for _ in range(m):
                     sg = shift_bits(sg, steps[g])
-            _dfs(ctx, pred, goal, seq + [g] * m, st_m, sg, g, stats, *child)
+            _dfs(ctx, pred, goal, seq + [g] * m, st_m, sg, g, stats, child)
             if stats.stopped:
                 return
         lo, hi = goal.needs()
@@ -614,10 +679,11 @@ def _push_copies(pred, state, g: int, copies: int):
 
 def _d0_dfs(
     ctx: _Ctx, pred, c: int, gs: list[int], state, stats: _Stats, found: list,
-    unit: tuple[int, ...], enc: int, imgs: list[int],
+    codes: _Codes, q: int,
 ) -> None:
-    """Extend the g_i multiset gs (code enc, image codes imgs over digit units
-    sized for c repeats, so each g_i counts once) by one element >= gs[-1].
+    """Extend the g_i multiset gs (packed image codes q in codes, whose digit
+    units are sized for c repeats, so each g_i counts once) by one element
+    >= gs[-1].
 
     Each g_i pushes n-1 copies onto the no_exact_exp state; a forbidden push
     is a zero-sum of length exactly n, so that branch has the property.  A
@@ -634,10 +700,10 @@ def _d0_dfs(
         nxt = _push_copies(pred, state, g, ctx.exp - 1)
         if nxt is None:
             continue
-        child = _extend(enc, imgs, ctx.perms, unit, g, 1)
-        if child is None:
+        child = q + codes.delta(g)
+        if child & codes.guard != codes.guard:
             continue
-        _d0_dfs(ctx, pred, c, gs + [g], nxt, stats, found, unit, *child)
+        _d0_dfs(ctx, pred, c, gs + [g], nxt, stats, found, codes, child)
         if found or stats.stopped:
             return
 
@@ -654,22 +720,24 @@ def _branch_worker(payload: dict) -> dict:
     goal_spec = payload["goal"]
     d0 = goal_spec["kind"] == "d0"
     if d0:  # the translated extra term 0, then n-1 copies of the first g_i
-        g, m, unit = payload["root"], 1, _units(ctx.order, goal_spec["c"])
+        g = payload["root"]
         state = _push_copies(pred, _push_copies(pred, pred.initial(), 0, 1), g, ctx.exp - 1)
     else:
-        (g, m), unit = payload["root"], ctx.unit
+        g, m = payload["root"]
         state = _push_copies(pred, pred.initial(), g, m)
     if state is None:
         raise AssertionError(f"root job {payload['root']} is infeasible")
-    root = _extend(0, [0] * len(ctx.perms), ctx.perms, unit, g, m)
     if d0:
         found: list[tuple[int, ...]] = []
-        _d0_dfs(ctx, pred, goal_spec["c"], [g], state, stats, found, unit, *root)
+        codes = ctx.packed(goal_spec["c"])
+        # g is the least of its orbit (see _root_jobs), so q has every guard bit
+        q = codes.guard + codes.build(g)
+        _d0_dfs(ctx, pred, goal_spec["c"], [g], state, stats, found, codes, q)
         out = {"counterexample": found[0] if found else None}
     else:
         goal = _goal_from_spec(goal_spec)
         sigma = 1 << group.index_scalar(m, g) if goal.reads_sum else 0
-        _dfs(ctx, pred, goal, [g] * m, state, sigma, g, stats, *root)
+        _dfs(ctx, pred, goal, [g] * m, state, sigma, g, stats, None)
         out = goal.to_payload()
     out["nodes"] = stats.nodes
     out["exhausted"] = stats.exhausted
@@ -678,23 +746,19 @@ def _branch_worker(payload: dict) -> dict:
 
 def _root_jobs(ctx: _Ctx, pred, goal: dict) -> list:
     """Canonical, feasible children of the empty root: (element, multiplicity)
-    pairs within the goal's length cap, or for D0 the first g_i."""
-    empty = [0] * len(ctx.perms)
+    pairs within the goal's length cap, or for D0 the first g_i.
+
+    g^m, or g alone, is canonical iff no perm maps g below itself, that is
+    iff g is the least element of its orbit.
+    """
     if goal["kind"] == "d0":
-        unit = _units(ctx.order, goal["c"])
         start = _push_copies(pred, pred.initial(), 0, 1)
-        return [
-            g for g in range(ctx.order)
-            if _push_copies(pred, start, g, ctx.exp - 1) is not None
-            and _extend(0, empty, ctx.perms, unit, g, 1) is not None
-        ]
+        return [g for g in ctx.minima if _push_copies(pred, start, g, ctx.exp - 1) is not None]
     hi = _goal_from_spec(goal).needs()[1]
     jobs = []
-    for g in range(ctx.order):
+    for g in ctx.minima:
         for m in range(len(_chain(pred, pred.initial(), g, ctx.bound[g])), 0, -1):
-            if hi is not None and m > hi:
-                continue
-            if _extend(0, empty, ctx.perms, ctx.unit, g, m) is not None:
+            if hi is None or m <= hi:
                 jobs.append((g, m))
     return jobs
 

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from zerosum import catalog
+from zerosum import catalog, search
 from zerosum.group import AbelianGroup, SymmetryAction, make_group, shift_bits, shift_steps
 from zerosum.sequence import Sequence
 
@@ -93,6 +93,53 @@ def is_orbit_minimal(seq: list[int], perms) -> bool:
     """Sort-based canonicity: the sorted index list is lex-least among its images."""
     seq = sorted(seq)
     return all(sorted(p[i] for i in seq) >= seq for p in perms)
+
+
+def loop_units(order: int, top: int) -> tuple[int, ...]:
+    """unit[x] = 1 << k*(order-1-x), with k bits enough for a multiplicity of
+    top: the digit units of the search's multiset code."""
+    k = max(1, top.bit_length())
+    return tuple(1 << k * (order - 1 - x) for x in range(order))
+
+
+def loop_extend(enc: int, imgs, perms, unit, g: int, m: int) -> tuple[int, list[int]] | None:
+    """Add g^m to a multiset with code enc and image codes imgs (one per perm),
+    one add and one compare per permutation, the way search._extend did.
+
+    Returns the new code and image codes, or None as soon as an image code
+    exceeds the new code: the extension is then not canonical.
+    """
+    enc += m * unit[g]
+    out = []
+    for img, p in zip(imgs, perms):
+        img += m * unit[p[g]]
+        if img > enc:
+            return None
+        out.append(img)
+    return enc, out
+
+
+def loop_root_jobs(ctx, pred, goal: dict) -> list:
+    """search._root_jobs the way it tested each root job with loop_extend."""
+    empty = [0] * len(ctx.perms)
+    if goal["kind"] == "d0":
+        unit = loop_units(ctx.order, goal["c"])
+        start = search._push_copies(pred, pred.initial(), 0, 1)
+        return [
+            g for g in range(ctx.order)
+            if search._push_copies(pred, start, g, ctx.exp - 1) is not None
+            and loop_extend(0, empty, ctx.perms, unit, g, 1) is not None
+        ]
+    unit = loop_units(ctx.order, max(ctx.bound))
+    hi = search._goal_from_spec(goal).needs()[1]
+    jobs = []
+    for g in range(ctx.order):
+        for m in range(len(search._chain(pred, pred.initial(), g, ctx.bound[g])), 0, -1):
+            if hi is not None and m > hi:
+                continue
+            if loop_extend(0, empty, ctx.perms, unit, g, m) is not None:
+                jobs.append((g, m))
+    return jobs
 
 
 def layers_by_count(group: AbelianGroup, terms, top: int) -> list[set[int]]:

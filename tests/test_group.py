@@ -135,14 +135,22 @@ def test_full_small_closure_sizes():
 
 
 @pytest.mark.parametrize(
-    "moduli", [(3,), (7,), (2, 2), (3, 3), (3, 6), (4, 4), (2, 2, 2, 2), (3, 3, 3)]
+    "moduli", [(3,), (7,), (2, 2), (3, 3), (3, 6), (4, 4), (2, 2, 2, 2), (3, 3, 3), (2,) * 7]
 )
 def test_closure_matches_loop_oracle(moduli):
-    # the same sorted permutation list at every level
+    # the same sorted permutation list at every level, full_small on C4^2 and
+    # on the mixed moduli of C3+C6 among them; the closure keys a permutation
+    # by its basis images, a bare item at rank 1 (C3, C7).  C2^7 stops short
+    # of full_small, whose closure GL(7,2) is far past the cap; its
+    # coordinate permutations give 5,040
     g = make_group(moduli)
     for level in SYMMETRY_LEVELS:
+        if level == "full_small" and g.order > 64:
+            continue
         actions = symmetries(g, level)
         assert close_symmetries(actions) == loop_close_symmetries(actions, CLOSURE_CAP), level
+    if moduli == (2,) * 7:
+        assert len(close_symmetries(symmetries(g, "coord_perms+scalar"))) == 5040
 
 
 def test_closure_cap_is_exact():

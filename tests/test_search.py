@@ -8,8 +8,11 @@ from conftest import (
     brute_max_length,
     is_orbit_minimal,
     layers_by_count,
+    loop_extend,
     loop_no_exact_exp_potential,
     loop_pair_potential,
+    loop_root_jobs,
+    loop_units,
     multisets_of_length,
     naive_is_short_free,
     naive_is_zero_sum_free,
@@ -365,6 +368,22 @@ def _canon_ctx(spec: str, pred: str, level: str):
     return _CANON_CTX[key]
 
 
+def _packed_extend(codes, q: int, g: int, m: int) -> int | None:
+    """The packed image codes after adding g^m, or None if not canonical:
+    the step _dfs takes."""
+    q += m * codes.delta(g)
+    return q if q & codes.guard == codes.guard else None
+
+
+def _draw_codes(data, ctx):
+    """The packed codes and per-element multiplicity caps of a search on ctx,
+    or D0-style ones: any element repeated up to c times."""
+    if data.draw(st.booleans()):
+        c = data.draw(st.integers(1, 12))
+        return ctx.packed(c), c, [c] * ctx.order
+    return ctx.codes, max(ctx.bound), ctx.bound
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_encoded_canonicity_matches_sort_oracle(data):
@@ -372,24 +391,67 @@ def test_encoded_canonicity_matches_sort_oracle(data):
     pred = data.draw(st.sampled_from(("short_free", "no_exact_exp")))
     level = data.draw(st.sampled_from(CANON_LEVELS))
     ctx = _canon_ctx(spec, pred, level)
-    if data.draw(st.booleans()):  # D0-style: any element repeated up to c times
-        c = data.draw(st.integers(1, 12))
-        unit, caps = search._units(ctx.order, c), [c] * ctx.order
-    else:
-        unit, caps = ctx.unit, ctx.bound
+    codes, _, caps = _draw_codes(data, ctx)
     support = data.draw(st.sets(st.integers(0, ctx.order - 1), max_size=6))
     # the DFS extends canonical multisets only, so the walk stops at the first
     # prefix that is not canonical
-    code, seq = (0, [0] * len(ctx.perms)), []
+    code, seq = codes.guard, []
     for g in sorted(support):
         if caps[g] <= 0:
             continue
         m = data.draw(st.integers(1, caps[g]))
-        code = search._extend(*code, ctx.perms, unit, g, m)
+        code = _packed_extend(codes, code, g, m)
         seq += [g] * m
         assert (code is not None) == is_orbit_minimal(seq, ctx.perms), seq
         if code is None:
             break
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_packed_codes_match_loop_oracle(data):
+    # the verdict, and every field 2^F + enc - img of the packed int, against
+    # the per-permutation loop on digit units built here
+    spec = data.draw(st.sampled_from(sorted(CANON_GROUPS)))
+    pred = data.draw(st.sampled_from(("short_free", "no_exact_exp")))
+    level = data.draw(st.sampled_from(CANON_LEVELS))
+    ctx = _canon_ctx(spec, pred, level)
+    codes, top, caps = _draw_codes(data, ctx)
+    unit = loop_units(ctx.order, top)
+    assert codes.unit == unit
+    bias = unit[0] << max(1, top.bit_length())  # 2^F, F = order*k
+    width = 8 * len(codes.fields[0])
+    assert width > bias.bit_length()
+    enc, imgs = 0, [0] * len(ctx.perms)
+    q = codes.guard
+    for g in sorted(data.draw(st.sets(st.integers(0, ctx.order - 1), max_size=6))):
+        if caps[g] <= 0:
+            continue
+        m = data.draw(st.integers(1, caps[g]))
+        want = loop_extend(enc, imgs, ctx.perms, unit, g, m)
+        q = _packed_extend(codes, q, g, m)
+        assert (q is None) == (want is None), g
+        if want is None:
+            break
+        enc, imgs = want
+        fields = [q >> i * width & (1 << width) - 1 for i in range(len(imgs) + 1)]
+        assert fields == [bias + enc - img for img in imgs] + [0]
+
+
+@pytest.mark.parametrize("level", SYMMETRY_LEVELS)
+def test_root_jobs_are_the_orbit_minima(level):
+    # root jobs by orbit minimum, against the per-permutation test of each
+    # root's code, with and without a length cap, and D0 at two digit widths
+    goals = [{"kind": "max", "lb": 0},
+             {"kind": "enum", "length": 2, "checks": [], "per_element": 0, "collect": False}]
+    d0_goals = [{"kind": "d0", "c": 1}, {"kind": "d0", "c": 9}]
+    for spec in sorted(CANON_GROUPS):
+        for pred_name in ("short_free", "zero_sum_free", "no_exact_exp"):
+            ctx = _canon_ctx(spec, pred_name, level)
+            pred = search._make_pred(ctx, pred_name)
+            for goal in goals + (d0_goals if pred_name == "no_exact_exp" else []):
+                want = loop_root_jobs(ctx, pred, goal)
+                assert search._root_jobs(ctx, pred, goal) == want, (spec, pred_name, goal)
 
 
 @settings(max_examples=100, deadline=None)
