@@ -82,7 +82,8 @@ class Fact:
     @classmethod
     def from_payload(cls, data: dict) -> Fact:
         """The fact whose payload() this is; ValueError on a field of another
-        type, so that a hand-edited line cannot build an unhashable fact."""
+        type, so that a hand-edited line cannot build an unhashable fact, and
+        on a subject with a modulus below 2, which is no group's."""
         prov = data["provenance"]
         subject, kind = data["subject"], data["kind"]
         source, reference, premises = prov["source"], prov["reference"], prov.get("premises", [])
@@ -92,6 +93,8 @@ class Fact:
             and isinstance(premises, list) and all(isinstance(x, str) for x in premises),
             "subject, kind, source, reference or premises of the wrong type",
         )
+        # a subject is a group's moduli; rules divide by n-1
+        _require(all(x >= 2 for x in subject), f"subject {subject} has a modulus below 2")
         return cls(tuple(subject), kind, _detail(data["detail"]),
                    Provenance(source, reference, tuple(premises)))
 

@@ -77,16 +77,15 @@ def _cache_read(key: str, kind: str, group_spec: str) -> Certificate | None:
 
 
 def _cache_write(key: str, cert: Certificate) -> None:
+    """Record the certificate's fact, then cache the certificate: a fact that
+    contradicts the store raises FactConflictError before anything is cached,
+    so a later run cannot read the certificate back as a hit."""
     d = cache_dir()
     d.mkdir(parents=True, exist_ok=True)
-    catalog.write_atomic(d / f"{key}.json", cert.to_json())
-    _record_fact(cert)
-
-
-def _record_fact(cert: Certificate) -> None:
     fact = catalog.fact_from_certificate(cert)
     if fact is not None:
-        catalog.record_fact(cache_dir() / "facts.jsonl", fact)
+        catalog.record_fact(d / "facts.jsonl", fact)
+    catalog.write_atomic(d / f"{key}.json", cert.to_json())
 
 
 def _config_from_args(args) -> SearchConfig:

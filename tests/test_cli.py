@@ -312,6 +312,33 @@ def test_a_contradicting_fact_on_file_is_a_usage_error(argv, capsys):
     assert err.startswith("error: fact") and "distinct invariant values" in err
 
 
+def test_a_contradicting_fact_on_file_is_never_cached(capsys):
+    # the fact is checked before the certificate is cached, so a second run
+    # finds no cache entry to print as "(cached)" and fails the same way
+    fact = catalog.Fact((3, 3, 3), catalog.KIND_INVARIANT, ("eta", 16),
+                        catalog.Provenance("search", "x"))
+    cache_dir().mkdir(parents=True)
+    (cache_dir() / "facts.jsonl").write_text(
+        json.dumps({"id": fact.fact_id, **fact.payload()}, sort_keys=True) + "\n")
+    assert main(["invariant", "C3^3", "eta"]) == 3
+    assert main(["invariant", "C3^3", "eta"]) == 3
+    assert "(cached)" not in capsys.readouterr().out
+    assert list(cache_dir().glob("*.json")) == []
+
+
+def test_facts_infer_reports_a_subject_with_modulus_one(capsys):
+    # eta(C1^3) = 1 and Property C would reach a rule dividing by n-1 = 0
+    cited = catalog.Provenance("cited", "x")
+    lines = [catalog.Fact((1, 1, 1), catalog.KIND_INVARIANT, ("eta", 1), cited),
+             catalog.Fact((1, 1, 1), catalog.KIND_PROPERTY, ("C", True), cited)]
+    cache_dir().mkdir(parents=True)
+    (cache_dir() / "facts.jsonl").write_text("".join(
+        json.dumps({"id": f.fact_id, **f.payload()}, sort_keys=True) + "\n" for f in lines))
+    assert main(["facts", "--infer"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 1:" in err and "modulus below 2" in err
+
+
 def test_repro_fast_tables(capsys):
     assert main(["repro", "thmB", "--q", "3"]) == 0
     assert main(["repro", "thm13", "--group", "C2^3"]) == 0
