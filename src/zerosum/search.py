@@ -194,12 +194,11 @@ class _Ctx:
     states the steps repeated in every layer (lsteps), the offset of the top
     layer, the mask of all layers and the int with bit 0 set in every layer
     (see subsum.add_term).  codes holds the packed image codes for
-    multiplicities up to max(bound); packed() gives those for other digit
-    widths (D0's units sized for c), one _Codes per width.
+    multiplicities up to max(bound), and packed(c) those sized for c (D0).
 
-    One instance is shared by every root job of a run.  Once built, it
-    changes only by packed() adding a _Codes and a _Codes filling in its
-    deltas, and each of those is a function of the context's key alone.
+    One instance is shared by every root job of a run.  Once built, only
+    packed() and the deltas of its _Codes fill in, with values that are a
+    function of the context's key alone.
     """
 
     __slots__ = ("group", "order", "exp", "neg", "steps", "bound", "perms", "minima",
@@ -289,38 +288,33 @@ def _context(group: AbelianGroup, pred_name: str, squarefree: bool, level: str) 
 def _orbit_minima(gens, order: int) -> tuple[int, ...]:
     """The least element of each orbit of the group the generator perms
     generate, in increasing order."""
-    seen = [False] * order
+    seen: set[int] = set()
     minima = []
     for x in range(order):
-        if seen[x]:
+        if x in seen:
             continue
-        # every smaller element's orbit is already seen, so x is its orbit's least
-        minima.append(x)
-        seen[x] = True
-        stack = [x]
-        while stack:
-            y = stack.pop()
+        minima.append(x)  # the orbits of all smaller elements are seen
+        seen.add(x)
+        orbit = [x]
+        for y in orbit:  # the list grows while it is read
             for p in gens:
-                z = p[y]
-                if not seen[z]:
-                    seen[z] = True
-                    stack.append(z)
+                if p[y] not in seen:
+                    seen.add(p[y])
+                    orbit.append(p[y])
     return tuple(minima)
 
 
 class _Codes:
     """Packed image codes for digit units of k bits, over the perms p_0, p_1, ...
 
-    unit[x] = 1 << k*(order-1-x), and a multiset's code is enc =
-    sum(mult[x] * unit[x]); no digit carries, so on sorted tuples of equal
-    length a lex-smaller tuple has a larger code.  Every code is below 2^F,
-    F = order*k.  A node's packed int holds in field i, of F // 8 + 1 bytes,
-    the value 2^F + enc - img_i, img_i the code of the multiset's image
-    under p_i.  That value lies in (0, 2^(F+1)), so no field borrows from the
-    next, and the multiset is canonical iff every guard bit 2^F is set.
-    Adding g^m adds m * delta(g), where field i of delta(g) is
-    unit[g] - unit[p_i[g]]; delta(g) is one join of per-element field bytes,
-    built on first use and kept.
+    A multiset's code is enc = sum(mult[x] * unit[x]), unit[x] =
+    1 << k*(order-1-x); no digit carries, so on sorted tuples of equal length
+    a lex-smaller tuple has a larger code, and every code is below 2^F,
+    F = order*k.  Field i of a node's packed int, F // 8 + 1 bytes wide,
+    holds 2^F + enc - img_i, img_i the code of the multiset's image under
+    p_i.  It lies in (0, 2^(F+1)), so no field borrows from the next, and the
+    multiset is canonical iff every guard bit 2^F is set.  Adding g^m adds
+    m * delta(g), whose field i is unit[g] - unit[p_i[g]].
     """
 
     __slots__ = ("perms", "unit", "fields", "rep", "guard", "deltas")
@@ -341,6 +335,7 @@ class _Codes:
         return self.unit[g] * self.rep - images
 
     def delta(self, g: int) -> int:
+        """delta(g), built on first use and kept."""
         d = self.deltas[g]
         if d is None:
             d = self.deltas[g] = self.build(g)
@@ -608,12 +603,9 @@ def _dfs(
 ) -> None:
     """Visit seq, then its canonical feasible children; sigma is the one-bit
     mask of the sum of seq, or 0 when the goal does not read the sum, and q
-    the packed image codes of seq in ctx.codes, or None at a root job.
-
-    A root job's q is made when its first child is tested, so a root that
-    tests none builds nothing.  Its root element is the least of its orbit
-    (see _root_jobs), so that q has every guard bit, and its delta is built,
-    not kept: no later node of the subtree adds that element again.
+    the packed image codes of seq in ctx.codes, or None at a root job: that
+    q is made at the first child test, from a delta built but not kept, as
+    no node below adds the root element again.
     """
     if stats.should_stop():
         return
