@@ -1038,7 +1038,21 @@ _RULES: dict[str, Callable[[FactStore], list[Fact]]] = {
 }
 
 
-def infer(store: FactStore, rules: Iterable[str] | None = None, max_rounds: int = 3) -> list[Fact]:
+class Inference(list):
+    """The facts infer added, in order, and how it ran: rounds, the rounds it
+    ran; fixpoint, whether the last of them added nothing (if not, more
+    rounds may add more); by_rule, the facts each rule added (the two
+    closures under their own names, builtin facts of new subjects under
+    "instantiate_for")."""
+
+    def __init__(self, rules: Iterable[str]) -> None:
+        super().__init__()
+        self.rounds = 0
+        self.fixpoint = False
+        self.by_rule = dict.fromkeys(rules, 0)
+
+
+def infer(store: FactStore, rules: Iterable[str] | None = None, max_rounds: int = 3) -> Inference:
     """Apply the inference rules to a fixpoint or max_rounds; returns new facts.
 
     New subjects introduced by product rules get their builtin facts
@@ -1048,29 +1062,31 @@ def infer(store: FactStore, rules: Iterable[str] | None = None, max_rounds: int 
     for rid in rule_ids:
         if rid not in _RULES:
             raise ValueError(f"unknown rule {rid!r}")
-    added: list[Fact] = []
-    for _ in range(max_rounds):
-        fresh: list[Fact] = []
-        for rid in rule_ids:
-            fresh.extend(_RULES[rid](store))
-        fresh.extend(_closure_bounds_meet(store))
-        fresh.extend(_closure_full_range(store))
+    added = Inference((*rule_ids, "bounds-meet", "range-close", "instantiate_for"))
+    while added.rounds < max_rounds and not added.fixpoint:
+        added.rounds += 1
+        fresh = [(rid, _RULES[rid](store)) for rid in rule_ids]
+        fresh += [("bounds-meet", _closure_bounds_meet(store)),
+                  ("range-close", _closure_full_range(store))]
         new_subjects = set()
-        new_count = 0
-        for fact in fresh:
-            if not store.has_statement(*fact.statement()):
-                if fact.subject not in store._by_subject:
-                    new_subjects.add(fact.subject)
-                store.add(fact)
-                added.append(fact)
-                new_count += 1
+        before = len(added)
+        for rule, facts in fresh:
+            start = len(added)
+            for fact in facts:
+                if not store.has_statement(*fact.statement()):
+                    if fact.subject not in store._by_subject:
+                        new_subjects.add(fact.subject)
+                    store.add(fact)
+                    added.append(fact)
+            added.by_rule[rule] += len(added) - start
+        added.fixpoint = len(added) == before
+        start = len(added)
         for subject in sorted(new_subjects):
             for fact in instantiate_for(subject):
                 if not store.has_statement(*fact.statement()):
                     store.add(fact)
                     added.append(fact)
-        if new_count == 0:
-            break
+        added.by_rule["instantiate_for"] += len(added) - start
     return added
 
 

@@ -78,12 +78,14 @@ def _cache_read(key: str, kind: str, group_spec: str) -> Certificate | None:
 
 def _cache_write(key: str, cert: Certificate) -> None:
     """Record the certificate's fact, then cache the certificate: a fact that
-    contradicts the store raises FactConflictError before anything is cached,
-    so a later run cannot read the certificate back as a hit."""
+    contradicts a cited catalog fact or the store raises FactConflictError
+    before anything is written, so a later run can neither read the
+    certificate back as a hit nor meet the bad fact on file."""
     d = cache_dir()
     d.mkdir(parents=True, exist_ok=True)
     fact = catalog.fact_from_certificate(cert)
     if fact is not None:
+        catalog.FactStore().add_all([*catalog.instantiate_for(fact.subject), fact])
         catalog.record_fact(d / "facts.jsonl", fact)
     catalog.write_atomic(d / f"{key}.json", cert.to_json())
 
@@ -340,7 +342,9 @@ def _cmd_facts(args) -> int:
             store.add(fact)
     if args.infer:
         derived = catalog.infer(store)
-        print(f"derived {len(derived)} new fact(s)")
+        end = "a fixpoint" if derived.fixpoint else "no fixpoint: the last round still added facts"
+        print(f"derived {len(derived)} new fact(s) in {derived.rounds} round(s), {end}")
+        print("  per rule: " + ", ".join(f"{r} {n}" for r, n in derived.by_rule.items()))
     report = catalog.consistency_check(store)
     shown = 0
     for fid in sorted(store.facts):

@@ -30,11 +30,14 @@ order, choosing each element's multiplicity at first visit.  Pruning rules:
 
 Every search (an invariant, the C0 sweep, an enumeration, Properties C, D
 and D0) goes through one run loop, _run: it builds the context (tables and
-closed symmetries; once per run, and once per worker process at width > 1),
-makes one branch per canonical, feasible child of the empty root and runs
-the branches at the configured width.  Branches never share state, so node
-counts, outcomes and witnesses are byte-identical at any width.  Budgets
-bound each top-level subtree.  Property C is an enumeration under the
+symmetry generators; once per run, and once per worker process at width >
+1), makes one branch per canonical, feasible child of the empty root and
+runs the branches at the configured width.  The closed symmetry group and
+its packed codes are built at the first child test (for D0, when a branch
+starts), so a search whose children are all cut before the test never
+closes the group and never meets its cap.  Branches never share state, so
+node counts, outcomes and witnesses are byte-identical at any width.
+Budgets bound each top-level subtree.  Property C is an enumeration under the
 short_free predicate and Property D one under no_exact_exp; D0 pushes n-1
 copies of each g_i onto the same no_exact_exp state, and a forbidden push
 is a zero-sum of length exactly n; those pushes run before the canonicity
@@ -47,7 +50,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
@@ -188,22 +190,25 @@ _KIND_TO_PRED = {
 
 class _Ctx:
     """Per-run tables: negation, the shift steps that add each element to a
-    bitmask of element indices, multiplicity bounds, the non-identity perms
-    of the closed symmetry group, the least element of each orbit (minima),
+    bitmask of element indices, multiplicity bounds, the symmetry generators
+    (actions) and the least element of each orbit they generate (minima),
     the masks of the popcount potentials (see _PairPred), and for the layered
     states the steps repeated in every layer (lsteps), the offset of the top
     layer, the mask of all layers and the int with bit 0 set in every layer
-    (see subsum.add_term).  codes holds the packed image codes for
-    multiplicities up to max(bound), and packed(c) those sized for c (D0).
+    (see subsum.add_term).  perms, the non-identity perms of the closed
+    symmetry group, is closed on first use; codes, the packed image codes for
+    multiplicities up to max(bound), and packed(c), those sized for c (D0),
+    are built on first use over perms.  _dfs first reads codes at a root
+    job's first child test, so a tree that tests no child closes nothing.
 
     One instance is shared by every root job of a run.  Once built, only
-    packed() and the deltas of its _Codes fill in, with values that are a
-    function of the context's key alone.
+    perms, codes, packed() and the deltas of its _Codes fill in, with values
+    that are a function of the context's key alone.
     """
 
-    __slots__ = ("group", "order", "exp", "neg", "steps", "bound", "perms", "minima",
-                 "tables", "codes", "ge", "nge", "weights", "less", "lsteps", "top", "full",
-                 "rep")
+    __slots__ = ("group", "order", "exp", "neg", "steps", "bound", "actions", "minima",
+                 "_perms", "_codes", "tables", "ge", "nge", "weights", "less", "lsteps", "top",
+                 "full", "rep")
 
     def __init__(
         self, group: AbelianGroup, pred_name: str, squarefree: bool, level: str
@@ -250,13 +255,26 @@ class _Ctx:
         self.ge, self.nge = tuple(ge), tuple(nge)
         self.weights = tuple(sorted(weights.items()))
         self.less = sum(1 << h for h in range(order) if neg[h] < h)
-        actions = symmetries(group, level)
-        closed = close_symmetries(actions)
-        identity = tuple(range(order))
-        self.perms = tuple(p for p in closed if p != identity)
-        self.minima = _orbit_minima([a.perm for a in actions], order)
+        self.actions = tuple(symmetries(group, level))
+        self.minima = _orbit_minima([a.perm for a in self.actions], order)
+        self._perms = self._codes = None
         self.tables: dict[int, _Codes] = {}
-        self.codes = self.packed(max(bounds))
+
+    @property
+    def perms(self) -> tuple[tuple[int, ...], ...]:
+        """The non-identity perms of the closed symmetry group, closed on
+        first use: ValueError here if the closure exceeds its cap."""
+        if self._perms is None:
+            identity = tuple(range(self.order))
+            self._perms = tuple(p for p in close_symmetries(self.actions) if p != identity)
+        return self._perms
+
+    @property
+    def codes(self) -> _Codes:
+        """The packed image codes for multiplicities up to max(bound)."""
+        if self._codes is None:
+            self._codes = self.packed(max(self.bound))
+        return self._codes
 
     def packed(self, top: int) -> _Codes:
         """The packed image codes for multiplicities up to top."""
@@ -618,8 +636,9 @@ def _dfs(
     order = ctx.order
     bound = ctx.bound
     steps = ctx.steps
-    codes = ctx.codes
-    deltas, guard = codes.deltas, codes.guard
+    if q is not None:  # a tested child, so the codes are built
+        codes = ctx._codes
+        deltas, guard = codes.deltas, codes.guard
     for g in range(last + 1, order):
         b = bound[g]
         if b <= 0:
@@ -640,7 +659,9 @@ def _dfs(
             st_m = chain[m - 1]
             if lo is not None and length + m + pred.potential(st_m, g + 1) < lo:
                 continue
-            if q is None:  # the root job last^length
+            if q is None:  # the root job last^length: its first child test
+                codes = ctx.codes
+                deltas, guard = codes.deltas, codes.guard
                 q = guard + length * codes.build(last)
             delta = deltas[g]
             if delta is None:
@@ -778,6 +799,9 @@ def _run(
     if cfg.parallel_width <= 1 or len(payloads) <= 1:
         results = [_branch_worker(p) for p in payloads]
     else:
+        # imported here: the pool module loads multiprocessing, which width 1 never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.parallel_width) as pool:
             results = list(pool.map(_branch_worker, payloads, chunksize=1))
     nodes = 1 + sum(res["nodes"] for res in results)

@@ -326,6 +326,18 @@ def test_full_store_bytes_and_derived_ids_are_pinned(full_store, tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_infer_reports_that_it_stopped_short_of_its_fixpoint(full_store):
+    # the third round still adds facts: two more come at a fourth
+    _, derived = full_store
+    assert (derived.rounds, derived.fixpoint) == (3, False)
+    assert sum(derived.by_rule.values()) == len(derived) == 2978
+    assert {rule for rule, n in derived.by_rule.items() if n} == {
+        "R1", "R2", "R3", "R4", "R5", "R6", "R7", "range-close"}
+    store = fresh_store()
+    derived = infer(store)
+    assert (len(derived), derived.rounds, derived.fixpoint) == (12, 2, True)
+
+
 def test_builtin_store_bytes_are_pinned(tmp_path):
     store = fresh_store()
     infer(store)

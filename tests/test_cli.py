@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from zerosum import catalog, cli
+from zerosum import catalog, cli, search
 from zerosum.cli import cache_dir, main
 from zerosum.constructions import build_family
 from zerosum.group import parse_group_spec
@@ -399,14 +399,57 @@ sys.exit(1 if failures else 0)
 """
 
 
-def test_verifiers_reject_wrong_input_under_python_O():
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     )}
+
+
+def test_verifiers_reject_wrong_input_under_python_O():
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "accepted: none" in proc.stdout
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # the pool (and multiprocessing with it) is imported only by a search at width > 1
+    code = ("import sys, zerosum, zerosum.catalog, zerosum.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent.futures')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "concurrent.futures.process" not in proc.stdout
+
+
+def test_a_search_claim_against_a_cited_fact_is_never_recorded(monkeypatch, capsys):
+    # a search that "proves" eta(C3^3) = 15 against the cited 17: an error
+    # before anything is cached or recorded, so the real search still runs clean
+    real = search.invariant_value
+
+    def wrong(group, kind, cfg):
+        _, cert = real(group, kind, cfg)
+        cert.claim.update(extremal_length=14, value=15)
+        return 15, cert
+
+    monkeypatch.setattr(search, "invariant_value", wrong)
+    assert main(["invariant", "C3^3", "eta"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: fact") and "distinct invariant values" in err
+    assert list(cache_dir().iterdir()) == []
+    monkeypatch.setattr(search, "invariant_value", real)
+    assert main(["invariant", "C3^3", "eta"]) == 0
+    assert "eta(C3^3) = 17 [proved_exhaustive]" in capsys.readouterr().out
+
+
+def test_facts_infer_reports_rounds_fixpoint_and_rule_yields(capsys):
+    assert main(["facts", "--infer"]) == 0
+    out = capsys.readouterr().out
+    assert "derived 12 new fact(s) in 2 round(s), a fixpoint" in out
+    assert "per rule: R1 1, R2 0, R3 6, R4 2," in out and "range-close 3" in out
+    assert main(["facts", "--infer", "--group", "C15^3"]) == 0
+    assert "in 3 round(s), no fixpoint" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -18,8 +19,8 @@ from conftest import (
     naive_is_zero_sum_free,
     naive_profile,
 )
-from zerosum import search
-from zerosum.group import SYMMETRY_LEVELS, element_order, make_group
+from zerosum import catalog, search
+from zerosum.group import SYMMETRY_LEVELS, close_symmetries, element_order, make_group
 from zerosum.search import (
     STATUS_EXHAUSTED,
     STATUS_PROVED,
@@ -280,6 +281,7 @@ PINNED_SEARCHES = [
     ("s", (4, 4), 4725, "1fe61f10f7a70fee"),
     ("s", (2, 6), 6189, "7003abb1fe947d76"),
     ("eta", (2,) * 7, 8, "cf2f5c4b4037911e"),
+    ("eta", (2,) * 8, 9, "6f72b81aa9e29904"),
 ]
 
 
@@ -287,6 +289,29 @@ PINNED_SEARCHES = [
 def test_search_tree_is_pinned(kind, moduli, nodes, cert_id):
     _, cert = max_extremal_length(make_group(moduli), kind, CFG)
     assert (cert.nodes, cert.cert_id()) == (nodes, cert_id)
+
+
+def test_eta_of_c2_9_is_proved_past_the_closure_cap():
+    # the coordinate perms of C2^9 close to 9! > CLOSURE_CAP perms, but every
+    # root's children are cut by the potential, so no child is tested
+    group = make_group((2,) * 9)
+    value, cert = invariant_value(group, "eta", CFG)
+    assert (value, cert.status, cert.nodes, cert.cert_id()) == (
+        512, STATUS_PROVED, 10, "f1fd700b5a287f9b")
+    assert invariant_value(group, "eta", SearchConfig(symmetry_level="none"))[0] == 512
+    cited = {f.detail[1] for f in catalog.instantiate_for(group.moduli)
+             if f.kind == catalog.KIND_INVARIANT and f.detail[0] == "eta"}
+    assert cited == {2**9}
+
+
+def test_the_closure_is_built_at_the_first_child_test(monkeypatch):
+    # with a closure cap of 5, eta(C2^7) (no child tested) still proves its
+    # value, and D(C3^3) (11 perms, tested at its first child) raises
+    monkeypatch.setattr(search, "close_symmetries", functools.partial(close_symmetries, cap=5))
+    monkeypatch.setattr(search, "_ctx_memo", {})
+    assert invariant_value(make_group((2,) * 7), "eta", CFG)[0] == 128
+    with pytest.raises(ValueError, match="cap of 5 permutations"):
+        invariant_value(make_group((3, 3, 3)), "D", CFG)
 
 
 _C44 = make_group((4, 4))
