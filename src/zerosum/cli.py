@@ -78,14 +78,12 @@ def _cache_read(key: str, kind: str, group_spec: str) -> Certificate | None:
 
 def _cache_write(key: str, cert: Certificate) -> None:
     """Record the certificate's fact, then cache the certificate: a fact that
-    contradicts a cited catalog fact or the store raises FactConflictError
-    before anything is written, so a later run can neither read the
-    certificate back as a hit nor meet the bad fact on file."""
+    contradicts the store raises FactConflictError before anything is cached,
+    so a later run cannot read the certificate back as a hit."""
     d = cache_dir()
     d.mkdir(parents=True, exist_ok=True)
     fact = catalog.fact_from_certificate(cert)
     if fact is not None:
-        catalog.FactStore().add_all([*catalog.instantiate_for(fact.subject), fact])
         catalog.record_fact(d / "facts.jsonl", fact)
     catalog.write_atomic(d / f"{key}.json", cert.to_json())
 
@@ -126,17 +124,18 @@ def _cmd_invariant(args) -> int:
     cert = None if args.no_cache else _cache_read(key, args.kind, group.spec())
     cached = cert is not None
     if cert is None:
-        value, cert = search.invariant_value(group, args.kind, cfg)
-        if not args.no_cache:
-            _cache_write(key, cert)
+        _, cert = search.invariant_value(group, args.kind, cfg)
+    # a claim that contradicts a cited catalog fact raises FactConflictError
+    # here, cached or not, before anything is written
+    fact = catalog.fact_from_certificate(cert)
+    if fact is not None:
+        catalog.FactStore().add_all([*catalog.instantiate_for(fact.subject), fact])
+    if not cached and not args.no_cache:
+        _cache_write(key, cert)
     value = cert.claim["value"]
     suffix = " (cached)" if cached else f" nodes={cert.nodes} time={cert.wall_time_s:.1f}s"
     qualifier = "" if cert.status == STATUS_PROVED else " (lower bound)"
     print(f"{args.kind}({group.spec()}) = {value}{qualifier} [{cert.status}]{suffix}")
-    known = _known_values(group).get(args.kind)
-    if known is not None and cert.status == STATUS_PROVED and known != value:
-        print(f"WARNING: search disagrees with the cataloged value {known}")
-        return 1
     _emit(cert, args)
     return status_exit_code(cert.status)
 

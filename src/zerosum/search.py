@@ -35,7 +35,9 @@ symmetry generators; once per run, and once per worker process at width >
 runs the branches at the configured width.  The closed symmetry group and
 its packed codes are built at the first child test (for D0, when a branch
 starts), so a search whose children are all cut before the test never
-closes the group and never meets its cap.  Branches never share state, so
+closes the group and never meets its cap.  At width > 1 the run closes the
+group once before the workers start; a closure past its cap is kept as its
+error, raised only where a child is tested.  Branches never share state, so
 node counts, outcomes and witnesses are byte-identical at any width.
 Budgets bound each top-level subtree.  Property C is an enumeration under the
 short_free predicate and Property D one under no_exact_exp; D0 pushes n-1
@@ -196,10 +198,12 @@ class _Ctx:
     states the steps repeated in every layer (lsteps), the offset of the top
     layer, the mask of all layers and the int with bit 0 set in every layer
     (see subsum.add_term).  perms, the non-identity perms of the closed
-    symmetry group, is closed on first use; codes, the packed image codes for
-    multiplicities up to max(bound), and packed(c), those sized for c (D0),
-    are built on first use over perms.  _dfs first reads codes at a root
-    job's first child test, so a tree that tests no child closes nothing.
+    symmetry group, is closed on first use or by close() (a closure past its
+    cap is kept as its ValueError, raised at every read); codes, the packed
+    image codes for multiplicities up to max(bound), and packed(c), those
+    sized for c (D0), are built on first use over perms.  _dfs first reads
+    codes at a root job's first child test, so a tree that tests no child
+    closes nothing.
 
     One instance is shared by every root job of a run.  Once built, only
     perms, codes, packed() and the deltas of its _Codes fill in, with values
@@ -260,13 +264,24 @@ class _Ctx:
         self._perms = self._codes = None
         self.tables: dict[int, _Codes] = {}
 
+    def close(self) -> None:
+        """Close the symmetry group once: _perms keeps the non-identity perms,
+        or the ValueError of a closure past its cap."""
+        if self._perms is None:
+            identity = tuple(range(self.order))
+            try:
+                self._perms = tuple(p for p in close_symmetries(self.actions) if p != identity)
+            except ValueError as exc:
+                self._perms = exc
+
     @property
     def perms(self) -> tuple[tuple[int, ...], ...]:
         """The non-identity perms of the closed symmetry group, closed on
-        first use: ValueError here if the closure exceeds its cap."""
-        if self._perms is None:
-            identity = tuple(range(self.order))
-            self._perms = tuple(p for p in close_symmetries(self.actions) if p != identity)
+        first use: ValueError here, at every read, if the closure exceeds
+        its cap."""
+        self.close()
+        if isinstance(self._perms, ValueError):
+            raise ValueError(*self._perms.args)
         return self._perms
 
     @property
@@ -802,6 +817,9 @@ def _run(
         # imported here: the pool module loads multiprocessing, which width 1 never uses
         from concurrent.futures import ProcessPoolExecutor
 
+        # close once, before the workers fork: each inherits the group, or its
+        # cap error, which it raises only at its first child test
+        ctx.close()
         with ProcessPoolExecutor(max_workers=cfg.parallel_width) as pool:
             results = list(pool.map(_branch_worker, payloads, chunksize=1))
     nodes = 1 + sum(res["nodes"] for res in results)

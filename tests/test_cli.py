@@ -426,9 +426,11 @@ def test_importing_the_package_loads_no_process_pool():
     assert "concurrent.futures.process" not in proc.stdout
 
 
-def test_a_search_claim_against_a_cited_fact_is_never_recorded(monkeypatch, capsys):
-    # a search that "proves" eta(C3^3) = 15 against the cited 17: an error
-    # before anything is cached or recorded, so the real search still runs clean
+@pytest.mark.parametrize("flags", [[], ["--no-cache"]], ids=["cached", "no-cache"])
+def test_a_search_claim_against_a_cited_fact_is_never_recorded(monkeypatch, capsys, flags):
+    # a search that "proves" eta(C3^3) = 15 against the cited 17: an error,
+    # with or without the cache, before anything is cached or recorded, so
+    # the real search still runs clean
     real = search.invariant_value
 
     def wrong(group, kind, cfg):
@@ -437,13 +439,27 @@ def test_a_search_claim_against_a_cited_fact_is_never_recorded(monkeypatch, caps
         return 15, cert
 
     monkeypatch.setattr(search, "invariant_value", wrong)
-    assert main(["invariant", "C3^3", "eta"]) == 3
+    assert main(["invariant", "C3^3", "eta", *flags]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: fact") and "distinct invariant values" in err
-    assert list(cache_dir().iterdir()) == []
+    assert list(cache_dir().glob("*")) == []
     monkeypatch.setattr(search, "invariant_value", real)
     assert main(["invariant", "C3^3", "eta"]) == 0
     assert "eta(C3^3) = 17 [proved_exhaustive]" in capsys.readouterr().out
+
+
+def test_a_cached_claim_against_a_cited_fact_is_an_error(capsys):
+    # a cache entry for eta(C3^3) = 15 whose 14-term witness is valid, as a
+    # hand edit or an older version might leave it: read back, it is an error
+    assert main(["invariant", "C3^3", "eta"]) == 0
+    [path] = cache_dir().glob("*.json")
+    cert = Certificate.from_json(path.read_text())
+    cert.claim.update(extremal_length=14, value=15)
+    cert.witness = Sequence.from_terms(cert.witness.group, list(cert.witness.terms())[:14])
+    path.write_text(cert.to_json())
+    capsys.readouterr()
+    assert main(["invariant", "C3^3", "eta"]) == 3
+    assert "distinct invariant values" in capsys.readouterr().err
 
 
 def test_facts_infer_reports_rounds_fixpoint_and_rule_yields(capsys):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings
@@ -312,6 +313,29 @@ def test_the_closure_is_built_at_the_first_child_test(monkeypatch):
     assert invariant_value(make_group((2,) * 7), "eta", CFG)[0] == 128
     with pytest.raises(ValueError, match="cap of 5 permutations"):
         invariant_value(make_group((3, 3, 3)), "D", CFG)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers inherit the patched closure only when forked")
+def test_a_closure_past_its_cap_is_built_once_at_width_2(monkeypatch, tmp_path):
+    # the run closes the group before its workers fork: they inherit the cap
+    # error and raise it at their first child test without closing again, and
+    # eta(C2^7), which tests no child, still proves its value at width 2
+    log = tmp_path / "closures"
+
+    def logged(actions):
+        with open(log, "a") as f:
+            f.write("closed\n")
+        return close_symmetries(actions, cap=5)
+
+    monkeypatch.setattr(search, "close_symmetries", logged)
+    monkeypatch.setattr(search, "_ctx_memo", {})
+    width2 = SearchConfig(parallel_width=2)
+    with pytest.raises(ValueError, match="cap of 5 permutations"):
+        invariant_value(make_group((3, 3, 3)), "D", width2)
+    assert log.read_text() == "closed\n"
+    assert invariant_value(make_group((2,) * 7), "eta", width2)[0] == 128
+    assert log.read_text() == "closed\n" * 2
 
 
 _C44 = make_group((4, 4))
