@@ -218,14 +218,6 @@ class FactStore:
                 non.update(t for t in range(d + 1, eta) if t not in f.detail)
         return members, non
 
-    def property_holds(self, subject, name, c=None) -> bool | None:
-        for f in self.of_kind(subject, KIND_PROPERTY):
-            if f.detail[0] == name:
-                if name == "D0" and c is not None and f.detail[2] != c:
-                    continue
-                return f.detail[1]
-        return None
-
     def _check_consistent(self, fact: Fact) -> None:
         """Raise FactConflictError if fact clashes with a fact on file; only
         the kinds that share a _CONFLICT_RULES row with its kind are read."""

@@ -21,13 +21,7 @@ CLOSURE_CAP = 250_000
 #: Guard against nonsensical presentations long before memory becomes an issue.
 ORDER_OVERFLOW = 10**18
 
-SYMMETRY_LEVELS = (
-    "none",
-    "coord_perms",
-    "scalar",
-    "coord_perms+scalar",
-    "full_small",
-)
+SYMMETRY_LEVELS = ("none", "coord_perms+scalar", "full_small")
 
 
 class GroupMismatchError(ValueError):
@@ -160,9 +154,6 @@ class GroupElement:
     def __hash__(self) -> int:
         return hash((self.group.moduli, self.index))
 
-    def is_zero(self) -> bool:
-        return self.index == 0
-
     def __repr__(self) -> str:
         return format_element(self)
 
@@ -179,73 +170,6 @@ def make_group(moduli: Iterable[int]) -> AbelianGroup:
     if order > ORDER_OVERFLOW:
         raise ValueError(f"group order {order} overflows the supported range")
     return AbelianGroup(mods, order, math.lcm(*mods))
-
-
-def scalar_mul(k: int, g: GroupElement) -> GroupElement:
-    return k * g
-
-
-def element_order(g: GroupElement) -> int:
-    """Least k >= 1 with k*g = 0; the lcm of the coordinate orders."""
-    orders = (
-        m // math.gcd(c, m) for c, m in zip(g.coords, g.group.moduli)
-    )
-    return math.lcm(*orders)
-
-
-def invariant_factors(group: AbelianGroup) -> tuple[int, ...]:
-    """Canonical invariant-factor presentation, for equality testing only."""
-    by_prime: dict[int, list[int]] = {}
-    for m in group.moduli:
-        n = m
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                by_prime.setdefault(p, []).append(p**e)
-            p += 1
-        if n > 1:
-            by_prime.setdefault(n, []).append(n)
-    for powers in by_prime.values():
-        powers.sort(reverse=True)
-    width = max((len(v) for v in by_prime.values()), default=0)
-    factors = []
-    for i in range(width):
-        f = 1
-        for powers in by_prime.values():
-            if i < len(powers):
-                f *= powers[i]
-        factors.append(f)
-    # invariant factors listed with divisibility ascending
-    return tuple(sorted(factors))
-
-
-def isomorphic(a: AbelianGroup, b: AbelianGroup) -> bool:
-    return invariant_factors(a) == invariant_factors(b)
-
-
-def coordinate_projection(
-    group: AbelianGroup, target_moduli: Iterable[int]
-) -> tuple[AbelianGroup, Callable[[GroupElement], GroupElement]]:
-    """Coordinatewise reduction C_{m_i} -> C_{d_i} with d_i | m_i.
-
-    Returns the quotient presentation and the projection homomorphism.
-    """
-    target = tuple(int(d) for d in target_moduli)
-    if len(target) != len(group.moduli):
-        raise ValueError("target moduli must match the group rank")
-    for d, m in zip(target, group.moduli):
-        if d < 2 or m % d != 0:
-            raise ValueError(f"{d} does not divide modulus {m}")
-    quotient = make_group(target)
-
-    def project(g: GroupElement) -> GroupElement:
-        return quotient.element(c % d for c, d in zip(g.coords, target))
-
-    return quotient, project
 
 
 # -- element sets as bitmasks ------------------------------------------------
@@ -330,70 +254,9 @@ def parse_element(group: AbelianGroup, text: str) -> GroupElement:
 
 
 # -- symmetries ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymmetryAction:
-    """A permutation of the element set arising from a declared symmetry.
-
-    kind is one of: coord_perm, scalar, transvection.  The stored
-    permutation maps element indices to element indices.
-    """
-
-    group: AbelianGroup
-    kind: str
-    name: str
-    perm: tuple[int, ...]
-
-    def apply_index(self, i: int) -> int:
-        return self.perm[i]
-
-
-def _perm_from_coord_map(
-    group: AbelianGroup, fn: Callable[[tuple[int, ...]], Iterable[int]]
-) -> tuple[int, ...]:
-    group.require_table_capacity()
-    return tuple(
-        group.index_of(fn(group.coords_of(i))) for i in range(group.order)
-    )
-
-
-def coord_perm_action(group: AbelianGroup, mapping: dict[int, int]) -> SymmetryAction:
-    """Permute coordinate positions; only positions with equal moduli may move."""
-    for src, dst in mapping.items():
-        if group.moduli[src] != group.moduli[dst]:
-            raise ValueError("coordinate permutation mixes unequal moduli")
-
-    def fn(coords: tuple[int, ...]) -> list[int]:
-        out = list(coords)
-        for src, dst in mapping.items():
-            out[dst] = coords[src]
-        return out
-
-    name = "p" + "".join(f"{s}>{d}" for s, d in sorted(mapping.items()))
-    return SymmetryAction(group, "coord_perm", name, _perm_from_coord_map(group, fn))
-
-
-def scalar_action(group: AbelianGroup, u: int) -> SymmetryAction:
-    if math.gcd(u, group.exponent) != 1:
-        raise ValueError(f"scalar {u} is not a unit modulo exponent {group.exponent}")
-    perm = _perm_from_coord_map(group, lambda c: (u * x for x in c))
-    return SymmetryAction(group, "scalar", f"x{u}", perm)
-
-
-def transvection_action(group: AbelianGroup, i: int, j: int) -> SymmetryAction:
-    """The automorphism e_i -> e_i + e_j (requires moduli[j] | moduli[i])."""
-    if i == j:
-        raise ValueError("transvection requires distinct coordinates")
-    if group.moduli[i] % group.moduli[j] != 0:
-        raise ValueError("transvection target modulus must divide source modulus")
-
-    def fn(coords: tuple[int, ...]) -> list[int]:
-        out = list(coords)
-        out[j] = coords[j] + coords[i]
-        return out
-
-    return SymmetryAction(group, "transvection", f"e{i}+e{j}", _perm_from_coord_map(group, fn))
+#
+# A symmetry is a permutation of the element indices: a tuple p, p[x] the
+# index of the image of the element of index x.
 
 
 def _unit_generators(m: int) -> list[int]:
@@ -431,73 +294,95 @@ def _equal_modulus_blocks(group: AbelianGroup) -> list[list[int]]:
     return [blocks[m] for m in sorted(blocks)]
 
 
-def symmetries(group: AbelianGroup, level: str) -> list[SymmetryAction]:
-    """Generators of the requested symmetry group, in deterministic order.
+def _coord_move(mapping: dict[int, int]) -> Callable[[tuple[int, ...]], list[int]]:
+    """The coordinate map moving position src to position dst, for each src: dst."""
 
-    Levels: none, coord_perms, scalar, coord_perms+scalar, full_small.  Each
-    generator is a group automorphism, so it keeps every zero-sum property.
-    full_small adds transvections (the full automorphism group for
-    equal-modulus presentations) and requires order <= AUTOMORPHISM_CAP.
+    def fn(coords: tuple[int, ...]) -> list[int]:
+        out = list(coords)
+        for src, dst in mapping.items():
+            out[dst] = coords[src]
+        return out
+
+    return fn
+
+
+def _transvection(i: int, j: int) -> Callable[[tuple[int, ...]], list[int]]:
+    """The coordinate map of the automorphism e_i -> e_i + e_j."""
+
+    def fn(coords: tuple[int, ...]) -> list[int]:
+        out = list(coords)
+        out[j] += coords[i]
+        return out
+
+    return fn
+
+
+def symmetries(group: AbelianGroup, level: str) -> list[tuple[int, ...]]:
+    """Generator permutations of the requested symmetry group, in deterministic order.
+
+    Levels: none; coord_perms+scalar, the permutations of coordinate
+    positions of equal modulus and the multiplications by units; full_small,
+    which adds the transvections e_i -> e_i + e_j with moduli[j] | moduli[i]
+    (the full automorphism group for equal-modulus presentations) and
+    requires order <= AUTOMORPHISM_CAP.  Each generator is a group
+    automorphism, so it keeps every zero-sum property.
     """
     if level not in SYMMETRY_LEVELS:
         raise ValueError(f"unknown symmetry level {level!r}")
     if level == "none":
         return []
-
-    actions: list[SymmetryAction] = []
-    if level in ("coord_perms", "coord_perms+scalar", "full_small"):
-        for block in _equal_modulus_blocks(group):
-            if len(block) >= 2:
-                a, b = block[0], block[1]
-                actions.append(coord_perm_action(group, {a: b, b: a}))
-            if len(block) >= 3:
-                cycle = {block[k]: block[(k + 1) % len(block)] for k in range(len(block))}
-                actions.append(coord_perm_action(group, cycle))
-    if level in ("scalar", "coord_perms+scalar", "full_small"):
-        for u in _unit_generators(group.exponent):
-            actions.append(scalar_action(group, u))
+    if level == "full_small" and group.order > AUTOMORPHISM_CAP:
+        raise ValueError(
+            f"full_small requires order <= {AUTOMORPHISM_CAP}, got {group.order}"
+        )
+    maps: list[Callable[[tuple[int, ...]], Iterable[int]]] = []
+    for block in _equal_modulus_blocks(group):
+        if len(block) >= 2:
+            maps.append(_coord_move({block[0]: block[1], block[1]: block[0]}))
+        if len(block) >= 3:
+            maps.append(_coord_move(dict(zip(block, block[1:] + block[:1]))))
+    for u in _unit_generators(group.exponent):
+        maps.append(lambda coords, u=u: (u * c for c in coords))
     if level == "full_small":
-        if group.order > AUTOMORPHISM_CAP:
-            raise ValueError(
-                f"full_small requires order <= {AUTOMORPHISM_CAP}, got {group.order}"
-            )
         for i in range(group.rank):
             for j in range(group.rank):
                 if i != j and group.moduli[i] % group.moduli[j] == 0:
-                    actions.append(transvection_action(group, i, j))
-    return actions
+                    maps.append(_transvection(i, j))
+    group.require_table_capacity()
+    coords = [group.coords_of(x) for x in range(group.order)]
+    return [tuple(group.index_of(fn(c)) for c in coords) for fn in maps]
 
 
 def close_symmetries(
-    actions: Iterable[SymmetryAction], *, cap: int = CLOSURE_CAP
+    group: AbelianGroup, gens: Iterable[tuple[int, ...]], *, cap: int = CLOSURE_CAP
 ) -> list[tuple[int, ...]]:
-    """Close a generator set into the full permutation group (identity included),
-    composing on the right, q[x] = p[g[x]], with one itemgetter per generator.
+    """Close generator permutations of the group's elements into the full
+    permutation group (identity included), composing on the right,
+    q[x] = p[g[x]], with one itemgetter per generator.
 
     Every generator must be an automorphism.  Each composite is then one too,
     and the images of the standard basis determine it, so the closure dedupes
     on those images: the key of q is p read at the basis images of g, and q
     is built only when its key is new.
     """
-    actions = list(actions)
-    if not actions:
+    gens = list(gens)
+    if not gens:
         return []
-    group = actions[0].group
     basis = [group.basis(i).index for i in range(group.rank)]
     # at rank 1 an itemgetter returns a bare item; every key comes from one, so they agree
     key = operator.itemgetter(*basis)
-    gens = [
-        (operator.itemgetter(*a.perm), operator.itemgetter(*(a.perm[b] for b in basis)))
-        for a in actions
+    steps = [
+        (operator.itemgetter(*g), operator.itemgetter(*(g[b] for b in basis)))
+        for g in gens
     ]
-    identity = tuple(range(len(actions[0].perm)))
+    identity = tuple(range(group.order))
     seen = {key(identity)}
     closed = [identity]
     frontier = [identity]
     while frontier:
         nxt = []
         for p in frontier:
-            for compose, image_key in gens:
+            for compose, image_key in steps:
                 k = image_key(p)
                 if k not in seen:
                     if len(seen) >= cap:

@@ -33,18 +33,19 @@ and D0) goes through one run loop, _run: it builds the context (tables and
 symmetry generators; once per run, and once per worker process at width >
 1), makes one branch per canonical, feasible child of the empty root and
 runs the branches at the configured width.  The closed symmetry group and
-its packed codes are built at the first child test (for D0, when a branch
-starts), so a search whose children are all cut before the test never
-closes the group and never meets its cap.  At width > 1 the run closes the
-group once before the workers start; a closure past its cap is kept as its
-error, raised only where a child is tested.  Branches never share state, so
-node counts, outcomes and witnesses are byte-identical at any width.
-Budgets bound each top-level subtree.  Property C is an enumeration under the
-short_free predicate and Property D one under no_exact_exp; D0 pushes n-1
-copies of each g_i onto the same no_exact_exp state, and a forbidden push
-is a zero-sum of length exactly n; those pushes run before the canonicity
-test.  The running sum is carried only for goals that read it.  Every
-witness is re-checked by witness_valid before it is returned.
+its packed codes are built at the first child test, for D0 at the first
+child that survives its pushes, so a search whose children are all cut
+before the test never closes the group and never meets its cap.  At width
+> 1 the run closes the group once before the workers start; a closure past
+its cap is kept as its error, raised only where a child is tested.
+Branches never share state, so node counts, outcomes and witnesses are
+byte-identical at any width.  Budgets bound each top-level subtree.
+Property C is an enumeration under the short_free predicate and Property D
+one under no_exact_exp; D0 pushes n-1 copies of each g_i onto the same
+no_exact_exp state, and a forbidden push is a zero-sum of length exactly n;
+those pushes run before the canonicity test.  The running sum is carried
+only for goals that read it.  Every witness is re-checked by witness_valid
+before it is returned.
 """
 
 from __future__ import annotations
@@ -192,8 +193,8 @@ _KIND_TO_PRED = {
 
 class _Ctx:
     """Per-run tables: negation, the shift steps that add each element to a
-    bitmask of element indices, multiplicity bounds, the symmetry generators
-    (actions) and the least element of each orbit they generate (minima),
+    bitmask of element indices, multiplicity bounds, the generator perms of
+    the symmetry group (gens) and the least element of each orbit (minima),
     the masks of the popcount potentials (see _PairPred), and for the layered
     states the steps repeated in every layer (lsteps), the offset of the top
     layer, the mask of all layers and the int with bit 0 set in every layer
@@ -201,16 +202,16 @@ class _Ctx:
     symmetry group, is closed on first use or by close() (a closure past its
     cap is kept as its ValueError, raised at every read); codes, the packed
     image codes for multiplicities up to max(bound), and packed(c), those
-    sized for c (D0), are built on first use over perms.  _dfs first reads
-    codes at a root job's first child test, so a tree that tests no child
-    closes nothing.
+    sized for c (D0), are built on first use over perms.  _dfs and _d0_dfs
+    first read them at a root job's first child test, so a tree that tests
+    no child closes nothing.
 
     One instance is shared by every root job of a run.  Once built, only
     perms, codes, packed() and the deltas of its _Codes fill in, with values
     that are a function of the context's key alone.
     """
 
-    __slots__ = ("group", "order", "exp", "neg", "steps", "bound", "actions", "minima",
+    __slots__ = ("group", "order", "exp", "neg", "steps", "bound", "gens", "minima",
                  "_perms", "_codes", "tables", "ge", "nge", "weights", "less", "lsteps", "top",
                  "full", "rep")
 
@@ -259,8 +260,8 @@ class _Ctx:
         self.ge, self.nge = tuple(ge), tuple(nge)
         self.weights = tuple(sorted(weights.items()))
         self.less = sum(1 << h for h in range(order) if neg[h] < h)
-        self.actions = tuple(symmetries(group, level))
-        self.minima = _orbit_minima([a.perm for a in self.actions], order)
+        self.gens = tuple(symmetries(group, level))
+        self.minima = _orbit_minima(self.gens, order)
         self._perms = self._codes = None
         self.tables: dict[int, _Codes] = {}
 
@@ -270,7 +271,8 @@ class _Ctx:
         if self._perms is None:
             identity = tuple(range(self.order))
             try:
-                self._perms = tuple(p for p in close_symmetries(self.actions) if p != identity)
+                closed = close_symmetries(self.group, self.gens)
+                self._perms = tuple(p for p in closed if p != identity)
             except ValueError as exc:
                 self._perms = exc
 
@@ -707,11 +709,12 @@ def _push_copies(pred, state, g: int, copies: int):
 
 def _d0_dfs(
     ctx: _Ctx, pred, c: int, gs: list[int], state, stats: _Stats, found: list,
-    codes: _Codes, q: int,
+    codes: _Codes | None, q: int,
 ) -> None:
     """Extend the g_i multiset gs (packed image codes q in codes, whose digit
     units are sized for c repeats, so each g_i counts once) by one element
-    >= gs[-1].
+    >= gs[-1].  At a root job codes is None: they are built, and the root's
+    q made, at the first child that survives its pushes.
 
     Each g_i pushes n-1 copies onto the no_exact_exp state; a forbidden push
     is a zero-sum of length exactly n, so that branch has the property.  A
@@ -728,6 +731,10 @@ def _d0_dfs(
         nxt = _push_copies(pred, state, g, ctx.exp - 1)
         if nxt is None:
             continue
+        if codes is None:
+            codes = ctx.packed(c)
+            # gs[0] is the least of its orbit (see _root_jobs), so q has every guard bit
+            q = codes.guard + codes.build(gs[0])
         child = q + codes.delta(g)
         if child & codes.guard != codes.guard:
             continue
@@ -757,10 +764,7 @@ def _branch_worker(payload: dict) -> dict:
         raise AssertionError(f"root job {payload['root']} is infeasible")
     if d0:
         found: list[tuple[int, ...]] = []
-        codes = ctx.packed(goal_spec["c"])
-        # g is the least of its orbit (see _root_jobs), so q has every guard bit
-        q = codes.guard + codes.build(g)
-        _d0_dfs(ctx, pred, goal_spec["c"], [g], state, stats, found, codes, q)
+        _d0_dfs(ctx, pred, goal_spec["c"], [g], state, stats, found, None, 0)
         out = {"counterexample": found[0] if found else None}
     else:
         goal = _goal_from_spec(goal_spec)
@@ -942,24 +946,20 @@ def invariant_value(group: AbelianGroup, kind: str, cfg: SearchConfig) -> tuple[
     return best + 1, cert
 
 
-def _c0_range(
-    group: AbelianGroup,
-    cfg: SearchConfig,
-    d_value: int | None,
-    eta_value: int | None,
-) -> tuple[int, int, dict[str, Certificate]]:
-    side_certs: dict[str, Certificate] = {}
+def c0_range(
+    group: AbelianGroup, cfg: SearchConfig, d_value: int | None, eta_value: int | None
+) -> tuple[int, int]:
+    """(D(G), eta(G)): each value given, or proved by search.  RuntimeError if
+    a search ends without a proof."""
     if d_value is None:
         d_value, cert = invariant_value(group, "D", cfg)
         if cert.status != STATUS_PROVED:
             raise RuntimeError("could not establish D(G) within budget")
-        side_certs["D"] = cert
     if eta_value is None:
         eta_value, cert = invariant_value(group, "eta", cfg)
         if cert.status != STATUS_PROVED:
             raise RuntimeError("could not establish eta(G) within budget")
-        side_certs["eta"] = cert
-    return d_value, eta_value, side_certs
+    return d_value, eta_value
 
 
 def compute_c0_at(
@@ -1033,7 +1033,7 @@ def compute_c0(
     Returns (sorted members, per-t certificates).  An empty range yields no
     certificates and an empty member list.
     """
-    d_value, eta_value, _ = _c0_range(group, cfg, d_value, eta_value)
+    d_value, eta_value = c0_range(group, cfg, d_value, eta_value)
     lo, hi = d_value + 1, eta_value - 1
     if lo > hi:
         return [], {}
@@ -1049,7 +1049,7 @@ def c0_contains(
     eta_value: int | None = None,
 ) -> Certificate:
     """Decide whether t is in C0(G); errors if t is outside [D(G)+1, eta(G)-1]."""
-    d_value, eta_value, _ = _c0_range(group, cfg, d_value, eta_value)
+    d_value, eta_value = c0_range(group, cfg, d_value, eta_value)
     if not d_value + 1 <= t <= eta_value - 1:
         raise ValueError(
             f"t={t} outside [D(G)+1, eta(G)-1] = [{d_value + 1}, {eta_value - 1}]"
@@ -1097,25 +1097,17 @@ def enumerate_short_free(
     group: AbelianGroup,
     length: int,
     cfg: SearchConfig,
-    visitor=None,
     *,
     checks: tuple[str, ...] = (),
     collect: bool = False,
     per_element: int = 0,
 ) -> EnumerationReport:
-    """Visit every short-free sequence of the given length once up to symmetry.
-
-    With a visitor, representatives are collected and replayed in canonical
-    order after the (possibly parallel) walk completes.
-    """
+    """Visit every short-free sequence of the given length once up to symmetry;
+    with collect, the report lists the representatives in canonical order."""
     t0 = time.monotonic()
     count, violations, items, nodes, exhausted = _enumerate(
-        group, _PRED_SHORT_FREE, length, cfg, checks, per_element, collect or visitor is not None
+        group, _PRED_SHORT_FREE, length, cfg, checks, per_element, collect
     )
-    seqs = [_sequence_from_indices(group, s) for s in items]
-    if visitor is not None:
-        for seq in seqs:
-            visitor(seq)
     return EnumerationReport(
         group_spec=group.spec(),
         length=length,
@@ -1126,7 +1118,7 @@ def enumerate_short_free(
         violations={
             c: [_sequence_from_indices(group, s) for s in bad] for c, bad in violations.items()
         },
-        items=seqs if collect else [],
+        items=[_sequence_from_indices(group, s) for s in items],
         wall_time_s=time.monotonic() - t0,
     )
 

@@ -84,9 +84,6 @@ class Sequence:
                 return v
         return 0
 
-    def support(self) -> tuple[GroupElement, ...]:
-        return tuple(self.group.element_by_index(idx) for idx, _ in self.items)
-
     def is_squarefree(self) -> bool:
         return all(v <= 1 for _, v in self.items)
 
@@ -186,10 +183,6 @@ class Sequence:
             e = format_element(self.group.element_by_index(idx))
             parts.append(e if v == 1 else f"{e}^{v}")
         return "*".join(parts)
-
-
-def from_terms(group: AbelianGroup, terms: Iterable[GroupElement]) -> Sequence:
-    return Sequence.from_terms(group, terms)
 
 
 # -- text format ----------------------------------------------------------------

@@ -105,19 +105,6 @@ def _validate_witness(witness: Sequence, seq: Sequence, x_index: int, count: int
         raise AssertionError("witness is not a subsequence")
 
 
-def bounded_sums(seq: Sequence, r: int) -> set:
-    """The set of sums over nonempty subsequences of length at most r."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if seq.length == 0:
-        return set()
-    mask = 0
-    for layer in ReachTable(seq, min(r, seq.length)).reach[1:]:
-        mask |= layer
-    bits = bin(mask)[:1:-1]  # bit i of mask is bits[i]
-    return {seq.group.element_by_index(i) for i, bit in enumerate(bits) if bit == "1"}
-
-
 def find_short_zero_sum(seq: Sequence) -> Sequence | None:
     """A zero-sum subsequence of length in [1, exp(G)], or None if short free."""
     if seq.length == 0:
@@ -175,12 +162,3 @@ def find_nonempty_zero_sum(seq: Sequence) -> Sequence | None:
         raise AssertionError("invalid zero-sum witness")
     return witness
 
-
-def has_zero_sum_with_length_in(seq: Sequence, a: int, b: int) -> bool:
-    """True iff some zero-sum subsequence has length in [a, b]."""
-    if not 1 <= a <= b:
-        raise ValueError("need 1 <= a <= b")
-    if seq.length == 0 or a > seq.length:
-        return False
-    table = ReachTable(seq, min(b, seq.length))
-    return any(layer & 1 for layer in table.reach[a:])

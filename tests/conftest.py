@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
 from zerosum import catalog, search
-from zerosum.group import AbelianGroup, SymmetryAction, make_group, shift_bits, shift_steps
+from zerosum.group import AbelianGroup, GroupElement, make_group, shift_bits, shift_steps
 from zerosum.sequence import Sequence
+from zerosum.subsum import ReachTable
 
 
 _ADD_TABLES: dict[tuple[int, ...], list[list[int]]] = {}
@@ -23,6 +25,55 @@ def _add_table(group: AbelianGroup) -> list[list[int]]:
         ]
         _ADD_TABLES[group.moduli] = table
     return table
+
+
+def element_order(g: GroupElement) -> int:
+    """Least k >= 1 with k*g = 0; the lcm of the coordinate orders."""
+    orders = (
+        m // math.gcd(c, m) for c, m in zip(g.coords, g.group.moduli)
+    )
+    return math.lcm(*orders)
+
+
+def support(seq: Sequence) -> tuple[GroupElement, ...]:
+    """The distinct terms of seq, in index order."""
+    return tuple(seq.group.element_by_index(idx) for idx, _ in seq.items)
+
+
+def bounded_sums(seq: Sequence, r: int) -> set:
+    """The set of sums over nonempty subsequences of length at most r, read
+    off subsum.ReachTable."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if seq.length == 0:
+        return set()
+    mask = 0
+    for layer in ReachTable(seq, min(r, seq.length)).reach[1:]:
+        mask |= layer
+    bits = bin(mask)[:1:-1]  # bit i of mask is bits[i]
+    return {seq.group.element_by_index(i) for i, bit in enumerate(bits) if bit == "1"}
+
+
+def has_zero_sum_with_length_in(seq: Sequence, a: int, b: int) -> bool:
+    """True iff some zero-sum subsequence has length in [a, b], read off
+    subsum.ReachTable."""
+    if not 1 <= a <= b:
+        raise ValueError("need 1 <= a <= b")
+    if seq.length == 0 or a > seq.length:
+        return False
+    table = ReachTable(seq, min(b, seq.length))
+    return any(layer & 1 for layer in table.reach[a:])
+
+
+def property_holds(store, subject, name, c=None) -> bool | None:
+    """The verdict of the first property fact on file for subject (for D0,
+    with constant c when c is given), or None."""
+    for f in store.of_kind(subject, catalog.KIND_PROPERTY):
+        if f.detail[0] == name:
+            if name == "D0" and c is not None and f.detail[2] != c:
+                continue
+            return f.detail[1]
+    return None
 
 
 def naive_profile(seq: Sequence) -> dict[int, set[int]]:
@@ -202,10 +253,10 @@ def loop_no_exact_exp_potential(neg, bound, last: int, start: int) -> int:
     return pot
 
 
-def loop_close_symmetries(actions, cap: int) -> list[tuple[int, ...]]:
+def loop_close_symmetries(gens, cap: int) -> list[tuple[int, ...]]:
     """Breadth-first closure composing one element at a time, the way
     group.close_symmetries used to."""
-    gens = [a.perm for a in actions]
+    gens = list(gens)
     if not gens:
         return []
     identity = tuple(range(len(gens[0])))
@@ -235,12 +286,12 @@ def pairwise_sum_index(group: AbelianGroup, items) -> int:
     return total
 
 
-def inverse(action: SymmetryAction) -> SymmetryAction:
-    """The action undoing `action`."""
-    inv = [0] * len(action.perm)
-    for i, j in enumerate(action.perm):
+def inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation undoing perm."""
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
         inv[j] = i
-    return SymmetryAction(action.group, action.kind, f"inv({action.name})", tuple(inv))
+    return tuple(inv)
 
 
 def scan_conflicts(facts, fact) -> list:

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import naive_profile
+from conftest import bounded_sums, has_zero_sum_with_length_in, naive_profile
 from zerosum.catalog import (
     Fact,
     FactStore,
@@ -38,11 +38,9 @@ from zerosum.search import (
 )
 from zerosum.sequence import Sequence
 from zerosum.subsum import (
-    bounded_sums,
     find_short_zero_sum,
     find_zero_sum_exact_length,
     find_nonempty_zero_sum,
-    has_zero_sum_with_length_in,
 )
 from zerosum import constructions
 

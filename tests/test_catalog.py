@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_pairs_uniform_products, scan_conflicts
+from conftest import all_pairs_uniform_products, property_holds, scan_conflicts
 from zerosum.catalog import (
     DEFAULT_SUBJECTS,
     Fact,
@@ -51,8 +51,8 @@ def test_builtin_values():
     assert store.invariant_value((2, 4), "D") == 5
     assert store.invariant_value((3, 3, 3, 3), "eta") == 39
     assert store.invariant_value((3, 3, 3), "eta") == 17
-    assert store.property_holds((3, 3, 3), "C") is True
-    assert store.property_holds((5, 5, 5), "D0", c=9) is True
+    assert property_holds(store, (3, 3, 3), "C") is True
+    assert property_holds(store, (5, 5, 5), "D0", c=9) is True
 
 
 def test_eval_formula_examples():
@@ -114,7 +114,7 @@ def test_rules_r5_r6_r7_compose():
     # ratios are 8 for both C3^3 and C5^3; the odd-cube lower bound meets the
     # product upper bound, pinning eta(C15^3) = 8*15-7 = 113
     assert store.invariant_value((15, 15, 15), "eta") == 113
-    assert store.property_holds((15, 15, 15), "C") is True
+    assert property_holds(store, (15, 15, 15), "C") is True
 
 
 def test_rule_r8_and_transfer_chain():
@@ -578,4 +578,4 @@ def test_d0_premise_for_ternary_cube_can_come_from_search():
     assert fact.kind == KIND_PROPERTY and fact.detail == ("D0", True, 9)
     store = fresh_store()
     store.add(fact)
-    assert store.property_holds((3, 3, 3), "D0", c=9) is True
+    assert property_holds(store, (3, 3, 3), "D0", c=9) is True

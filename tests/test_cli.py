@@ -80,6 +80,13 @@ def test_c0_single_t_exit_codes(capsys, tmp_path):
     assert cert.witness.length == 8
 
 
+def test_c0_without_a_proof_of_D_exits_2(capsys):
+    # the catalog has neither D nor eta of C3+C3+C6, and one node per
+    # subtree does not prove D
+    assert main(["c0", "3,3,6", "--budget-nodes", "1"]) == 2
+    assert capsys.readouterr().out == "could not establish D(G) within budget\n"
+
+
 def test_c0_all_json_round_trip(tmp_path, capsys):
     out_path = tmp_path / "all.json"
     assert main(["c0", "C2^3", "--all", "--json", str(out_path)]) == 0
@@ -181,7 +188,10 @@ def test_certify_replays_a_property_certificate(tmp_path, capsys, spec, prop):
     lambda data: data.update(tool_version="9.9.9"),
     lambda data: data["config"].pop("symmetry_level"),
     lambda data: data["config"].update(symmetry_level="translations"),
-], ids=["format", "tool_version", "missing_config_field", "unknown_symmetry_level"])
+    lambda data: data["config"].update(symmetry_level="coord_perms"),
+    lambda data: data["config"].update(symmetry_level="scalar"),
+], ids=["format", "tool_version", "missing_config_field", "unknown_symmetry_level",
+        "unknown_symmetry_level_coord_perms", "unknown_symmetry_level_scalar"])
 def test_certify_rejects_a_hand_edited_certificate(tmp_path, capsys, edit):
     # an unknown format, version or symmetry level, or a missing field, is an
     # error (exit 3), not a certificate read with defaults filled in
@@ -202,9 +212,11 @@ def test_certify_reports_an_unreadable_path(tmp_path, capsys):
 
 def test_translations_are_not_a_symmetry_level(capsys):
     # translations do not keep zero-sum freeness: pruning by them proves
-    # eta(C3^3) = 15, and the true value is 17
-    assert main(["invariant", "C3^3", "eta", "--symmetry", "translations"]) == 3
-    assert "invalid choice" in capsys.readouterr().err
+    # eta(C3^3) = 15, and the true value is 17; coord_perms and scalar are
+    # no longer levels, as coord_perms+scalar covers both
+    for level in ("translations", "coord_perms", "scalar"):
+        assert main(["invariant", "C3^3", "eta", "--symmetry", level]) == 3
+        assert "invalid choice" in capsys.readouterr().err
     assert not cache_dir().exists()
 
 

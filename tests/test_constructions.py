@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import support
 from zerosum.constructions import (
     alpha_r,
     build_family,
@@ -173,7 +174,7 @@ def test_cap_tables():
     assert cap4.sum.coords == (2, 2, 2, 2)
     minus_sigma = -cap4.sum
     assert minus_sigma.coords == (1, 1, 1, 1)
-    assert minus_sigma not in set(cap4.support())
+    assert minus_sigma not in set(support(cap4))
     assert find_zero_sum_exact_length(cap4, 3) is None
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_max_length,
+    element_order,
     is_orbit_minimal,
     layers_by_count,
     loop_extend,
@@ -19,9 +20,10 @@ from conftest import (
     naive_is_short_free,
     naive_is_zero_sum_free,
     naive_profile,
+    support,
 )
 from zerosum import catalog, search
-from zerosum.group import SYMMETRY_LEVELS, close_symmetries, element_order, make_group
+from zerosum.group import SYMMETRY_LEVELS, close_symmetries, make_group
 from zerosum.search import (
     STATUS_EXHAUSTED,
     STATUS_PROVED,
@@ -184,7 +186,7 @@ def test_enumerate_respects_multiplicity_bound():
     rep = enumerate_short_free(group, 6, SearchConfig(), collect=True)
     assert rep.status == STATUS_PROVED
     for seq in rep.items:
-        for g in seq.support():
+        for g in support(seq):
             assert seq.multiplicity(g) <= element_order(g) - 1
 
 
@@ -305,14 +307,20 @@ def test_eta_of_c2_9_is_proved_past_the_closure_cap():
     assert cited == {2**9}
 
 
-def test_the_closure_is_built_at_the_first_child_test(monkeypatch):
-    # with a closure cap of 5, eta(C2^7) (no child tested) still proves its
-    # value, and D(C3^3) (11 perms, tested at its first child) raises
+def test_the_closure_is_built_at_the_first_child_test(monkeypatch, c33):
+    # with a closure cap of 5, eta(C2^7) and D0 of C3^3 with c=1 (no child
+    # tested) still return their certificates, and D(C3^3) and D0 with c=2
+    # (11 perms, tested at the first child) raise
+    d0_c1 = check_property_D0(c33, 1, CFG)
+    assert d0_c1.status == STATUS_REFUTED
     monkeypatch.setattr(search, "close_symmetries", functools.partial(close_symmetries, cap=5))
     monkeypatch.setattr(search, "_ctx_memo", {})
     assert invariant_value(make_group((2,) * 7), "eta", CFG)[0] == 128
+    assert check_property_D0(c33, 1, CFG).to_json() == d0_c1.to_json()
     with pytest.raises(ValueError, match="cap of 5 permutations"):
-        invariant_value(make_group((3, 3, 3)), "D", CFG)
+        invariant_value(c33, "D", CFG)
+    with pytest.raises(ValueError, match="cap of 5 permutations"):
+        check_property_D0(c33, 2, CFG)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -323,10 +331,10 @@ def test_a_closure_past_its_cap_is_built_once_at_width_2(monkeypatch, tmp_path):
     # eta(C2^7), which tests no child, still proves its value at width 2
     log = tmp_path / "closures"
 
-    def logged(actions):
+    def logged(group, gens):
         with open(log, "a") as f:
             f.write("closed\n")
-        return close_symmetries(actions, cap=5)
+        return close_symmetries(group, gens, cap=5)
 
     monkeypatch.setattr(search, "close_symmetries", logged)
     monkeypatch.setattr(search, "_ctx_memo", {})

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pairwise_sum_index
+from conftest import pairwise_sum_index, support
 from zerosum.group import make_group
 from zerosum.sequence import Sequence, read_sequence, write_sequence
 from zerosum.constructions import ternary_cap_rank3, ternary_cap_rank4, build_span_sequence
@@ -62,7 +62,7 @@ def test_squarefree_and_support():
     e1, e2 = g.basis(0), g.basis(1)
     s = Sequence.from_terms(g, [e1, e1, e2])
     assert not s.is_squarefree()
-    assert set(s.support()) == {e1, e2}
+    assert set(support(s)) == {e1, e2}
 
 
 @settings(max_examples=200)
