@@ -321,9 +321,9 @@ def _prime_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-def _egz_fraction(n: int, scale: int) -> Fraction:
+def _egz_fraction(n: int) -> Fraction:
     _require(n >= 65 and n % 2 == 1, "threshold requires odd n >= 65")
-    return Fraction(scale * 5**7 * n**17, (n * n - 7) * n - 64)
+    return Fraction(2 * 5**7 * n**17, (n * n - 7) * n - 64)
 
 
 _FORMULAS: dict[str, Callable[..., int]] = {}
@@ -349,12 +349,6 @@ def _f_davenport_p_group(p: int, exponents: tuple[int, ...]) -> int:
     return 1 + sum(p**e - 1 for e in exponents)
 
 
-@_formula("davenport_pn_product")
-def _f_davenport_pn_product(m: int, p: int, n: int, d_h: int) -> int:
-    _require(_is_prime(p) and p**n >= d_h, "requires p prime and p^n >= D(H)")
-    return m * p**n + d_h - 1
-
-
 @_formula("eta_rank2")
 def _f_eta_rank2(n1: int, n2: int) -> int:
     _require(n2 % n1 == 0 and n1 >= 2, "requires n1 | n2")
@@ -371,12 +365,6 @@ def _f_eta_two_power(t: int, r: int) -> int:
 def _f_eta_three_two_power(alpha: int) -> int:
     _require(alpha >= 1, "requires alpha >= 1")
     return 7 * (3 * 2**alpha - 1) + 1
-
-
-@_formula("eta_upper_pn_product")
-def _f_eta_upper_pn_product(m: int, p: int, n: int, d_h: int) -> int:
-    _require(_is_prime(p) and p**n >= d_h, "requires p prime and p^n >= D(H)")
-    return m * p**n + p**n + d_h - 2
 
 
 @_formula("eta_lower_rank3_odd")
@@ -400,19 +388,14 @@ def _f_davenport_lower_rank3(n: int) -> int:
 @_formula("excluded_interval_start")
 def _f_excluded_interval_start(n: int, r: int) -> int:
     _require(n >= 3 and r >= 3, "requires n, r >= 3")
-    a = alpha_r(n, r).value
+    a = alpha_r(n, r)
     _require(a != 0, "requires alpha_r(n, r) != 0")
     return (2**r - 1) * (n - 1) - a + 1
 
 
 @_formula("egz_threshold")
 def _f_egz_threshold(n: int) -> int:
-    return math.ceil(_egz_fraction(n, 2))
-
-
-@_formula("egz_transfer_threshold")
-def _f_egz_transfer_threshold(n: int) -> int:
-    return math.ceil(_egz_fraction(n, 6)) + 3
+    return math.ceil(_egz_fraction(n))
 
 
 @_formula("egz_value")
@@ -784,7 +767,7 @@ def _rule_r3(store: FactStore) -> list[Fact]:
         n, r = u
         if n < 3 or r < 3:
             continue
-        a = alpha_r(n, r).value
+        a = alpha_r(n, r)
         span = (2**r - 1) * (n - 1)
         if a != 0:
             eta = _invariant_fact(store, subject, "eta")
@@ -925,7 +908,7 @@ def _rule_r8(store: FactStore) -> list[Fact]:
                     premises = None
                     break
                 premises.append(prop[1])
-            if premises is None or Fraction(m) < _egz_fraction(n, 2):
+            if premises is None or Fraction(m) < _egz_fraction(n):
                 continue
             s_value = eval_formula("egz_value", m=m, n=n)
             if not store.has_statement(subject, KIND_INVARIANT, ("s", s_value)):

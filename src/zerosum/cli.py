@@ -234,50 +234,57 @@ def _cmd_check_property(args) -> int:
     return status_exit_code(cert.status)
 
 
-def _construct_outputs(args) -> tuple[list[Sequence], dict]:
-    name = args.name
-    n, r = args.n, args.r
-    if name == "span":
-        return [constructions.build_span_sequence(n, r)], {"n": n, "r": r}
-    if name == "span-merge":
+def _construction_params(args) -> dict:
+    """The parameters the named construction is built with, as its certificate
+    records them."""
+    if args.name in ("cap3", "cap4", "cap4-trims"):
+        return {}
+    if args.name == "span-merge":
         if args.axis is None or args.m is None:
             raise ValueError("span-merge requires --axis and --m")
-        return (
-            [constructions.build_span_merged(n, r, args.axis, args.m)],
-            {"n": n, "r": r, "axis": args.axis, "m": args.m},
-        )
+        return {"n": args.n, "r": args.r, "axis": args.axis, "m": args.m}
+    return {"n": args.n, "r": args.r}
+
+
+def _construct_outputs(name: str, params: dict) -> list[Sequence]:
+    if name == "span":
+        return [constructions.build_span_sequence(**params)]
+    if name == "span-merge":
+        return [constructions.build_span_merged(**params)]
     if name == "cap3":
-        return [constructions.ternary_cap_rank3()], {}
+        return [constructions.ternary_cap_rank3()]
     if name == "cap4":
-        return [constructions.ternary_cap_rank4()], {}
+        return [constructions.ternary_cap_rank4()]
     if name == "cap4-trims":
-        return [w for _, w in constructions.excluded_window_witnesses()], {}
-    fam = constructions.build_family(name, n, r)
-    return list(fam.members()), {"n": n, "r": r}
+        return [w for _, w in constructions.excluded_window_witnesses()]
+    return list(constructions.build_family(name, **params).members())
+
+
+def _verified_construction(
+    name: str, params: dict, cfg: SearchConfig
+) -> tuple[list[Sequence], Certificate]:
+    """The construction's outputs, checked by verify_construction, and the
+    certificate that construct --verify writes and certify replays."""
+    outputs = _construct_outputs(name, params)
+    constructions.verify_construction(
+        name, outputs, n=params.get("n", 3), r=params.get("r", 3), m=params.get("m")
+    )
+    claim = {"type": "construction", "name": name, "params": params,
+             "members": len(outputs), "verified": True}
+    return outputs, Certificate(
+        claim=claim, status=STATUS_PROVED, group_spec=outputs[0].group.spec(), witness=None,
+        nodes=0, symmetry_level="none", config=cfg,
+    )
 
 
 def _cmd_construct(args) -> int:
-    outputs, params = _construct_outputs(args)
+    params = _construction_params(args)
     if args.verify:
-        constructions.verify_construction(args.name, outputs, n=args.n, r=args.r, m=args.m)
-        cfg = _config_from_args(args)
-        cert = Certificate(
-            claim={
-                "type": "construction",
-                "name": args.name,
-                "params": params,
-                "members": len(outputs),
-                "verified": True,
-            },
-            status=STATUS_PROVED,
-            group_spec=outputs[0].group.spec(),
-            witness=None,
-            nodes=0,
-            symmetry_level="none",
-            config=cfg,
-        )
+        outputs, cert = _verified_construction(args.name, params, _config_from_args(args))
         print(f"construct {args.name}: {len(outputs)} member(s), all claims verified")
         _emit(cert, args)
+    else:
+        outputs = _construct_outputs(args.name, params)
     text = "\n".join(write_sequence(s) for s in outputs)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -312,6 +319,8 @@ def _cmd_certify(args) -> int:
             fresh = search.c0_contains(group, claim["t"], cfg)
         elif claim["type"] == "property":
             fresh = _check_property(group, claim["property"], claim["c"], cfg)
+        elif claim["type"] == "construction":
+            _, fresh = _verified_construction(claim["name"], claim["params"], cfg)
         else:
             print(f"cannot replay claims of type {claim['type']!r}")
             return 1

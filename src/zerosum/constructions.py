@@ -1,9 +1,10 @@
 """Generators for explicit extremal sequences and zero-sum short-free families.
 
 Each family pairs a lazy member generator with the claimed properties of its
-members (zero-sum, short-free, realized length window).  verify_family checks
-every claim against the DP kernel instead of trusting the construction, so a
-transcription or generation bug fails loudly.
+members (zero-sum, short-free, realized length window).  verify_family and
+verify_construction state the claim each sequence witnesses and check it with
+subsum.witnesses instead of trusting the construction, so a transcription or
+generation bug fails loudly.
 """
 
 from __future__ import annotations
@@ -13,22 +14,14 @@ from typing import Callable, Iterable, Iterator
 
 from .group import AbelianGroup, GroupElement, make_group
 from .sequence import Sequence
-from .subsum import find_short_zero_sum, find_zero_sum_exact_length
+from .subsum import witnesses
 
 
-@dataclass(frozen=True)
-class AlphaR:
+def alpha_r(n: int, r: int) -> int:
     """Residue of -2^(r-1) modulo n, normalized to [0, n-1]."""
-
-    n: int
-    r: int
-    value: int
-
-
-def alpha_r(n: int, r: int) -> AlphaR:
     if n < 2 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
-    return AlphaR(n, r, (-(2 ** (r - 1))) % n)
+    return (-(2 ** (r - 1))) % n
 
 
 def _cube_group(n: int, r: int) -> AbelianGroup:
@@ -172,7 +165,6 @@ class FamilySpec:
 
     name: str
     group: AbelianGroup
-    parameters: dict[str, int]
     member_factory: Callable[[], Iterator[Sequence]] = field(repr=False)
     claimed_lengths: tuple[int, int] | None = None  # inclusive window, None for lift
 
@@ -237,7 +229,7 @@ def _braid_members(n: int, group: AbelianGroup) -> Iterator[Sequence]:
 
 def _carve_block_members(n: int, r: int, group: AbelianGroup) -> Iterator[Sequence]:
     span = build_span_sequence(n, r)
-    alpha = alpha_r(n, r).value
+    alpha = alpha_r(n, r)
     all_ones = _basis_sum(group, range(r))
     e1, e2, e3 = group.basis(0), group.basis(1), group.basis(2)
     e12 = e1 + e2
@@ -258,7 +250,7 @@ def _carve_block_members(n: int, r: int, group: AbelianGroup) -> Iterator[Sequen
 
 def _carve_axes_members(n: int, r: int, group: AbelianGroup) -> Iterator[Sequence]:
     span = build_span_sequence(n, r)
-    alpha = alpha_r(n, r).value
+    alpha = alpha_r(n, r)
     e1 = group.basis(0)
     diag = [( (group.basis(0) + group.basis(1)).index, alpha)]
     diag += [(group.basis(i).index, alpha) for i in range(2, r)]
@@ -269,7 +261,7 @@ def _carve_axes_members(n: int, r: int, group: AbelianGroup) -> Iterator[Sequenc
 
 def _carve_axes_extra_members(n: int, r: int, group: AbelianGroup) -> Iterator[Sequence]:
     span = build_span_sequence(n, r)
-    alpha = alpha_r(n, r).value
+    alpha = alpha_r(n, r)
     e1, e3 = group.basis(0), group.basis(2)
     items = [((group.basis(0) + group.basis(1)).index, alpha)]
     items.append(((e1 + e3).index, 1))
@@ -281,7 +273,7 @@ def _carve_axes_extra_members(n: int, r: int, group: AbelianGroup) -> Iterator[S
 
 def _carve_mixed_members(n: int, r: int, group: AbelianGroup) -> Iterator[Sequence]:
     span = build_span_sequence(n, r)
-    alpha = alpha_r(n, r).value
+    alpha = alpha_r(n, r)
     all_ones = _basis_sum(group, range(r))
     for k2 in range(0, alpha):
         k1 = alpha - 1 - k2
@@ -330,9 +322,8 @@ _FAMILY_ORDER = (
 
 def build_family(name: str, n: int, r: int) -> FamilySpec:
     """Instantiate a named family over C_n^r, refusing out-of-context parameters."""
-    alpha = alpha_r(n, r).value
+    alpha = alpha_r(n, r)
     span_len = (2**r - 1) * (n - 1)
-    params = {"n": n, "r": r}
 
     def spec(factory, lo, hi, min_n=3, min_r=3, need_alpha=False):
         if n < min_n:
@@ -342,14 +333,14 @@ def build_family(name: str, n: int, r: int) -> FamilySpec:
         if need_alpha and alpha == 0:
             raise ValueError(f"family {name!r} requires alpha_r(n, r) != 0")
         group = _cube_group(n, r)
-        return FamilySpec(name, group, params, lambda: factory(group), (lo, hi))
+        return FamilySpec(name, group, lambda: factory(group), (lo, hi))
 
     if name == "zero-block":
         if n < 2 or r < 2:
             raise ValueError("zero-block requires n >= 2 and r >= 2")
         group = _cube_group(n, r)
         return FamilySpec(
-            name, group, params, lambda: _zero_block_members(n, group), (n + 1, 2 * n - 1)
+            name, group, lambda: _zero_block_members(n, group), (n + 1, 2 * n - 1)
         )
     if name == "slide":
         return spec(lambda g: _slide_members(n, g), 2 * n, 3 * n - 2)
@@ -388,28 +379,21 @@ def build_family(name: str, n: int, r: int) -> FamilySpec:
         if r < 4:
             raise ValueError("lift requires r >= 4")
         group = _cube_group(n, r)
-        return FamilySpec(name, group, params, lambda: _lift_members(n, r, group), None)
+        return FamilySpec(name, group, lambda: _lift_members(n, r, group), None)
     raise ValueError(f"unknown family {name!r}; known: {', '.join(_FAMILY_ORDER)}")
 
 
-def verify_family(spec: FamilySpec, *, sample_stride: int = 1) -> set[int]:
-    """Check every claimed property of the family's members; returns realized lengths.
+def verify_family(spec: FamilySpec) -> set[int]:
+    """Check that every member witnesses C0 membership at its own length and
+    that the lengths fill the claimed window; returns the realized lengths.
 
-    Raises AssertionError on any violation.  sample_stride > 1 verifies every
-    k-th member (deterministic), for large parameterizations.
+    Raises AssertionError on any violation.
     """
     lengths: set[int] = set()
-    for pos, member in enumerate(spec.members()):
+    for member in spec.members():
         lengths.add(member.length)
-        if sample_stride > 1 and pos % sample_stride:
-            continue
-        if not member.is_zero_sum():
-            raise AssertionError(f"{spec.name} member {member!r} is not zero-sum")
-        bad = find_short_zero_sum(member)
-        if bad is not None:
-            raise AssertionError(
-                f"{spec.name} member of length {member.length} has short zero-sum {bad!r}"
-            )
+        if not witnesses({"type": "c0_membership", "t": member.length}, member):
+            raise AssertionError(f"{spec.name} member {member!r} is not zero-sum short-free")
     if spec.claimed_lengths is not None:
         lo, hi = spec.claimed_lengths
         if lengths != set(range(lo, hi + 1)):
@@ -422,39 +406,38 @@ def verify_family(spec: FamilySpec, *, sample_stride: int = 1) -> set[int]:
 def verify_construction(
     name: str, outputs: list[Sequence], *, n: int = 3, r: int = 3, m: int | None = None
 ) -> None:
-    """Re-check the claimed properties of a named construction's outputs.
+    """Re-check, by subsum.witnesses, the claim a named construction's outputs witness.
 
-    Raises AssertionError on the first claim that fails.  n, r and m are the
-    parameters the outputs were built with; a family is rebuilt from them and
-    checked by verify_family.
+    span and span-merge witness the extremal length of eta over C_n^r (the
+    span also has sum alpha_r * (e_1 + ... + e_r)), cap3 that of f over C3^3
+    and cap4 that of g over C3^4.  The cap4-trims outputs are checked by
+    verify_family as a family with the window [30, 36]; any other name is a
+    family, rebuilt from n and r and checked the same way.  n, r and m are
+    the parameters the outputs were built with.  Raises AssertionError on
+    the first claim that fails.
     """
 
     def require(ok: bool, message: str) -> None:
         if not ok:
             raise AssertionError(f"{name}: {message}")
 
-    seq = outputs[0]
-    if name == "span":
-        require(seq.length == (2**r - 1) * (n - 1), "wrong length")
-        require(seq.sum == alpha_r(n, r).value * seq.group.element([1] * r), "wrong sum")
-        require(find_short_zero_sum(seq) is None, "short zero-sum")
-    elif name == "span-merge":
-        require(seq.length == (2**r - 1) * (n - 1) - m + 1, "wrong length")
-        require(find_short_zero_sum(seq) is None, "short zero-sum")
-    elif name == "cap3":
-        require(seq.length == 8 and seq.is_squarefree(), "not a squarefree 8-set")
-        require(find_short_zero_sum(seq) is None, "short zero-sum")
-    elif name == "cap4":
-        require(seq.length == 20 and seq.is_squarefree(), "not a squarefree 20-set")
-        require(find_zero_sum_exact_length(seq, 3) is None, "zero-sum of length 3")
-    elif name == "cap4-trims":
-        lengths = sorted(s.length for s in outputs)
-        require(lengths == list(range(30, 37)), "lengths are not 30..36")
-        for member in outputs:
-            require(member.is_zero_sum(), "member is not zero-sum")
-            require(find_short_zero_sum(member) is None, "short zero-sum")
-    else:
+    if name == "cap4-trims":
+        verify_family(FamilySpec(name, outputs[0].group, lambda: iter(outputs), (30, 36)))
+        return
+    if name not in ("span", "span-merge", "cap3", "cap4"):
         verify_family(build_family(name, n, r))
+        return
+    seq = outputs[0]
+    if name == "cap3":
+        kind, length = "f", 8
+    elif name == "cap4":
+        kind, length = "g", 20
+    else:
+        kind, length = "eta", (2**r - 1) * (n - 1) - (m - 1 if name == "span-merge" else 0)
+    claim = {"type": "invariant", "invariant": kind, "extremal_length": length}
+    require(witnesses(claim, seq), f"not an extremal {kind} sequence of length {length}")
+    if name == "span":
+        require(seq.sum == alpha_r(n, r) * seq.group.element([1] * r), "wrong sum")
 
 
 def length_swatch(n: int, r: int) -> dict[int, Sequence]:

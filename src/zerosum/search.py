@@ -44,8 +44,8 @@ Property C is an enumeration under the short_free predicate and Property D
 one under no_exact_exp; D0 pushes n-1 copies of each g_i onto the same
 no_exact_exp state, and a forbidden push is a zero-sum of length exactly n;
 those pushes run before the canonicity test.  The running sum is carried
-only for goals that read it.  Every witness is re-checked by witness_valid
-before it is returned.
+only for goals that read it.  Every witness is re-checked by witness_valid,
+and so by subsum.witnesses, before it is returned.
 """
 
 from __future__ import annotations
@@ -62,10 +62,7 @@ from .group import (
     shift_steps, symmetries,
 )
 from .sequence import Sequence, read_sequence, write_sequence
-from .subsum import (
-    add_term, find_nonempty_zero_sum, find_short_zero_sum, find_zero_sum_exact_length,
-    repeated_steps,
-)
+from .subsum import add_term, repeated_steps, witnesses
 
 TOOL_VERSION = "0.1.0"
 _CERT_FORMAT = "zerosum.certificate/1"
@@ -849,45 +846,13 @@ def _sequence_from_indices(group: AbelianGroup, indices) -> Sequence:
 
 
 def witness_valid(cert: Certificate) -> bool:
-    """Re-check that the certificate's witness has the property its claim
-    says, using the subsum routines rather than the search."""
-    claim = cert.claim
+    """Re-check that the certificate carries a witness in its own group that
+    has the property its claim says, by subsum.witnesses rather than the
+    search."""
     witness = cert.witness
     if witness is None or witness.group.moduli != parse_group_spec(cert.group_spec).moduli:
         return False
-    n = witness.group.exponent
-
-    def no_zero_sum_of_length_n() -> bool:
-        return witness.length < n or find_zero_sum_exact_length(witness, n) is None
-
-    if claim["type"] == "c0_membership":
-        return (
-            witness.length == claim["t"]
-            and witness.is_zero_sum()
-            and find_short_zero_sum(witness) is None
-        )
-    if claim["type"] == "invariant":
-        kind = claim["invariant"]
-        if witness.length != claim["extremal_length"]:
-            return False
-        if kind in ("f", "g") and not witness.is_squarefree():
-            return False
-        if kind == "D":
-            return find_nonempty_zero_sum(witness) is None
-        if kind in ("eta", "f"):
-            return find_short_zero_sum(witness) is None
-        return no_zero_sum_of_length_n()
-    if claim["type"] == "property":
-        # C, D: c*(n-1) terms, not c distinct (n-1)-powers; D0: one term more
-        c = claim["c"]
-        if not isinstance(c, int) or witness.length != c * (n - 1) + (claim["property"] == "D0"):
-            return False
-        if claim["property"] != "D0" and all(v == n - 1 for _, v in witness.items):
-            return False
-        if claim["property"] == "C":
-            return find_short_zero_sum(witness) is None
-        return no_zero_sum_of_length_n()
-    return False
+    return witnesses(cert.claim, witness)
 
 
 def max_extremal_length(
@@ -896,7 +861,8 @@ def max_extremal_length(
     """Maximum length of a sequence avoiding the kind's forbidden pattern.
 
     The invariant value is the returned length plus one.  Status is
-    proved_exhaustive only when the full canonical tree was closed.
+    proved_exhaustive only when the full canonical tree was closed.  A
+    witness that witness_valid rejects raises AssertionError.
     """
     if kind not in INVARIANT_KINDS:
         raise ValueError(f"unknown invariant kind {kind!r}")
@@ -938,6 +904,8 @@ def max_extremal_length(
         config=cfg,
         wall_time_s=time.monotonic() - t0,
     )
+    if wit_seq is not None and not witness_valid(cert):
+        raise AssertionError(f"search produced an invalid {kind} witness")
     return best, cert
 
 

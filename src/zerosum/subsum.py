@@ -7,7 +7,9 @@ term is one `add_term` step, a single `shift_bits` over every layer, which
 the search uses for its states too.  Terms are processed in deterministic
 order (sorted by element index, multiplicities expanded), and the bits each
 term adds first are recorded, so walking back through them rebuilds the same
-witness for the same input every time.
+witness for the same input every time.  witnesses decides with these
+routines whether a sequence witnesses a claim, for the search's re-checks,
+certify, cache reads and the construction checks alike.
 """
 
 from __future__ import annotations
@@ -162,3 +164,43 @@ def find_nonempty_zero_sum(seq: Sequence) -> Sequence | None:
         raise AssertionError("invalid zero-sum witness")
     return witness
 
+
+def witnesses(claim: dict, seq: Sequence) -> bool:
+    """Whether seq witnesses the claim, decided by the DP above, not by
+    whatever built seq.
+
+    c0_membership: zero-sum and short free, of length t.  invariant: of the
+    extremal length, without the zero-sums the kind forbids (D any, eta and f
+    short ones, s and g those of length exp(G)), and a set for f and g.
+    property: a counterexample to Property C, D or D0.  A claim of any other
+    type has no witness.
+    """
+    n = seq.group.exponent
+
+    def no_zero_sum_of_length_n() -> bool:
+        return seq.length < n or find_zero_sum_exact_length(seq, n) is None
+
+    if claim["type"] == "c0_membership":
+        return seq.length == claim["t"] and seq.is_zero_sum() and find_short_zero_sum(seq) is None
+    if claim["type"] == "invariant":
+        kind = claim["invariant"]
+        if seq.length != claim["extremal_length"]:
+            return False
+        if kind in ("f", "g") and not seq.is_squarefree():
+            return False
+        if kind == "D":
+            return find_nonempty_zero_sum(seq) is None
+        if kind in ("eta", "f"):
+            return find_short_zero_sum(seq) is None
+        return no_zero_sum_of_length_n()
+    if claim["type"] == "property":
+        # C, D: c*(n-1) terms, not c distinct (n-1)-powers; D0: one term more
+        c = claim["c"]
+        if not isinstance(c, int) or seq.length != c * (n - 1) + (claim["property"] == "D0"):
+            return False
+        if claim["property"] != "D0" and all(v == n - 1 for _, v in seq.items):
+            return False
+        if claim["property"] == "C":
+            return find_short_zero_sum(seq) is None
+        return no_zero_sum_of_length_n()
+    return False

@@ -276,7 +276,7 @@ def test_criterion_8_constructions():
     for n, r in [(2, 3), (3, 3), (3, 4), (4, 3), (5, 3)]:
         seq = constructions.build_span_sequence(n, r)
         assert seq.length == (2**r - 1) * (n - 1)
-        alpha = constructions.alpha_r(n, r).value
+        alpha = constructions.alpha_r(n, r)
         assert seq.sum == alpha * seq.group.element([1] * r)
         assert find_short_zero_sum(seq) is None
     for n, r in [(3, 3), (5, 3)]:

@@ -149,9 +149,24 @@ _CONSTRUCTIONS = {
 
 
 @pytest.mark.parametrize("name", sorted(_CONSTRUCTIONS))
-def test_construct_verify_accepts_every_construction(name, capsys):
-    assert main(["construct", name, "--verify", *_CONSTRUCTIONS[name]]) == 0
+def test_construct_verify_accepts_every_construction(name, capsys, tmp_path):
+    path = tmp_path / "construct.json"
+    assert main(["construct", name, "--verify", *_CONSTRUCTIONS[name], "--json", str(path)]) == 0
     assert f"construct {name}: " in capsys.readouterr().out
+    # certify rebuilds the construction from the claim's name and params
+    assert main(["certify", str(path)]) == 0
+    assert "replay: IDENTICAL" in capsys.readouterr().out
+
+
+def test_certify_rejects_a_construction_certificate_with_edited_members(tmp_path, capsys):
+    path = tmp_path / "trims.json"
+    assert main(["construct", "cap4-trims", "--verify", "--json", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["claim"]["members"] = 8
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    assert main(["certify", str(path)]) == 1
+    assert "replay: MISMATCH" in capsys.readouterr().out
 
 
 def test_certify_round_trip(tmp_path, capsys):
@@ -393,11 +408,26 @@ group = make_group([3, 3, 3])
 # zero-sum, and the three of them are a zero-sum of length 3
 bad_cap3 = Sequence.from_items(group, [(i, 1) for i in range(8)])
 bad_cap4 = Sequence.from_items(make_group([3] * 4), [(i, 1) for i in range(20)])
+# the span over C3^3 with e1, e2 replaced by 0, e1 + e2: the same length and
+# sum, but 0 is a short zero-sum
+e1, e2 = group.basis(0), group.basis(1)
+span = constructions.build_span_sequence(3, 3)
+bad_span = span.remove(Sequence.from_terms(group, [e1, e2])).concat(
+    Sequence.from_terms(group, [group.element([0, 0, 0]), e1 + e2]))
+# the trims with the length-30 member replaced by the length-31 one less a
+# term: still short free and of lengths 30..36, but not zero-sum
+trims = dict(constructions.excluded_window_witnesses())
+short = trims[31].remove(Sequence.from_terms(trims[31].group, [next(trims[31].terms())]))
+bad_trims = [short] + [w for t, w in trims.items() if t != 30]
 failures = []
 if not rejects(constructions.verify_construction, "cap3", [bad_cap3]):
     failures.append("construct cap3 --verify")
 if not rejects(constructions.verify_construction, "cap4", [bad_cap4]):
     failures.append("construct cap4 --verify")
+if not rejects(constructions.verify_construction, "span", [bad_span]):
+    failures.append("construct span --verify")
+if not rejects(constructions.verify_construction, "cap4-trims", bad_trims):
+    failures.append("construct cap4-trims --verify")
 payload = {
     "moduli": group.moduli, "pred": "zero_sum_free", "squarefree": False,
     "level": "coord_perms+scalar", "node_budget": 0, "time_budget": 0.0,

@@ -20,13 +20,13 @@ from zerosum.subsum import find_short_zero_sum, find_zero_sum_exact_length
 
 
 def test_alpha_examples():
-    assert alpha_r(3, 3).value == (-4) % 3 == 2
-    assert alpha_r(5, 3).value == (-4) % 5 == 1
+    assert alpha_r(3, 3) == (-4) % 3 == 2
+    assert alpha_r(5, 3) == (-4) % 5 == 1
     # zero exactly for n = 2^k with k <= r-1
-    assert alpha_r(4, 3).value == 0
-    assert alpha_r(2, 3).value == 0
-    assert alpha_r(8, 3).value != 0
-    assert alpha_r(4, 2).value != 0
+    assert alpha_r(4, 3) == 0
+    assert alpha_r(2, 3) == 0
+    assert alpha_r(8, 3) != 0
+    assert alpha_r(4, 2) != 0
 
 
 @pytest.mark.parametrize(
@@ -36,7 +36,7 @@ def test_alpha_examples():
 def test_span_sequence_claims(n, r):
     seq = build_span_sequence(n, r)
     assert seq.length == (2**r - 1) * (n - 1)
-    alpha = alpha_r(n, r).value
+    alpha = alpha_r(n, r)
     assert seq.sum == alpha * seq.group.element([1] * r)
     assert find_short_zero_sum(seq) is None
 
@@ -148,7 +148,7 @@ def test_family_union_covers_low_range():
     # the combined windows reach from n+1 all the way to |span| - alpha
     for n, r in [(3, 3), (5, 3)]:
         span_len = (2**r - 1) * (n - 1)
-        alpha = alpha_r(n, r).value
+        alpha = alpha_r(n, r)
         covered = set(length_swatch(n, r))
         assert set(range(n + 1, span_len - alpha + 1)) <= covered
 

@@ -95,6 +95,14 @@ def test_extremal_witness_is_valid():
     assert find_short_zero_sum(cert.witness) is None
 
 
+def test_an_invalid_extremal_witness_raises(monkeypatch):
+    # a greedy bound of 20 zeros over C3^2, which no branch beats: the search
+    # would return it as the eta witness, and 0 alone is a short zero-sum
+    monkeypatch.setattr(search, "_greedy_lb", lambda ctx, pred: (20, (0,) * 20))
+    with pytest.raises(AssertionError, match="invalid eta witness"):
+        max_extremal_length(make_group([3, 3]), "eta", CFG)
+
+
 def test_f_and_g_small():
     group = make_group([3, 3])
     # f: square-free short-free; brute force over subsets
