@@ -234,16 +234,20 @@ def _cmd_check_property(args) -> int:
     return status_exit_code(cert.status)
 
 
-def _construction_params(args) -> dict:
+def _param_keys(name: str) -> tuple[str, ...]:
     """The parameters the named construction is built with, as its certificate
     records them."""
-    if args.name in ("cap3", "cap4", "cap4-trims"):
-        return {}
-    if args.name == "span-merge":
-        if args.axis is None or args.m is None:
-            raise ValueError("span-merge requires --axis and --m")
-        return {"n": args.n, "r": args.r, "axis": args.axis, "m": args.m}
-    return {"n": args.n, "r": args.r}
+    if name in ("cap3", "cap4", "cap4-trims"):
+        return ()
+    if name == "span-merge":
+        return ("n", "r", "axis", "m")
+    return ("n", "r")
+
+
+def _construction_params(args) -> dict:
+    if args.name == "span-merge" and (args.axis is None or args.m is None):
+        raise ValueError("span-merge requires --axis and --m")
+    return {key: getattr(args, key) for key in _param_keys(args.name)}
 
 
 def _construct_outputs(name: str, params: dict) -> list[Sequence]:
@@ -264,7 +268,12 @@ def _verified_construction(
     name: str, params: dict, cfg: SearchConfig
 ) -> tuple[list[Sequence], Certificate]:
     """The construction's outputs, checked by verify_construction, and the
-    certificate that construct --verify writes and certify replays."""
+    certificate that construct --verify writes and certify replays.
+    ValueError unless params are exactly the construction's own, all ints
+    (an unknown name is refused by build_family)."""
+    keys = _param_keys(name)
+    if sorted(params) != sorted(keys) or any(type(v) is not int for v in params.values()):
+        raise ValueError(f"construction {name!r} takes the int params {list(keys)}, not {params}")
     outputs = _construct_outputs(name, params)
     constructions.verify_construction(
         name, outputs, n=params.get("n", 3), r=params.get("r", 3), m=params.get("m")
@@ -296,33 +305,48 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _claim_field(claim, key: str, kind: type):
+    """claim[key]; ValueError if it is missing or not of type kind (a bool is
+    not an int here)."""
+    if not isinstance(claim, dict) or type(claim.get(key)) is not kind:
+        raise ValueError(f"claim field {key!r} is missing or not of type {kind.__name__}")
+    return claim[key]
+
+
 def _cmd_certify(args) -> int:
     try:
         text = Path(args.certificate).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read certificate: {exc}") from None
     cert = Certificate.from_json(text)
+    claim = cert.claim
+    kind = _claim_field(claim, "type", str)
     if cert.status == STATUS_REFUTED:
         if cert.witness is None:
             print("refuted certificate carries no sequence witness; nothing to re-check")
             return 0
-        ok = search.witness_valid(cert)
+        try:
+            ok = search.witness_valid(cert)
+        except KeyError as exc:
+            raise ValueError(f"claim field {exc} is missing") from None
         print(f"witness re-validation: {'VALID' if ok else 'INVALID'}")
         return 0 if ok else 1
     if cert.status == STATUS_PROVED:
-        claim = cert.claim
         group = parse_group_spec(cert.group_spec)
         cfg = cert.config
-        if claim["type"] == "invariant":
-            _, fresh = search.invariant_value(group, claim["invariant"], cfg)
-        elif claim["type"] == "c0_membership":
-            fresh = search.c0_contains(group, claim["t"], cfg)
-        elif claim["type"] == "property":
-            fresh = _check_property(group, claim["property"], claim["c"], cfg)
-        elif claim["type"] == "construction":
-            _, fresh = _verified_construction(claim["name"], claim["params"], cfg)
+        if kind == "invariant":
+            _, fresh = search.invariant_value(group, _claim_field(claim, "invariant", str), cfg)
+        elif kind == "c0_membership":
+            fresh = search.c0_contains(group, _claim_field(claim, "t", int), cfg)
+        elif kind == "property":
+            prop = _claim_field(claim, "property", str)
+            c = None if prop in ("C", "D") else _claim_field(claim, "c", int)
+            fresh = _check_property(group, prop, c, cfg)
+        elif kind == "construction":
+            name, params = _claim_field(claim, "name", str), _claim_field(claim, "params", dict)
+            _, fresh = _verified_construction(name, params, cfg)
         else:
-            print(f"cannot replay claims of type {claim['type']!r}")
+            print(f"cannot replay claims of type {kind!r}")
             return 1
         same = fresh.to_json() == cert.to_json()
         print(f"replay: {'IDENTICAL' if same else 'MISMATCH'}")

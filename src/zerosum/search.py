@@ -11,7 +11,10 @@ order, choosing each element's multiplicity at first visit.  Pruning rules:
   forbidden zero-sum" is one bit test.  The no_exact_exp layers count exactly
   c terms; the short_free layers are cumulative (at most c terms), so the top
   one is the whole set of sums of at most exp-1 terms, and beside them the
-  short_free state carries those of the negated terms, whose top one is -F;
+  short_free state carries those of the negated terms, whose top one is -F.
+  Each predicate's chain(state, g, copies) is the one push path: it reads
+  the context tables once and returns the states after 1, 2, ... copies of
+  g, the bit test before each push, stopping at the first forbidden one;
 * a remaining-potential bound folding {g, -g} conflicts, a few popcounts
   over masks built once per context;
 * orderly generation: a node is explored only when its multiset is
@@ -53,7 +56,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import constructions
@@ -236,11 +239,8 @@ class _Ctx:
         )
         if pred_name == _PRED_NO_EXACT_EXP:
             bounds = [self.exp - 1] * order
-        else:
-            bounds = []
-            for i in range(order):
-                o = lcm(*(m // gcd(c, m) for c, m in zip(coords[i], moduli)))
-                bounds.append(o - 1)
+        else:  # ord(g) - 1
+            bounds = [lcm(*(m // gcd(c, m) for c, m in zip(x, moduli))) - 1 for x in coords]
         if squarefree:
             bounds = [min(b, 1) for b in bounds]
         self.bound = tuple(bounds)
@@ -390,9 +390,6 @@ class _PairPred(_Pred):
 
     __slots__ = ()
 
-    def forbid(self, state, g: int) -> bool:
-        return g == 0 or state[-1] >> g & 1
-
     def potential(self, state, start: int) -> int:
         ctx = self.ctx
         counted = ~state[-1] & ctx.ge[start] & ~(~state[-2] & ctx.nge[start] & ctx.less)
@@ -408,8 +405,8 @@ class _ShortFree(_PairPred):
 
     Layer c holds the sums of at most c terms, so F is every sum of at most
     exp-1 terms, 0 included, and -F is the top layer of -seq.  0 in F is
-    harmless: bound[0] == 0 keeps it out of ge and nge, and forbid rejects
-    g == 0 on its own.
+    harmless: bound[0] == 0 keeps it out of ge and nge, and 0 in -F makes
+    chain refuse g == 0.
     """
 
     __slots__ = ()
@@ -418,11 +415,22 @@ class _ShortFree(_PairPred):
         rep = self.ctx.rep
         return rep, rep, 1, 1
 
-    def push(self, state, g: int):
+    def chain(self, state, g: int, copies: int) -> list:
+        """The states after 1, 2, ... copies of g, at most `copies` of them,
+        stopping before the first forbidden push: one with g in -F."""
         ctx = self.ctx
-        layers = add_term(state[0], ctx.lsteps[g], ctx.order, ctx.full)
-        negs = add_term(state[1], ctx.lsteps[ctx.neg[g]], ctx.order, ctx.full)
-        return layers, negs, layers >> ctx.top, negs >> ctx.top
+        order, full, top = ctx.order, ctx.full, ctx.top
+        steps, nsteps = ctx.lsteps[g], ctx.lsteps[ctx.neg[g]]
+        layers, negs, _, nf = state
+        out = []
+        for _ in range(copies):
+            if nf >> g & 1:
+                break
+            layers = add_term(layers, steps, order, full)
+            negs = add_term(negs, nsteps, order, full)
+            nf = negs >> top
+            out.append((layers, negs, layers >> top, nf))
+        return out
 
 
 class _ZeroSumFree(_PairPred):
@@ -433,12 +441,22 @@ class _ZeroSumFree(_PairPred):
     def initial(self):
         return 0, 0
 
-    def push(self, state, g: int):
-        # F' = F | (F | {0}) + g, so -F' = -F | (-F | {0}) - g
-        sums, negs = state
+    def chain(self, state, g: int, copies: int) -> list:
+        """As _ShortFree.chain.  F' = F | (F | {0}) + g, so
+        -F' = -F | (-F | {0}) - g."""
+        if g == 0:
+            return []
         steps = self.ctx.steps
-        return (sums | shift_bits(sums | 1, steps[g]),
-                negs | shift_bits(negs | 1, steps[self.ctx.neg[g]]))
+        gsteps, nsteps = steps[g], steps[self.ctx.neg[g]]
+        sums, negs = state
+        out = []
+        for _ in range(copies):
+            if negs >> g & 1:
+                break
+            sums |= shift_bits(sums | 1, gsteps)
+            negs |= shift_bits(negs | 1, nsteps)
+            out.append((sums, negs))
+        return out
 
 
 class _NoExactExp(_Pred):
@@ -450,13 +468,19 @@ class _NoExactExp(_Pred):
     def initial(self):
         return 1
 
-    def forbid(self, state, g: int) -> bool:
+    def chain(self, state, g: int, copies: int) -> list:
+        """The states after 1, 2, ... copies of g, at most `copies` of them,
+        stopping before the first forbidden push."""
         ctx = self.ctx
-        return state >> (ctx.top + ctx.neg[g]) & 1
-
-    def push(self, state, g: int):
-        ctx = self.ctx
-        return add_term(state, ctx.lsteps[g], ctx.order, ctx.full)
+        order, full, steps = ctx.order, ctx.full, ctx.lsteps[g]
+        bit = ctx.top + ctx.neg[g]
+        out = []
+        for _ in range(copies):
+            if state >> bit & 1:
+                break
+            state = add_term(state, steps, order, full)
+            out.append(state)
+        return out
 
     def potential(self, state, start: int) -> int:
         """The bounds of the h >= start with -h not a sum of exp-1 terms,
@@ -489,9 +513,9 @@ class _MaxGoal:
     __slots__ = ("best", "witness")
     reads_sum = False
 
-    def __init__(self, lb: int, witness: tuple[int, ...] | None) -> None:
+    def __init__(self, lb: int) -> None:
         self.best = lb
-        self.witness = witness
+        self.witness: tuple[int, ...] | None = None
 
     def visit(self, seq: list[int], sigma: int) -> None:
         if len(seq) > self.best:
@@ -531,12 +555,17 @@ class _LengthsGoal:
 
 
 class _EnumGoal:
-    """Visit every sequence of one exact length; optionally test named checks."""
+    """Visit every sequence of one exact length; optionally test the named
+    checks, sum_zero and power_form (any other name is a ValueError here,
+    before the search starts)."""
 
     __slots__ = ("length", "checks", "per_element", "count", "violations", "collect", "items",
                  "reads_sum")
 
     def __init__(self, length: int, checks: tuple[str, ...], per_element: int, collect: bool) -> None:
+        for check in checks:
+            if check not in ("sum_zero", "power_form"):
+                raise ValueError(f"unknown enumeration check {check!r}")
         self.length = length
         self.checks = checks
         self.reads_sum = "sum_zero" in checks
@@ -556,14 +585,12 @@ class _EnumGoal:
             if check == "sum_zero":
                 if sigma != 1:
                     self.violations[check].append(tuple(seq))
-            elif check == "power_form":
+            else:  # power_form
                 mults: dict[int, int] = {}
                 for i in seq:
                     mults[i] = mults.get(i, 0) + 1
                 if any(v != self.per_element for v in mults.values()):
                     self.violations[check].append(tuple(seq))
-            else:
-                raise ValueError(f"unknown enumeration check {check!r}")
 
     def needs(self):
         return self.length, self.length
@@ -579,7 +606,7 @@ class _EnumGoal:
 def _goal_from_spec(spec: dict):
     kind = spec["kind"]
     if kind == "max":
-        return _MaxGoal(spec["lb"], None)
+        return _MaxGoal(spec["lb"])
     if kind == "lengths":
         return _LengthsGoal(spec["lengths"])
     if kind == "enum":
@@ -617,18 +644,6 @@ class _Stats:
         return False
 
 
-def _chain(pred, state, g: int, copies: int) -> list:
-    """The states after 1, 2, ... copies of g, at most `copies` of them,
-    stopping before the first forbidden push."""
-    out = []
-    for _ in range(copies):
-        if pred.forbid(state, g):
-            break
-        state = pred.push(state, g)
-        out.append(state)
-    return out
-
-
 def _dfs(
     ctx: _Ctx, pred, goal, seq: list[int], state, sigma: int, last: int, stats: _Stats,
     q: int | None,
@@ -644,16 +659,18 @@ def _dfs(
     stats.nodes += 1
     goal.visit(seq, sigma)
     length = len(seq)
-    lo, hi = goal.needs()
+    # the goal changes only in visit, so lo and hi are read again only after
+    # a child returns
+    needs, potential, chain = goal.needs, pred.potential, pred.chain
+    lo, hi = needs()
     if hi is not None and length >= hi:
         return
-    order = ctx.order
     bound = ctx.bound
     steps = ctx.steps
     if q is not None:  # a tested child, so the codes are built
         codes = ctx._codes
         deltas, guard = codes.deltas, codes.guard
-    for g in range(last + 1, order):
+    for g in range(last + 1, ctx.order):
         b = bound[g]
         if b <= 0:
             continue
@@ -663,15 +680,14 @@ def _dfs(
         # potential(state, g) bounds the length any child with elements >= g
         # can add; it does not grow with g and lo does not shrink, so no later
         # element can reach lo either
-        if lo is not None and length + pred.potential(state, g) < lo:
+        if lo is not None and length + potential(state, g) < lo:
             break
-        chain = _chain(pred, state, g, max_m)
-        for m in range(len(chain), 0, -1):
-            lo, hi = goal.needs()
+        states = chain(state, g, max_m)
+        for m in range(len(states), 0, -1):
             if hi is not None and length + m > hi:
                 continue
-            st_m = chain[m - 1]
-            if lo is not None and length + m + pred.potential(st_m, g + 1) < lo:
+            st_m = states[m - 1]
+            if lo is not None and length + m + potential(st_m, g + 1) < lo:
                 continue
             if q is None:  # the root job last^length: its first child test
                 codes = ctx.codes
@@ -690,9 +706,9 @@ def _dfs(
             _dfs(ctx, pred, goal, seq + [g] * m, st_m, sg, g, stats, child)
             if stats.stopped:
                 return
-        lo, hi = goal.needs()
-        if hi is not None and length >= hi:
-            return
+            lo, hi = needs()
+            if hi is not None and length >= hi:
+                return
 
 
 # -- Property D0 ----------------------------------------------------------------
@@ -700,7 +716,7 @@ def _dfs(
 
 def _push_copies(pred, state, g: int, copies: int):
     """The state after `copies` (>= 1) copies of g, or None if one is forbidden."""
-    chain = _chain(pred, state, g, copies)
+    chain = pred.chain(state, g, copies)
     return chain[-1] if len(chain) == copies else None
 
 
@@ -786,7 +802,7 @@ def _root_jobs(ctx: _Ctx, pred, goal: dict) -> list:
     hi = _goal_from_spec(goal).needs()[1]
     jobs = []
     for g in ctx.minima:
-        for m in range(len(_chain(pred, pred.initial(), g, ctx.bound[g])), 0, -1):
+        for m in range(len(pred.chain(pred.initial(), g, ctx.bound[g])), 0, -1):
             if hi is None or m <= hi:
                 jobs.append((g, m))
     return jobs
@@ -834,7 +850,7 @@ def _greedy_lb(ctx: _Ctx, pred) -> tuple[int, tuple[int, ...] | None]:
     state = pred.initial()
     seq: list[int] = []
     for g in range(ctx.order):
-        chain = _chain(pred, state, g, ctx.bound[g])
+        chain = pred.chain(state, g, ctx.bound[g])
         if chain:
             state = chain[-1]
             seq += [g] * len(chain)
@@ -873,14 +889,12 @@ def max_extremal_length(
     results, nodes, exhausted = _run(
         group, pred_name, squarefree, cfg, {"kind": "max", "lb": best}
     )
-    for res in results:
-        if res["best"] > best or (
-            res["best"] == best
-            and res["witness"] is not None
-            and (witness is None or tuple(res["witness"]) < witness)
-        ):
-            best = res["best"]
-            witness = tuple(res["witness"]) if res["witness"] is not None else witness
+    # a branch has a witness only when it beats lb: the longest wins, then the least
+    found = [(-res["best"], tuple(res["witness"])) for res in results
+             if res["witness"] is not None]
+    if found:
+        neg_best, witness = min(found)
+        best = -neg_best
     wit_seq = (
         _sequence_from_indices(group, witness)
         if (witness is not None and cfg.record_witnesses)
@@ -919,15 +933,14 @@ def c0_range(
 ) -> tuple[int, int]:
     """(D(G), eta(G)): each value given, or proved by search.  RuntimeError if
     a search ends without a proof."""
-    if d_value is None:
-        d_value, cert = invariant_value(group, "D", cfg)
-        if cert.status != STATUS_PROVED:
-            raise RuntimeError("could not establish D(G) within budget")
-    if eta_value is None:
-        eta_value, cert = invariant_value(group, "eta", cfg)
-        if cert.status != STATUS_PROVED:
-            raise RuntimeError("could not establish eta(G) within budget")
-    return d_value, eta_value
+    values = []
+    for kind, value in (("D", d_value), ("eta", eta_value)):
+        if value is None:
+            value, cert = invariant_value(group, kind, cfg)
+            if cert.status != STATUS_PROVED:
+                raise RuntimeError(f"could not establish {kind}(G) within budget")
+        values.append(value)
+    return tuple(values)
 
 
 def compute_c0_at(
@@ -971,10 +984,7 @@ def compute_c0_at(
         found: dict[int, tuple[int, ...]] = {}
         for res in results:
             for key, items in res["witnesses"].items():
-                tt = int(key)
-                items = tuple(items)
-                if tt not in found or items < found[tt]:
-                    found[tt] = items
+                found[int(key)] = min(found.get(int(key), tuple(items)), tuple(items))
         wall = time.monotonic() - t0
         for t in remaining:
             if t in found:
@@ -1034,9 +1044,9 @@ class EnumerationReport:
     nodes: int
     status: str
     symmetry_level: str
-    violations: dict[str, list[Sequence]] = field(default_factory=dict)
-    items: list[Sequence] = field(default_factory=list)
-    wall_time_s: float = 0.0
+    violations: dict[str, list[Sequence]]
+    items: list[Sequence]
+    wall_time_s: float
 
 
 def _enumerate(
@@ -1208,9 +1218,10 @@ def check_property_D0(group: AbelianGroup, c: int, cfg: SearchConfig) -> Certifi
     results, nodes, exhausted = _run(group, _PRED_NO_EXACT_EXP, False, cfg, {"kind": "d0", "c": c})
     found = [tuple(res["counterexample"]) for res in results if res["counterexample"] is not None]
     wall = time.monotonic() - t0
+    witness = None
     if found:
         witness = Sequence.from_items(group, [(0, 1)] + [(g, n - 1) for g in min(found)])
-        return _property_cert(group, cfg, "D0", c, False, STATUS_REFUTED, witness, nodes, wall=wall)
-    if exhausted:
-        return _property_cert(group, cfg, "D0", c, None, STATUS_EXHAUSTED, None, nodes, wall=wall)
-    return _property_cert(group, cfg, "D0", c, True, STATUS_PROVED, None, nodes, wall=wall)
+        holds, status = False, STATUS_REFUTED
+    else:
+        holds, status = (None, STATUS_EXHAUSTED) if exhausted else (True, STATUS_PROVED)
+    return _property_cert(group, cfg, "D0", c, holds, status, witness, nodes, wall=wall)

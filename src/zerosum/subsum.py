@@ -3,8 +3,8 @@
 The dynamic program keeps, for each count c in [0, cap], the bitmask of the
 sums of exactly c terms (bit x for the element of index x), all of them
 packed in one int with layer c at bits [c*order, (c+1)*order).  Adding a
-term is one `add_term` step, a single `shift_bits` over every layer, which
-the search uses for its states too.  Terms are processed in deterministic
+term is one `add_term` step, a single translation over every layer, which
+the search's layered states use too.  Terms are processed in deterministic
 order (sorted by element index, multiplicities expanded), and the bits each
 term adds first are recorded, so walking back through them rebuilds the same
 witness for the same input every time.  witnesses decides with these
@@ -29,12 +29,16 @@ def add_term(packed: int, steps, order: int, full: int) -> int:
 
     A sum of c terms either skips the new term or adds it to a sum of c-1, so
     layer c gains layer c-1 translated by the term.  A translation moves bits
-    only within one layer's block, so one `shift_bits` moves every layer and
-    a shift by order lifts each to the next; full masks off the layer above
-    the top one.  The step is the same for cumulative layers (sums of at most
-    c terms).
+    only within one layer's block, so one pass of the `shift_bits` loop,
+    inlined here, moves every layer and a shift by order lifts each to the
+    next; full masks off the layer above the top one.  The step is the same
+    for cumulative layers (sums of at most c terms).
     """
-    return (packed | shift_bits(packed, steps) << order) & full
+    moved = packed
+    for low, up, down in steps:
+        stay = moved & low
+        moved = (stay << up) | ((moved ^ stay) >> down)
+    return (packed | moved << order) & full
 
 
 class ReachTable:

@@ -170,6 +170,40 @@ def loop_extend(enc: int, imgs, perms, unit, g: int, m: int) -> tuple[int, list[
     return enc, out
 
 
+def loop_chain(pred, state, g: int, copies: int) -> list:
+    """The states after 1, 2, ... copies of g, at most `copies` of them,
+    stopping before the first forbidden push: the loop search._chain ran over
+    the forbid and push of each predicate, with the layered push as one
+    shift_bits over every layer, the way subsum.add_term did it."""
+    ctx = pred.ctx
+
+    def layered(packed: int, h: int) -> int:
+        return (packed | shift_bits(packed, ctx.lsteps[h]) << ctx.order) & ctx.full
+
+    def forbid(state) -> bool:
+        if isinstance(pred, search._NoExactExp):
+            return bool(state >> (ctx.top + ctx.neg[g]) & 1)
+        return g == 0 or bool(state[-1] >> g & 1)
+
+    def push(state):
+        if isinstance(pred, search._NoExactExp):
+            return layered(state, g)
+        if isinstance(pred, search._ShortFree):
+            layers, negs = layered(state[0], g), layered(state[1], ctx.neg[g])
+            return layers, negs, layers >> ctx.top, negs >> ctx.top
+        sums, negs = state
+        return (sums | shift_bits(sums | 1, ctx.steps[g]),
+                negs | shift_bits(negs | 1, ctx.steps[ctx.neg[g]]))
+
+    out = []
+    for _ in range(copies):
+        if forbid(state):
+            break
+        state = push(state)
+        out.append(state)
+    return out
+
+
 def loop_root_jobs(ctx, pred, goal: dict) -> list:
     """search._root_jobs the way it tested each root job with loop_extend."""
     empty = [0] * len(ctx.perms)
@@ -185,7 +219,7 @@ def loop_root_jobs(ctx, pred, goal: dict) -> list:
     hi = search._goal_from_spec(goal).needs()[1]
     jobs = []
     for g in range(ctx.order):
-        for m in range(len(search._chain(pred, pred.initial(), g, ctx.bound[g])), 0, -1):
+        for m in range(len(loop_chain(pred, pred.initial(), g, ctx.bound[g])), 0, -1):
             if hi is not None and m > hi:
                 continue
             if loop_extend(0, empty, ctx.perms, unit, g, m) is not None:

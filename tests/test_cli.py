@@ -169,6 +169,25 @@ def test_certify_rejects_a_construction_certificate_with_edited_members(tmp_path
     assert "replay: MISMATCH" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, edit", [
+    (["construct", "cap3", "--verify"], lambda claim: claim["params"].update(n=3)),
+    (["construct", "slide", "--verify"], lambda claim: claim["params"].update(m=2)),
+    (["invariant", "C3^2", "eta"], lambda claim: claim.pop("invariant")),
+], ids=["cap3_with_n", "slide_with_m", "invariant_without_invariant"])
+def test_certify_rejects_a_hand_edited_claim(tmp_path, capsys, argv, edit):
+    # a construction's params are exactly the ones it is built with, and a
+    # claim field the replay reads must be there: error and exit 3, neither
+    # IDENTICAL nor a traceback
+    path = tmp_path / "claim.json"
+    assert main([*argv, "--json", str(path)]) == 0
+    data = json.loads(path.read_text())
+    edit(data["claim"])
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    assert main(["certify", str(path)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_certify_round_trip(tmp_path, capsys):
     cert_path = tmp_path / "eta.json"
     assert main(["invariant", "C3^2", "eta", "--json", str(cert_path)]) == 0

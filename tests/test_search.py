@@ -11,6 +11,7 @@ from conftest import (
     element_order,
     is_orbit_minimal,
     layers_by_count,
+    loop_chain,
     loop_extend,
     loop_no_exact_exp_potential,
     loop_pair_potential,
@@ -187,6 +188,18 @@ def test_enumerate_short_free_counts():
     # without symmetry, all three 2-subsets of the involutions appear
     rep = enumerate_short_free(group, 2, SearchConfig(symmetry_level="none"))
     assert rep.count == 3
+
+
+@pytest.mark.parametrize("length", [2, 20])
+def test_unknown_enumeration_check_fails_before_the_search(length, monkeypatch):
+    # no short-free sequence over C3^2 has length 20 (eta - 1 = 6), so no
+    # visit ever reaches the checks: the name must be refused before any node
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(search, "_dfs", no_search)
+    with pytest.raises(ValueError, match="unknown enumeration check 'bogus'"):
+        enumerate_short_free(make_group([3, 3]), length, CFG, checks=("bogus",))
 
 
 def test_enumerate_respects_multiplicity_bound():
@@ -530,8 +543,9 @@ def test_potential_does_not_grow_with_start(data):
     pred = search._make_pred(ctx, pred_name)
     state = pred.initial()
     for g in sorted(data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=8))):
-        if not pred.forbid(state, g):
-            state = pred.push(state, g)
+        pushed = pred.chain(state, g, 1)
+        if pushed:
+            state = pushed[0]
     pots = [pred.potential(state, g) for g in range(ctx.order + 1)]
     assert pots == sorted(pots, reverse=True)
 
@@ -562,10 +576,23 @@ def _reachable_state(data):
     pred = search._make_pred(ctx, pred_name)
     state, terms = pred.initial(), []
     for g in data.draw(st.lists(st.integers(0, order - 1), max_size=16)):
-        if terms.count(g) < bound[g] and not pred.forbid(state, g):
-            state = pred.push(state, g)
+        pushed = pred.chain(state, g, 1) if terms.count(g) < bound[g] else []
+        if pushed:
+            state = pushed[0]
             terms.append(g)
     return ctx, pred_name, pred, state, terms, bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_chain_matches_the_forbid_push_loop(data):
+    # every g, 0 included, at a reachable state, for 1 to bound + 1 copies:
+    # one more than bound pushes past the search's cap and meets a forbidden
+    # push where the bound is exp - 1
+    ctx, pred_name, pred, state, terms, bound = _reachable_state(data)
+    for g in range(ctx.order):
+        copies = data.draw(st.integers(1, bound[g] + 1))
+        assert pred.chain(state, g, copies) == loop_chain(pred, state, g, copies), (terms, g)
 
 
 def _mask(indices) -> int:
@@ -607,7 +634,7 @@ def test_search_states_match_layer_oracle(data):
         # the layers are cumulative: layer c holds the sums of at most c terms,
         # the empty sum 0 among them, so 0 is in the frame from the start;
         # harmless, as bound[0] == 0 keeps index 0 out of every potential
-        # mask and forbid rejects g == 0 on its own
+        # mask, and 0 in -F makes chain refuse g == 0
         frame |= 1
         def packed_cumulative(terms):
             exact = layers_by_count(group, terms, top)
@@ -631,8 +658,8 @@ _FORBIDDEN_LENGTHS = {
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_predicate_states_match_naive_profile(data):
-    # forbid(state, g) must say exactly whether appending g to the pushed terms
-    # creates a zero-sum of a forbidden length; forbidden terms are not pushed
+    # chain(state, g, 1) must be empty exactly when appending g to the pushed
+    # terms creates a zero-sum of a forbidden length; forbidden terms are not pushed
     spec = data.draw(st.sampled_from(sorted(CANON_GROUPS)))
     pred_name = data.draw(st.sampled_from(sorted(_FORBIDDEN_LENGTHS)))
     ctx = _canon_ctx(spec, pred_name, "none")
@@ -643,7 +670,8 @@ def test_predicate_states_match_naive_profile(data):
         profile = naive_profile(Sequence.from_items(group, ((i, 1) for i in terms + [g])))
         lengths = _FORBIDDEN_LENGTHS[pred_name](group.exponent, len(terms) + 1)
         creates = any(0 in profile.get(c, ()) for c in lengths)
-        assert pred.forbid(state, g) == creates, (terms, g)
+        pushed = pred.chain(state, g, 1)
+        assert (not pushed) == creates, (terms, g)
         if not creates:
-            state = pred.push(state, g)
+            state = pushed[0]
             terms.append(g)
