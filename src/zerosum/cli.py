@@ -93,7 +93,7 @@ def _config_from_args(args) -> SearchConfig:
         node_budget=getattr(args, "budget_nodes", 0) or 0,
         time_budget=getattr(args, "budget_secs", 0.0) or 0.0,
         symmetry_level=getattr(args, "symmetry", None) or "coord_perms+scalar",
-        parallel_width=getattr(args, "width", None) or 1,
+        parallel_width=1 if getattr(args, "width", None) is None else args.width,
     )
 
 

@@ -357,8 +357,11 @@ def close_symmetries(
     group: AbelianGroup, gens: Iterable[tuple[int, ...]], *, cap: int = CLOSURE_CAP
 ) -> list[tuple[int, ...]]:
     """Close generator permutations of the group's elements into the full
-    permutation group (identity included), composing on the right,
-    q[x] = p[g[x]], with one itemgetter per generator.
+    permutation group, composing on the right, q[x] = p[g[x]], with one
+    itemgetter per generator: the identity, then the distinct non-identity
+    generators in their given order, then the rest sorted.  Most multisets
+    that are not canonical are mapped below themselves by a generator, so
+    the first stage of the canonicity test sees them first (see PackedCodes).
 
     Every generator must be an automorphism.  Each composite is then one too,
     and the images of the standard basis determine it, so the closure dedupes
@@ -379,6 +382,7 @@ def close_symmetries(
     seen = {key(identity)}
     closed = [identity]
     frontier = [identity]
+    first = 0  # the length of the identity and the generators, after the first round
     while frontier:
         nxt = []
         for p in frontier:
@@ -393,4 +397,59 @@ def close_symmetries(
                     nxt.append(compose(p))
         closed += nxt
         frontier = nxt
-    return sorted(closed)
+        first = first or len(closed)
+    return closed[:first] + sorted(closed[first:])
+
+
+# -- packed image codes ---------------------------------------------------------
+
+#: The perms of the first stage of the canonicity test (see PackedCodes).
+_HEAD = 64
+
+
+class PackedCodes:
+    """Packed image codes for digit units of k bits, over the perms p_0, p_1, ...
+
+    A multiset's code is enc = sum(mult[x] * unit[x]), unit[x] =
+    1 << k*(order-1-x); no digit carries, so on sorted tuples of equal length
+    a lex-smaller tuple has a larger code, and every code is below 2^F,
+    F = order*k.  Field i of a node's packed int, F // 8 + 1 bytes wide,
+    holds 2^F + enc - img_i, img_i the code of the multiset's image under
+    p_i.  It lies in (0, 2^(F+1)), so no field borrows from the next, and the
+    multiset is canonical iff every guard bit 2^F is set.  Adding g^m adds
+    m * delta(g), whose field i is unit[g] - unit[p_i[g]].
+
+    The test has two stages.  head is the codes over the first _HEAD perms,
+    or self when there are no more; its packed int is the node's int & its
+    mask (set on a head only), and its deltas are short, so a multiset that
+    fails the head test costs no full delta and no full add.  The verdict is
+    the head test and then the full one.
+    """
+
+    __slots__ = ("perms", "unit", "fields", "rep", "guard", "deltas", "head", "mask")
+
+    def __init__(self, perms: tuple[tuple[int, ...], ...], order: int, k: int) -> None:
+        self.perms = perms
+        self.unit = tuple(1 << k * (order - 1 - x) for x in range(order))
+        nbytes = order * k // 8 + 1
+        self.fields = tuple(u.to_bytes(nbytes, "little") for u in self.unit)
+        self.rep = int.from_bytes(b"\x01".ljust(nbytes, b"\0") * len(perms), "little")
+        self.guard = self.rep << order * k  # also the packed int of the empty multiset
+        self.deltas: list[int | None] = [None] * order
+        if len(perms) > _HEAD:
+            self.head = PackedCodes(perms[:_HEAD], order, k)
+        else:  # the guard bit of the last field is the top bit of a packed int
+            self.head, self.mask = self, (1 << self.guard.bit_length()) - 1
+
+    def build(self, g: int) -> int:
+        """delta(g), one field per perm, not cached."""
+        fields = self.fields
+        images = int.from_bytes(b"".join([fields[p[g]] for p in self.perms]), "little")
+        return self.unit[g] * self.rep - images
+
+    def delta(self, g: int) -> int:
+        """delta(g), built on first use and kept."""
+        d = self.deltas[g]
+        if d is None:
+            d = self.deltas[g] = self.build(g)
+        return d

@@ -24,12 +24,17 @@ order, choosing each element's multiplicity at first visit.  Pruning rules:
   bits per digit enough for the largest multiplicity; on sorted tuples of
   equal length lex order is reversed integer order.  The DFS carries one
   packed int per node, a field per permutation holding the node's code
-  minus the code of its image plus a guard bit (see _Codes), so the test of
-  a child is one big-int add and one mask, whatever the number of
-  permutations.  A root job g^m is canonical iff g is the least element of
-  its orbit.  Goal and potential cuts run first, and the scan over the next
-  element stops at the first one whose potential, counting the element
-  itself, cannot reach the goal.
+  minus the code of its image plus a guard bit (see group.PackedCodes), so
+  a test is one big-int add and one mask.  It has two stages: the head,
+  over the first perms, and then the full test where there are more.  A
+  root job g^m is canonical iff g is the least element of its orbit.  Below
+  the root the head test runs before any push: the largest multiplicity of
+  g falls to the largest that passes it, and g is skipped if none does;
+  then each g^m meets the goal and potential cuts, the head test and the
+  full test.  At a root job the cuts and pushes run first, so a root whose
+  children are all cut closes nothing.  The scan over the next element
+  stops at the first one whose potential, counting the element itself,
+  cannot reach the goal.
 
 Every search (an invariant, the C0 sweep, an enumeration, Properties C, D
 and D0) goes through one run loop, _run: it builds the context (tables and
@@ -46,9 +51,9 @@ byte-identical at any width.  Budgets bound each top-level subtree.
 Property C is an enumeration under the short_free predicate and Property D
 one under no_exact_exp; D0 pushes n-1 copies of each g_i onto the same
 no_exact_exp state, and a forbidden push is a zero-sum of length exactly n;
-those pushes run before the canonicity test.  The running sum is carried
-only for goals that read it.  Every witness is re-checked by witness_valid,
-and so by subsum.witnesses, before it is returned.
+those pushes run before the head test and the full test.  The running sum
+is carried only for goals that read it.  Every witness is re-checked by
+witness_valid, and so by subsum.witnesses, before it is returned.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ from math import gcd, lcm
 
 from . import constructions
 from .group import (
-    SYMMETRY_LEVELS, AbelianGroup, close_symmetries, make_group, parse_group_spec, shift_bits,
-    shift_steps, symmetries,
+    SYMMETRY_LEVELS, AbelianGroup, PackedCodes, close_symmetries, make_group, parse_group_spec,
+    shift_bits, shift_steps, symmetries,
 )
 from .sequence import Sequence, read_sequence, write_sequence
 from .subsum import add_term, repeated_steps, witnesses
@@ -199,16 +204,17 @@ class _Ctx:
     states the steps repeated in every layer (lsteps), the offset of the top
     layer, the mask of all layers and the int with bit 0 set in every layer
     (see subsum.add_term).  perms, the non-identity perms of the closed
-    symmetry group, is closed on first use or by close() (a closure past its
-    cap is kept as its ValueError, raised at every read); codes, the packed
-    image codes for multiplicities up to max(bound), and packed(c), those
-    sized for c (D0), are built on first use over perms.  _dfs and _d0_dfs
-    first read them at a root job's first child test, so a tree that tests
-    no child closes nothing.
+    symmetry group, generators first, is closed on first use or by close()
+    (a closure past its cap is kept as its ValueError, raised at every
+    read); codes, the packed image codes for multiplicities up to
+    max(bound), and packed(c), those sized for c (D0), are built on first
+    use over perms, each with its head over the first perms.  _dfs and
+    _d0_dfs first read them at a root job's first child test, so a tree that
+    tests no child closes nothing.
 
     One instance is shared by every root job of a run.  Once built, only
-    perms, codes, packed() and the deltas of its _Codes fill in, with values
-    that are a function of the context's key alone.
+    perms, codes, packed() and the deltas of their PackedCodes and heads
+    fill in, with values that are a function of the context's key alone.
     """
 
     __slots__ = ("group", "order", "exp", "neg", "steps", "bound", "gens", "minima",
@@ -260,16 +266,14 @@ class _Ctx:
         self.gens = tuple(symmetries(group, level))
         self.minima = _orbit_minima(self.gens, order)
         self._perms = self._codes = None
-        self.tables: dict[int, _Codes] = {}
+        self.tables: dict[int, PackedCodes] = {}
 
     def close(self) -> None:
         """Close the symmetry group once: _perms keeps the non-identity perms,
         or the ValueError of a closure past its cap."""
         if self._perms is None:
-            identity = tuple(range(self.order))
-            try:
-                closed = close_symmetries(self.group, self.gens)
-                self._perms = tuple(p for p in closed if p != identity)
+            try:  # the identity comes first, then the generators
+                self._perms = tuple(close_symmetries(self.group, self.gens)[1:])
             except ValueError as exc:
                 self._perms = exc
 
@@ -284,18 +288,18 @@ class _Ctx:
         return self._perms
 
     @property
-    def codes(self) -> _Codes:
+    def codes(self) -> PackedCodes:
         """The packed image codes for multiplicities up to max(bound)."""
         if self._codes is None:
             self._codes = self.packed(max(self.bound))
         return self._codes
 
-    def packed(self, top: int) -> _Codes:
+    def packed(self, top: int) -> PackedCodes:
         """The packed image codes for multiplicities up to top."""
         k = max(1, top.bit_length())
         codes = self.tables.get(k)
         if codes is None:
-            codes = self.tables[k] = _Codes(self.perms, self.order, k)
+            codes = self.tables[k] = PackedCodes(self.perms, self.order, k)
         return codes
 
 
@@ -334,44 +338,6 @@ def _orbit_minima(gens, order: int) -> tuple[int, ...]:
                     seen.add(p[y])
                     orbit.append(p[y])
     return tuple(minima)
-
-
-class _Codes:
-    """Packed image codes for digit units of k bits, over the perms p_0, p_1, ...
-
-    A multiset's code is enc = sum(mult[x] * unit[x]), unit[x] =
-    1 << k*(order-1-x); no digit carries, so on sorted tuples of equal length
-    a lex-smaller tuple has a larger code, and every code is below 2^F,
-    F = order*k.  Field i of a node's packed int, F // 8 + 1 bytes wide,
-    holds 2^F + enc - img_i, img_i the code of the multiset's image under
-    p_i.  It lies in (0, 2^(F+1)), so no field borrows from the next, and the
-    multiset is canonical iff every guard bit 2^F is set.  Adding g^m adds
-    m * delta(g), whose field i is unit[g] - unit[p_i[g]].
-    """
-
-    __slots__ = ("perms", "unit", "fields", "rep", "guard", "deltas")
-
-    def __init__(self, perms: tuple[tuple[int, ...], ...], order: int, k: int) -> None:
-        self.perms = perms
-        self.unit = tuple(1 << k * (order - 1 - x) for x in range(order))
-        nbytes = order * k // 8 + 1
-        self.fields = tuple(u.to_bytes(nbytes, "little") for u in self.unit)
-        self.rep = int.from_bytes(b"\x01".ljust(nbytes, b"\0") * len(perms), "little")
-        self.guard = self.rep << order * k  # also the packed int of the empty multiset
-        self.deltas: list[int | None] = [None] * order
-
-    def build(self, g: int) -> int:
-        """delta(g), one field per perm, not cached."""
-        fields = self.fields
-        images = int.from_bytes(b"".join([fields[p[g]] for p in self.perms]), "little")
-        return self.unit[g] * self.rep - images
-
-    def delta(self, g: int) -> int:
-        """delta(g), built on first use and kept."""
-        d = self.deltas[g]
-        if d is None:
-            d = self.deltas[g] = self.build(g)
-        return d
 
 
 class _Pred:
@@ -555,14 +521,16 @@ class _LengthsGoal:
 
 
 class _EnumGoal:
-    """Visit every sequence of one exact length; optionally test the named
-    checks, sum_zero and power_form (any other name is a ValueError here,
-    before the search starts)."""
+    """Visit every sequence of one exact length, at least 1; optionally test
+    the named checks, sum_zero and power_form (another length or name is a
+    ValueError here, before the search starts)."""
 
     __slots__ = ("length", "checks", "per_element", "count", "violations", "collect", "items",
                  "reads_sum")
 
     def __init__(self, length: int, checks: tuple[str, ...], per_element: int, collect: bool) -> None:
+        if length < 1:
+            raise ValueError(f"enumeration length must be >= 1, got {length}")
         for check in checks:
             if check not in ("sum_zero", "power_form"):
                 raise ValueError(f"unknown enumeration check {check!r}")
@@ -669,7 +637,9 @@ def _dfs(
     steps = ctx.steps
     if q is not None:  # a tested child, so the codes are built
         codes = ctx._codes
-        deltas, guard = codes.deltas, codes.guard
+        head = codes.head
+        heads, hguard = head.deltas, head.guard
+        qh = q if head is codes else q & head.mask  # no copy of q per frame
     for g in range(last + 1, ctx.order):
         b = bound[g]
         if b <= 0:
@@ -682,6 +652,14 @@ def _dfs(
         # element can reach lo either
         if lo is not None and length + potential(state, g) < lo:
             break
+        if q is not None:  # before any push: the largest m that passes the head test
+            dh = heads[g]
+            if dh is None:
+                dh = head.delta(g)
+            while max_m and (qh + max_m * dh) & hguard != hguard:
+                max_m -= 1
+            if not max_m:
+                continue
         states = chain(state, g, max_m)
         for m in range(len(states), 0, -1):
             if hi is not None and length + m > hi:
@@ -691,14 +669,19 @@ def _dfs(
                 continue
             if q is None:  # the root job last^length: its first child test
                 codes = ctx.codes
-                deltas, guard = codes.deltas, codes.guard
-                q = guard + length * codes.build(last)
-            delta = deltas[g]
-            if delta is None:
-                delta = codes.delta(g)
-            child = q + m * delta
-            if child & guard != guard:
+                head = codes.head
+                q = codes.guard + length * codes.build(last)
+                heads, hguard = head.deltas, head.guard
+                qh = q if head is codes else q & head.mask
+                dh = head.delta(g)
+            child = qh + m * dh
+            if child & hguard != hguard:
                 continue
+            if head is not codes:  # 1 * delta would copy a delta of up to 1.5 MB
+                delta = codes.delta(g)
+                child = q + (delta if m == 1 else m * delta)
+                if child & codes.guard != codes.guard:
+                    continue
             sg = sigma
             if sg:
                 for _ in range(m):
@@ -722,7 +705,7 @@ def _push_copies(pred, state, g: int, copies: int):
 
 def _d0_dfs(
     ctx: _Ctx, pred, c: int, gs: list[int], state, stats: _Stats, found: list,
-    codes: _Codes | None, q: int,
+    codes: PackedCodes | None, q: int,
 ) -> None:
     """Extend the g_i multiset gs (packed image codes q in codes, whose digit
     units are sized for c repeats, so each g_i counts once) by one element
@@ -748,9 +731,14 @@ def _d0_dfs(
             codes = ctx.packed(c)
             # gs[0] is the least of its orbit (see _root_jobs), so q has every guard bit
             q = codes.guard + codes.build(gs[0])
-        child = q + codes.delta(g)
-        if child & codes.guard != codes.guard:
+        head = codes.head
+        child = (q if head is codes else q & head.mask) + head.delta(g)
+        if child & head.guard != head.guard:
             continue
+        if head is not codes:
+            child = q + codes.delta(g)
+            if child & codes.guard != codes.guard:
+                continue
         _d0_dfs(ctx, pred, c, gs + [g], nxt, stats, found, codes, child)
         if found or stats.stopped:
             return

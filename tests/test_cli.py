@@ -108,6 +108,21 @@ def test_usage_errors():
     assert main(["enumerate", "C3^2", "--kind", "weird", "--len", "3"]) == 3
 
 
+@pytest.mark.parametrize("length", ["0", "-3"])
+def test_enumerate_refuses_a_length_below_one(length, capsys):
+    assert main(["enumerate", "C3^2", "--kind", "short-free", "--len", length]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"enumeration length must be >= 1, got {length}" in err
+
+
+@pytest.mark.parametrize("width", ["0", "-2"])
+def test_width_below_one_is_refused(width, capsys):
+    # --width 0 is not read as width 1: it fails like SearchConfig(parallel_width=0)
+    assert main(["invariant", "C3^2", "eta", "--width", width]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "parallel_width must be >= 1" in err
+
+
 def test_enumerate_verb(capsys, tmp_path):
     dump = tmp_path / "reps.txt"
     code = main([

@@ -141,17 +141,22 @@ def test_full_small_closure_sizes():
     "moduli", [(3,), (7,), (2, 2), (3, 3), (3, 6), (4, 4), (2, 2, 2, 2), (3, 3, 3), (2,) * 7]
 )
 def test_closure_matches_loop_oracle(moduli):
-    # the same sorted permutation list at every level, full_small on C4^2 and
-    # on the mixed moduli of C3+C6 among them; the closure keys a permutation
-    # by its basis images, a bare item at rank 1 (C3, C7).  C2^7 stops short
-    # of full_small, whose closure GL(7,2) is far past the cap; its
-    # coordinate permutations give 5,040
+    # the same permutations at every level, full_small on C4^2 and on the
+    # mixed moduli of C3+C6 among them; the closure keys a permutation by its
+    # basis images, a bare item at rank 1 (C3, C7).  C2^7 stops short of
+    # full_small, whose closure GL(7,2) is far past the cap; its coordinate
+    # permutations give 5,040.  The identity and the distinct generators come
+    # first, in order, and the rest sorted
     g = make_group(moduli)
     for level in SYMMETRY_LEVELS:
         if level == "full_small" and g.order > 64:
             continue
         gens = symmetries(g, level)
-        assert close_symmetries(g, gens) == loop_close_symmetries(gens, CLOSURE_CAP), level
+        closed = close_symmetries(g, gens)
+        assert sorted(closed) == loop_close_symmetries(gens, CLOSURE_CAP), level
+        first = list(dict.fromkeys([tuple(range(g.order))] + gens)) if gens else []
+        assert closed[:len(first)] == first, level
+        assert closed[len(first):] == sorted(closed[len(first):]), level
     if moduli == (2,) * 7:
         assert len(close_symmetries(g, symmetries(g, "coord_perms+scalar"))) == 5040
 

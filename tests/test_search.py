@@ -1,6 +1,7 @@
 import functools
 import itertools
 import multiprocessing
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,9 @@ from conftest import (
     support,
 )
 from zerosum import catalog, search
-from zerosum.group import SYMMETRY_LEVELS, close_symmetries, make_group
+from zerosum.group import (
+    _HEAD, SYMMETRY_LEVELS, PackedCodes, close_symmetries, make_group,
+)
 from zerosum.search import (
     STATUS_EXHAUSTED,
     STATUS_PROVED,
@@ -200,6 +203,18 @@ def test_unknown_enumeration_check_fails_before_the_search(length, monkeypatch):
     monkeypatch.setattr(search, "_dfs", no_search)
     with pytest.raises(ValueError, match="unknown enumeration check 'bogus'"):
         enumerate_short_free(make_group([3, 3]), length, CFG, checks=("bogus",))
+
+
+@pytest.mark.parametrize("length", [0, -3])
+def test_enumeration_length_below_one_fails_before_the_search(length, monkeypatch):
+    # the empty sequence is short-free, so a proved count of 0 at length 0
+    # would be false: the length is refused before any node
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(search, "_dfs", no_search)
+    with pytest.raises(ValueError, match=f"enumeration length must be >= 1, got {length}"):
+        enumerate_short_free(make_group([3, 3]), length, CFG)
 
 
 def test_enumerate_respects_multiplicity_bound():
@@ -396,6 +411,10 @@ PINNED_CERTS = [
      457, "0da5f0e555c1f2ce"),
     ("D C3^3 s=19 full", lambda: check_property_D(make_group((3, 3, 3)), _FULL, s_value=19),
      541, "c315e0fac8a47528"),
+    # both stages of the canonicity test: 95 non-identity perms on C4^2
+    ("s C4^2 full", lambda: max_extremal_length(_C44, "s", _FULL)[1], 585, "17e0e5ed5281f469"),
+    ("D0 C3^3 c=9 full", lambda: check_property_D0(make_group((3, 3, 3)), 9, _FULL),
+     25, "493e97123f4889e1"),
 ]
 
 
@@ -446,30 +465,59 @@ def _canon_ctx(spec: str, pred: str, level: str):
     return _CANON_CTX[key]
 
 
+def _head_extend(codes, q: int, g: int, m: int) -> bool:
+    """Whether the multiset with packed int q plus g^m passes the head test."""
+    head = codes.head
+    return (q & head.mask) + m * head.delta(g) & head.guard == head.guard
+
+
 def _packed_extend(codes, q: int, g: int, m: int) -> int | None:
     """The packed image codes after adding g^m, or None if not canonical:
-    the step _dfs takes."""
+    the steps _dfs takes, the head test and then the full one."""
+    if not _head_extend(codes, q, g, m):
+        return None
     q += m * codes.delta(g)
     return q if q & codes.guard == codes.guard else None
 
 
-def _draw_codes(data, ctx):
+_HEAD_CODES: dict = {}
+
+
+def _draw_codes(data, ctx, head=None):
     """The packed codes and per-element multiplicity caps of a search on ctx,
-    or D0-style ones: any element repeated up to c times."""
+    or D0-style ones: any element repeated up to c times.  With head, the
+    codes are built with zerosum.group._HEAD patched to it, so their first
+    stage covers that many perms."""
     if data.draw(st.booleans()):
         c = data.draw(st.integers(1, 12))
-        return ctx.packed(c), c, [c] * ctx.order
-    return ctx.codes, max(ctx.bound), ctx.bound
+        top, caps = c, [c] * ctx.order
+    else:
+        top, caps = max(ctx.bound), ctx.bound
+    if head is None:
+        return ctx.packed(top), top, caps
+    key = (id(ctx), top, head)
+    if key not in _HEAD_CODES:
+        with mock.patch("zerosum.group._HEAD", head):
+            _HEAD_CODES[key] = PackedCodes(ctx.perms, ctx.order, max(1, top.bit_length()))
+    return _HEAD_CODES[key], top, caps
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_encoded_canonicity_matches_sort_oracle(data):
+    # with a head of 4 perms, C3^3 and C2^4 at the default level and C4^2 at
+    # full_small split into two stages; with the module's own head, C4^2,
+    # C2^4 and C3^3 at full_small do.  Each stage's verdict is checked
+    # against the sort oracle over its own perms
     spec = data.draw(st.sampled_from(sorted(CANON_GROUPS)))
     pred = data.draw(st.sampled_from(("short_free", "no_exact_exp")))
     level = data.draw(st.sampled_from(CANON_LEVELS))
     ctx = _canon_ctx(spec, pred, level)
-    codes, _, caps = _draw_codes(data, ctx)
+    head = data.draw(st.sampled_from((None, 4)))
+    codes, _, caps = _draw_codes(data, ctx, head)
+    size = _HEAD if head is None else head
+    assert codes.head.perms == ctx.perms[:size]
+    assert (codes.head is codes) == (len(ctx.perms) <= size)
     support = data.draw(st.sets(st.integers(0, ctx.order - 1), max_size=6))
     # the DFS extends canonical multisets only, so the walk stops at the first
     # prefix that is not canonical
@@ -478,8 +526,10 @@ def test_encoded_canonicity_matches_sort_oracle(data):
         if caps[g] <= 0:
             continue
         m = data.draw(st.integers(1, caps[g]))
+        head_ok = _head_extend(codes, code, g, m)
         code = _packed_extend(codes, code, g, m)
         seq += [g] * m
+        assert head_ok == is_orbit_minimal(seq, codes.head.perms), seq
         assert (code is not None) == is_orbit_minimal(seq, ctx.perms), seq
         if code is None:
             break
