@@ -27,32 +27,35 @@ order, choosing each element's multiplicity at first visit.  Pruning rules:
   minus the code of its image plus a guard bit (see group.PackedCodes), so
   a test is one big-int add and one mask.  It has two stages: the head,
   over the first perms, and then the full test where there are more.  A
-  root job g^m is canonical iff g is the least element of its orbit.  Below
-  the root the head test runs before any push: the largest multiplicity of
-  g falls to the largest that passes it, and g is skipped if none does;
-  then each g^m meets the goal and potential cuts, the head test and the
-  full test.  At a root job the cuts and pushes run first, so a root whose
-  children are all cut closes nothing.  The scan over the next element
-  stops at the first one whose potential, counting the element itself,
-  cannot reach the goal.
+  root job g^m is canonical iff g is the least element of its orbit.  The
+  scan over the next element skips one whose first push the predicate's
+  frame forbids, and stops at the first one whose potential, counting the
+  element itself, cannot reach the goal.  Below the root the head test then
+  runs before any push: the largest multiplicity of g falls to the largest
+  that passes it, and g is skipped if none does; then each g^m meets the
+  goal and potential cuts, the head test and the full test.  At a root job
+  the cuts and pushes run first, so a root whose children are all cut
+  closes nothing.
 
 Every search (an invariant, the C0 sweep, an enumeration, Properties C, D
 and D0) goes through one run loop, _run: it builds the context (tables and
 symmetry generators; once per run, and once per worker process at width >
 1), makes one branch per canonical, feasible child of the empty root and
 runs the branches at the configured width.  The closed symmetry group and
-its packed codes are built at the first child test, for D0 at the first
-child that survives its pushes, so a search whose children are all cut
-before the test never closes the group and never meets its cap.  At width
-> 1 the run closes the group once before the workers start; a closure past
-its cap is kept as its error, raised only where a child is tested.
-Branches never share state, so node counts, outcomes and witnesses are
-byte-identical at any width.  Budgets bound each top-level subtree.
+its packed codes are built at the first child test, so a search whose
+children are all cut before the test never closes the group and never
+meets its cap.  At width > 1 the run closes the group once before the
+workers start; a closure past its cap is kept as its error, raised only
+where a child is tested.  Branches never share state, so node counts,
+outcomes and witnesses are byte-identical at any width.  Budgets bound
+each top-level subtree.
 Property C is an enumeration under the short_free predicate and Property D
-one under no_exact_exp; D0 pushes n-1 copies of each g_i onto the same
-no_exact_exp state, and a forbidden push is a zero-sum of length exactly n;
-those pushes run before the head test and the full test.  The running sum
-is carried only for goals that read it.  Every witness is re-checked by
+one under no_exact_exp.  Property D0 is a goal over sets of g_i, each one
+unit of n-1 copies pushed onto a no_exact_exp state that starts with the
+translated 0, so a forbidden push is a zero-sum of length exactly n; it
+runs on the squarefree context of g, as a second unit of g_i would hold
+2(n-1) >= n copies and n*g_i = 0 in C_n^r.  The running sum is carried
+only for goals that read it.  Every witness is re-checked by
 witness_valid, and so by subsum.witnesses, before it is returned.
 """
 
@@ -186,6 +189,7 @@ class Certificate:
 _PRED_SHORT_FREE = "short_free"
 _PRED_ZERO_SUM_FREE = "zero_sum_free"
 _PRED_NO_EXACT_EXP = "no_exact_exp"
+_PRED_D0 = "d0_units"  # Property D0's units, on the no_exact_exp tables
 
 _KIND_TO_PRED = {
     "D": (_PRED_ZERO_SUM_FREE, False),
@@ -207,18 +211,17 @@ class _Ctx:
     symmetry group, generators first, is closed on first use or by close()
     (a closure past its cap is kept as its ValueError, raised at every
     read); codes, the packed image codes for multiplicities up to
-    max(bound), and packed(c), those sized for c (D0), are built on first
-    use over perms, each with its head over the first perms.  _dfs and
-    _d0_dfs first read them at a root job's first child test, so a tree that
-    tests no child closes nothing.
+    max(bound), are built on first use over perms, with their head over the
+    first perms.  _dfs first reads them at a root job's first child test, so
+    a tree that tests no child closes nothing.
 
     One instance is shared by every root job of a run.  Once built, only
-    perms, codes, packed() and the deltas of their PackedCodes and heads
-    fill in, with values that are a function of the context's key alone.
+    perms, codes and the deltas of codes and its head fill in, with values
+    that are a function of the context's key alone.
     """
 
     __slots__ = ("group", "order", "exp", "neg", "steps", "bound", "gens", "minima",
-                 "_perms", "_codes", "tables", "ge", "nge", "weights", "less", "lsteps", "top",
+                 "_perms", "_codes", "ge", "nge", "weights", "less", "lsteps", "top",
                  "full", "rep")
 
     def __init__(
@@ -266,7 +269,6 @@ class _Ctx:
         self.gens = tuple(symmetries(group, level))
         self.minima = _orbit_minima(self.gens, order)
         self._perms = self._codes = None
-        self.tables: dict[int, PackedCodes] = {}
 
     def close(self) -> None:
         """Close the symmetry group once: _perms keeps the non-identity perms,
@@ -291,16 +293,8 @@ class _Ctx:
     def codes(self) -> PackedCodes:
         """The packed image codes for multiplicities up to max(bound)."""
         if self._codes is None:
-            self._codes = self.packed(max(self.bound))
+            self._codes = PackedCodes(self.perms, self.order, max(1, max(self.bound).bit_length()))
         return self._codes
-
-    def packed(self, top: int) -> PackedCodes:
-        """The packed image codes for multiplicities up to top."""
-        k = max(1, top.bit_length())
-        codes = self.tables.get(k)
-        if codes is None:
-            codes = self.tables[k] = PackedCodes(self.perms, self.order, k)
-        return codes
 
 
 _ctx_memo: dict[tuple, _Ctx] = {}
@@ -313,6 +307,8 @@ def _context(group: AbelianGroup, pred_name: str, squarefree: bool, level: str) 
     packed codes fill in later, so every root job of a run, and every run in
     a process, may share one instance.
     """
+    if pred_name == _PRED_D0:
+        pred_name = _PRED_NO_EXACT_EXP
     key = (group.moduli, pred_name, squarefree, level)
     ctx = _ctx_memo.get(key)
     if ctx is None:
@@ -355,6 +351,10 @@ class _PairPred(_Pred):
     """
 
     __slots__ = ()
+
+    def frame(self, state) -> int:
+        """F: one push of g is forbidden iff -g is in F."""
+        return state[-2]
 
     def potential(self, state, start: int) -> int:
         ctx = self.ctx
@@ -407,6 +407,9 @@ class _ZeroSumFree(_PairPred):
     def initial(self):
         return 0, 0
 
+    def frame(self, state) -> int:
+        return state[-2] | 1  # g == 0 is refused too
+
     def chain(self, state, g: int, copies: int) -> list:
         """As _ShortFree.chain.  F' = F | (F | {0}) + g, so
         -F' = -F | (-F | {0}) - g."""
@@ -434,6 +437,10 @@ class _NoExactExp(_Pred):
     def initial(self):
         return 1
 
+    def frame(self, state) -> int:
+        """The top layer: one push of g is forbidden iff -g is in it."""
+        return state >> self.ctx.top
+
     def chain(self, state, g: int, copies: int) -> list:
         """The states after 1, 2, ... copies of g, at most `copies` of them,
         stopping before the first forbidden push."""
@@ -460,14 +467,28 @@ class _NoExactExp(_Pred):
         return pot
 
 
+class _D0Units(_NoExactExp):
+    """Property D0's predicate (see the module docstring): the state starts
+    after the translated term 0, and a unit of g is n-1 copies of it."""
+
+    __slots__ = ()
+
+    def initial(self):
+        return 1 | 1 << self.ctx.order  # the sums of none and of one term: 0
+
+    def chain(self, state, g: int, copies: int) -> list:
+        """The states after 1, 2, ... whole units of g, at most `copies` of
+        them, stopping before the unit that holds the first forbidden push."""
+        unit = self.ctx.exp - 1
+        return _NoExactExp.chain(self, state, g, copies * unit)[unit - 1::unit]
+
+
+_PREDS = {_PRED_SHORT_FREE: _ShortFree, _PRED_ZERO_SUM_FREE: _ZeroSumFree,
+          _PRED_NO_EXACT_EXP: _NoExactExp, _PRED_D0: _D0Units}
+
+
 def _make_pred(ctx: _Ctx, pred_name: str):
-    if pred_name == _PRED_SHORT_FREE:
-        return _ShortFree(ctx)
-    if pred_name == _PRED_ZERO_SUM_FREE:
-        return _ZeroSumFree(ctx)
-    if pred_name == _PRED_NO_EXACT_EXP:
-        return _NoExactExp(ctx)
-    raise ValueError(f"unknown predicate {pred_name!r}")
+    return _PREDS[pred_name](ctx)
 
 
 # -- goals ----------------------------------------------------------------------
@@ -571,6 +592,27 @@ class _EnumGoal:
         }
 
 
+class _D0Goal:
+    """Find the first set of c units, a counterexample to Property D0;
+    needs() then caps every length at -1, so the run stops."""
+
+    __slots__ = ("c", "witness")
+    reads_sum = False
+
+    def __init__(self, c: int) -> None:
+        self.c, self.witness = c, None
+
+    def visit(self, seq: list[int], sigma: int) -> None:
+        if len(seq) == self.c:
+            self.witness = tuple(seq)
+
+    def needs(self):
+        return (None, self.c) if self.witness is None else (None, -1)
+
+    def to_payload(self) -> dict:
+        return {"counterexample": self.witness}
+
+
 def _goal_from_spec(spec: dict):
     kind = spec["kind"]
     if kind == "max":
@@ -581,10 +623,16 @@ def _goal_from_spec(spec: dict):
         return _EnumGoal(
             spec["length"], tuple(spec["checks"]), spec["per_element"], spec["collect"]
         )
+    if kind == "d0":
+        return _D0Goal(spec["c"])
     raise ValueError(f"unknown goal {kind!r}")
 
 
 # -- DFS core ----------------------------------------------------------------
+
+
+# room in _dfs when the goal caps no length
+_NO_CAP = 1 << 62
 
 
 class _Stats:
@@ -628,30 +676,29 @@ def _dfs(
     goal.visit(seq, sigma)
     length = len(seq)
     # the goal changes only in visit, so lo and hi are read again only after
-    # a child returns
+    # a child returns; room is how many terms a child may add
     needs, potential, chain = goal.needs, pred.potential, pred.chain
     lo, hi = needs()
-    if hi is not None and length >= hi:
+    room = _NO_CAP if hi is None else hi - length
+    if room <= 0:
         return
-    bound = ctx.bound
-    steps = ctx.steps
+    bound, neg, steps = ctx.bound, ctx.neg, ctx.steps
+    frame = pred.frame(state)
     if q is not None:  # a tested child, so the codes are built
         codes = ctx._codes
         head = codes.head
         heads, hguard = head.deltas, head.guard
         qh = q if head is codes else q & head.mask  # no copy of q per frame
     for g in range(last + 1, ctx.order):
-        b = bound[g]
-        if b <= 0:
+        if frame >> neg[g] & 1:  # not one copy of g can be pushed
             continue
-        max_m = b if hi is None else min(b, hi - length)
-        if max_m <= 0:
-            break
         # potential(state, g) bounds the length any child with elements >= g
         # can add; it does not grow with g and lo does not shrink, so no later
-        # element can reach lo either
+        # element can reach lo either (nor could the blocked ones skipped above)
         if lo is not None and length + potential(state, g) < lo:
             break
+        b = bound[g]  # >= 1, as g > last >= 0 and only the element 0 has bound 0
+        max_m = b if b < room else room
         if q is not None:  # before any push: the largest m that passes the head test
             dh = heads[g]
             if dh is None:
@@ -662,7 +709,7 @@ def _dfs(
                 continue
         states = chain(state, g, max_m)
         for m in range(len(states), 0, -1):
-            if hi is not None and length + m > hi:
+            if m > room:  # hi fell when an earlier child returned
                 continue
             st_m = states[m - 1]
             if lo is not None and length + m + potential(st_m, g + 1) < lo:
@@ -690,58 +737,9 @@ def _dfs(
             if stats.stopped:
                 return
             lo, hi = needs()
-            if hi is not None and length >= hi:
+            room = _NO_CAP if hi is None else hi - length
+            if room <= 0:
                 return
-
-
-# -- Property D0 ----------------------------------------------------------------
-
-
-def _push_copies(pred, state, g: int, copies: int):
-    """The state after `copies` (>= 1) copies of g, or None if one is forbidden."""
-    chain = pred.chain(state, g, copies)
-    return chain[-1] if len(chain) == copies else None
-
-
-def _d0_dfs(
-    ctx: _Ctx, pred, c: int, gs: list[int], state, stats: _Stats, found: list,
-    codes: PackedCodes | None, q: int,
-) -> None:
-    """Extend the g_i multiset gs (packed image codes q in codes, whose digit
-    units are sized for c repeats, so each g_i counts once) by one element
-    >= gs[-1].  At a root job codes is None: they are built, and the root's
-    q made, at the first child that survives its pushes.
-
-    Each g_i pushes n-1 copies onto the no_exact_exp state; a forbidden push
-    is a zero-sum of length exactly n, so that branch has the property.  A
-    multiset of c elements that survives is a counterexample, put in found.
-    """
-    if found or stats.should_stop():
-        return
-    stats.nodes += 1
-    if len(gs) == c:
-        found.append(tuple(gs))
-        return
-    for g in range(gs[-1], ctx.order):
-        # both are filters on g; the pushes are cheaper and most stop early
-        nxt = _push_copies(pred, state, g, ctx.exp - 1)
-        if nxt is None:
-            continue
-        if codes is None:
-            codes = ctx.packed(c)
-            # gs[0] is the least of its orbit (see _root_jobs), so q has every guard bit
-            q = codes.guard + codes.build(gs[0])
-        head = codes.head
-        child = (q if head is codes else q & head.mask) + head.delta(g)
-        if child & head.guard != head.guard:
-            continue
-        if head is not codes:
-            child = q + codes.delta(g)
-            if child & codes.guard != codes.guard:
-                continue
-        _d0_dfs(ctx, pred, c, gs + [g], nxt, stats, found, codes, child)
-        if found or stats.stopped:
-            return
 
 
 # -- the run loop ---------------------------------------------------------------
@@ -753,25 +751,14 @@ def _branch_worker(payload: dict) -> dict:
     ctx = _context(group, payload["pred"], payload["squarefree"], payload["level"])
     pred = _make_pred(ctx, payload["pred"])
     stats = _Stats(payload["node_budget"], payload["time_budget"])
-    goal_spec = payload["goal"]
-    d0 = goal_spec["kind"] == "d0"
-    if d0:  # the translated extra term 0, then n-1 copies of the first g_i
-        g = payload["root"]
-        state = _push_copies(pred, _push_copies(pred, pred.initial(), 0, 1), g, ctx.exp - 1)
-    else:
-        g, m = payload["root"]
-        state = _push_copies(pred, pred.initial(), g, m)
-    if state is None:
+    goal = _goal_from_spec(payload["goal"])
+    g, m = payload["root"]
+    states = pred.chain(pred.initial(), g, m)
+    if len(states) != m:
         raise AssertionError(f"root job {payload['root']} is infeasible")
-    if d0:
-        found: list[tuple[int, ...]] = []
-        _d0_dfs(ctx, pred, goal_spec["c"], [g], state, stats, found, None, 0)
-        out = {"counterexample": found[0] if found else None}
-    else:
-        goal = _goal_from_spec(goal_spec)
-        sigma = 1 << group.index_scalar(m, g) if goal.reads_sum else 0
-        _dfs(ctx, pred, goal, [g] * m, state, sigma, g, stats, None)
-        out = goal.to_payload()
+    sigma = 1 << group.index_scalar(m, g) if goal.reads_sum else 0
+    _dfs(ctx, pred, goal, [g] * m, states[-1], sigma, g, stats, None)
+    out = goal.to_payload()
     out["nodes"] = stats.nodes
     out["exhausted"] = stats.exhausted
     return out
@@ -779,14 +766,11 @@ def _branch_worker(payload: dict) -> dict:
 
 def _root_jobs(ctx: _Ctx, pred, goal: dict) -> list:
     """Canonical, feasible children of the empty root: (element, multiplicity)
-    pairs within the goal's length cap, or for D0 the first g_i.
+    pairs within the goal's length cap.
 
-    g^m, or g alone, is canonical iff no perm maps g below itself, that is
-    iff g is the least element of its orbit.
+    g^m is canonical iff no perm maps g below itself, that is iff g is the
+    least element of its orbit.
     """
-    if goal["kind"] == "d0":
-        start = _push_copies(pred, pred.initial(), 0, 1)
-        return [g for g in ctx.minima if _push_copies(pred, start, g, ctx.exp - 1) is not None]
     hi = _goal_from_spec(goal).needs()[1]
     jobs = []
     for g in ctx.minima:
@@ -1142,10 +1126,14 @@ def _check_power_property(
     """Every sequence of length value-1 (value the property's invariant, found
     by search if None) that avoids the predicate's zero-sums is a product of
     c distinct (n-1)-powers.  A violation's witness is the least index tuple.
+    A given value below D*(G) = 1 + r(n-1), a lower bound of both invariants,
+    is a ValueError.
     """
     t0 = time.monotonic()
-    n, _ = _require_cube(group)
+    n, r = _require_cube(group)
     kind, pred_name = _POWER_PROPERTIES[prop]
+    if value is not None and value < 1 + r * (n - 1):
+        raise ValueError(f"{kind}(G) = {value} is below D*(G) = {1 + r * (n - 1)}")
     nodes = 0
 
     def cert(c, holds, status, witness=None, reason=None):
@@ -1196,14 +1184,15 @@ def check_property_D(
 def check_property_D0(group: AbelianGroup, c: int, cfg: SearchConfig) -> Certificate:
     """Every g * prod_{i<=c} g_i^(n-1) has a zero-sum subsequence of length exactly n.
 
-    The leading term is fixed to 0 by translation invariance; the g_i multiset
-    is reduced by the configured symmetry.
+    The leading term is fixed to 0 by translation invariance; the g_i, each
+    one unit of _D0Units (see the module docstring), form a set reduced by
+    the configured symmetry.
     """
     t0 = time.monotonic()
     n, _ = _require_cube(group)
     if c < 1:
         raise ValueError("c must be >= 1")
-    results, nodes, exhausted = _run(group, _PRED_NO_EXACT_EXP, False, cfg, {"kind": "d0", "c": c})
+    results, nodes, exhausted = _run(group, _PRED_D0, True, cfg, {"kind": "d0", "c": c})
     found = [tuple(res["counterexample"]) for res in results if res["counterexample"] is not None]
     wall = time.monotonic() - t0
     witness = None

@@ -174,7 +174,8 @@ def loop_chain(pred, state, g: int, copies: int) -> list:
     """The states after 1, 2, ... copies of g, at most `copies` of them,
     stopping before the first forbidden push: the loop search._chain ran over
     the forbid and push of each predicate, with the layered push as one
-    shift_bits over every layer, the way subsum.add_term did it."""
+    shift_bits over every layer, the way subsum.add_term did it.  Property
+    D0's predicate pushes single copies here, as no_exact_exp does."""
     ctx = pred.ctx
 
     def layered(packed: int, h: int) -> int:
@@ -207,15 +208,14 @@ def loop_chain(pred, state, g: int, copies: int) -> list:
 def loop_root_jobs(ctx, pred, goal: dict) -> list:
     """search._root_jobs the way it tested each root job with loop_extend."""
     empty = [0] * len(ctx.perms)
-    if goal["kind"] == "d0":
-        unit = loop_units(ctx.order, goal["c"])
-        start = search._push_copies(pred, pred.initial(), 0, 1)
+    unit = loop_units(ctx.order, max(ctx.bound))
+    if goal["kind"] == "d0":  # the translated 0, then exp-1 single pushes of g_1
+        start = loop_chain(pred, 1, 0, 1)[0]
         return [
-            g for g in range(ctx.order)
-            if search._push_copies(pred, start, g, ctx.exp - 1) is not None
+            (g, 1) for g in range(ctx.order)
+            if len(loop_chain(pred, start, g, ctx.exp - 1)) == ctx.exp - 1
             and loop_extend(0, empty, ctx.perms, unit, g, 1) is not None
         ]
-    unit = loop_units(ctx.order, max(ctx.bound))
     hi = search._goal_from_spec(goal).needs()[1]
     jobs = []
     for g in range(ctx.order):

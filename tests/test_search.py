@@ -245,6 +245,16 @@ def test_property_d_rank3_ternary():
     assert cert.status == STATUS_PROVED and cert.claim["c"] == 9
 
 
+def test_power_property_refuses_a_value_below_d_star():
+    # eta and s are both >= D(G) >= D*(G) = 7 on C3^3; a smaller given value
+    # would refute the property with no witness to check
+    c33 = make_group([3, 3, 3])
+    with pytest.raises(ValueError, match="below D"):
+        check_property_D(c33, CFG, s_value=2)
+    with pytest.raises(ValueError, match="below D"):
+        check_property_C(c33, CFG, eta_value=0)
+
+
 def test_enumerate_above_eta_is_empty():
     rep = enumerate_short_free(make_group([3, 3, 3]), 17, CFG)
     assert rep.count == 0 and rep.status == STATUS_PROVED
@@ -270,7 +280,6 @@ def test_property_d0_tiny_cases():
 def test_property_d0_brute_force_cross_check():
     # exhaustive oracle over all (g, g1, g2) for C3^2 with c = 2
     group = make_group([3, 3])
-    from zerosum.sequence import Sequence
 
     def has_triple(g, g1, g2):
         seq = Sequence.from_items(group, [(g, 1), (g1, 2), (g2, 2)])
@@ -284,6 +293,19 @@ def test_property_d0_brute_force_cross_check():
     )
     cert = check_property_D0(group, 2, CFG)
     assert (cert.status == STATUS_PROVED) == all_hold
+    # and every verdict and witness for c in 1..9 on three groups against the
+    # unreduced search: the least counterexample is the least of its orbit, so
+    # the reduced search finds the same one.  Levels outside, so that each
+    # context, with its symmetry closure, is built once
+    for moduli in ((3, 3), (2, 2, 2), (2, 2, 2, 2)):
+        group = make_group(moduli)
+        want = {}
+        for level in ("none", "coord_perms+scalar", "full_small"):
+            cfg = SearchConfig(symmetry_level=level)
+            for c in range(1, 10):
+                cert = check_property_D0(group, c, cfg)
+                got = want.setdefault(c, (cert.claim, cert.witness))
+                assert (cert.claim, cert.witness) == got, (moduli, c, level)
 
 
 def test_budget_exhaustion_is_honest():
@@ -415,6 +437,13 @@ PINNED_CERTS = [
     ("s C4^2 full", lambda: max_extremal_length(_C44, "s", _FULL)[1], 585, "17e0e5ed5281f469"),
     ("D0 C3^3 c=9 full", lambda: check_property_D0(make_group((3, 3, 3)), 9, _FULL),
      25, "493e97123f4889e1"),
+    # D0 trees cut by a budget, and a refutation with the full automorphism group
+    ("D0 C3^3 c=9 b50", lambda: check_property_D0(
+        make_group((3, 3, 3)), 9, SearchConfig(node_budget=50)), 166, "93ff7331830d09c7"),
+    ("D0 C3^3 c=8 b50", lambda: check_property_D0(
+        make_group((3, 3, 3)), 8, SearchConfig(node_budget=50)), 130, "8baef99bf8c8adde"),
+    ("D0 C3^3 c=8 full", lambda: check_property_D0(make_group((3, 3, 3)), 8, _FULL),
+     14, "283d18802d0fa388"),
 ]
 
 
@@ -461,7 +490,9 @@ _CANON_CTX: dict = {}
 def _canon_ctx(spec: str, pred: str, level: str):
     key = (spec, pred, level)
     if key not in _CANON_CTX:
-        _CANON_CTX[key] = search._Ctx(make_group(CANON_GROUPS[spec]), pred, False, level)
+        # Property D0's units read the squarefree no_exact_exp tables
+        args = ("no_exact_exp", True) if pred == "d0_units" else (pred, False)
+        _CANON_CTX[key] = search._Ctx(make_group(CANON_GROUPS[spec]), *args, level)
     return _CANON_CTX[key]
 
 
@@ -480,26 +511,25 @@ def _packed_extend(codes, q: int, g: int, m: int) -> int | None:
     return q if q & codes.guard == codes.guard else None
 
 
-_HEAD_CODES: dict = {}
+_CODES: dict = {}
 
 
 def _draw_codes(data, ctx, head=None):
     """The packed codes and per-element multiplicity caps of a search on ctx,
-    or D0-style ones: any element repeated up to c times.  With head, the
-    codes are built with zerosum.group._HEAD patched to it, so their first
-    stage covers that many perms."""
+    or ones for any element repeated up to c times.  With head, the codes
+    are built with zerosum.group._HEAD patched to it, so their first stage
+    covers that many perms."""
     if data.draw(st.booleans()):
         c = data.draw(st.integers(1, 12))
         top, caps = c, [c] * ctx.order
     else:
         top, caps = max(ctx.bound), ctx.bound
-    if head is None:
-        return ctx.packed(top), top, caps
-    key = (id(ctx), top, head)
-    if key not in _HEAD_CODES:
-        with mock.patch("zerosum.group._HEAD", head):
-            _HEAD_CODES[key] = PackedCodes(ctx.perms, ctx.order, max(1, top.bit_length()))
-    return _HEAD_CODES[key], top, caps
+    k = max(1, top.bit_length())
+    key = (id(ctx), k, head)
+    if key not in _CODES:
+        with mock.patch("zerosum.group._HEAD", _HEAD if head is None else head):
+            _CODES[key] = PackedCodes(ctx.perms, ctx.order, k)
+    return _CODES[key], top, caps
 
 
 @settings(max_examples=300, deadline=None)
@@ -569,15 +599,15 @@ def test_packed_codes_match_loop_oracle(data):
 @pytest.mark.parametrize("level", SYMMETRY_LEVELS)
 def test_root_jobs_are_the_orbit_minima(level):
     # root jobs by orbit minimum, against the per-permutation test of each
-    # root's code, with and without a length cap, and D0 at two digit widths
+    # root's code, with and without a length cap, and D0's (g, 1) at two caps
     goals = [{"kind": "max", "lb": 0},
              {"kind": "enum", "length": 2, "checks": [], "per_element": 0, "collect": False}]
     d0_goals = [{"kind": "d0", "c": 1}, {"kind": "d0", "c": 9}]
     for spec in sorted(CANON_GROUPS):
-        for pred_name in ("short_free", "zero_sum_free", "no_exact_exp"):
+        for pred_name in ("short_free", "zero_sum_free", "no_exact_exp", "d0_units"):
             ctx = _canon_ctx(spec, pred_name, level)
             pred = search._make_pred(ctx, pred_name)
-            for goal in goals + (d0_goals if pred_name == "no_exact_exp" else []):
+            for goal in d0_goals if pred_name == "d0_units" else goals:
                 want = loop_root_jobs(ctx, pred, goal)
                 assert search._root_jobs(ctx, pred, goal) == want, (spec, pred_name, goal)
 
@@ -640,9 +670,35 @@ def test_chain_matches_the_forbid_push_loop(data):
     # one more than bound pushes past the search's cap and meets a forbidden
     # push where the bound is exp - 1
     ctx, pred_name, pred, state, terms, bound = _reachable_state(data)
+    frame = pred.frame(state)
     for g in range(ctx.order):
         copies = data.draw(st.integers(1, bound[g] + 1))
         assert pred.chain(state, g, copies) == loop_chain(pred, state, g, copies), (terms, g)
+        # _dfs skips g on the frame alone
+        assert bool(frame >> ctx.neg[g] & 1) == (not loop_chain(pred, state, g, 1)), (terms, g)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_d0_units_are_runs_of_n_minus_1_copies(data):
+    # Property D0's predicate: the state after the translated 0, and a unit of
+    # g is exp-1 single pushes, each one forbidden where the loop forbids it
+    spec = data.draw(st.sampled_from(sorted(CANON_GROUPS)))
+    ctx = _canon_ctx(spec, "d0_units", "none")
+    pred = search._make_pred(ctx, "d0_units")
+    unit = ctx.exp - 1
+    state = pred.initial()
+    assert [state] == loop_chain(pred, 1, 0, 1)
+    for g in data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=6)):
+        for h in range(ctx.order):
+            copies = data.draw(st.integers(1, 3))
+            want = loop_chain(pred, state, h, copies * unit)[unit - 1::unit]
+            assert pred.chain(state, h, copies) == want, (g, h, copies)
+            if pred.frame(state) >> ctx.neg[h] & 1:
+                assert not want, (g, h)
+        pushed = pred.chain(state, g, 1)
+        if pushed:
+            state = pushed[0]
 
 
 def _mask(indices) -> int:
