@@ -160,8 +160,12 @@ class Certificate:
     @classmethod
     def from_json(cls, text: str) -> Certificate:
         """Parse what to_json wrote; ValueError on another format or tool
-        version, an unknown status or a missing field, never a default."""
-        data = json.loads(text)
+        version, an unknown status or a missing field, never a default, and on
+        JSON nested too deeply to decode."""
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("certificate JSON is nested too deeply") from None
         if not isinstance(data, dict):
             raise ValueError("a certificate is a JSON object")
         for key, want in (("format", _CERT_FORMAT), ("tool_version", TOOL_VERSION)):

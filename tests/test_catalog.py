@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_pairs_uniform_products, property_holds, scan_conflicts
+from zerosum import catalog
 from zerosum.catalog import (
     DEFAULT_SUBJECTS,
     Fact,
@@ -347,6 +348,51 @@ def test_builtin_store_bytes_are_pinned(tmp_path):
     assert _sha16(path.read_bytes()) == "3101479ac65569dd"
 
 
+# strings with what JSON escapes: quotes, backslashes, control characters and
+# non-ASCII (one astral, written as a surrogate pair)
+_json_strings = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters(),
+), max_size=12)
+_json_details = st.lists(st.recursive(
+    st.one_of(_json_strings, st.booleans(), st.integers(-(10**30), 10**30)),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=10,
+), max_size=4)
+_fact_payloads = st.fixed_dictionaries({
+    "subject": st.lists(st.integers(2, 10**20), max_size=4),
+    "kind": _json_strings,
+    "detail": _json_details,
+    "provenance": st.fixed_dictionaries({
+        "source": _json_strings, "reference": _json_strings,
+        "premises": st.lists(_json_strings, max_size=3),
+    }),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fact_payloads)
+def test_canonical_encoder_matches_json_dumps(payload):
+    text = json.dumps(payload, sort_keys=True)
+    assert catalog._canonical(payload) == text
+    fact = Fact.from_payload(payload)
+    assert fact.fact_id == _sha16(text.encode())
+    assert catalog._canonical({"id": fact.fact_id, **fact.payload()}) == _fact_line(payload)
+
+
+def test_fact_ids_and_bytes_are_the_same_without_the_c_encoder(tmp_path, monkeypatch):
+    store = fresh_store()
+    infer(store)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    fallback = catalog._make_canonical()
+    assert fallback.__func__ is json.JSONEncoder.encode
+    monkeypatch.setattr(catalog, "_canonical", fallback)
+    again = fresh_store()
+    infer(again)
+    assert list(again.facts) == list(store.facts)
+    path = tmp_path / "facts.jsonl"
+    again.save(path)
+    assert _sha16(path.read_bytes()) == "3101479ac65569dd"
+
+
 def test_uniform_products_match_the_all_pairs_oracle(full_store):
     store, _ = full_store
     pairs = list(_uniform_products(store))
@@ -449,14 +495,6 @@ def test_load_rejects_a_line_whose_id_is_not_its_fact(tmp_path, edit):
         FactStore.load(path)
 
 
-@pytest.mark.parametrize("line", ["[1]", '{"id": "x"}', "not json"])
-def test_load_rejects_a_malformed_line(tmp_path, line):
-    path = tmp_path / "facts.jsonl"
-    path.write_text("\n" + line + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2: malformed fact"):
-        FactStore.load(path)
-
-
 def _fact_line(payload) -> str:
     """A facts.jsonl line holding payload under its correctly computed id."""
     fid = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
@@ -470,6 +508,27 @@ def _cited_payload(**changes) -> dict:
     }
     payload.update(changes)
     return payload
+
+
+def _nested_detail_line(depth: int) -> str:
+    """A fact line whose detail holds an array nested depth deep."""
+    payload = json.dumps(_cited_payload(detail="NEST"), sort_keys=True)
+    return payload.replace('"NEST"', "[" * depth + "]" * depth)
+
+
+@pytest.mark.parametrize("line", [
+    "[1]", '{"id": "x"}', "not json",
+    pytest.param(_nested_detail_line(5000), id="nested-5000"),
+    pytest.param(_nested_detail_line(700), id="nested-700"),
+])
+def test_load_rejects_a_malformed_line(tmp_path, line):
+    # nested 5,000 deep, json.loads gives up; 700 deep, it decodes, and the
+    # detail is too deep to turn into tuples: each is a malformed line, not a
+    # RecursionError
+    path = tmp_path / "facts.jsonl"
+    path.write_text("\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: malformed fact"):
+        FactStore.load(path)
 
 
 def test_load_accepts_a_line_written_by_hand(tmp_path):
@@ -488,8 +547,12 @@ def test_load_accepts_a_line_written_by_hand(tmp_path):
     {"subject": ["3", 3]},
     {"provenance": {"source": "cited", "reference": ["Olson"], "premises": []}},
     {"provenance": {"source": "rule", "reference": "R1", "premises": "abc"}},
+    {"subject": [True, 3]},
+    {"subject": [3.0, 3]},
+    {"provenance": {"source": "rule", "reference": "R1", "premises": [5]}},
+    {"subject": {"3": 3}},
 ], ids=["object", "nested-object", "float", "str-detail", "kind", "subject", "reference",
-        "premises"])
+        "premises", "true-modulus", "float-modulus", "int-premise", "object-subject"])
 def test_load_rejects_a_field_of_the_wrong_type(tmp_path, changes):
     # the stored id is right, so only the type check can stop the line
     path = tmp_path / "facts.jsonl"

@@ -358,6 +358,25 @@ def test_facts_report_a_fact_store_line_with_an_object(capsys):
     assert err.startswith("error:") and "line 1: malformed fact" in err
 
 
+def test_a_cached_certificate_nested_too_deeply_is_a_miss(tmp_path, capsys):
+    # a claim nested 5,000 deep, past what json.loads decodes: a cache read
+    # recomputes it, and certify reports it as an error
+    assert main(["invariant", "C2^2", "D"]) == 0
+    [path] = cache_dir().glob("*.json")
+    good = path.read_text()
+    data = json.loads(good)
+    data["claim"] = "NEST"
+    deep = json.dumps(data, sort_keys=True, indent=2).replace('"NEST"', "[" * 5000 + "]" * 5000)
+    path.write_text(deep)
+    capsys.readouterr()
+    assert main(["invariant", "C2^2", "D"]) == 0
+    assert "(cached)" not in capsys.readouterr().out
+    assert path.read_text() == good
+    (tmp_path / "deep.json").write_text(deep)
+    assert main(["certify", str(tmp_path / "deep.json")]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [["facts"], ["invariant", "C3^3", "eta"]],
                          ids=["facts", "record-after-search"])
 def test_a_contradicting_fact_on_file_is_a_usage_error(argv, capsys):
