@@ -4,8 +4,8 @@ Facts are statements about one concrete group presentation (a moduli tuple):
 invariant values/bounds, C0 membership and coverage, and structural
 properties.  Provenance separates cited literature constants, results proved
 in-text, search certificates, and rule applications with premise chains.
-The inference engine applies rules R1..R10 to a fixpoint (or max_rounds) and
-hard-errors on any contradiction.
+The inference engine applies rules R1..R9 and two closures, round after
+round, until a round adds nothing, and hard-errors on any contradiction.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from typing import Callable, Iterable
 
 from .constructions import alpha_r
 
-RULE_IDS = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10")
-
 KIND_INVARIANT = "invariant_value"
 KIND_LOWER = "invariant_lower"
 KIND_UPPER = "invariant_upper"
@@ -34,7 +32,6 @@ KIND_SUBSET_SET = "c0_subset_set"  # detail (t1, t2, ...): C0 within the set
 KIND_EQUALS = "c0_equals"          # detail: the full membership tuple
 KIND_FULL_RANGE = "c0_full_range"  # C0 = [D+1, eta-1], endpoints symbolic
 KIND_PROPERTY = "property"         # detail ("C"|"D", holds) or ("D0", holds, c)
-KIND_EXTREMAL_NONZERO = "extremal_nonzero_sum"  # detail (exists,)
 
 
 def _make_canonical() -> Callable[[object], str]:
@@ -213,28 +210,20 @@ class FactStore:
     # -- consistency ---------------------------------------------------------
 
     def invariant_value(self, subject, name) -> int | None:
-        for f in self.of_kind(subject, KIND_INVARIANT):
-            if f.detail[0] == name:
-                return f.detail[1]
-        return None
+        found = _invariant_fact(self, subject, name)
+        return None if found is None else found[0]
 
-    def membership(self, subject) -> tuple[set[int], set[int]]:
-        """(known members, known non-members) of C0 for the subject."""
-        members: set[int] = set()
-        non: set[int] = set()
+    def member_ids(self, subject) -> dict[int, str]:
+        """The known C0 members of the subject, each with the id of the first
+        fact on file that names it (a member or a determination fact)."""
+        out: dict[int, str] = {}
         for f in self.for_subject(subject):
             if f.kind == KIND_MEMBER:
-                members.add(f.detail[0])
-            elif f.kind == KIND_NOT_MEMBER:
-                non.add(f.detail[0])
+                out.setdefault(f.detail[0], f.fact_id)
             elif f.kind == KIND_EQUALS:
-                members.update(f.detail)
-        for f in self.of_kind(subject, KIND_EQUALS):
-            eta = self.invariant_value(subject, "eta")
-            d = self.invariant_value(subject, "D")
-            if eta is not None and d is not None:
-                non.update(t for t in range(d + 1, eta) if t not in f.detail)
-        return members, non
+                for t in f.detail:
+                    out.setdefault(t, f.fact_id)
+        return out
 
     def _check_consistent(self, fact: Fact) -> None:
         """Raise FactConflictError if fact clashes with a fact on file; only
@@ -665,17 +654,6 @@ def _property_fact(store: FactStore, subject, name, c=None) -> tuple[bool, str] 
     return None
 
 
-def _member_ids(store: FactStore, subject) -> dict[int, str]:
-    out: dict[int, str] = {}
-    for f in store.for_subject(subject):
-        if f.kind == KIND_MEMBER:
-            out.setdefault(f.detail[0], f.fact_id)
-        elif f.kind == KIND_EQUALS:
-            for t in f.detail:
-                out.setdefault(t, f.fact_id)
-    return out
-
-
 def _ratio(eta_value: int, n: int) -> int | None:
     if (eta_value - 1) % (n - 1):
         return None
@@ -733,7 +711,9 @@ def _uniform_products(store: FactStore):
 
 
 def _transfer_rules(store: FactStore, rule_id: str) -> list[Fact]:
-    """Shared body of R2 (ratio form) and R9 (subgroup equality form)."""
+    """Shared body of R2 (ratio form) and R9 (subgroup equality form).  R9 is
+    the general form: R2's ratios c give c(m-1)n + c(n-1) + 1 = c(mn-1) + 1,
+    R9's equality, and since R2 runs first, R9 adds only where ratios differ."""
     out = []
     for _, n1, eta1, s2, n2, eta2, target, eta_t in _uniform_products(store):
         if eta_t is None:
@@ -748,7 +728,7 @@ def _transfer_rules(store: FactStore, rule_id: str) -> list[Fact]:
         prop = _property_fact(store, s2, "C")
         if prop is None:
             continue
-        members = _member_ids(store, s2)
+        members = store.member_ids(s2)
         t2 = 1 if (eta2[0] - 1) in members else (2 if (eta2[0] - 2) in members else None)
         if t2 is None or t2 > n2 - 1:
             continue
@@ -944,29 +924,6 @@ def _rule_r8(store: FactStore) -> list[Fact]:
     return out
 
 
-def _rule_r10(store: FactStore) -> list[Fact]:
-    """Consistency: a nonzero-sum extremal short-free sequence forbids two
-    adjacent memberships right below eta."""
-    for subject in store.subjects():
-        exists = None
-        for f in store.of_kind(subject, KIND_EXTREMAL_NONZERO):
-            if f.detail[0]:
-                exists = f
-        if exists is None:
-            continue
-        eta = _invariant_fact(store, subject, "eta")
-        if eta is None:
-            continue
-        members, _ = store.membership(subject)
-        for a, b in ((2, 3), (3, 4)):
-            if eta[0] - a in members and eta[0] - b in members:
-                raise FactConflictError(
-                    f"subject {subject}: both eta-{a} and eta-{b} in C0 although an "
-                    "extremal short-free sequence with nonzero sum exists"
-                )
-    return []
-
-
 def _closure_bounds_meet(store: FactStore) -> list[Fact]:
     """Lower bound == upper bound pins the invariant value (definitional)."""
     out = []
@@ -1017,70 +974,57 @@ def _closure_full_range(store: FactStore) -> list[Fact]:
     return out
 
 
-_RULES: dict[str, Callable[[FactStore], list[Fact]]] = {
-    "R1": _rule_r1,
-    "R2": _rule_r2,
-    "R3": _rule_r3,
-    "R4": _rule_r4,
-    "R5": _rule_r5,
-    "R6": _rule_r6,
-    "R7": _rule_r7,
-    "R8": _rule_r8,
-    "R9": _rule_r9,
-    "R10": _rule_r10,
-}
+# in the order of their premises and ids: all rules of a round read the store
+# as the round found it
+_RULES: tuple[tuple[str, Callable[[FactStore], list[Fact]]], ...] = (
+    ("R1", _rule_r1),
+    ("R2", _rule_r2),
+    ("R3", _rule_r3),
+    ("R4", _rule_r4),
+    ("R5", _rule_r5),
+    ("R6", _rule_r6),
+    ("R7", _rule_r7),
+    ("R8", _rule_r8),
+    ("R9", _rule_r9),
+    ("bounds-meet", _closure_bounds_meet),
+    ("range-close", _closure_full_range),
+)
 
 
 class Inference(list):
     """The facts infer added, in order, and how it ran: rounds, the rounds it
-    ran; fixpoint, whether the last of them added nothing (if not, more
-    rounds may add more); by_rule, the facts each rule added (the two
-    closures under their own names, builtin facts of new subjects under
-    "instantiate_for")."""
+    ran, the last of which added nothing; by_rule, the facts each rule of
+    _RULES added."""
 
-    def __init__(self, rules: Iterable[str]) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self.rounds = 0
-        self.fixpoint = False
-        self.by_rule = dict.fromkeys(rules, 0)
+        self.by_rule = {rule: 0 for rule, _ in _RULES}
 
 
-def infer(store: FactStore, rules: Iterable[str] | None = None, max_rounds: int = 3) -> Inference:
-    """Apply the inference rules to a fixpoint or max_rounds; returns new facts.
+def infer(store: FactStore) -> Inference:
+    """Apply _RULES round after round until a round adds nothing; returns the
+    new facts, which are also added to the store.
 
-    New subjects introduced by product rules get their builtin facts
-    instantiated automatically so chains like ratio+lower-bound can close.
+    The loop ends: every rule states something about a subject already on
+    file, each statement is fixed by the subject and by invariant values on
+    file, and each (subject, invariant) holds at most one value (a second one
+    raises FactConflictError), so the rules can add only finitely many
+    statements.
     """
-    rule_ids = tuple(rules) if rules is not None else RULE_IDS
-    for rid in rule_ids:
-        if rid not in _RULES:
-            raise ValueError(f"unknown rule {rid!r}")
-    added = Inference((*rule_ids, "bounds-meet", "range-close", "instantiate_for"))
-    while added.rounds < max_rounds and not added.fixpoint:
+    added = Inference()
+    while True:
         added.rounds += 1
-        fresh = [(rid, _RULES[rid](store)) for rid in rule_ids]
-        fresh += [("bounds-meet", _closure_bounds_meet(store)),
-                  ("range-close", _closure_full_range(store))]
-        new_subjects = set()
         before = len(added)
-        for rule, facts in fresh:
+        for rule, facts in [(rule, apply(store)) for rule, apply in _RULES]:
             start = len(added)
             for fact in facts:
                 if not store.has_statement(*fact.statement()):
-                    if fact.subject not in store._by_subject:
-                        new_subjects.add(fact.subject)
                     store.add(fact)
                     added.append(fact)
             added.by_rule[rule] += len(added) - start
-        added.fixpoint = len(added) == before
-        start = len(added)
-        for subject in sorted(new_subjects):
-            for fact in instantiate_for(subject):
-                if not store.has_statement(*fact.statement()):
-                    store.add(fact)
-                    added.append(fact)
-        added.by_rule["instantiate_for"] += len(added) - start
-    return added
+        if len(added) == before:
+            return added
 
 
 # -- consistency report -----------------------------------------------------------
@@ -1115,7 +1059,7 @@ def consistency_check(store: FactStore) -> ConsistencyReport:
         exp = _exp_of(subject)
         eta = store.invariant_value(subject, "eta")
         d = store.invariant_value(subject, "D")
-        members, _ = store.membership(subject)
+        members = store.member_ids(subject)
         if eta is not None:
             run_set = set(members) | {eta}
             if _max_consecutive_run(run_set) > exp:
@@ -1129,8 +1073,4 @@ def consistency_check(store: FactStore) -> ConsistencyReport:
             for t in members:
                 if t < d + 1:
                     report.violations.append(f"{subject}: member {t} below D+1")
-    try:
-        _rule_r10(store)
-    except FactConflictError as exc:
-        report.violations.append(str(exc))
     return report

