@@ -328,11 +328,6 @@ def _prime_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-def _egz_fraction(n: int) -> Fraction:
-    _require(n >= 65 and n % 2 == 1, "threshold requires odd n >= 65")
-    return Fraction(2 * 5**7 * n**17, (n * n - 7) * n - 64)
-
-
 _FORMULAS: dict[str, Callable[..., int]] = {}
 
 
@@ -402,18 +397,14 @@ def _f_excluded_interval_start(n: int, r: int) -> int:
 
 @_formula("egz_threshold")
 def _f_egz_threshold(n: int) -> int:
-    return math.ceil(_egz_fraction(n))
+    _require(n >= 65 and n % 2 == 1, "threshold requires odd n >= 65")
+    return math.ceil(Fraction(2 * 5**7 * n**17, (n * n - 7) * n - 64))
 
 
 @_formula("egz_value")
 def _f_egz_value(m: int, n: int) -> int:
     _require(m >= 1 and n >= 1, "requires m, n >= 1")
     return 9 * m * n - 8
-
-
-@_formula("s_lower_from_eta")
-def _f_s_lower_from_eta(eta: int, exp: int) -> int:
-    return eta + exp - 1
 
 
 def eval_formula(name: str, **params) -> int:
@@ -765,13 +756,12 @@ def _rule_r3(store: FactStore) -> list[Fact]:
         n, r = u
         if n < 3 or r < 3:
             continue
-        a = alpha_r(n, r)
         span = (2**r - 1) * (n - 1)
-        if a != 0:
+        if alpha_r(n, r) != 0:
             eta = _invariant_fact(store, subject, "eta")
             if eta is None:
                 continue
-            detail = (span - a + 1, eta[0] - 1)
+            detail = (eval_formula("excluded_interval_start", n=n, r=r), eta[0] - 1)
             if not store.has_statement(subject, KIND_SUBSET, detail):
                 out.append(_rule_fact(subject, KIND_SUBSET, detail, "R3", (eta[1],)))
         else:
@@ -906,7 +896,7 @@ def _rule_r8(store: FactStore) -> list[Fact]:
                     premises = None
                     break
                 premises.append(prop[1])
-            if premises is None or Fraction(m) < _egz_fraction(n):
+            if premises is None or m < eval_formula("egz_threshold", n=n):
                 continue
             s_value = eval_formula("egz_value", m=m, n=n)
             if not store.has_statement(subject, KIND_INVARIANT, ("s", s_value)):

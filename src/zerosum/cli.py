@@ -90,15 +90,15 @@ def _cache_write(key: str, cert: Certificate) -> None:
 
 def _config_from_args(args) -> SearchConfig:
     return SearchConfig(
-        node_budget=getattr(args, "budget_nodes", 0) or 0,
-        time_budget=getattr(args, "budget_secs", 0.0) or 0.0,
-        symmetry_level=getattr(args, "symmetry", None) or "coord_perms+scalar",
-        parallel_width=1 if getattr(args, "width", None) is None else args.width,
+        node_budget=args.budget_nodes,
+        time_budget=args.budget_secs,
+        symmetry_level=args.symmetry,
+        parallel_width=args.width,
     )
 
 
 def _emit(cert: Certificate, args) -> None:
-    if getattr(args, "json", None):
+    if args.json:
         Path(args.json).write_text(cert.to_json(), encoding="utf-8")
     if cert.witness is not None and cert.status == STATUS_REFUTED:
         print("witness:")
@@ -234,34 +234,12 @@ def _cmd_check_property(args) -> int:
     return status_exit_code(cert.status)
 
 
-def _param_keys(name: str) -> tuple[str, ...]:
-    """The parameters the named construction is built with, as its certificate
-    records them."""
-    if name in ("cap3", "cap4", "cap4-trims"):
-        return ()
-    if name == "span-merge":
-        return ("n", "r", "axis", "m")
-    return ("n", "r")
-
-
 def _construction_params(args) -> dict:
-    if args.name == "span-merge" and (args.axis is None or args.m is None):
-        raise ValueError("span-merge requires --axis and --m")
-    return {key: getattr(args, key) for key in _param_keys(args.name)}
-
-
-def _construct_outputs(name: str, params: dict) -> list[Sequence]:
-    if name == "span":
-        return [constructions.build_span_sequence(**params)]
-    if name == "span-merge":
-        return [constructions.build_span_merged(**params)]
-    if name == "cap3":
-        return [constructions.ternary_cap_rank3()]
-    if name == "cap4":
-        return [constructions.ternary_cap_rank4()]
-    if name == "cap4-trims":
-        return [w for _, w in constructions.excluded_window_witnesses()]
-    return list(constructions.build_family(name, **params).members())
+    keys = constructions.CONSTRUCTIONS[args.name][0]
+    missing = [f"--{key}" for key in keys if getattr(args, key) is None]
+    if missing:
+        raise ValueError(f"{args.name} requires {' and '.join(missing)}")
+    return {key: getattr(args, key) for key in keys}
 
 
 def _verified_construction(
@@ -269,12 +247,14 @@ def _verified_construction(
 ) -> tuple[list[Sequence], Certificate]:
     """The construction's outputs, checked by verify_construction, and the
     certificate that construct --verify writes and certify replays.
-    ValueError unless params are exactly the construction's own, all ints
-    (an unknown name is refused by build_family)."""
-    keys = _param_keys(name)
+    ValueError for a name that is no construction, or unless params are
+    exactly the construction's own, all ints."""
+    if name not in constructions.CONSTRUCTIONS:
+        raise ValueError(f"unknown construction {name!r}")
+    keys, build = constructions.CONSTRUCTIONS[name]
     if sorted(params) != sorted(keys) or any(type(v) is not int for v in params.values()):
         raise ValueError(f"construction {name!r} takes the int params {list(keys)}, not {params}")
-    outputs = _construct_outputs(name, params)
+    outputs = build(**params)
     constructions.verify_construction(
         name, outputs, n=params.get("n", 3), r=params.get("r", 3), m=params.get("m")
     )
@@ -289,11 +269,12 @@ def _verified_construction(
 def _cmd_construct(args) -> int:
     params = _construction_params(args)
     if args.verify:
-        outputs, cert = _verified_construction(args.name, params, _config_from_args(args))
+        outputs, cert = _verified_construction(args.name, params, SearchConfig())
         print(f"construct {args.name}: {len(outputs)} member(s), all claims verified")
         _emit(cert, args)
     else:
-        outputs = _construct_outputs(args.name, params)
+        _, build = constructions.CONSTRUCTIONS[args.name]
+        outputs = build(**params)
     text = "\n".join(write_sequence(s) for s in outputs)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -499,14 +480,16 @@ def _cmd_repro(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-def _add_common(p) -> None:
+def _add_search(p) -> None:
     p.add_argument("--budget-nodes", type=int, default=0, help="node budget per subtree")
     p.add_argument("--budget-secs", type=float, default=0.0, help="time budget per subtree")
-    p.add_argument("--symmetry", choices=SYMMETRY_LEVELS, default=None,
+    p.add_argument("--symmetry", choices=SYMMETRY_LEVELS, default="coord_perms+scalar",
                    help="symmetry reduction level")
-    p.add_argument("--width", type=int, default=None, help="parallel width (never changes results)")
+    p.add_argument("--width", type=int, default=1, help="parallel width (never changes results)")
+
+
+def _add_json(p) -> None:
     p.add_argument("--json", metavar="PATH", help="write the certificate as JSON")
-    p.add_argument("--no-cache", action="store_true", help="skip the certificate cache")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -516,7 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariant", help="compute D, eta, s, f or g by exhaustive search")
     p.add_argument("group")
     p.add_argument("kind", choices=search.INVARIANT_KINDS)
-    _add_common(p)
+    _add_search(p)
+    _add_json(p)
+    p.add_argument("--no-cache", action="store_true", help="skip the certificate cache")
     p.set_defaults(fn=_cmd_invariant)
 
     p = sub.add_parser("c0", help="decide C0 membership with certificates")
@@ -524,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group()
     g.add_argument("--t", type=int, default=None)
     g.add_argument("--all", action="store_true")
-    _add_common(p)
+    _add_search(p)
+    _add_json(p)
     p.set_defaults(fn=_cmd_c0)
 
     p = sub.add_parser("enumerate", help="enumerate short-free sequences up to symmetry")
@@ -532,30 +518,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True)
     p.add_argument("--len", type=int, required=True)
     p.add_argument("--dump", metavar="PATH", help="write representatives to a file")
-    _add_common(p)
+    _add_search(p)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("check-property", help="check Property C, D or D0")
     p.add_argument("group")
     p.add_argument("property", choices=("C", "D", "D0"))
     p.add_argument("--c", type=int, default=None)
-    _add_common(p)
+    _add_search(p)
+    _add_json(p)
     p.set_defaults(fn=_cmd_check_property)
 
     p = sub.add_parser("construct", help="emit a named construction, optionally verified")
-    p.add_argument("name", choices=(
-        "span", "span-merge", "cap3", "cap4", "cap4-trims",
-        "zero-block", "slide", "pivot", "braid",
-        "span-carve-block", "span-carve-axes", "span-carve-axes-x", "span-carve-mixed",
-        "lift",
-    ))
+    p.add_argument("name", choices=tuple(constructions.CONSTRUCTIONS))
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--axis", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--out", metavar="PATH")
-    _add_common(p)
+    _add_json(p)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("certify", help="re-validate a witness or replay an exhaustive run")
@@ -573,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", choices=sorted(_REPRO_TABLES))
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--group", default=None)
-    _add_common(p)
+    _add_search(p)
     p.set_defaults(fn=_cmd_repro)
 
     return parser

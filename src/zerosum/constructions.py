@@ -1,10 +1,13 @@
 """Generators for explicit extremal sequences and zero-sum short-free families.
 
-Each family pairs a lazy member generator with the claimed properties of its
-members (zero-sum, short-free, realized length window).  verify_family and
-verify_construction state the claim each sequence witnesses and check it with
-subsum.witnesses instead of trusting the construction, so a transcription or
-generation bug fails loudly.
+Two tables name every construction.  _FAMILIES maps a family name to its
+member generator over C_n^r, the length window its members claim to fill and
+the (n, r) it applies to; build_family instantiates one.  CONSTRUCTIONS maps
+each name `zerosum construct` accepts (the span, its merge, the two caps, the
+cap4 trims and every family) to its parameter keys and its build function.
+verify_family and verify_construction state the claim each sequence
+witnesses and check it with subsum.witnesses instead of trusting the
+construction, so a transcription or generation bug fails loudly.
 """
 
 from __future__ import annotations
@@ -172,7 +175,7 @@ class FamilySpec:
         return self.member_factory()
 
 
-def _zero_block_members(n: int, group: AbelianGroup) -> Iterator[Sequence]:
+def _zero_block_members(n: int, r: int, group: AbelianGroup) -> Iterator[Sequence]:
     e1, e2 = group.basis(0), group.basis(1)
     e12 = e1 + e2
     for c in range(1, n):
@@ -181,7 +184,7 @@ def _zero_block_members(n: int, group: AbelianGroup) -> Iterator[Sequence]:
         )
 
 
-def _slide_members(n: int, group: AbelianGroup) -> Iterator[Sequence]:
+def _slide_members(n: int, r: int, group: AbelianGroup) -> Iterator[Sequence]:
     e1, e2, e3 = group.basis(0), group.basis(1), group.basis(2)
     for m in range(1, n):
         yield Sequence.from_items(
@@ -196,7 +199,7 @@ def _slide_members(n: int, group: AbelianGroup) -> Iterator[Sequence]:
         )
 
 
-def _pivot_members(n: int, group: AbelianGroup) -> Iterator[Sequence]:
+def _pivot_members(n: int, r: int, group: AbelianGroup) -> Iterator[Sequence]:
     e1, e2, e3 = group.basis(0), group.basis(1), group.basis(2)
     yield Sequence.from_items(
         group,
@@ -210,7 +213,7 @@ def _pivot_members(n: int, group: AbelianGroup) -> Iterator[Sequence]:
     )
 
 
-def _braid_members(n: int, group: AbelianGroup) -> Iterator[Sequence]:
+def _braid_members(n: int, r: int, group: AbelianGroup) -> Iterator[Sequence]:
     e1, e2, e3 = group.basis(0), group.basis(1), group.basis(2)
     for m in range(2, n):
         yield Sequence.from_items(
@@ -307,80 +310,47 @@ def _lift_members(n: int, r: int, group: AbelianGroup) -> Iterator[Sequence]:
             yield embed(swatch[b]).concat(tail)
 
 
-_FAMILY_ORDER = (
-    "zero-block",
-    "slide",
-    "pivot",
-    "braid",
-    "span-carve-block",
-    "span-carve-axes",
-    "span-carve-axes-x",
-    "span-carve-mixed",
-    "lift",
-)
+# name -> (members(n, r, group), window(n, r, span, alpha) or None, least n,
+# least r, needs alpha_r(n, r) != 0).  window gives the inclusive length window
+# the members fill, from span = (2^r - 1)(n - 1), the span's length, and alpha
+# = alpha_r(n, r); lift claims none.  length_swatch and known_witnesses try the
+# families in this order.
+_FAMILIES = {
+    "zero-block": (_zero_block_members, lambda n, r, s, a: (n + 1, 2 * n - 1), 2, 2, False),
+    "slide": (_slide_members, lambda n, r, s, a: (2 * n, 3 * n - 2), 3, 3, False),
+    "pivot": (_pivot_members, lambda n, r, s, a: (3 * n - 1, 3 * n - 1), 3, 3, False),
+    "braid": (_braid_members, lambda n, r, s, a: (3 * n, 4 * n - 3), 3, 3, False),
+    "span-carve-block": (
+        _carve_block_members, lambda n, r, s, a: (s - (3 * n - 3) - a, s - (n + 1) - a), 3, 3, False
+    ),
+    "span-carve-axes": (
+        _carve_axes_members,
+        lambda n, r, s, a: (s - (r - 1) * a - n + 2, s - (r - 1) * a),
+        3, 3, True,
+    ),
+    "span-carve-axes-x": (
+        _carve_axes_extra_members, lambda n, r, s, a: (s - (r - 1) * a - n + 1,) * 2, 3, 3, True
+    ),
+    "span-carve-mixed": (_carve_mixed_members, lambda n, r, s, a: (s - r * a, s - a), 3, 3, True),
+    "lift": (_lift_members, None, 2, 4, False),
+}
 
 
 def build_family(name: str, n: int, r: int) -> FamilySpec:
     """Instantiate a named family over C_n^r, refusing out-of-context parameters."""
     alpha = alpha_r(n, r)
-    span_len = (2**r - 1) * (n - 1)
-
-    def spec(factory, lo, hi, min_n=3, min_r=3, need_alpha=False):
-        if n < min_n:
-            raise ValueError(f"family {name!r} requires n >= {min_n}")
-        if r < min_r:
-            raise ValueError(f"family {name!r} requires r >= {min_r}")
-        if need_alpha and alpha == 0:
-            raise ValueError(f"family {name!r} requires alpha_r(n, r) != 0")
-        group = _cube_group(n, r)
-        return FamilySpec(name, group, lambda: factory(group), (lo, hi))
-
-    if name == "zero-block":
-        if n < 2 or r < 2:
-            raise ValueError("zero-block requires n >= 2 and r >= 2")
-        group = _cube_group(n, r)
-        return FamilySpec(
-            name, group, lambda: _zero_block_members(n, group), (n + 1, 2 * n - 1)
-        )
-    if name == "slide":
-        return spec(lambda g: _slide_members(n, g), 2 * n, 3 * n - 2)
-    if name == "pivot":
-        return spec(lambda g: _pivot_members(n, g), 3 * n - 1, 3 * n - 1)
-    if name == "braid":
-        return spec(lambda g: _braid_members(n, g), 3 * n, 4 * n - 3)
-    if name == "span-carve-block":
-        return spec(
-            lambda g: _carve_block_members(n, r, g),
-            span_len - (3 * n - 3) - alpha,
-            span_len - (n + 1) - alpha,
-        )
-    if name == "span-carve-axes":
-        return spec(
-            lambda g: _carve_axes_members(n, r, g),
-            span_len - (r - 1) * alpha - n + 2,
-            span_len - (r - 1) * alpha,
-            need_alpha=True,
-        )
-    if name == "span-carve-axes-x":
-        return spec(
-            lambda g: _carve_axes_extra_members(n, r, g),
-            span_len - (r - 1) * alpha - n + 1,
-            span_len - (r - 1) * alpha - n + 1,
-            need_alpha=True,
-        )
-    if name == "span-carve-mixed":
-        return spec(
-            lambda g: _carve_mixed_members(n, r, g),
-            span_len - r * alpha,
-            span_len - alpha,
-            need_alpha=True,
-        )
-    if name == "lift":
-        if r < 4:
-            raise ValueError("lift requires r >= 4")
-        group = _cube_group(n, r)
-        return FamilySpec(name, group, lambda: _lift_members(n, r, group), None)
-    raise ValueError(f"unknown family {name!r}; known: {', '.join(_FAMILY_ORDER)}")
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family {name!r}; known: {', '.join(_FAMILIES)}")
+    members, window, min_n, min_r, needs_alpha = _FAMILIES[name]
+    if n < min_n:
+        raise ValueError(f"family {name!r} requires n >= {min_n}")
+    if r < min_r:
+        raise ValueError(f"family {name!r} requires r >= {min_r}")
+    if needs_alpha and alpha == 0:
+        raise ValueError(f"family {name!r} requires alpha_r(n, r) != 0")
+    group = _cube_group(n, r)
+    claimed = None if window is None else window(n, r, (2**r - 1) * (n - 1), alpha)
+    return FamilySpec(name, group, lambda: members(n, r, group), claimed)
 
 
 def verify_family(spec: FamilySpec) -> set[int]:
@@ -410,40 +380,52 @@ def verify_construction(
 
     span and span-merge witness the extremal length of eta over C_n^r (the
     span also has sum alpha_r * (e_1 + ... + e_r)), cap3 that of f over C3^3
-    and cap4 that of g over C3^4.  The cap4-trims outputs are checked by
-    verify_family as a family with the window [30, 36]; any other name is a
-    family, rebuilt from n and r and checked the same way.  n, r and m are
-    the parameters the outputs were built with.  Raises AssertionError on
-    the first claim that fails.
+    and cap4 that of g over C3^4.  The outputs of cap4-trims and of every
+    family are checked by verify_family: C0 membership at each member's own
+    length, and lengths that fill the window [30, 36] for cap4-trims and the
+    one build_family(name, n, r) claims for a family.  n, r and m are the
+    parameters the outputs were built with.  Raises AssertionError on the
+    first claim that fails, ValueError on a name that is no construction.
     """
-
-    def require(ok: bool, message: str) -> None:
-        if not ok:
-            raise AssertionError(f"{name}: {message}")
-
-    if name == "cap4-trims":
-        verify_family(FamilySpec(name, outputs[0].group, lambda: iter(outputs), (30, 36)))
+    if name == "cap4-trims" or name in _FAMILIES:
+        window = (30, 36) if name == "cap4-trims" else build_family(name, n, r).claimed_lengths
+        verify_family(FamilySpec(name, outputs[0].group, lambda: iter(outputs), window))
         return
-    if name not in ("span", "span-merge", "cap3", "cap4"):
-        verify_family(build_family(name, n, r))
-        return
-    seq = outputs[0]
     if name == "cap3":
         kind, length = "f", 8
     elif name == "cap4":
         kind, length = "g", 20
-    else:
+    elif name in ("span", "span-merge"):
         kind, length = "eta", (2**r - 1) * (n - 1) - (m - 1 if name == "span-merge" else 0)
+    else:
+        raise ValueError(f"unknown construction {name!r}")
+    seq = outputs[0]
     claim = {"type": "invariant", "invariant": kind, "extremal_length": length}
-    require(witnesses(claim, seq), f"not an extremal {kind} sequence of length {length}")
-    if name == "span":
-        require(seq.sum == alpha_r(n, r) * seq.group.element([1] * r), "wrong sum")
+    if not witnesses(claim, seq):
+        raise AssertionError(f"{name}: not an extremal {kind} sequence of length {length}")
+    if name == "span" and seq.sum != alpha_r(n, r) * seq.group.element([1] * r):
+        raise AssertionError(f"{name}: wrong sum")
+
+
+# name -> (param keys, build(**params) -> outputs): what `zerosum construct`
+# emits, and the params its certificates record.
+CONSTRUCTIONS: dict[str, tuple[tuple[str, ...], Callable[..., list[Sequence]]]] = {
+    "span": (("n", "r"), lambda n, r: [build_span_sequence(n, r)]),
+    "span-merge": (("n", "r", "axis", "m"), lambda **params: [build_span_merged(**params)]),
+    "cap3": ((), lambda: [ternary_cap_rank3()]),
+    "cap4": ((), lambda: [ternary_cap_rank4()]),
+    "cap4-trims": ((), lambda: [w for _, w in excluded_window_witnesses()]),
+    **{
+        name: (("n", "r"), lambda n, r, name=name: list(build_family(name, n, r).members()))
+        for name in _FAMILIES
+    },
+}
 
 
 def length_swatch(n: int, r: int) -> dict[int, Sequence]:
     """One zero-sum short-free sequence per realized length, from all applicable families."""
     out: dict[int, Sequence] = {}
-    for name in _FAMILY_ORDER:
+    for name in _FAMILIES:
         try:
             fam = build_family(name, n, r)
         except ValueError:
@@ -471,7 +453,7 @@ def known_witnesses(group: AbelianGroup, t: int) -> Iterator[Sequence]:
             if length == t:
                 yield w
     if r >= 2:
-        for name in _FAMILY_ORDER:
+        for name in _FAMILIES:
             try:
                 fam = build_family(name, n, r)
             except ValueError:

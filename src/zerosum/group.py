@@ -7,7 +7,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 #: Largest group order for which per-element tables may be allocated.
 ENUMERATION_CAP = 10**6
@@ -84,11 +84,6 @@ class AbelianGroup:
         coords = [0] * len(self.moduli)
         coords[i] = 1
         return self.element(coords)
-
-    def elements(self) -> Iterator[GroupElement]:
-        self.require_table_capacity()
-        for i in range(self.order):
-            yield self.element_by_index(i)
 
     def require_table_capacity(self) -> None:
         if self.order > ENUMERATION_CAP:

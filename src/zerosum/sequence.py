@@ -73,17 +73,6 @@ class Sequence:
     def sum(self) -> GroupElement:
         return self.group.element_by_index(self._sum_index)
 
-    @property
-    def key(self) -> CanonicalKey:
-        return self.items
-
-    def multiplicity(self, g: GroupElement) -> int:
-        self._check_group_of(g)
-        for idx, v in self.items:
-            if idx == g.index:
-                return v
-        return 0
-
     def is_squarefree(self) -> bool:
         return all(v <= 1 for _, v in self.items)
 

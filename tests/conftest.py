@@ -35,6 +35,16 @@ def element_order(g: GroupElement) -> int:
     return math.lcm(*orders)
 
 
+def elements(group: AbelianGroup) -> list[GroupElement]:
+    """Every element of group, in index order."""
+    return [group.element_by_index(i) for i in range(group.order)]
+
+
+def multiplicity(seq: Sequence, g: GroupElement) -> int:
+    """How many times g occurs in seq."""
+    return dict(seq.items).get(g.index, 0)
+
+
 def support(seq: Sequence) -> tuple[GroupElement, ...]:
     """The distinct terms of seq, in index order."""
     return tuple(seq.group.element_by_index(idx) for idx, _ in seq.items)

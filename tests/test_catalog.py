@@ -61,7 +61,6 @@ def test_eval_formula_examples():
     assert eval_formula("excluded_interval_start", n=3, r=4) == 30
     assert eval_formula("davenport_rank2", n1=3, n2=6) == 8
     assert eval_formula("eta_rank2", n1=3, n2=6) == 10
-    assert eval_formula("s_lower_from_eta", eta=17, exp=3) == 19
 
 
 def test_eval_formula_hypotheses():

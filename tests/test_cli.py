@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from zerosum import catalog, cli, search
+from zerosum import catalog, cli, constructions, search
 from zerosum.cli import cache_dir, main
 from zerosum.constructions import build_family
 from zerosum.group import parse_group_spec
@@ -154,23 +154,61 @@ def test_construct_verbs(tmp_path, capsys):
     assert main(["construct", "zero-block", "--n", "4", "--r", "3", "--verify"]) == 0
 
 
-# every construct choice, with parameters it accepts
-_CONSTRUCTIONS = {
-    "span": [], "span-merge": ["--axis", "3", "--m", "2"], "cap3": [], "cap4": [],
-    "cap4-trims": [], "zero-block": [], "slide": [], "pivot": [], "braid": [],
-    "span-carve-block": [], "span-carve-axes": [], "span-carve-axes-x": [],
-    "span-carve-mixed": [], "lift": ["--r", "4"],
+# the params a construction needs beyond the defaults
+_EXTRA_ARGS = {"span-merge": ["--axis", "3", "--m", "2"], "lift": ["--r", "4"]}
+# cert_id of each construction's certificate, with only the args above
+_CERT_IDS = {
+    "span": "9abf401ea871b439", "span-merge": "5e80165bbc8344a9",
+    "cap3": "508202de67d5a58f", "cap4": "234cbb88ac897529", "cap4-trims": "c68e8bdbe0e4a5db",
+    "zero-block": "a794a2ffaabe15bf", "slide": "59ca62bb6daccd28", "pivot": "e2a4d1d3144086e2",
+    "braid": "990c1dd65d9c8e59", "span-carve-block": "46cdb6da13bd4893",
+    "span-carve-axes": "56dd66f4922c6083", "span-carve-axes-x": "9bb9755492b687f6",
+    "span-carve-mixed": "3e3dda1565fec81e", "lift": "19818cec18b9a93d",
 }
 
 
-@pytest.mark.parametrize("name", sorted(_CONSTRUCTIONS))
+@pytest.mark.parametrize("name", constructions.CONSTRUCTIONS)
 def test_construct_verify_accepts_every_construction(name, capsys, tmp_path):
     path = tmp_path / "construct.json"
-    assert main(["construct", name, "--verify", *_CONSTRUCTIONS[name], "--json", str(path)]) == 0
+    argv = ["construct", name, "--verify", *_EXTRA_ARGS.get(name, []), "--json", str(path)]
+    assert main(argv) == 0
     assert f"construct {name}: " in capsys.readouterr().out
+    assert Certificate.from_json(path.read_text()).cert_id() == _CERT_IDS[name]
     # certify rebuilds the construction from the claim's name and params
     assert main(["certify", str(path)]) == 0
     assert "replay: IDENTICAL" in capsys.readouterr().out
+
+
+def test_certify_replays_a_construction_certificate_under_its_own_config(tmp_path, capsys):
+    # construct takes no search flags, but a certificate written with a
+    # non-default config (as older versions could) still replays IDENTICAL
+    path = tmp_path / "slide.json"
+    assert main(["construct", "slide", "--verify", "--json", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["config"].update(node_budget=5, symmetry_level="none")
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    assert main(["certify", str(path)]) == 0
+    assert "replay: IDENTICAL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "span", "--width", "2"],
+    ["construct", "span", "--budget-nodes", "5"],
+    ["construct", "span", "--budget-secs", "1"],
+    ["construct", "span", "--symmetry", "none"],
+    ["construct", "span", "--no-cache"],
+    ["enumerate", "C2^2", "--kind", "short-free", "--len", "2", "--json", "x.json"],
+    ["enumerate", "C2^2", "--kind", "short-free", "--len", "2", "--no-cache"],
+    ["repro", "thmA", "--json", "x.json"],
+    ["c0", "C3^2", "--t", "6", "--no-cache"],
+    ["check-property", "C3^2", "C", "--no-cache"],
+], ids=lambda argv: f"{argv[0]}{[a for a in argv if a.startswith('--')][-1]}")
+def test_a_flag_a_verb_would_ignore_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.json")) == []
 
 
 def test_certify_rejects_a_construction_certificate_with_edited_members(tmp_path, capsys):
@@ -472,6 +510,9 @@ bad_span = span.remove(Sequence.from_terms(group, [e1, e2])).concat(
 trims = dict(constructions.excluded_window_witnesses())
 short = trims[31].remove(Sequence.from_terms(trims[31].group, [next(trims[31].terms())]))
 bad_trims = [short] + [w for t, w in trims.items() if t != 30]
+# the slide family over C3^3 without its length-7 member: its lengths no
+# longer fill the claimed window [6, 7]
+bad_slide = list(constructions.build_family("slide", 3, 3).members())[:1]
 failures = []
 if not rejects(constructions.verify_construction, "cap3", [bad_cap3]):
     failures.append("construct cap3 --verify")
@@ -481,6 +522,8 @@ if not rejects(constructions.verify_construction, "span", [bad_span]):
     failures.append("construct span --verify")
 if not rejects(constructions.verify_construction, "cap4-trims", bad_trims):
     failures.append("construct cap4-trims --verify")
+if not rejects(constructions.verify_construction, "slide", bad_slide):
+    failures.append("construct slide --verify")
 payload = {
     "moduli": group.moduli, "pred": "zero_sum_free", "squarefree": False,
     "level": "coord_perms+scalar", "node_budget": 0, "time_budget": 0.0,

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from conftest import support
@@ -178,6 +181,21 @@ def test_cap_tables():
     assert find_zero_sum_exact_length(cap4, 3) is None
 
 
+def test_verify_construction_checks_the_family_members_it_is_given():
+    # construct <family> --verify checks the members it emits against the
+    # window build_family claims, not a rebuilt copy of the family
+    members = list(build_family("slide", 3, 3).members())
+    assert [s.length for s in members] == [6, 7]
+    verify_construction("slide", members, n=3, r=3)
+    group = members[0].group
+    not_zero_sum = members[0].concat(Sequence.from_terms(group, [group.basis(0)]))
+    for bad in (members[:1], [members[0], not_zero_sum]):
+        with pytest.raises(AssertionError):
+            verify_construction("slide", bad, n=3, r=3)
+    with pytest.raises(ValueError):
+        verify_construction("no-such-construction", members)
+
+
 def test_excluded_window_witnesses():
     witnesses = excluded_window_witnesses()
     assert sorted(t for t, _ in witnesses) == list(range(30, 37))
@@ -196,3 +214,25 @@ def test_known_witnesses_are_usable():
     for t in range(30, 37):
         w = next(iter(known_witnesses(g4, t)))
         assert w.length == t and w.is_zero_sum()
+
+
+def test_build_family_accepts_refuses_and_claims_as_pinned():
+    # which (name, n, r) build_family refuses, and the window it claims for
+    # each one it accepts: a change to the family table that moves either
+    # fails here
+    names = (
+        "zero-block", "slide", "pivot", "braid", "span-carve-block", "span-carve-axes",
+        "span-carve-axes-x", "span-carve-mixed", "lift", "no-such-family",
+    )
+    table = {}
+    for name in names:
+        for n in range(2, 9):
+            for r in range(1, 6):
+                try:
+                    table[f"{name} {n} {r}"] = build_family(name, n, r).claimed_lengths
+                except ValueError:
+                    table[f"{name} {n} {r}"] = "refused"
+    assert sum(v != "refused" for v in table.values()) == 153
+    assert sum(v is None for v in table.values()) == 7 * 2  # lift, at r = 4 and 5
+    blob = json.dumps(sorted(table.items())).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == "2feb2411fbcbee18"

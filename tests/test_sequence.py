@@ -101,7 +101,7 @@ def test_canonical_key_is_order_free(idxs, rng):
     rng.shuffle(shuffled)
     a = Sequence.from_items(g, ((i, 1) for i in idxs))
     b = Sequence.from_items(g, ((i, 1) for i in shuffled))
-    assert a.key == b.key and a == b and hash(a) == hash(b)
+    assert a.items == b.items and a == b and hash(a) == hash(b)
 
 
 def test_text_format_round_trip_examples():

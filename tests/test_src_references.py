@@ -2,38 +2,54 @@
 only tests use belongs in tests/conftest.py."""
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _identifiers(path: Path) -> list[tuple[str, int]]:
+    """(identifier, line) for every name, attribute and import alias in the
+    file, and, in perfbench/tracing.py, every part of a dotted string target
+    such as "AbelianGroup.index_of": the references code can make.  Comments
+    and docstrings make none."""
+    out = []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            names = node.name.split(".") + ([node.asname] if node.asname else [])
+            out += [(name, node.lineno) for name in names]
+        elif (path.name == "tracing.py" and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            out += [(part, node.lineno) for part in node.value.split(".") if part.isidentifier()]
+    return out
+
+
 def unreferenced(root: Path) -> list[str]:
-    """The functions, classes and methods of src/zerosum/*.py whose name has no
-    word-boundary match in src/zerosum/*.py or perfbench/*.py outside their own
+    """The functions, classes and methods of src/zerosum/*.py whose name is
+    not an identifier in src/zerosum/*.py or perfbench/*.py outside their own
     definition.  Decorated definitions (registry entries, properties) and
     dunder methods are exempt: they are reached through a decorator or a
     protocol, not by name."""
     sources = sorted((root / "src" / "zerosum").glob("*.py"))
-    lines = {
-        path: path.read_text(encoding="utf-8").splitlines()
-        for path in sources + sorted((root / "perfbench").glob("*.py"))
-    }
+    scanned = sources + sorted((root / "perfbench").glob("*.py"))
+    uses = {path: _identifiers(path) for path in scanned}
     out = []
     for path in sources:
-        for node in ast.walk(ast.parse("\n".join(lines[path]))):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
             if node.decorator_list or (name.startswith("__") and name.endswith("__")):
                 continue
             own = range(node.lineno, node.end_lineno + 1)
-            word = re.compile(rf"\b{re.escape(name)}\b")
             if not any(
-                word.search(line)
-                for other, text in lines.items()
-                for number, line in enumerate(text, 1)
-                if not (other == path and number in own)
+                ident == name and not (other == path and line in own)
+                for other, found in uses.items()
+                for ident, line in found
             ):
                 out.append(f"{path.name}:{node.lineno} {name}")
     return out
@@ -52,9 +68,20 @@ def test_the_reference_scan_flags_a_test_only_helper(tmp_path):
         "def lonely():\n    return lonely()\n\n\n"
         "@register\ndef entry():\n    pass\n\n\n"
         "class Box:\n    def __len__(self):\n        return 0\n\n"
-        "    def unused_method(self):\n        return 1\n",
+        "    def unused_method(self):\n        return 1\n\n"
+        "    def traced(self):\n        return 2\n\n\n"
+        "def prose():\n    \"\"\"Not even prose calls prose.\"\"\"\n",
         encoding="utf-8",
     )
-    (tmp_path / "perfbench" / "run.py").write_text("mod.used(); Box()\n", encoding="utf-8")
-    # lonely calls only itself; entry is decorated and __len__ a dunder
-    assert unreferenced(tmp_path) == ["mod.py:5 lonely", "mod.py:18 unused_method"]
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "# prose is named here, in a comment only\nmod.used(); Box()\n", encoding="utf-8"
+    )
+    (tmp_path / "perfbench" / "tracing.py").write_text(
+        'TARGETS = (("mod.Box.traced", "zerosum.mod", "Box.traced", "span"),)\n', encoding="utf-8"
+    )
+    # lonely calls only itself; entry is decorated, __len__ a dunder and
+    # Box.traced a tracing target; prose is named only in a comment and in
+    # its own docstring
+    assert unreferenced(tmp_path) == [
+        "mod.py:5 lonely", "mod.py:25 prose", "mod.py:18 unused_method"
+    ]
