@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .constructions import alpha_r
+from .group import parse_group_spec
 
 KIND_INVARIANT = "invariant_value"
 KIND_LOWER = "invariant_lower"
@@ -583,9 +584,7 @@ def fact_from_certificate(cert) -> Fact | None:
     """Translate a search certificate into a fact, or None when inconclusive."""
     claim = cert.claim
     prov = Provenance("search", cert.cert_id())
-    subject = tuple(
-        int(x) for x in _moduli_from_spec(claim.get("group", cert.group_spec))
-    )
+    subject = parse_group_spec(claim.get("group", cert.group_spec)).moduli
     if claim["type"] == "invariant":
         if cert.status == "proved_exhaustive":
             return Fact(subject, KIND_INVARIANT, (claim["invariant"], claim["value"]), prov)
@@ -605,12 +604,6 @@ def fact_from_certificate(cert) -> Fact | None:
         detail = (name, claim["holds"], claim["c"]) if name == "D0" else (name, claim["holds"])
         return Fact(subject, KIND_PROPERTY, detail, prov)
     return None
-
-
-def _moduli_from_spec(spec: str) -> tuple[int, ...]:
-    from .group import parse_group_spec
-
-    return parse_group_spec(spec).moduli
 
 
 # -- inference rules -----------------------------------------------------------

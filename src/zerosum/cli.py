@@ -162,8 +162,8 @@ def _cmd_c0(args) -> int:
     members, certs = search.compute_c0(group, cfg, d_value=d_value, eta_value=eta_value)
     if lo > hi:
         print(f"C0({group.spec()}) = {{}} (empty range: D+1={lo} > eta-1={hi})")
-        return 0
-    print(f"C0({group.spec()}) = {{{', '.join(map(str, members))}}}  range [{lo}, {hi}]")
+    else:
+        print(f"C0({group.spec()}) = {{{', '.join(map(str, members))}}}  range [{lo}, {hi}]")
     for t in sorted(certs):
         cert = certs[t]
         extra = f" witness length {cert.witness.length}" if cert.witness else ""
@@ -234,12 +234,23 @@ def _cmd_check_property(args) -> int:
     return status_exit_code(cert.status)
 
 
+_CONSTRUCT_DEFAULTS = {"n": 3, "r": 3, "axis": None, "m": None}
+
+
 def _construction_params(args) -> dict:
+    """The construction's params from its flags; a flag it does not take, or
+    a missing --axis or --m, is a ValueError.  --n and --r default to 3."""
     keys = constructions.CONSTRUCTIONS[args.name][0]
-    missing = [f"--{key}" for key in keys if getattr(args, key) is None]
+    given = {key: getattr(args, key) for key in _CONSTRUCT_DEFAULTS}
+    given = {key: value for key, value in given.items() if value is not None}
+    extra = [f"--{key}" for key in given if key not in keys]
+    if extra:
+        raise ValueError(f"unrecognized arguments for {args.name}: {' '.join(extra)}")
+    params = {key: given.get(key, _CONSTRUCT_DEFAULTS[key]) for key in keys}
+    missing = [f"--{key}" for key, value in params.items() if value is None]
     if missing:
         raise ValueError(f"{args.name} requires {' and '.join(missing)}")
-    return {key: getattr(args, key) for key in keys}
+    return params
 
 
 def _verified_construction(
@@ -531,10 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="emit a named construction, optionally verified")
     p.add_argument("name", choices=tuple(constructions.CONSTRUCTIONS))
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--r", type=int, default=3)
-    p.add_argument("--axis", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+    for key in _CONSTRUCT_DEFAULTS:  # each refused by a construction that does not take it
+        p.add_argument(f"--{key}", type=int, default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--out", metavar="PATH")
     _add_json(p)

@@ -41,22 +41,24 @@ Every search (an invariant, the C0 sweep, an enumeration, Properties C, D
 and D0) goes through one run loop, _run: it builds the context (tables and
 symmetry generators; once per run, and once per worker process at width >
 1), makes one branch per canonical, feasible child of the empty root and
-runs the branches at the configured width.  The closed symmetry group and
-its packed codes are built at the first child test, so a search whose
-children are all cut before the test never closes the group and never
-meets its cap.  At width > 1 the run closes the group once before the
-workers start; a closure past its cap is kept as its error, raised only
-where a child is tested.  Branches never share state, so node counts,
-outcomes and witnesses are byte-identical at any width.  Budgets bound
-each top-level subtree.
+runs the branches at the configured width.  Each branch makes its own goal
+from the run's goal factory, searches with it and returns it, and the caller
+reads the goals' fields.  The closed symmetry group and its packed codes are
+built at the first child test, so a search whose children are all cut
+before the test never closes the group and never meets its cap.  At width >
+1 the run closes the group once before the workers start; a closure past
+its cap is kept as its error, raised only where a child is tested.
+Branches never share state, so node counts, outcomes and witnesses are
+byte-identical at any width.  Budgets bound each top-level subtree.
 Property C is an enumeration under the short_free predicate and Property D
 one under no_exact_exp.  Property D0 is a goal over sets of g_i, each one
 unit of n-1 copies pushed onto a no_exact_exp state that starts with the
 translated 0, so a forbidden push is a zero-sum of length exactly n; it
 runs on the squarefree context of g, as a second unit of g_i would hold
 2(n-1) >= n copies and n*g_i = 0 in C_n^r.  The running sum is carried
-only for goals that read it.  Every witness is re-checked by
-witness_valid, and so by subsum.witnesses, before it is returned.
+only for goals that read it.  One builder, _certificate, makes every
+search certificate and re-checks its witness by witness_valid, and so by
+subsum.witnesses, before it is returned.
 """
 
 from __future__ import annotations
@@ -65,11 +67,12 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from math import gcd, lcm
 
 from . import constructions
 from .group import (
-    SYMMETRY_LEVELS, AbelianGroup, PackedCodes, close_symmetries, make_group, parse_group_spec,
+    SYMMETRY_LEVELS, AbelianGroup, PackedCodes, close_symmetries, parse_group_spec,
     shift_bits, shift_steps, symmetries,
 )
 from .sequence import Sequence, read_sequence, write_sequence
@@ -491,11 +494,11 @@ _PREDS = {_PRED_SHORT_FREE: _ShortFree, _PRED_ZERO_SUM_FREE: _ZeroSumFree,
           _PRED_NO_EXACT_EXP: _NoExactExp, _PRED_D0: _D0Units}
 
 
-def _make_pred(ctx: _Ctx, pred_name: str):
-    return _PREDS[pred_name](ctx)
-
-
 # -- goals ----------------------------------------------------------------------
+# A run makes one goal per branch from a factory (a class, or a partial of
+# one), and the branch returns it after its search: the caller reads its
+# fields.  Goals and their factories pickle, so they cross to and from the
+# workers at width > 1 as they are.
 
 
 class _MaxGoal:
@@ -515,9 +518,6 @@ class _MaxGoal:
 
     def needs(self):
         return self.best + 1, None
-
-    def to_payload(self) -> dict:
-        return {"best": self.best, "witness": self.witness}
 
 
 class _LengthsGoal:
@@ -540,9 +540,6 @@ class _LengthsGoal:
         if not self.und:
             return None, -1
         return min(self.und), max(self.und)
-
-    def to_payload(self) -> dict:
-        return {"witnesses": {str(k): v for k, v in self.witnesses.items()}}
 
 
 class _EnumGoal:
@@ -588,13 +585,6 @@ class _EnumGoal:
     def needs(self):
         return self.length, self.length
 
-    def to_payload(self) -> dict:
-        return {
-            "count": self.count,
-            "violations": {k: v for k, v in self.violations.items()},
-            "items": self.items,
-        }
-
 
 class _D0Goal:
     """Find the first set of c units, a counterexample to Property D0;
@@ -612,24 +602,6 @@ class _D0Goal:
 
     def needs(self):
         return (None, self.c) if self.witness is None else (None, -1)
-
-    def to_payload(self) -> dict:
-        return {"counterexample": self.witness}
-
-
-def _goal_from_spec(spec: dict):
-    kind = spec["kind"]
-    if kind == "max":
-        return _MaxGoal(spec["lb"])
-    if kind == "lengths":
-        return _LengthsGoal(spec["lengths"])
-    if kind == "enum":
-        return _EnumGoal(
-            spec["length"], tuple(spec["checks"]), spec["per_element"], spec["collect"]
-        )
-    if kind == "d0":
-        return _D0Goal(spec["c"])
-    raise ValueError(f"unknown goal {kind!r}")
 
 
 # -- DFS core ----------------------------------------------------------------
@@ -749,33 +721,31 @@ def _dfs(
 # -- the run loop ---------------------------------------------------------------
 
 
-def _branch_worker(payload: dict) -> dict:
-    """Search the subtree below one root job of a run (see _run)."""
-    group = make_group(payload["moduli"])
-    ctx = _context(group, payload["pred"], payload["squarefree"], payload["level"])
-    pred = _make_pred(ctx, payload["pred"])
-    stats = _Stats(payload["node_budget"], payload["time_budget"])
-    goal = _goal_from_spec(payload["goal"])
-    g, m = payload["root"]
+def _branch_worker(job: tuple) -> tuple:
+    """Search the subtree below one root job of a run (see _run).  Returns
+    the branch's goal after the search, its node count and whether a budget
+    cut it."""
+    group, pred_name, squarefree, cfg, make_goal, (g, m) = job
+    ctx = _context(group, pred_name, squarefree, cfg.symmetry_level)
+    pred = _PREDS[pred_name](ctx)
+    stats = _Stats(cfg.node_budget, cfg.time_budget)
+    goal = make_goal()
     states = pred.chain(pred.initial(), g, m)
     if len(states) != m:
-        raise AssertionError(f"root job {payload['root']} is infeasible")
+        raise AssertionError(f"root job {(g, m)} is infeasible")
     sigma = 1 << group.index_scalar(m, g) if goal.reads_sum else 0
     _dfs(ctx, pred, goal, [g] * m, states[-1], sigma, g, stats, None)
-    out = goal.to_payload()
-    out["nodes"] = stats.nodes
-    out["exhausted"] = stats.exhausted
-    return out
+    return goal, stats.nodes, stats.exhausted
 
 
-def _root_jobs(ctx: _Ctx, pred, goal: dict) -> list:
+def _root_jobs(ctx: _Ctx, pred, make_goal) -> list:
     """Canonical, feasible children of the empty root: (element, multiplicity)
-    pairs within the goal's length cap.
+    pairs within the length cap of a fresh goal.
 
     g^m is canonical iff no perm maps g below itself, that is iff g is the
     least element of its orbit.
     """
-    hi = _goal_from_spec(goal).needs()[1]
+    hi = make_goal().needs()[1]
     jobs = []
     for g in ctx.minima:
         for m in range(len(pred.chain(pred.initial(), g, ctx.bound[g])), 0, -1):
@@ -785,27 +755,19 @@ def _root_jobs(ctx: _Ctx, pred, goal: dict) -> list:
 
 
 def _run(
-    group: AbelianGroup, pred_name: str, squarefree: bool, cfg: SearchConfig, goal: dict
-) -> tuple[list[dict], int, bool]:
-    """Run one search: each root job is a branch, and branches run at
-    cfg.parallel_width.
+    group: AbelianGroup, pred_name: str, squarefree: bool, cfg: SearchConfig, make_goal
+) -> tuple[list, int, bool]:
+    """Run one search: each root job is a branch with its own goal from
+    make_goal, and branches run at cfg.parallel_width.
 
-    Returns the branch results in root-job order, the node count (the empty
+    Returns the branches' goals in root-job order, the node count (the empty
     root included) and whether a budget cut any branch.
     """
     ctx = _context(group, pred_name, squarefree, cfg.symmetry_level)
-    base = {
-        "moduli": group.moduli,
-        "pred": pred_name,
-        "squarefree": squarefree,
-        "level": cfg.symmetry_level,
-        "node_budget": cfg.node_budget,
-        "time_budget": cfg.time_budget,
-        "goal": goal,
-    }
-    payloads = [{**base, "root": job} for job in _root_jobs(ctx, _make_pred(ctx, pred_name), goal)]
-    if cfg.parallel_width <= 1 or len(payloads) <= 1:
-        results = [_branch_worker(p) for p in payloads]
+    jobs = [(group, pred_name, squarefree, cfg, make_goal, root)
+            for root in _root_jobs(ctx, _PREDS[pred_name](ctx), make_goal)]
+    if cfg.parallel_width <= 1 or len(jobs) <= 1:
+        results = [_branch_worker(job) for job in jobs]
     else:
         # imported here: the pool module loads multiprocessing, which width 1 never uses
         from concurrent.futures import ProcessPoolExecutor
@@ -814,9 +776,9 @@ def _run(
         # cap error, which it raises only at its first child test
         ctx.close()
         with ProcessPoolExecutor(max_workers=cfg.parallel_width) as pool:
-            results = list(pool.map(_branch_worker, payloads, chunksize=1))
-    nodes = 1 + sum(res["nodes"] for res in results)
-    return results, nodes, any(res["exhausted"] for res in results)
+            results = list(pool.map(_branch_worker, jobs, chunksize=1))
+    nodes = 1 + sum(branch_nodes for _, branch_nodes, _ in results)
+    return [goal for goal, _, _ in results], nodes, any(cut for _, _, cut in results)
 
 
 # -- public operations ----------------------------------------------------------
@@ -847,6 +809,23 @@ def witness_valid(cert: Certificate) -> bool:
     return witnesses(cert.claim, witness)
 
 
+def _certificate(
+    group: AbelianGroup, cfg: SearchConfig, claim: dict, status: str,
+    witness: Sequence | None, nodes: int, t0: float,
+) -> Certificate:
+    """The certificate of a search begun at time.monotonic() t0.  A witness
+    that witness_valid rejects raises AssertionError, naming the invariant,
+    the property or the C0 length."""
+    cert = Certificate(
+        claim=claim, status=status, group_spec=group.spec(), witness=witness, nodes=nodes,
+        symmetry_level=cfg.symmetry_level, config=cfg, wall_time_s=time.monotonic() - t0,
+    )
+    if witness is not None and not witness_valid(cert):
+        what = claim.get("invariant") or f"{claim['type']} {claim.get('property', claim.get('t'))}"
+        raise AssertionError(f"search produced an invalid {what} witness")
+    return cert
+
+
 def max_extremal_length(
     group: AbelianGroup, kind: str, cfg: SearchConfig
 ) -> tuple[int, Certificate]:
@@ -861,42 +840,22 @@ def max_extremal_length(
     pred_name, squarefree = _KIND_TO_PRED[kind]
     ctx = _context(group, pred_name, squarefree, cfg.symmetry_level)
     t0 = time.monotonic()
-    best, witness = _greedy_lb(ctx, _make_pred(ctx, pred_name))
-    results, nodes, exhausted = _run(
-        group, pred_name, squarefree, cfg, {"kind": "max", "lb": best}
-    )
+    best, witness = _greedy_lb(ctx, _PREDS[pred_name](ctx))
+    goals, nodes, exhausted = _run(group, pred_name, squarefree, cfg, partial(_MaxGoal, best))
     # a branch has a witness only when it beats lb: the longest wins, then the least
-    found = [(-res["best"], tuple(res["witness"])) for res in results
-             if res["witness"] is not None]
+    found = [(-goal.best, goal.witness) for goal in goals if goal.witness is not None]
     if found:
         neg_best, witness = min(found)
         best = -neg_best
+    claim = {"type": "invariant", "invariant": kind, "group": group.spec(),
+             "extremal_length": best, "value": best + 1, "exact": not exhausted}
     wit_seq = (
         _sequence_from_indices(group, witness)
         if (witness is not None and cfg.record_witnesses)
         else None
     )
     status = STATUS_EXHAUSTED if exhausted else STATUS_PROVED
-    cert = Certificate(
-        claim={
-            "type": "invariant",
-            "invariant": kind,
-            "group": group.spec(),
-            "extremal_length": best,
-            "value": best + 1,
-            "exact": not exhausted,
-        },
-        status=status,
-        group_spec=group.spec(),
-        witness=wit_seq,
-        nodes=nodes,
-        symmetry_level=cfg.symmetry_level,
-        config=cfg,
-        wall_time_s=time.monotonic() - t0,
-    )
-    if wit_seq is not None and not witness_valid(cert):
-        raise AssertionError(f"search produced an invalid {kind} witness")
-    return best, cert
+    return best, _certificate(group, cfg, claim, status, wit_seq, nodes, t0)
 
 
 def invariant_value(group: AbelianGroup, kind: str, cfg: SearchConfig) -> tuple[int, Certificate]:
@@ -930,47 +889,34 @@ def compute_c0_at(
     """
     t0 = time.monotonic()
 
-    def c0_cert(t, status, witness=None, nodes=0, wall=0.0):
+    def c0_claim(t: int, status: str) -> dict:
         member = {STATUS_PROVED: True, STATUS_REFUTED: False}.get(status)
-        return Certificate(
-            claim={"type": "c0_membership", "group": group.spec(), "t": t, "member": member},
-            status=status,
-            group_spec=group.spec(),
-            witness=witness,
-            nodes=nodes,
-            symmetry_level=cfg.symmetry_level,
-            config=cfg,
-            wall_time_s=wall,
-        )
+        return {"type": "c0_membership", "group": group.spec(), "t": t, "member": member}
 
     certs: dict[int, Certificate] = {}
     remaining: list[int] = []
     for t in sorted(set(targets)):
-        for candidate in constructions.known_witnesses(group, t):
-            cert = c0_cert(t, STATUS_REFUTED, candidate)
-            if witness_valid(cert):
-                certs[t] = cert
-                break
-        else:
+        claim = c0_claim(t, STATUS_REFUTED)
+        candidates = constructions.known_witnesses(group, t)
+        known = next((w for w in candidates if witnesses(claim, w)), None)
+        if known is None:
             remaining.append(t)
+        else:
+            certs[t] = _certificate(group, cfg, claim, STATUS_REFUTED, known, 0, t0)
     if remaining:
-        results, nodes, exhausted = _run(
-            group, _PRED_SHORT_FREE, False, cfg, {"kind": "lengths", "lengths": remaining}
+        goals, nodes, exhausted = _run(
+            group, _PRED_SHORT_FREE, False, cfg, partial(_LengthsGoal, remaining)
         )
         found: dict[int, tuple[int, ...]] = {}
-        for res in results:
-            for key, items in res["witnesses"].items():
-                found[int(key)] = min(found.get(int(key), tuple(items)), tuple(items))
-        wall = time.monotonic() - t0
+        for goal in goals:
+            for t, items in goal.witnesses.items():
+                found[t] = min(found.get(t, items), items)
         for t in remaining:
             if t in found:
-                witness = _sequence_from_indices(group, found[t])
-                certs[t] = c0_cert(t, STATUS_REFUTED, witness, nodes, wall)
-                if not witness_valid(certs[t]):
-                    raise AssertionError("search produced an invalid witness")
+                status, witness = STATUS_REFUTED, _sequence_from_indices(group, found[t])
             else:
-                status = STATUS_EXHAUSTED if exhausted else STATUS_PROVED
-                certs[t] = c0_cert(t, status, None, nodes, wall)
+                status, witness = STATUS_EXHAUSTED if exhausted else STATUS_PROVED, None
+            certs[t] = _certificate(group, cfg, c0_claim(t, status), status, witness, nodes, t0)
     members = sorted(t for t, cert in certs.items() if cert.status == STATUS_PROVED)
     return members, certs
 
@@ -1025,28 +971,6 @@ class EnumerationReport:
     wall_time_s: float
 
 
-def _enumerate(
-    group: AbelianGroup, pred_name: str, length: int, cfg: SearchConfig,
-    checks: tuple[str, ...], per_element: int, collect: bool,
-) -> tuple[int, dict[str, list[tuple[int, ...]]], list[tuple[int, ...]], int, bool]:
-    """Visit every sequence of one length under the predicate once up to symmetry.
-
-    Returns (count, violations by check, collected items, nodes, exhausted),
-    sequences as sorted index tuples in canonical order.
-    """
-    goal = {
-        "kind": "enum",
-        "length": length,
-        "checks": list(checks),
-        "per_element": per_element,
-        "collect": collect,
-    }
-    results, nodes, exhausted = _run(group, pred_name, False, cfg, goal)
-    violations = {c: [tuple(s) for res in results for s in res["violations"][c]] for c in checks}
-    items = [tuple(s) for res in results for s in res["items"]]
-    return sum(res["count"] for res in results), violations, items, nodes, exhausted
-
-
 def enumerate_short_free(
     group: AbelianGroup,
     length: int,
@@ -1059,64 +983,32 @@ def enumerate_short_free(
     """Visit every short-free sequence of the given length once up to symmetry;
     with collect, the report lists the representatives in canonical order."""
     t0 = time.monotonic()
-    count, violations, items, nodes, exhausted = _enumerate(
-        group, _PRED_SHORT_FREE, length, cfg, checks, per_element, collect
-    )
+    make_goal = partial(_EnumGoal, length, checks, per_element, collect)
+    goals, nodes, exhausted = _run(group, _PRED_SHORT_FREE, False, cfg, make_goal)
     return EnumerationReport(
         group_spec=group.spec(),
         length=length,
-        count=count,
+        count=sum(goal.count for goal in goals),
         nodes=nodes,
         status=STATUS_EXHAUSTED if exhausted else STATUS_PROVED,
         symmetry_level=cfg.symmetry_level,
         violations={
-            c: [_sequence_from_indices(group, s) for s in bad] for c, bad in violations.items()
+            c: [_sequence_from_indices(group, s) for goal in goals for s in goal.violations[c]]
+            for c in checks
         },
-        items=[_sequence_from_indices(group, s) for s in items],
+        items=[_sequence_from_indices(group, s) for goal in goals for s in goal.items],
         wall_time_s=time.monotonic() - t0,
     )
-
-
-def _property_cert(
-    group: AbelianGroup,
-    cfg: SearchConfig,
-    prop: str,
-    c: int | None,
-    holds: bool | None,
-    status: str,
-    witness: Sequence | None,
-    nodes: int,
-    reason: str | None = None,
-    wall: float = 0.0,
-) -> Certificate:
-    claim = {
-        "type": "property",
-        "property": prop,
-        "group": group.spec(),
-        "c": c,
-        "holds": holds,
-    }
-    if reason:
-        claim["reason"] = reason
-    cert = Certificate(
-        claim=claim,
-        status=status,
-        group_spec=group.spec(),
-        witness=witness,
-        nodes=nodes,
-        symmetry_level=cfg.symmetry_level,
-        config=cfg,
-        wall_time_s=wall,
-    )
-    if witness is not None and not witness_valid(cert):
-        raise AssertionError(f"property {prop} counterexample is invalid")
-    return cert
 
 
 def _require_cube(group: AbelianGroup) -> tuple[int, int]:
     if len(set(group.moduli)) != 1:
         raise ValueError("property checks are defined for groups C_n^r only")
     return group.moduli[0], group.rank
+
+
+def _property_claim(group: AbelianGroup, prop: str, c: int | None, holds: bool | None) -> dict:
+    return {"type": "property", "property": prop, "group": group.spec(), "c": c, "holds": holds}
 
 
 # Property C and D: the invariant whose extremal sequences are enumerated, and
@@ -1141,9 +1033,10 @@ def _check_power_property(
     nodes = 0
 
     def cert(c, holds, status, witness=None, reason=None):
-        return _property_cert(
-            group, cfg, prop, c, holds, status, witness, nodes, reason, time.monotonic() - t0
-        )
+        claim = _property_claim(group, prop, c, holds)
+        if reason:
+            claim["reason"] = reason
+        return _certificate(group, cfg, claim, status, witness, nodes, t0)
 
     if value is None:
         extremal, inv_cert = max_extremal_length(group, kind, cfg)
@@ -1159,11 +1052,11 @@ def _check_power_property(
             reason=f"{kind}(G)-1 = {length} is not a multiple of n-1",
         )
     c = length // (n - 1)
-    _, violations, _, run_nodes, exhausted = _enumerate(
-        group, pred_name, length, cfg, ("power_form",), n - 1, False
+    goals, run_nodes, exhausted = _run(
+        group, pred_name, False, cfg, partial(_EnumGoal, length, ("power_form",), n - 1, False)
     )
     nodes += run_nodes
-    bad = violations["power_form"]
+    bad = [s for goal in goals for s in goal.violations["power_form"]]
     if bad:
         return cert(c, False, STATUS_REFUTED, _sequence_from_indices(group, min(bad)))
     if exhausted:
@@ -1196,13 +1089,13 @@ def check_property_D0(group: AbelianGroup, c: int, cfg: SearchConfig) -> Certifi
     n, _ = _require_cube(group)
     if c < 1:
         raise ValueError("c must be >= 1")
-    results, nodes, exhausted = _run(group, _PRED_D0, True, cfg, {"kind": "d0", "c": c})
-    found = [tuple(res["counterexample"]) for res in results if res["counterexample"] is not None]
-    wall = time.monotonic() - t0
+    goals, nodes, exhausted = _run(group, _PRED_D0, True, cfg, partial(_D0Goal, c))
+    found = [goal.witness for goal in goals if goal.witness is not None]
     witness = None
     if found:
         witness = Sequence.from_items(group, [(0, 1)] + [(g, n - 1) for g in min(found)])
         holds, status = False, STATUS_REFUTED
     else:
         holds, status = (None, STATUS_EXHAUSTED) if exhausted else (True, STATUS_PROVED)
-    return _property_cert(group, cfg, "D0", c, holds, status, witness, nodes, wall=wall)
+    claim = _property_claim(group, "D0", c, holds)
+    return _certificate(group, cfg, claim, status, witness, nodes, t0)

@@ -215,18 +215,19 @@ def loop_chain(pred, state, g: int, copies: int) -> list:
     return out
 
 
-def loop_root_jobs(ctx, pred, goal: dict) -> list:
+def loop_root_jobs(ctx, pred, make_goal) -> list:
     """search._root_jobs the way it tested each root job with loop_extend."""
     empty = [0] * len(ctx.perms)
     unit = loop_units(ctx.order, max(ctx.bound))
-    if goal["kind"] == "d0":  # the translated 0, then exp-1 single pushes of g_1
+    goal = make_goal()
+    if isinstance(goal, search._D0Goal):  # the translated 0, then exp-1 single pushes of g_1
         start = loop_chain(pred, 1, 0, 1)[0]
         return [
             (g, 1) for g in range(ctx.order)
             if len(loop_chain(pred, start, g, ctx.exp - 1)) == ctx.exp - 1
             and loop_extend(0, empty, ctx.perms, unit, g, 1) is not None
         ]
-    hi = search._goal_from_spec(goal).needs()[1]
+    hi = goal.needs()[1]
     jobs = []
     for g in range(ctx.order):
         for m in range(len(loop_chain(pred, pred.initial(), g, ctx.bound[g])), 0, -1):

@@ -100,6 +100,15 @@ def test_c0_all_json_round_trip(tmp_path, capsys):
             read_sequence(json.loads(text)["witness"])
 
 
+def test_c0_all_json_on_an_empty_range_writes_the_payload(tmp_path, capsys):
+    # D(C5) = eta(C5) = 5, so [D+1, eta-1] is empty
+    out_path = tmp_path / "c5.json"
+    assert main(["c0", "C5", "--all", "--json", str(out_path)]) == 0
+    data = json.loads(out_path.read_text())
+    assert data == {"format": "zerosum.c0/1", "tool_version": search.TOOL_VERSION, "group": "C5",
+                    "range": [6, 4], "members": [], "certificates": {}}
+
+
 def test_usage_errors():
     assert main(["c0"]) == 3
     assert main(["invariant", "C3^2", "bogus"]) == 3
@@ -203,6 +212,9 @@ def test_certify_replays_a_construction_certificate_under_its_own_config(tmp_pat
     ["repro", "thmA", "--json", "x.json"],
     ["c0", "C3^2", "--t", "6", "--no-cache"],
     ["check-property", "C3^2", "C", "--no-cache"],
+    # a construction's param flag that it does not take
+    ["construct", "cap3", "--verify", "--n", "7", "--r", "5"],
+    ["construct", "span", "--verify", "--axis", "9", "--m", "2"],
 ], ids=lambda argv: f"{argv[0]}{[a for a in argv if a.startswith('--')][-1]}")
 def test_a_flag_a_verb_would_ignore_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -476,6 +488,7 @@ def test_repro_search_tables(capsys):
 # Each verifier gets a wrong input and must still raise under python -O,
 # which strips assert statements.
 _OPTIMIZED_CHECKS = r"""
+import functools
 import sys
 
 from zerosum import constructions, search
@@ -524,13 +537,11 @@ if not rejects(constructions.verify_construction, "cap4-trims", bad_trims):
     failures.append("construct cap4-trims --verify")
 if not rejects(constructions.verify_construction, "slide", bad_slide):
     failures.append("construct slide --verify")
-payload = {
-    "moduli": group.moduli, "pred": "zero_sum_free", "squarefree": False,
-    "level": "coord_perms+scalar", "node_budget": 0, "time_budget": 0.0,
-    "goal": {"kind": "max", "lb": 0},
-    "root": (0, 1),  # the zero element is forbidden in a zero-sum-free sequence
-}
-if not rejects(search._branch_worker, payload):
+job = (
+    group, "zero_sum_free", False, search.SearchConfig(), functools.partial(search._MaxGoal, 0),
+    (0, 1),  # the root job: the zero element is forbidden in a zero-sum-free sequence
+)
+if not rejects(search._branch_worker, job):
     failures.append("_branch_worker root check")
 print("accepted:", failures if failures else "none")
 sys.exit(1 if failures else 0)

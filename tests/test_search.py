@@ -93,6 +93,25 @@ def test_invariants_independent_of_width():
     assert base.to_json() == wide.to_json()
 
 
+def test_goal_objects_cross_to_width_2_workers_unchanged():
+    # each branch's goal is made from its factory in the worker and pickled
+    # back: the C0 sweep (proofs on C4^2, witnesses found by search on
+    # C2^2+C4), the enumeration and Properties C and D give equal
+    # certificates and reports at widths 1 and 2
+    def runs(cfg):
+        c44, c224, c33 = make_group((4, 4)), make_group((2, 2, 4)), make_group((3, 3))
+        rep = enumerate_short_free(c33, 5, cfg, checks=("sum_zero",), collect=True)
+        return (
+            [(t, c.to_json()) for t, c in compute_c0_at(c44, [8, 9], cfg)[1].items()],
+            [(t, c.to_json()) for t, c in compute_c0_at(c224, [5, 6], cfg)[1].items()],
+            (rep.count, rep.nodes, rep.status, rep.violations, rep.items),
+            check_property_C(c33, cfg).to_json(),
+            check_property_D(c33, cfg).to_json(),
+        )
+
+    assert runs(SearchConfig(parallel_width=1)) == runs(SearchConfig(parallel_width=2))
+
+
 def test_extremal_witness_is_valid():
     group = make_group([3, 3])
     best, cert = max_extremal_length(group, "eta", CFG)
@@ -107,6 +126,17 @@ def test_an_invalid_extremal_witness_raises(monkeypatch):
     monkeypatch.setattr(search, "_greedy_lb", lambda ctx, pred: (20, (0,) * 20))
     with pytest.raises(AssertionError, match="invalid eta witness"):
         max_extremal_length(make_group([3, 3]), "eta", CFG)
+
+
+@pytest.mark.parametrize("run, what", [
+    (lambda: compute_c0_at(make_group((2, 2, 4)), [5], CFG), "c0_membership 5"),
+    (lambda: check_property_D0(make_group((3, 3, 3)), 8, CFG), "property D0"),
+], ids=["c0", "D0"])
+def test_a_search_witness_the_recheck_rejects_raises(monkeypatch, run, what):
+    # the one certificate builder re-checks a C0 or property witness too
+    monkeypatch.setattr(search, "witnesses", lambda claim, seq: False)
+    with pytest.raises(AssertionError, match=f"invalid {what} witness"):
+        run()
 
 
 def test_f_and_g_small():
@@ -602,16 +632,17 @@ def test_packed_codes_match_loop_oracle(data):
 def test_root_jobs_are_the_orbit_minima(level):
     # root jobs by orbit minimum, against the per-permutation test of each
     # root's code, with and without a length cap, and D0's (g, 1) at two caps
-    goals = [{"kind": "max", "lb": 0},
-             {"kind": "enum", "length": 2, "checks": [], "per_element": 0, "collect": False}]
-    d0_goals = [{"kind": "d0", "c": 1}, {"kind": "d0", "c": 9}]
+    partial = functools.partial
+    goals = [partial(search._MaxGoal, 0), partial(search._EnumGoal, 2, (), 0, False)]
+    d0_goals = [partial(search._D0Goal, 1), partial(search._D0Goal, 9)]
     for spec in sorted(CANON_GROUPS):
         for pred_name in ("short_free", "zero_sum_free", "no_exact_exp", "d0_units"):
             ctx = _canon_ctx(spec, pred_name, level)
-            pred = search._make_pred(ctx, pred_name)
-            for goal in d0_goals if pred_name == "d0_units" else goals:
-                want = loop_root_jobs(ctx, pred, goal)
-                assert search._root_jobs(ctx, pred, goal) == want, (spec, pred_name, goal)
+            pred = search._PREDS[pred_name](ctx)
+            for make_goal in d0_goals if pred_name == "d0_units" else goals:
+                want = loop_root_jobs(ctx, pred, make_goal)
+                assert search._root_jobs(ctx, pred, make_goal) == want, (
+                    spec, pred_name, make_goal.func.__name__, make_goal.args)
 
 
 @settings(max_examples=100, deadline=None)
@@ -622,7 +653,7 @@ def test_potential_does_not_grow_with_start(data):
     spec = data.draw(st.sampled_from(sorted(CANON_GROUPS)))
     pred_name = data.draw(st.sampled_from(("short_free", "zero_sum_free", "no_exact_exp")))
     ctx = _canon_ctx(spec, pred_name, "none")
-    pred = search._make_pred(ctx, pred_name)
+    pred = search._PREDS[pred_name](ctx)
     state = pred.initial()
     for g in sorted(data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=8))):
         pushed = pred.chain(state, g, 1)
@@ -655,7 +686,7 @@ def _reachable_state(data):
         bound = [element_order(group.element_by_index(x)) - 1 for x in range(order)]
     if squarefree:
         bound = [min(b, 1) for b in bound]
-    pred = search._make_pred(ctx, pred_name)
+    pred = search._PREDS[pred_name](ctx)
     state, terms = pred.initial(), []
     for g in data.draw(st.lists(st.integers(0, order - 1), max_size=16)):
         pushed = pred.chain(state, g, 1) if terms.count(g) < bound[g] else []
@@ -687,7 +718,7 @@ def test_d0_units_are_runs_of_n_minus_1_copies(data):
     # g is exp-1 single pushes, each one forbidden where the loop forbids it
     spec = data.draw(st.sampled_from(sorted(CANON_GROUPS)))
     ctx = _canon_ctx(spec, "d0_units", "none")
-    pred = search._make_pred(ctx, "d0_units")
+    pred = search._PREDS["d0_units"](ctx)
     unit = ctx.exp - 1
     state = pred.initial()
     assert [state] == loop_chain(pred, 1, 0, 1)
@@ -772,7 +803,7 @@ def test_predicate_states_match_naive_profile(data):
     pred_name = data.draw(st.sampled_from(sorted(_FORBIDDEN_LENGTHS)))
     ctx = _canon_ctx(spec, pred_name, "none")
     group = ctx.group
-    pred = search._make_pred(ctx, pred_name)
+    pred = search._PREDS[pred_name](ctx)
     state, terms = pred.initial(), []
     for g in data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=8)):
         profile = naive_profile(Sequence.from_items(group, ((i, 1) for i in terms + [g])))
