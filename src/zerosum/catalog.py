@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,6 +52,8 @@ def _make_canonical() -> Callable[[object], str]:
 
 
 _canonical = _make_canonical()
+# the string encoder json.dumps uses by default (ensure_ascii)
+_string = json.encoder.encode_basestring_ascii
 
 
 class FactConflictError(Exception):
@@ -75,8 +78,22 @@ class Fact:
     fact_id: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        digest = hashlib.sha256(_canonical(self.payload()).encode()).hexdigest()[:16]
+        digest = hashlib.sha256(self.text().encode()).hexdigest()[:16]
         object.__setattr__(self, "fact_id", digest)
+
+    def text(self, fid: str | None = None) -> str:
+        """_canonical(self.payload()), the text the id hashes, or with fid the
+        line save writes, which also holds {"id": fid}.  It is assembled in
+        sorted key order: _canonical encodes the three lists and _string the
+        strings, so no payload dict is built."""
+        prov = self.provenance
+        ident = "" if fid is None else f'"id": {_string(fid)}, '
+        return (
+            f'{{"detail": {_canonical(self.detail)}, {ident}"kind": {_string(self.kind)}, '
+            f'"provenance": {{"premises": {_canonical(prov.premises)}, '
+            f'"reference": {_string(prov.reference)}, "source": {_string(prov.source)}}}, '
+            f'"subject": {_canonical(self.subject)}}}'
+        )
 
     def statement(self) -> tuple:
         return (self.subject, self.kind, self.detail)
@@ -99,7 +116,8 @@ class Fact:
         type, so that a hand-edited line cannot build an unhashable fact, and
         on a subject with a modulus below 2, which is no group's.  A list's
         items are tested by the set of their types: json.loads makes no
-        subclass."""
+        subclass.  The strings other facts share (kind, source, reference,
+        premise ids) are interned, so a loaded store holds one copy of each."""
         prov = data["provenance"]
         subject, kind = data["subject"], data["kind"]
         source, reference, premises = prov["source"], prov["reference"], prov.get("premises", [])
@@ -111,8 +129,9 @@ class Fact:
         )
         # a subject is a group's moduli; rules divide by n-1
         _require(min(subject, default=2) >= 2, f"subject {subject} has a modulus below 2")
-        return cls(tuple(subject), kind, _detail(data["detail"]),
-                   Provenance(source, reference, tuple(premises)))
+        intern = sys.intern
+        return cls(tuple(subject), intern(kind), _detail(data["detail"]),
+                   Provenance(intern(source), intern(reference), tuple(map(intern, premises))))
 
 
 def _detail(items) -> tuple:
@@ -241,8 +260,7 @@ class FactStore:
 
     def save(self, path) -> None:
         write_atomic(path, "".join(
-            _canonical({"id": fid, **self.facts[fid].payload()}) + "\n"
-            for fid in sorted(self.facts)
+            self.facts[fid].text(fid) + "\n" for fid in sorted(self.facts)
         ))
 
     @classmethod
@@ -275,12 +293,14 @@ def record_fact(path, fact: Fact) -> None:
     """Load the store saved at path (an empty one if there is none), add fact
     and save it, all under an exclusive flock on path + ".lock", so that a
     concurrent writer's fact is not dropped; FactConflictError if fact
-    contradicts a fact on file."""
+    contradicts a fact on file.  A fact already on file leaves the file as it
+    is."""
     with open(f"{path}.lock", "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         store = FactStore.load(path) if os.path.exists(path) else FactStore()
-        store.add(fact)
-        store.save(path)
+        if fact.fact_id not in store.facts:
+            store.add(fact)
+            store.save(path)
 
 
 def write_atomic(path, text: str) -> None:
@@ -644,10 +664,10 @@ def _ratio(eta_value: int, n: int) -> int | None:
     return (eta_value - 1) // (n - 1)
 
 
-def _rule_r1(store: FactStore) -> list[Fact]:
+def _rule_r1(store: FactStore, scope: set) -> list[Fact]:
     """eta = c(n-1)+1, c <= n, Property C  =>  eta-1 in C0."""
     out = []
-    for subject in store.subjects():
+    for subject in sorted(scope):
         u = _uniform(subject)
         if u is None:
             continue
@@ -665,8 +685,9 @@ def _rule_r1(store: FactStore) -> list[Fact]:
     return out
 
 
-def _uniform_products(store: FactStore):
-    """Pairs of cubes C_m^r, C_n^r on file whose product C_mn^r is on file too.
+def _uniform_products(store: FactStore, scope: set | None = None):
+    """Pairs of cubes C_m^r, C_n^r on file whose product C_mn^r is on file too,
+    and in scope if a scope is given.
 
     Yields (s1, m, eta1, s2, n, eta2, target, eta_t) in subject order, s1 then
     s2, for the pairs where eta of both factors is on file; each eta is
@@ -690,16 +711,16 @@ def _uniform_products(store: FactStore):
             if m * n > rank[-1][1]:
                 break
             target = by_key.get((m * n, r))
-            if eta2 is not None and target is not None:
+            if eta2 is not None and target is not None and (scope is None or target[0] in scope):
                 yield (s1, m, eta1, s2, n, eta2, *target)
 
 
-def _transfer_rules(store: FactStore, rule_id: str) -> list[Fact]:
+def _transfer_rules(store: FactStore, scope: set, rule_id: str) -> list[Fact]:
     """Shared body of R2 (ratio form) and R9 (subgroup equality form).  R9 is
     the general form: R2's ratios c give c(m-1)n + c(n-1) + 1 = c(mn-1) + 1,
     R9's equality, and since R2 runs first, R9 adds only where ratios differ."""
     out = []
-    for _, n1, eta1, s2, n2, eta2, target, eta_t in _uniform_products(store):
+    for _, n1, eta1, s2, n2, eta2, target, eta_t in _uniform_products(store, scope):
         if eta_t is None:
             continue
         if rule_id == "R2":
@@ -731,18 +752,18 @@ def _transfer_rules(store: FactStore, rule_id: str) -> list[Fact]:
     return out
 
 
-def _rule_r2(store: FactStore) -> list[Fact]:
-    return _transfer_rules(store, "R2")
+def _rule_r2(store: FactStore, scope: set) -> list[Fact]:
+    return _transfer_rules(store, scope, "R2")
 
 
-def _rule_r9(store: FactStore) -> list[Fact]:
-    return _transfer_rules(store, "R9")
+def _rule_r9(store: FactStore, scope: set) -> list[Fact]:
+    return _transfer_rules(store, scope, "R9")
 
 
-def _rule_r3(store: FactStore) -> list[Fact]:
+def _rule_r3(store: FactStore, scope: set) -> list[Fact]:
     """C0 of C_n^r lies in a short window below eta."""
     out = []
-    for subject in store.subjects():
+    for subject in sorted(scope):
         u = _uniform(subject)
         if u is None:
             continue
@@ -764,10 +785,10 @@ def _rule_r3(store: FactStore) -> list[Fact]:
     return out
 
 
-def _rule_r4(store: FactStore) -> list[Fact]:
+def _rule_r4(store: FactStore, scope: set) -> list[Fact]:
     """[D+1, min(2 exp + 1, eta - 1)] lies inside C0."""
     out = []
-    for subject in store.subjects():
+    for subject in sorted(scope):
         d = _invariant_fact(store, subject, "D")
         eta = _invariant_fact(store, subject, "eta")
         if d is None or eta is None:
@@ -780,10 +801,10 @@ def _rule_r4(store: FactStore) -> list[Fact]:
     return out
 
 
-def _rule_r5(store: FactStore) -> list[Fact]:
+def _rule_r5(store: FactStore, scope: set) -> list[Fact]:
     """eta(C_mn^r) <= (eta(C_m^r) - 1) n + eta(C_n^r), for targets on file."""
     out = []
-    for _, _, eta1, _, n, eta2, target, eta_t in _uniform_products(store):
+    for _, _, eta1, _, n, eta2, target, eta_t in _uniform_products(store, scope):
         bound = (eta1[0] - 1) * n + eta2[0]
         if eta_t is not None and eta_t[0] <= bound:
             continue
@@ -794,10 +815,10 @@ def _rule_r5(store: FactStore) -> list[Fact]:
     return out
 
 
-def _rule_r6(store: FactStore) -> list[Fact]:
+def _rule_r6(store: FactStore, scope: set) -> list[Fact]:
     """Property C is multiplicative under the exact eta ratio equalities."""
     out = []
-    for s1, m, eta1, s2, n, eta2, target, eta_t in _uniform_products(store):
+    for s1, m, eta1, s2, n, eta2, target, eta_t in _uniform_products(store, scope):
         p1, p2 = _property_fact(store, s1, "C"), _property_fact(store, s2, "C")
         if None in (eta_t, p1, p2):
             continue
@@ -814,10 +835,10 @@ def _rule_r6(store: FactStore) -> list[Fact]:
     return out
 
 
-def _rule_r7(store: FactStore) -> list[Fact]:
+def _rule_r7(store: FactStore, scope: set) -> list[Fact]:
     """Matching eta ratios plus a meeting lower bound pin eta of the product."""
     out = []
-    for _, m, eta1, _, n, eta2, target, eta_t in _uniform_products(store):
+    for _, m, eta1, _, n, eta2, target, eta_t in _uniform_products(store, scope):
         c = _ratio(eta1[0], m)
         if c is None or _ratio(eta2[0], n) != c or eta_t is not None:
             continue
@@ -869,14 +890,14 @@ def _smooth_splits(k: int):
                 yield m, n
 
 
-def _rule_r8(store: FactStore) -> list[Fact]:
+def _rule_r8(store: FactStore, scope: set) -> list[Fact]:
     """EGZ value for C_k^3 under the smooth-part threshold and D0 premises.
 
     Emits s(C_k^3) = 9k - 8 together with the induced eta upper bound
     s - exp + 1 (the eta/s inequality is encoded here as rule arithmetic).
     """
     out = []
-    for subject in store.subjects():
+    for subject in sorted(scope):
         u = _uniform(subject)
         if u is None or u[1] != 3:
             continue
@@ -907,10 +928,10 @@ def _rule_r8(store: FactStore) -> list[Fact]:
     return out
 
 
-def _closure_bounds_meet(store: FactStore) -> list[Fact]:
+def _closure_bounds_meet(store: FactStore, scope: set) -> list[Fact]:
     """Lower bound == upper bound pins the invariant value (definitional)."""
     out = []
-    for subject in store.subjects():
+    for subject in sorted(scope):
         lowers: dict[str, tuple[int, str]] = {}
         uppers: dict[str, tuple[int, str]] = {}
         for f in store.of_kind(subject, KIND_LOWER):
@@ -934,10 +955,10 @@ def _closure_bounds_meet(store: FactStore) -> list[Fact]:
     return out
 
 
-def _closure_full_range(store: FactStore) -> list[Fact]:
+def _closure_full_range(store: FactStore, scope: set) -> list[Fact]:
     """c0_full_range plus known D and eta values yields the explicit set."""
     out = []
-    for subject in store.subjects():
+    for subject in sorted(scope):
         fr = None
         for f in store.for_subject(subject):
             if f.kind == KIND_FULL_RANGE:
@@ -959,7 +980,7 @@ def _closure_full_range(store: FactStore) -> list[Fact]:
 
 # in the order of their premises and ids: all rules of a round read the store
 # as the round found it
-_RULES: tuple[tuple[str, Callable[[FactStore], list[Fact]]], ...] = (
+_RULES: tuple[tuple[str, Callable[[FactStore, set], list[Fact]]], ...] = (
     ("R1", _rule_r1),
     ("R2", _rule_r2),
     ("R3", _rule_r3),
@@ -976,18 +997,46 @@ _RULES: tuple[tuple[str, Callable[[FactStore], list[Fact]]], ...] = (
 
 class Inference(list):
     """The facts infer added, in order, and how it ran: rounds, the rounds it
-    ran, the last of which added nothing; by_rule, the facts each rule of
-    _RULES added."""
+    ran, the last of which added nothing; scanned, the subjects the rules read
+    in each round; by_rule, the facts each rule of _RULES added."""
 
     def __init__(self) -> None:
         super().__init__()
         self.rounds = 0
+        self.scanned: list[int] = []
         self.by_rule = {rule: 0 for rule, _ in _RULES}
+
+
+def _scope(store: FactStore, touched: set) -> set:
+    """The subjects whose rules can add a fact in the round after one that
+    added facts about touched: those subjects, and each cube on file of a
+    touched cube's rank whose modulus is a multiple of that cube's.  A rule
+    reads the subject it writes about and, for R2/R5/R6/R7/R9, the factors
+    C_m^r and C_n^r of a product C_mn^r, or, for R8, the cubes (q, q, q) of
+    the odd primes q dividing k of C_k^3."""
+    moduli: dict[int, set[int]] = {}
+    for s in touched:
+        if _uniform(s):
+            moduli.setdefault(len(s), set()).add(s[0])
+    scope = set(touched)
+    for s in store.subjects():
+        if len(s) in moduli and _uniform(s) and any(s[0] % m == 0 for m in moduli[len(s)]):
+            scope.add(s)
+    return scope
 
 
 def infer(store: FactStore) -> Inference:
     """Apply _RULES round after round until a round adds nothing; returns the
     new facts, which are also added to the store.
+
+    The first round reads every subject on file; each later round reads only
+    the _scope of the subjects the round before added facts about.  That
+    gives the facts, in the order, that reading every subject in every round
+    gives (semi-naive evaluation): a rule writes only about the subject it
+    reads (the product, for the product rules), so a subject out of scope
+    added nothing the last round it was read, and no fact that it reads has
+    been added since, so it adds nothing now.  Within a rule, subjects keep
+    their order.
 
     The loop ends: every rule states something about a subject already on
     file, each statement is fixed by the subject and by invariant values on
@@ -996,10 +1045,12 @@ def infer(store: FactStore) -> Inference:
     statements.
     """
     added = Inference()
+    scope = set(store.subjects())
     while True:
         added.rounds += 1
+        added.scanned.append(len(scope))
         before = len(added)
-        for rule, facts in [(rule, apply(store)) for rule, apply in _RULES]:
+        for rule, facts in [(rule, apply(store, scope)) for rule, apply in _RULES]:
             start = len(added)
             for fact in facts:
                 if not store.has_statement(*fact.statement()):
@@ -1008,6 +1059,7 @@ def infer(store: FactStore) -> Inference:
             added.by_rule[rule] += len(added) - start
         if len(added) == before:
             return added
+        scope = _scope(store, {f.subject for f in added[before:]})
 
 
 # -- consistency report -----------------------------------------------------------

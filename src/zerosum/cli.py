@@ -360,6 +360,7 @@ def _cmd_facts(args) -> int:
     if args.infer:
         derived = catalog.infer(store)
         print(f"derived {len(derived)} new fact(s) in {derived.rounds} round(s), to a fixpoint")
+        print("  subjects read per round: " + ", ".join(map(str, derived.scanned)))
         print("  per rule: " + ", ".join(f"{r} {n}" for r, n in derived.by_rule.items()))
     report = catalog.consistency_check(store)
     shown = 0

@@ -370,6 +370,26 @@ def all_pairs_uniform_products(store):
                 yield (s1, m, eta1, s2, n, eta2, *target)
 
 
+def naive_infer(store):
+    """catalog.infer as it ran before its rounds were scoped: every rule of
+    catalog._RULES over every subject on file, in every round."""
+    added = catalog.Inference()
+    while True:
+        added.rounds += 1
+        before = len(added)
+        everything = set(store.subjects())
+        added.scanned.append(len(everything))
+        for rule, facts in [(rule, apply(store, everything)) for rule, apply in catalog._RULES]:
+            start = len(added)
+            for fact in facts:
+                if not store.has_statement(*fact.statement()):
+                    store.add(fact)
+                    added.append(fact)
+            added.by_rule[rule] += len(added) - start
+        if len(added) == before:
+            return added
+
+
 @pytest.fixture(scope="session")
 def c33():
     return make_group([3, 3, 3])

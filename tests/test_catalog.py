@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_pairs_uniform_products, property_holds, scan_conflicts
+from conftest import all_pairs_uniform_products, naive_infer, property_holds, scan_conflicts
 from zerosum import catalog
 from zerosum.catalog import (
     DEFAULT_SUBJECTS,
@@ -142,6 +142,30 @@ def test_rule_r8_and_transfer_chain():
     assert 8 * k2 - 9 in members  # eta - 2
 
 
+def _full_catalog_store() -> FactStore:
+    """The builtin facts and those of the 583 presentations, before infer."""
+    store = fresh_store()
+    for subject in _catalog_subjects():
+        store.add_all(instantiate_for(subject))
+    return store
+
+
+def _catalog_sub_store(keep) -> FactStore:
+    """The facts of the catalog presentations that keep accepts, alone."""
+    store = FactStore()
+    for subject in filter(keep, _catalog_subjects()):
+        store.add_all(instantiate_for(subject))
+    return store
+
+
+def _agrees_with_naive_infer(make) -> bool:
+    """infer on make()'s store gives the facts, in the order, the rounds and
+    the yield of each rule that naive_infer gives on a second copy."""
+    derived, oracle = infer(make()), naive_infer(make())
+    return ([f.fact_id for f in derived], derived.rounds, derived.by_rule) == (
+        [f.fact_id for f in oracle], oracle.rounds, oracle.by_rule)
+
+
 def test_rule_r8_threshold_is_sharp():
     # one power of 3 less fails the exact rational threshold
     k = 3**64 * 65
@@ -151,8 +175,11 @@ def test_rule_r8_threshold_is_sharp():
     assert store.invariant_value((k,) * 3, "s") is None
 
 
-@pytest.mark.parametrize("make", [fresh_store, _c15_cube_store, _r8_chain_store],
-                         ids=["builtin", "C15^3", "R8-chain"])
+@pytest.mark.parametrize("make", [
+    fresh_store, _c15_cube_store, _r8_chain_store, _full_catalog_store,
+    lambda: _catalog_sub_store(lambda s: len(set(s)) == 1),
+    lambda: _catalog_sub_store(lambda s: len(s) == 2),
+], ids=["builtin", "C15^3", "R8-chain", "catalog", "catalog-cubes", "catalog-rank-2"])
 def test_infer_runs_to_its_fixpoint_on_subjects_on_file(make):
     store = make()
     on_file = set(store.subjects())
@@ -160,6 +187,17 @@ def test_infer_runs_to_its_fixpoint_on_subjects_on_file(make):
     assert derived and {f.subject for f in derived} <= on_file
     again = infer(store)
     assert (len(again), again.rounds) == (0, 1)
+    # scoped rounds give what reading every subject in every round gives
+    assert _agrees_with_naive_infer(make)
+
+
+def test_naive_oracle_catches_a_scope_without_the_multiples(monkeypatch):
+    # rounds that read only the subjects the last round touched miss the
+    # products reached through a factor, and the oracle comparison fails
+    monkeypatch.setattr(catalog, "_scope", lambda store, touched: set(touched))
+    derived = infer(_full_catalog_store())
+    assert (len(derived), derived.rounds) == (2956, 4)
+    assert not _agrees_with_naive_infer(_full_catalog_store)
 
 
 def test_r2_condition_implies_r9_condition(full_store):
@@ -366,9 +404,7 @@ def _catalog_subjects() -> list:
 def full_store():
     """The builtin facts and those of the 583 presentations, inferred: the
     store of the benchmark's catalog op.  Returns (store, derived facts)."""
-    store = fresh_store()
-    for subject in _catalog_subjects():
-        store.add_all(instantiate_for(subject))
+    store = _full_catalog_store()
     return store, infer(store)
 
 
@@ -387,6 +423,9 @@ def test_infer_reaches_its_fixpoint_on_the_full_store(full_store):
     # the fourth round adds the last facts, two R1 members; the fifth adds none
     store, derived = full_store
     assert derived.rounds == 5
+    # 485 of the 583 presentations have facts on file; each later round reads
+    # the subjects the last one touched and the cubes their moduli divide
+    assert derived.scanned == [485, 351, 29, 15, 3]
     # every derived fact is about a subject that had a fact before infer ran
     assert all(any(g.provenance.source != "rule" for g in store.for_subject(f.subject))
                for f in derived)
@@ -432,13 +471,18 @@ _fact_payloads = st.fixed_dictionaries({
 
 
 @settings(max_examples=200, deadline=None)
-@given(_fact_payloads)
-def test_canonical_encoder_matches_json_dumps(payload):
+@given(payload=_fact_payloads)
+def test_canonical_encoder_matches_json_dumps(tmp_path_factory, payload):
     text = json.dumps(payload, sort_keys=True)
     assert catalog._canonical(payload) == text
     fact = Fact.from_payload(payload)
+    assert fact.text() == text
     assert fact.fact_id == _sha16(text.encode())
-    assert catalog._canonical({"id": fact.fact_id, **fact.payload()}) == _fact_line(payload)
+    # the line save writes for a store of this one fact
+    store, path = FactStore(), tmp_path_factory.getbasetemp() / "one-fact.jsonl"
+    store.add(fact)
+    store.save(path)
+    assert path.read_text(encoding="utf-8") == _fact_line(payload) + "\n"
 
 
 def test_fact_ids_and_bytes_are_the_same_without_the_c_encoder(tmp_path, monkeypatch):
@@ -448,12 +492,30 @@ def test_fact_ids_and_bytes_are_the_same_without_the_c_encoder(tmp_path, monkeyp
     fallback = catalog._make_canonical()
     assert fallback.__func__ is json.JSONEncoder.encode
     monkeypatch.setattr(catalog, "_canonical", fallback)
+    monkeypatch.setattr(catalog, "_string", json.encoder.py_encode_basestring_ascii)
     again = fresh_store()
     infer(again)
     assert list(again.facts) == list(store.facts)
     path = tmp_path / "facts.jsonl"
     again.save(path)
     assert _sha16(path.read_bytes()) == "3101479ac65569dd"
+
+
+def test_load_interns_the_strings_facts_share(tmp_path):
+    store = fresh_store()
+    infer(store)
+    path = tmp_path / "facts.jsonl"
+    store.save(path)
+    loaded = {(f.subject, f.provenance.reference): f
+              for f in FactStore.load(path) if f.provenance.source == "rule"}
+    # two R3 windows share their kind, source and reference
+    a, b = loaded[(3, 3, 3), "R3"], loaded[(5, 5, 5), "R3"]
+    assert a.kind is b.kind
+    assert a.provenance.source is b.provenance.source
+    assert a.provenance.reference is b.provenance.reference
+    # R1's member of C8^3 and its R3 window share the premise eta(C8^3) = 50
+    r1, r3 = loaded[(8, 8, 8), "R1"].provenance, loaded[(8, 8, 8), "R3"].provenance
+    assert r1.premises[0] is r3.premises[0]
 
 
 def test_uniform_products_match_the_all_pairs_oracle(full_store):
@@ -674,6 +736,18 @@ def test_concurrent_writers_keep_every_fact(tmp_path):
         w.join(timeout=120)
     assert [(w.is_alive(), w.exitcode) for w in workers] == [(False, 0)] * 4
     assert set(FactStore.load(path).facts) == {f.fact_id for f in facts}
+
+
+def test_recording_a_fact_on_file_leaves_the_file_alone(tmp_path):
+    path = tmp_path / "facts.jsonl"
+    fact = Fact((3, 3, 3), KIND_LOWER, ("eta", 16), Provenance("search", "x"))
+    record_fact(path, fact)
+    before = (path.stat().st_ino, path.read_bytes())
+    record_fact(path, fact)
+    assert (path.stat().st_ino, path.read_bytes()) == before
+    with pytest.raises(FactConflictError):
+        record_fact(path, Fact((3, 3, 3), KIND_UPPER, ("eta", 15), Provenance("search", "y")))
+    assert (path.stat().st_ino, path.read_bytes()) == before
 
 
 def test_default_subjects_consistent():

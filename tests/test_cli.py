@@ -614,7 +614,9 @@ def test_a_cached_claim_against_a_cited_fact_is_an_error(capsys):
 def test_facts_infer_reports_rounds_fixpoint_and_rule_yields(capsys):
     assert main(["facts", "--infer"]) == 0
     out = capsys.readouterr().out
-    assert "derived 12 new fact(s) in 2 round(s), to a fixpoint" in out
+    # the 17 builtin subjects, then the 10 the first round touched
+    assert "derived 12 new fact(s) in 2 round(s), to a fixpoint\n  subjects read per round: 17, 10\n" in out
     assert "per rule: R1 1, R2 0, R3 6, R4 2," in out and "range-close 3" in out
     assert main(["facts", "--infer", "--group", "C15^3"]) == 0
-    assert "in 4 round(s), to a fixpoint" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "in 4 round(s), to a fixpoint\n  subjects read per round: 18, 11, 1, 1\n" in out
