@@ -10,7 +10,6 @@ round, until a round adds nothing, and hard-errors on any contradiction.
 
 from __future__ import annotations
 
-import fcntl
 import hashlib
 import json
 import math
@@ -185,8 +184,9 @@ for (_kind, _other), _rule in _CONFLICTS.items():
 
 
 class FactStore:
-    """Fact collection with consistency checking on insert.  One process at a
-    time may update a saved store: use record_fact, which holds a lock."""
+    """Fact collection with consistency checking on insert.  The CLI saves
+    none: a run builds its store from the builtin facts and the facts of the
+    cached search certificates."""
 
     def __init__(self) -> None:
         self.facts: dict[str, Fact] = {}
@@ -287,20 +287,6 @@ class FactStore:
                     )
                 store.add(fact)
         return store
-
-
-def record_fact(path, fact: Fact) -> None:
-    """Load the store saved at path (an empty one if there is none), add fact
-    and save it, all under an exclusive flock on path + ".lock", so that a
-    concurrent writer's fact is not dropped; FactConflictError if fact
-    contradicts a fact on file.  A fact already on file leaves the file as it
-    is."""
-    with open(f"{path}.lock", "a") as lock:
-        fcntl.flock(lock, fcntl.LOCK_EX)
-        store = FactStore.load(path) if os.path.exists(path) else FactStore()
-        if fact.fact_id not in store.facts:
-            store.add(fact)
-            store.save(path)
 
 
 def write_atomic(path, text: str) -> None:

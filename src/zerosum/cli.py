@@ -7,6 +7,7 @@ Exit codes: 0 = proved/ok, 1 = refuted (witness emitted) or failed check,
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import json
 import os
@@ -38,54 +39,65 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cache_dir() -> Path:
-    env = os.environ.get("ZEROSUM_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "zerosum"
+    return Path(os.environ.get("ZEROSUM_CACHE_DIR") or Path.home() / ".cache" / "zerosum")
 
 
 def _cache_key(verb: str, group_spec: str, cfg: SearchConfig, extra: str = "") -> str:
-    blob = "|".join(
-        [
-            TOOL_VERSION,
-            verb,
-            group_spec,
-            str(cfg.node_budget),
-            str(cfg.time_budget),
-            cfg.symmetry_level,
-            extra,
-        ]
-    )
+    blob = "|".join([TOOL_VERSION, verb, group_spec, str(cfg.node_budget),
+                     str(cfg.time_budget), cfg.symmetry_level, extra])
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _cache_read(key: str, kind: str, group_spec: str) -> Certificate | None:
-    """The cached invariant certificate, or None (a miss) if there is none or
-    it does not hold: another claim than the one asked for, or a bad witness."""
-    path = cache_dir() / f"{key}.json"
-    if not path.exists():
-        return None
+def _cache_load(path: Path, group_spec: str | None = None) -> Certificate | None:
+    """The invariant certificate cached at path, or None if it does not load,
+    a claim field has the wrong type, the claim is about another group (than
+    its own, or than group_spec if one is given), or its witness does not hold
+    (checked when the extremal length is positive)."""
     try:
         cert = Certificate.from_json(path.read_text(encoding="utf-8"))
         claim = cert.claim
-        ok = (claim["type"], claim["invariant"], claim["group"]) == (
-            "invariant", kind, group_spec
-        ) and (claim["extremal_length"] <= 0 or search.witness_valid(cert))
-    except (ValueError, KeyError, TypeError):
+        types = [type(claim[key]) for key in ("invariant", "group", "value", "extremal_length")]
+        ok = (claim["type"] == "invariant" and types == [str, str, int, int]
+              and claim["group"] == cert.group_spec == parse_group_spec(claim["group"]).spec()
+              and group_spec in (None, claim["group"])
+              and (claim["extremal_length"] <= 0 or search.witness_valid(cert)))
+    except (OSError, ValueError, KeyError, TypeError):
         return None
     return cert if ok else None
 
 
+def _cache_read(key: str, kind: str, group_spec: str) -> Certificate | None:
+    """The cached certificate of invariant kind of the group, or None (a miss)."""
+    cert = _cache_load(cache_dir() / f"{key}.json", group_spec)
+    return cert if cert is not None and cert.claim["invariant"] == kind else None
+
+
+def _cached_facts(group_spec: str | None = None) -> list[catalog.Fact]:
+    """The facts of the cache entries _cache_load accepts (about the group, if
+    one is given), in fact-id order.  An entry is named <16 hex digits>.json,
+    as _cache_write names it: a certificate written there with --json is none."""
+    paths = cache_dir().glob("[0-9a-f]" * 16 + ".json")
+    certs = [cert for cert in (_cache_load(p, group_spec) for p in paths) if cert is not None]
+    facts = [fact for fact in map(catalog.fact_from_certificate, certs) if fact is not None]
+    return sorted(facts, key=lambda fact: fact.fact_id)
+
+
 def _cache_write(key: str, cert: Certificate) -> None:
-    """Record the certificate's fact, then cache the certificate: a fact that
-    contradicts the store raises FactConflictError before anything is cached,
-    so a later run cannot read the certificate back as a hit."""
+    """Cache the certificate as <key>.json, unless its fact contradicts a
+    cited fact or a cache entry's fact about its group: FactConflictError,
+    and nothing is written.  The check and the write hold an exclusive flock
+    on cache.lock in the cache directory, so that of two runs whose facts
+    contradict each other only the first is cached."""
     d = cache_dir()
     d.mkdir(parents=True, exist_ok=True)
-    fact = catalog.fact_from_certificate(cert)
-    if fact is not None:
-        catalog.record_fact(d / "facts.jsonl", fact)
-    catalog.write_atomic(d / f"{key}.json", cert.to_json())
+    with open(d / "cache.lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        fact = catalog.fact_from_certificate(cert)
+        if fact is not None:
+            catalog.FactStore().add_all(
+                [*catalog.instantiate_for(fact.subject), *_cached_facts(cert.group_spec), fact]
+            )
+        catalog.write_atomic(d / f"{key}.json", cert.to_json())
 
 
 def _config_from_args(args) -> SearchConfig:
@@ -126,7 +138,8 @@ def _cmd_invariant(args) -> int:
     if cert is None:
         _, cert = search.invariant_value(group, args.kind, cfg)
     # a claim that contradicts a cited catalog fact raises FactConflictError
-    # here, cached or not, before anything is written
+    # here, cached or not, before anything is written (_cache_write checks it
+    # against the cache entries too)
     fact = catalog.fact_from_certificate(cert)
     if fact is not None:
         catalog.FactStore().add_all([*catalog.instantiate_for(fact.subject), fact])
@@ -350,13 +363,12 @@ def _cmd_certify(args) -> int:
 def _cmd_facts(args) -> int:
     store = catalog.FactStore()
     store.add_all(catalog.builtin_facts())
+    subject = None
     if args.group:
-        group = parse_group_spec(args.group)
-        store.add_all(catalog.instantiate_for(group.moduli))
-    path = cache_dir() / "facts.jsonl"
-    if path.exists() and not args.no_cache:
-        for fact in catalog.FactStore.load(path):
-            store.add(fact)
+        subject = parse_group_spec(args.group).moduli
+        store.add_all(catalog.instantiate_for(subject))
+    if not args.no_cache:
+        store.add_all(_cached_facts())
     if args.infer:
         derived = catalog.infer(store)
         print(f"derived {len(derived)} new fact(s) in {derived.rounds} round(s), to a fixpoint")
@@ -366,11 +378,12 @@ def _cmd_facts(args) -> int:
     shown = 0
     for fid in sorted(store.facts):
         fact = store.facts[fid]
-        if args.provenance and fact.provenance.source != args.provenance:
+        if (args.provenance and fact.provenance.source != args.provenance
+                or subject not in (None, fact.subject)):
             continue
-        subject = "C" + "xC".join(map(str, fact.subject)) if fact.subject else "?"
+        name = "C" + "xC".join(map(str, fact.subject)) if fact.subject else "?"
         print(
-            f"{fid}  {subject:>14}  {fact.kind:<18} {str(fact.detail):<24} "
+            f"{fid}  {name:>14}  {fact.kind:<18} {str(fact.detail):<24} "
             f"{fact.provenance.source}:{fact.provenance.reference}"
         )
         shown += 1

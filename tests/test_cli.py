@@ -1,5 +1,5 @@
 import errno
-import hashlib
+import fcntl
 import json
 import os
 import subprocess
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from zerosum import catalog, cli, constructions, search
+from zerosum import cli, constructions, search
 from zerosum.cli import cache_dir, main
 from zerosum.constructions import build_family
 from zerosum.group import parse_group_spec
@@ -377,37 +377,6 @@ def test_facts_pick_up_search_results(capsys):
     assert "search:" in out
 
 
-def test_facts_report_an_edited_fact_store(capsys):
-    # a rule-derived C0 determination edited to "cited": its stored id no
-    # longer matches, so reading facts.jsonl fails instead of upgrading it
-    store = catalog.FactStore()
-    store.add_all(catalog.builtin_facts())
-    catalog.infer(store)
-    fact = next(f for f in store if f.kind == catalog.KIND_EQUALS)
-    data = {"id": fact.fact_id, **fact.payload()}
-    data["provenance"].update(source="cited", premises=[])
-    cache_dir().mkdir(parents=True)
-    (cache_dir() / "facts.jsonl").write_text(json.dumps(data, sort_keys=True) + "\n")
-    assert main(["facts"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "line 1:" in err
-
-
-def test_facts_report_a_fact_store_line_with_an_object(capsys):
-    # the id is computed for the edited payload, so only the type check fails
-    payload = {
-        "subject": [3, 3], "kind": catalog.KIND_INVARIANT, "detail": ["D", {"value": 5}],
-        "provenance": {"source": "cited", "reference": "Olson", "premises": []},
-    }
-    text = json.dumps(payload, sort_keys=True)
-    fid = hashlib.sha256(text.encode()).hexdigest()[:16]
-    cache_dir().mkdir(parents=True)
-    (cache_dir() / "facts.jsonl").write_text(json.dumps({"id": fid, **payload}) + "\n")
-    assert main(["facts"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "line 1: malformed fact" in err
-
-
 def test_a_cached_certificate_nested_too_deeply_is_a_miss(tmp_path, capsys):
     # a claim nested 5,000 deep, past what json.loads decodes: a cache read
     # recomputes it, and certify reports it as an error
@@ -427,16 +396,34 @@ def test_a_cached_certificate_nested_too_deeply_is_a_miss(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("argv", [["facts"], ["invariant", "C3^3", "eta"]],
+def _edit_entry(path, edit) -> None:
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+
+
+def _cache_a_low_eta(spec: str) -> Path:
+    """A cache entry, under a key no run uses, that claims eta(spec) proved one
+    below its value, with a valid witness: an extremal one less a term."""
+    _, cert = search.invariant_value(parse_group_spec(spec), "eta", SearchConfig())
+    cert.claim.update(extremal_length=cert.claim["extremal_length"] - 1,
+                      value=cert.claim["value"] - 1)
+    cert.witness = Sequence.from_terms(cert.witness.group, list(cert.witness.terms())[1:])
+    cache_dir().mkdir(parents=True, exist_ok=True)
+    path = cache_dir() / "0123456789abcdef.json"
+    path.write_text(cert.to_json())
+    return path
+
+
+@pytest.mark.parametrize("argv", [["facts"], ["invariant", "C6", "eta"]],
                          ids=["facts", "record-after-search"])
 def test_a_contradicting_fact_on_file_is_a_usage_error(argv, capsys):
-    # a well-formed line under its own id: eta(C3^3) = 16 contradicts both the
-    # cited value and the search's 17
-    fact = catalog.Fact((3, 3, 3), catalog.KIND_INVARIANT, ("eta", 16),
-                        catalog.Provenance("search", "x"))
-    cache_dir().mkdir(parents=True)
-    (cache_dir() / "facts.jsonl").write_text(
-        json.dumps({"id": fact.fact_id, **fact.payload()}, sort_keys=True) + "\n")
+    # the catalog cites no eta of C6, so the cached eta(C6) = 5 is the only
+    # premise: it contradicts the search's 6, and for facts, the entry that
+    # search cached before
+    if argv == ["facts"]:
+        assert main(["invariant", "C6", "eta"]) == 0
+    _cache_a_low_eta("C6")
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: fact") and "distinct invariant values" in err
@@ -445,28 +432,101 @@ def test_a_contradicting_fact_on_file_is_a_usage_error(argv, capsys):
 def test_a_contradicting_fact_on_file_is_never_cached(capsys):
     # the fact is checked before the certificate is cached, so a second run
     # finds no cache entry to print as "(cached)" and fails the same way
-    fact = catalog.Fact((3, 3, 3), catalog.KIND_INVARIANT, ("eta", 16),
-                        catalog.Provenance("search", "x"))
-    cache_dir().mkdir(parents=True)
-    (cache_dir() / "facts.jsonl").write_text(
-        json.dumps({"id": fact.fact_id, **fact.payload()}, sort_keys=True) + "\n")
-    assert main(["invariant", "C3^3", "eta"]) == 3
-    assert main(["invariant", "C3^3", "eta"]) == 3
+    path = _cache_a_low_eta("C6")
+    assert main(["invariant", "C6", "eta"]) == 3
+    assert main(["invariant", "C6", "eta"]) == 3
     assert "(cached)" not in capsys.readouterr().out
-    assert list(cache_dir().glob("*.json")) == []
+    assert list(cache_dir().glob("*.json")) == [path]
 
 
-def test_facts_infer_reports_a_subject_with_modulus_one(capsys):
-    # eta(C1^3) = 1 and Property C would reach a rule dividing by n-1 = 0
-    cited = catalog.Provenance("cited", "x")
-    lines = [catalog.Fact((1, 1, 1), catalog.KIND_INVARIANT, ("eta", 1), cited),
-             catalog.Fact((1, 1, 1), catalog.KIND_PROPERTY, ("C", True), cited)]
+def _bad_witness(path) -> None:
+    # same length, but e1^3 is a short zero-sum
+    bad = Sequence.from_items(parse_group_spec("C3^2"), [(1, 3), (3, 3)])
+    _edit_entry(path, lambda data: data.update(witness=write_sequence(bad)))
+
+
+@pytest.mark.parametrize("spoil", [
+    _bad_witness,
+    lambda path: path.unlink(),
+    lambda path: _edit_entry(path, lambda data: data["claim"].update(value=[7])),
+], ids=["bad-witness", "deleted", "value-not-an-int"])
+def test_a_cache_entry_that_does_not_hold_gives_no_fact(spoil, capsys):
+    assert main(["invariant", "C3^2", "eta"]) == 0
+    [path] = cache_dir().glob("*.json")
+    spoil(path)
+    capsys.readouterr()
+    assert main(["facts", "--provenance", "search"]) == 0
+    assert capsys.readouterr().out == "0 fact(s); consistency: ok\n"
+
+
+def test_a_json_certificate_in_the_cache_directory_is_no_entry(capsys):
+    # an entry is named <16 hex digits>.json, as _cache_write names it
     cache_dir().mkdir(parents=True)
-    (cache_dir() / "facts.jsonl").write_text("".join(
-        json.dumps({"id": f.fact_id, **f.payload()}, sort_keys=True) + "\n" for f in lines))
-    assert main(["facts", "--infer"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "line 1:" in err and "modulus below 2" in err
+    path = cache_dir() / "eta.json"
+    assert main(["invariant", "C3^2", "eta", "--no-cache", "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["facts", "--provenance", "search"]) == 0
+    assert capsys.readouterr().out == "0 fact(s); consistency: ok\n"
+    path.rename(cache_dir() / "0123456789abcdef.json")
+    assert main(["facts", "--provenance", "search"]) == 0
+    assert capsys.readouterr().out.endswith("\n1 fact(s); consistency: ok\n")
+
+
+def test_a_write_against_a_cached_fact_leaves_the_cache_unchanged(capsys):
+    # a budgeted search's lower bound eta(C6) >= 6 against the cached
+    # eta(C6) = 5: exit 3, and no file in the cache directory changes
+    assert main(["invariant", "C6", "D"]) == 0
+    _cache_a_low_eta("C6")
+    before = {p.name: p.read_bytes() for p in cache_dir().iterdir()}
+    capsys.readouterr()
+    assert main(["invariant", "C6", "eta", "--budget-nodes", "1"]) == 3
+    assert "value below lower bound" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in cache_dir().iterdir()} == before
+
+
+def test_a_write_waits_for_the_cache_lock_and_reads_what_was_cached_meanwhile():
+    # while cache.lock is held, a run's write waits; an entry cached in the
+    # meantime that contradicts its fact is read once the lock is free
+    cache_dir().mkdir(parents=True)
+    with open(cache_dir() / "cache.lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        proc = subprocess.Popen([sys.executable, "-m", "zerosum.cli", "invariant", "C6", "eta"],
+                                env=_src_env(), stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, text=True)
+        with pytest.raises(subprocess.TimeoutExpired):
+            proc.wait(timeout=2)
+        path = _cache_a_low_eta("C6")
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 3 and "distinct invariant values" in err
+    assert list(cache_dir().glob("*.json")) == [path]
+
+
+def test_facts_group_prints_only_that_groups_facts(capsys):
+    assert main(["invariant", "C3^2", "eta"]) == 0
+    capsys.readouterr()
+    assert main(["facts", "--group", "C5^2"]) == 0
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert summary == "7 fact(s); consistency: ok"
+    assert {line.split()[1] for line in lines} == {"C5xC5"}
+    # inference still reads the whole store: rules add one fact about C5^2
+    assert main(["facts", "--group", "C5^2", "--infer"]) == 0
+    assert capsys.readouterr().out.endswith("\n8 fact(s); consistency: ok\n")
+    assert main(["facts", "--group", "C3^2", "--provenance", "search"]) == 0
+    [line, summary] = capsys.readouterr().out.splitlines()
+    assert line.split()[1:3] == ["C3xC3", "invariant_value"] and summary.startswith("1 fact(s)")
+
+
+def test_two_invariant_runs_at_once_both_keep_their_facts(capsys):
+    # two processes on different groups, started together, each cache their
+    # certificate, and facts lists the search facts of both
+    procs = [subprocess.Popen([sys.executable, "-m", "zerosum.cli", "invariant", spec, "D"],
+                              env=_src_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+             for spec in ("C3^2", "C2^4")]
+    assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+    assert main(["facts", "--provenance", "search"]) == 0
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert sorted(line.split()[1] for line in lines) == ["C2xC2xC2xC2", "C3xC3"]
+    assert summary == "2 fact(s); consistency: ok"
 
 
 def test_repro_fast_tables(capsys):

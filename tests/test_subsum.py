@@ -30,6 +30,7 @@ from zerosum.subsum import (
     find_short_zero_sum,
     find_zero_sum_exact_length,
     repeated_steps,
+    witnesses,
 )
 
 
@@ -302,3 +303,38 @@ def test_cap_errors():
         bounded_sums(Sequence.from_items(g, [(1, 1)]), 0)
     with pytest.raises(ValueError):
         find_zero_sum_exact_length(Sequence.from_items(g, [(1, 1)]), 5)
+
+
+# Searched witnesses that 17 and 18 are not in C0(C4^3), as (coords, copies):
+# the seven nonzero 0/1 vectors three times each, with a few terms swapped
+_C4_CUBE_C0_MISSES = {
+    17: [((0, 0, 1), 3), ((0, 1, 0), 3), ((0, 1, 1), 3), ((1, 0, 0), 3), ((1, 0, 1), 3),
+         ((1, 1, 0), 1), ((1, 1, 3), 1)],
+    18: [((0, 0, 1), 3), ((0, 1, 0), 3), ((0, 1, 1), 3), ((1, 0, 0), 3), ((1, 0, 1), 3),
+         ((1, 3, 0), 1), ((2, 2, 2), 1), ((3, 1, 1), 1)],
+}
+
+
+def _zero_sum_lengths_by_sets(terms, n: int, cap: int) -> list[int]:
+    """The lengths c <= cap at which some c of the terms sum to zero mod n,
+    from the set of sums of each length; nothing here comes from zerosum."""
+    zero = (0,) * len(terms[0])
+    sums = [{zero}] + [set() for _ in range(cap)]
+    for term in terms:
+        for c in range(cap, 0, -1):
+            sums[c] |= {tuple((a + b) % n for a, b in zip(s, term)) for s in sums[c - 1]}
+    return [c for c in range(1, cap + 1) if zero in sums[c]]
+
+
+@pytest.mark.parametrize("t", sorted(_C4_CUBE_C0_MISSES))
+def test_pinned_witnesses_refute_c0_membership_of_c4_cubed(t):
+    terms = [coords for coords, copies in _C4_CUBE_C0_MISSES[t] for _ in range(copies)]
+    assert len(terms) == t
+    # by sets: the whole sequence sums to zero, and no 1 to 4 of its terms do
+    assert all(sum(column) % 4 == 0 for column in zip(*terms))
+    assert _zero_sum_lengths_by_sets(terms, 4, 4) == []
+    group = make_group((4, 4, 4))
+    seq = Sequence.from_terms(group, [group.element(coords) for coords in terms])
+    claim = {"type": "c0_membership", "group": "C4^3", "t": t, "member": False}
+    assert witnesses(claim, seq)
+    assert not witnesses({**claim, "t": t + 1}, seq)
