@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -324,9 +325,7 @@ def _is_prime(n: int) -> bool:
 
 def _prime_power(n: int) -> tuple[int, int] | None:
     for p in range(2, n + 1):
-        if n % p == 0:
-            if not _is_prime(p):
-                return None
+        if n % p == 0:  # the least divisor above 1 is prime
             e = 0
             while n % p == 0:
                 n //= p
@@ -424,138 +423,106 @@ def eval_formula(name: str, **params) -> int:
 # -- builtin facts ---------------------------------------------------------------
 
 
-def _cited(subject, kind, detail, reference) -> Fact:
-    return Fact(tuple(subject), kind, tuple(detail), Provenance("cited", reference))
+# What the conditions of _CLAIMS read of a presentation: r, its rank; n, the
+# modulus of a cube C_n^r (None if the moduli differ); pair, {n1, n2} of a
+# rank-2 presentation with n1 | n2; pg, {p, exponents} when every modulus is a
+# power of one prime p; t of a cube C_{2^t}^r; alpha of a cube C_{3*2^alpha}^r.
+# pair and pg hold the parameters of the formulas that read them.
+_Shape = namedtuple("_Shape", "r n pair pg t alpha")
 
 
-def _paper(subject, kind, detail, reference) -> Fact:
-    return Fact(tuple(subject), kind, tuple(detail), Provenance("paper", reference))
+def _two_power(m: int) -> int | None:
+    """t >= 1 with m = 2^t, else None."""
+    return m.bit_length() - 1 if m >= 2 and m & (m - 1) == 0 else None
 
 
-def _p_group_exponents(moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """(p, exponents) when every modulus is a power of one prime p."""
-    pe = _prime_power(moduli[0])
-    if pe is None:
-        return None
-    p = pe[0]
-    exps = []
-    for m in moduli:
-        q = _prime_power(m)
-        if q is None or q[0] != p:
-            return None
-        exps.append(q[1])
-    return p, tuple(exps)
+def _shape(subject: tuple[int, ...]) -> _Shape:
+    powers = {m: _prime_power(m) for m in set(subject)}  # one per distinct modulus
+    pg = None
+    if None not in powers.values() and len({p for p, _ in powers.values()}) == 1:
+        pg = {"p": powers[subject[0]][0], "exponents": tuple(powers[m][1] for m in subject)}
+    n1, n2 = min(subject), max(subject)
+    pair = {"n1": n1, "n2": n2} if len(subject) == 2 and n2 % n1 == 0 else None
+    if n1 != n2:
+        return _Shape(len(subject), None, pair, pg, None, None)
+    alpha = _two_power(n1 // 3) if n1 % 3 == 0 else None
+    return _Shape(len(subject), n1, pair, pg, _two_power(n1), alpha)
+
+
+def _cube(n: int, *ranks: int) -> Callable[[_Shape], bool]:
+    """The condition that the presentation is C_n^r for an r in ranks."""
+    return lambda g: g.n == n and g.r in ranks
+
+
+# The cited (literature) and paper (in-text) results, one row per reference:
+# (source, reference, kind, when(shape), details).  A presentation whose _Shape
+# meets when gets one fact of the kind per detail; details is the tuple of
+# them, or a function of the shape that gives it.  The rows are in the order
+# instantiate_for emits their facts: the rules read the first fact of a kind,
+# so the order picks premise ids.
+_CLAIMS = tuple(
+    (Provenance(source, reference), kind, when, details)
+    for source, reference, kind, when, details in (
+        ("cited", "p-group Davenport constant [Olson]", KIND_INVARIANT, lambda g: g.pg,
+         lambda g: [("D", eval_formula("davenport_p_group", **g.pg))]),
+        ("cited", "rank-2 Davenport constant [Olson]", KIND_INVARIANT, lambda g: g.pair,
+         lambda g: [("D", eval_formula("davenport_rank2", **g.pair))]),
+        ("cited", "rank-2 eta [GZ]", KIND_INVARIANT, lambda g: g.pair,
+         lambda g: [("eta", eval_formula("eta_rank2", **g.pair))]),
+        ("paper", "rank-2 determination", KIND_FULL_RANGE, lambda g: g.pair and g.pair["n1"] >= 3,
+         ((),)),
+        ("paper", "excluded family C2+C2m", KIND_EQUALS, lambda g: g.pair and g.pair["n1"] == 2,
+         ((),)),
+        # length window [2q, 3q-2] clipped to the C0 range [D+1, eta-1]
+        ("paper", "prime-power square theorem", KIND_MEMBER,
+         lambda g: g.r == 2 and g.pg and g.n and g.n >= 3,
+         lambda g: [(t,) for t in range(2 * g.n, 3 * g.n - 2)]),
+        ("cited", "eta for two-power cubes [Harborth]", KIND_INVARIANT, lambda g: g.t,
+         lambda g: [("eta", eval_formula("eta_two_power", t=g.t, r=g.r))]),
+        ("cited", "two-power cubes have C [GHST]", KIND_PROPERTY, lambda g: g.t and g.r >= 2,
+         (("C", True),)),
+        ("cited", "ternary cubes have C [Harborth]", KIND_PROPERTY, lambda g: g.n == 3 and g.r >= 2,
+         (("C", True),)),
+        ("cited", "eta(C3^3) [Kemnitz]", KIND_INVARIANT, _cube(3, 3), (("eta", 17),)),
+        ("cited", "eta(C3^4) [Kemnitz]", KIND_INVARIANT, _cube(3, 4), (("eta", 39),)),
+        ("cited", "eta = 2f - 1 [Harborth]", KIND_INVARIANT, _cube(3, 3, 4),
+         lambda g: [("f", {3: 9, 4: 20}[g.r])]),
+        ("cited", "maximum rank-4 ternary cap [affine caps]", KIND_INVARIANT, _cube(3, 4),
+         (("g", 21),)),
+        ("cited", "eta(C5^3) [GHST]", KIND_INVARIANT, _cube(5, 3), (("eta", 33),)),
+        ("cited", "C5^3 has C [GHST]", KIND_PROPERTY, _cube(5, 3), (("C", True),)),
+        ("cited", "eta for 3*2^a cubes [GHST]", KIND_INVARIANT, lambda g: g.alpha and g.r == 3,
+         lambda g: [("eta", eval_formula("eta_three_two_power", alpha=g.alpha))]),
+        ("cited", "rank-3 Davenport lower bound [Olson]", KIND_LOWER, lambda g: g.n and g.r == 3,
+         lambda g: [("D", eval_formula("davenport_lower_rank3", n=g.n))]),
+        ("cited", "rank-3 eta lower bound [Lower bounds]", KIND_LOWER,
+         lambda g: g.n and g.r == 3 and g.n % 2 == 1 and g.n >= 3,
+         lambda g: [("eta", eval_formula("eta_lower_rank3_odd", n=g.n))]),
+        ("cited", "rank-4 eta lower bound [affine caps]", KIND_LOWER,
+         lambda g: g.n and g.r == 4 and g.n % 2 == 1 and g.n >= 3,
+         lambda g: [("eta", eval_formula("eta_lower_rank4_odd", n=g.n))]),
+        ("paper", "binary cube determination", KIND_EQUALS, lambda g: g.n == 2 and g.r >= 3,
+         lambda g: [(2**g.r - 3, 2**g.r - 2)]),
+        ("paper", "length-14 zero-sum theorem", KIND_MEMBER, _cube(3, 3), ((14,),)),
+        ("paper", "near-extremal membership", KIND_MEMBER, _cube(3, 3, 4),
+         lambda g: {3: [(15,)], 4: [(37,), (38,)]}[g.r]),
+        ("paper", "rank-4 ternary determination", KIND_EQUALS, _cube(3, 4), ((37, 38),)),
+        ("cited", "small-prime cubes have D0 wrt 9 [FGZ]", KIND_PROPERTY,
+         lambda g: g.n in (5, 7, 11, 13) and g.r == 3, (("D0", True, 9),)),
+    )
+)
 
 
 def instantiate_for(moduli: Iterable[int]) -> list[Fact]:
-    """All builtin (cited or in-text) facts applicable to one presentation."""
+    """The builtin facts about one presentation: for each row of _CLAIMS, in
+    order, whose condition the presentation's _Shape meets, the row's facts."""
     subject = tuple(moduli)
-    out: list[Fact] = []
-    uniform = len(set(subject)) == 1
-    n = subject[0] if uniform else None
-    r = len(subject)
-
-    pg = _p_group_exponents(subject)
-    if pg is not None:
-        p, exps = pg
-        out.append(
-            _cited(subject, KIND_INVARIANT,
-                   ("D", eval_formula("davenport_p_group", p=p, exponents=exps)),
-                   "p-group Davenport constant [Olson]")
-        )
-
-    if r == 2:
-        n1, n2 = sorted(subject)
-        if n2 % n1 == 0:
-            out.append(
-                _cited(subject, KIND_INVARIANT,
-                       ("D", eval_formula("davenport_rank2", n1=n1, n2=n2)),
-                       "rank-2 Davenport constant [Olson]")
-            )
-            out.append(
-                _cited(subject, KIND_INVARIANT,
-                       ("eta", eval_formula("eta_rank2", n1=n1, n2=n2)),
-                       "rank-2 eta [GZ]")
-            )
-            if n1 >= 3:
-                out.append(_paper(subject, KIND_FULL_RANGE, (), "rank-2 determination"))
-            elif n1 == 2:
-                out.append(_paper(subject, KIND_EQUALS, (), "excluded family C2+C2m"))
-        pp = _prime_power(n1) if n1 == n2 else None
-        if pp is not None and n1 >= 3:
-            # length window [2q, 3q-2] clipped to the C0 range [D+1, eta-1]
-            for t in range(2 * n1, 3 * n1 - 2):
-                out.append(_paper(subject, KIND_MEMBER, (t,), "prime-power square theorem"))
-
-    if uniform and r >= 1:
-        pp = _prime_power(n)
-        if pp is not None and pp[0] == 2:
-            t = pp[1]
-            out.append(
-                _cited(subject, KIND_INVARIANT,
-                       ("eta", eval_formula("eta_two_power", t=t, r=r)),
-                       "eta for two-power cubes [Harborth]")
-            )
-            if r >= 2:
-                out.append(_cited(subject, KIND_PROPERTY, ("C", True), "two-power cubes have C [GHST]"))
-        if n == 3:
-            if r >= 2:
-                out.append(_cited(subject, KIND_PROPERTY, ("C", True), "ternary cubes have C [Harborth]"))
-            if r == 3:
-                out.append(_cited(subject, KIND_INVARIANT, ("eta", 17), "eta(C3^3) [Kemnitz]"))
-                out.append(_cited(subject, KIND_INVARIANT, ("f", 9), "eta = 2f - 1 [Harborth]"))
-            if r == 4:
-                out.append(_cited(subject, KIND_INVARIANT, ("eta", 39), "eta(C3^4) [Kemnitz]"))
-                out.append(_cited(subject, KIND_INVARIANT, ("f", 20), "eta = 2f - 1 [Harborth]"))
-                out.append(_cited(subject, KIND_INVARIANT, ("g", 21), "maximum rank-4 ternary cap [affine caps]"))
-        if n == 5 and r == 3:
-            out.append(_cited(subject, KIND_INVARIANT, ("eta", 33), "eta(C5^3) [GHST]"))
-            out.append(_cited(subject, KIND_PROPERTY, ("C", True), "C5^3 has C [GHST]"))
-        if r == 3 and n % 3 == 0:
-            alpha = 0
-            k = n // 3
-            while k % 2 == 0:
-                k //= 2
-                alpha += 1
-            if k == 1 and alpha >= 1:
-                out.append(
-                    _cited(subject, KIND_INVARIANT,
-                           ("eta", eval_formula("eta_three_two_power", alpha=alpha)),
-                           "eta for 3*2^a cubes [GHST]")
-                )
-        if r == 3:
-            out.append(
-                _cited(subject, KIND_LOWER, ("D", eval_formula("davenport_lower_rank3", n=n)),
-                       "rank-3 Davenport lower bound [Olson]")
-            )
-            if n % 2 == 1 and n >= 3:
-                out.append(
-                    _cited(subject, KIND_LOWER,
-                           ("eta", eval_formula("eta_lower_rank3_odd", n=n)),
-                           "rank-3 eta lower bound [Lower bounds]")
-                )
-        if r == 4 and n % 2 == 1 and n >= 3:
-            out.append(
-                _cited(subject, KIND_LOWER,
-                       ("eta", eval_formula("eta_lower_rank4_odd", n=n)),
-                       "rank-4 eta lower bound [affine caps]")
-            )
-        if n == 2 and r >= 3:
-            out.append(
-                _paper(subject, KIND_EQUALS, (2**r - 3, 2**r - 2), "binary cube determination")
-            )
-        if n == 3 and r == 3:
-            out.append(_paper(subject, KIND_MEMBER, (14,), "length-14 zero-sum theorem"))
-            out.append(_paper(subject, KIND_MEMBER, (15,), "near-extremal membership"))
-        if n == 3 and r == 4:
-            out.append(_paper(subject, KIND_MEMBER, (37,), "near-extremal membership"))
-            out.append(_paper(subject, KIND_MEMBER, (38,), "near-extremal membership"))
-            out.append(_paper(subject, KIND_EQUALS, (37, 38), "rank-4 ternary determination"))
-        if uniform and _is_prime(n) and n in (5, 7, 11, 13) and r == 3:
-            out.append(
-                _cited(subject, KIND_PROPERTY, ("D0", True, 9), "small-prime cubes have D0 wrt 9 [FGZ]")
-            )
-    return out
+    shape = _shape(subject)
+    return [
+        Fact(subject, kind, detail, provenance)
+        for provenance, kind, when, details in _CLAIMS if when(shape)
+        for detail in (details(shape) if callable(details) else details)
+    ]
 
 
 DEFAULT_SUBJECTS: tuple[tuple[int, ...], ...] = (

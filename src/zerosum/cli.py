@@ -444,14 +444,12 @@ def _repro_thm13(args, cfg) -> bool:
 
 
 def _predicted_c0(group: AbelianGroup) -> list[int] | None:
-    facts = catalog.instantiate_for(group.moduli)
-    values = {f.detail[0]: f.detail[1] for f in facts if f.kind == catalog.KIND_INVARIANT}
-    for f in facts:
-        if f.kind == catalog.KIND_EQUALS:
-            return sorted(f.detail)
-        if f.kind == catalog.KIND_FULL_RANGE and "D" in values and "eta" in values:
-            return list(range(values["D"] + 1, values["eta"]))
-    return None
+    """The catalog's C0 of the group, its first c0_equals fact after infer."""
+    store = catalog.FactStore()
+    store.add_all(catalog.instantiate_for(group.moduli))
+    catalog.infer(store)
+    determined = store.of_kind(group.moduli, catalog.KIND_EQUALS)
+    return sorted(determined[0].detail) if determined else None
 
 
 def _repro_lemma47(args, cfg) -> bool:

@@ -398,6 +398,17 @@ def _catalog_subjects() -> list:
     return sorted(subjects)
 
 
+@pytest.mark.parametrize("claim", catalog._CLAIMS, ids=lambda claim: claim[0].reference)
+def test_every_claim_fires_on_a_catalog_subject(claim):
+    provenance, kind, when, _ = claim
+    fired = [s for s in _catalog_subjects() if when(catalog._shape(s))]
+    assert fired
+    facts = [f for s in fired for f in instantiate_for(s) if f.provenance == provenance]
+    assert facts and {f.kind for f in facts} == {kind}
+    # one row per reference
+    assert [c[0].reference for c in catalog._CLAIMS].count(provenance.reference) == 1
+
+
 @pytest.fixture(scope="module")
 def full_store():
     """The builtin facts and those of the 583 presentations, inferred: the
@@ -437,6 +448,18 @@ def test_infer_reaches_its_fixpoint_on_the_full_store(full_store):
     store = fresh_store()
     derived = infer(store)
     assert (len(derived), derived.rounds) == (12, 2)
+
+
+def test_instantiate_for_emission_order_is_pinned():
+    # FactStore.of_kind and the rules read the first fact of a kind, so the
+    # order instantiate_for emits facts in picks premise ids; save sorts by
+    # id, so the store pins above do not see it
+    subjects = {(n,) * r for n in range(2, 130) for r in range(1, 7)}
+    subjects |= {(m, n) for n in range(2, 200) for m in range(2, n + 1) if n % m == 0}
+    subjects |= {(2, 4, 8), (3, 9, 9), (4, 8, 8), (2, 2, 4), (5, 25), (3, 5), (2, 3), (6, 4)}
+    ids = [f.fact_id for s in sorted(subjects) for f in instantiate_for(s)]
+    assert (len(subjects), len(ids)) == (1534, 8306)
+    assert _sha16("\n".join(ids).encode()) == "dcb86db5f0cbeeab"
 
 
 def test_builtin_store_bytes_are_pinned(tmp_path):

@@ -305,13 +305,18 @@ def test_cap_errors():
         find_zero_sum_exact_length(Sequence.from_items(g, [(1, 1)]), 5)
 
 
-# Searched witnesses that 17 and 18 are not in C0(C4^3), as (coords, copies):
-# the seven nonzero 0/1 vectors three times each, with a few terms swapped
+# Searched witnesses that 17 to 20 are not in C0(C4^3), as (coords, copies):
+# five of the nonzero 0/1 vectors three times each, and a few other terms
+# (19 and 20 from one compute_c0_at over [19, 20] at full_small: 21,089 nodes)
 _C4_CUBE_C0_MISSES = {
     17: [((0, 0, 1), 3), ((0, 1, 0), 3), ((0, 1, 1), 3), ((1, 0, 0), 3), ((1, 0, 1), 3),
          ((1, 1, 0), 1), ((1, 1, 3), 1)],
     18: [((0, 0, 1), 3), ((0, 1, 0), 3), ((0, 1, 1), 3), ((1, 0, 0), 3), ((1, 0, 1), 3),
          ((1, 3, 0), 1), ((2, 2, 2), 1), ((3, 1, 1), 1)],
+    19: [((0, 0, 1), 3), ((0, 1, 0), 3), ((0, 1, 1), 3), ((1, 0, 0), 3), ((1, 0, 1), 3),
+         ((1, 3, 0), 1), ((3, 1, 1), 3)],
+    20: [((0, 0, 1), 3), ((0, 1, 0), 3), ((0, 1, 1), 3), ((1, 0, 0), 3), ((1, 0, 1), 3),
+         ((1, 3, 0), 1), ((1, 3, 1), 3), ((2, 2, 0), 1)],
 }
 
 
