@@ -6,6 +6,9 @@ properties.  Provenance separates cited literature constants, results proved
 in-text, search certificates, and rule applications with premise chains.
 The inference engine applies rules R1..R9 and two closures, round after
 round, until a round adds nothing, and hard-errors on any contradiction.
+Each rule reads one subject or one product C_m^r, C_n^r -> C_mn^r and yields
+the statements it derives; infer lists the items once per round, keeps the
+statements not yet on file and makes them facts.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import tempfile
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable
 
 from .constructions import alpha_r
@@ -95,9 +99,6 @@ class Fact:
             f'"subject": {_canonical(self.subject)}}}'
         )
 
-    def statement(self) -> tuple:
-        return (self.subject, self.kind, self.detail)
-
     def payload(self) -> dict:
         return {
             "subject": list(self.subject),
@@ -140,10 +141,6 @@ def _detail(items) -> tuple:
     if not (isinstance(items, list) and {*map(type, items)} <= {str, int, bool, list}):
         raise ValueError(f"detail {items!r} is not a list of str, int, bool or lists")
     return tuple(_detail(x) if type(x) is list else x for x in items)
-
-
-def _exp_of(moduli: tuple[int, ...]) -> int:
-    return math.lcm(*moduli)
 
 
 # (kind, other kind, clash(detail, other detail), reason): two facts about one
@@ -305,7 +302,7 @@ def write_atomic(path, text: str) -> None:
 
 
 # -- closed-form evaluators --------------------------------------------------
-
+# Each _f_ function raises ValueError outside its hypothesis.
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
@@ -334,66 +331,46 @@ def _prime_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-_FORMULAS: dict[str, Callable[..., int]] = {}
-
-
-def _formula(name: str):
-    def deco(fn):
-        _FORMULAS[name] = fn
-        return fn
-
-    return deco
-
-
-@_formula("davenport_rank2")
 def _f_davenport_rank2(n1: int, n2: int) -> int:
     _require(n2 % n1 == 0 and n1 >= 2, "requires n1 | n2")
     return n1 + n2 - 1
 
 
-@_formula("davenport_p_group")
 def _f_davenport_p_group(p: int, exponents: tuple[int, ...]) -> int:
     _require(_is_prime(p), "p must be prime")
     return 1 + sum(p**e - 1 for e in exponents)
 
 
-@_formula("eta_rank2")
 def _f_eta_rank2(n1: int, n2: int) -> int:
     _require(n2 % n1 == 0 and n1 >= 2, "requires n1 | n2")
     return 2 * n1 + n2 - 2
 
 
-@_formula("eta_two_power")
 def _f_eta_two_power(t: int, r: int) -> int:
     _require(t >= 1 and r >= 1, "requires t, r >= 1")
     return (2**r - 1) * (2**t - 1) + 1
 
 
-@_formula("eta_three_two_power")
 def _f_eta_three_two_power(alpha: int) -> int:
     _require(alpha >= 1, "requires alpha >= 1")
     return 7 * (3 * 2**alpha - 1) + 1
 
 
-@_formula("eta_lower_rank3_odd")
 def _f_eta_lower_rank3_odd(n: int) -> int:
     _require(n >= 3 and n % 2 == 1, "requires odd n >= 3")
     return 8 * n - 7
 
 
-@_formula("eta_lower_rank4_odd")
 def _f_eta_lower_rank4_odd(n: int) -> int:
     _require(n >= 3 and n % 2 == 1, "requires odd n >= 3")
     return 19 * n - 18
 
 
-@_formula("davenport_lower_rank3")
 def _f_davenport_lower_rank3(n: int) -> int:
     _require(n >= 2, "requires n >= 2")
     return 3 * n - 2
 
 
-@_formula("excluded_interval_start")
 def _f_excluded_interval_start(n: int, r: int) -> int:
     _require(n >= 3 and r >= 3, "requires n, r >= 3")
     a = alpha_r(n, r)
@@ -401,23 +378,14 @@ def _f_excluded_interval_start(n: int, r: int) -> int:
     return (2**r - 1) * (n - 1) - a + 1
 
 
-@_formula("egz_threshold")
 def _f_egz_threshold(n: int) -> int:
     _require(n >= 65 and n % 2 == 1, "threshold requires odd n >= 65")
     return math.ceil(Fraction(2 * 5**7 * n**17, (n * n - 7) * n - 64))
 
 
-@_formula("egz_value")
 def _f_egz_value(m: int, n: int) -> int:
     _require(m >= 1 and n >= 1, "requires m, n >= 1")
     return 9 * m * n - 8
-
-
-def eval_formula(name: str, **params) -> int:
-    """Evaluate a named closed form; raises ValueError outside its hypothesis."""
-    if name not in _FORMULAS:
-        raise ValueError(f"unknown formula {name!r}; known: {sorted(_FORMULAS)}")
-    return _FORMULAS[name](**params)
 
 
 # -- builtin facts ---------------------------------------------------------------
@@ -464,11 +432,11 @@ _CLAIMS = tuple(
     (Provenance(source, reference), kind, when, details)
     for source, reference, kind, when, details in (
         ("cited", "p-group Davenport constant [Olson]", KIND_INVARIANT, lambda g: g.pg,
-         lambda g: [("D", eval_formula("davenport_p_group", **g.pg))]),
+         lambda g: [("D", _f_davenport_p_group(**g.pg))]),
         ("cited", "rank-2 Davenport constant [Olson]", KIND_INVARIANT, lambda g: g.pair,
-         lambda g: [("D", eval_formula("davenport_rank2", **g.pair))]),
+         lambda g: [("D", _f_davenport_rank2(**g.pair))]),
         ("cited", "rank-2 eta [GZ]", KIND_INVARIANT, lambda g: g.pair,
-         lambda g: [("eta", eval_formula("eta_rank2", **g.pair))]),
+         lambda g: [("eta", _f_eta_rank2(**g.pair))]),
         ("paper", "rank-2 determination", KIND_FULL_RANGE, lambda g: g.pair and g.pair["n1"] >= 3,
          ((),)),
         ("paper", "excluded family C2+C2m", KIND_EQUALS, lambda g: g.pair and g.pair["n1"] == 2,
@@ -478,7 +446,7 @@ _CLAIMS = tuple(
          lambda g: g.r == 2 and g.pg and g.n and g.n >= 3,
          lambda g: [(t,) for t in range(2 * g.n, 3 * g.n - 2)]),
         ("cited", "eta for two-power cubes [Harborth]", KIND_INVARIANT, lambda g: g.t,
-         lambda g: [("eta", eval_formula("eta_two_power", t=g.t, r=g.r))]),
+         lambda g: [("eta", _f_eta_two_power(t=g.t, r=g.r))]),
         ("cited", "two-power cubes have C [GHST]", KIND_PROPERTY, lambda g: g.t and g.r >= 2,
          (("C", True),)),
         ("cited", "ternary cubes have C [Harborth]", KIND_PROPERTY, lambda g: g.n == 3 and g.r >= 2,
@@ -492,15 +460,15 @@ _CLAIMS = tuple(
         ("cited", "eta(C5^3) [GHST]", KIND_INVARIANT, _cube(5, 3), (("eta", 33),)),
         ("cited", "C5^3 has C [GHST]", KIND_PROPERTY, _cube(5, 3), (("C", True),)),
         ("cited", "eta for 3*2^a cubes [GHST]", KIND_INVARIANT, lambda g: g.alpha and g.r == 3,
-         lambda g: [("eta", eval_formula("eta_three_two_power", alpha=g.alpha))]),
+         lambda g: [("eta", _f_eta_three_two_power(alpha=g.alpha))]),
         ("cited", "rank-3 Davenport lower bound [Olson]", KIND_LOWER, lambda g: g.n and g.r == 3,
-         lambda g: [("D", eval_formula("davenport_lower_rank3", n=g.n))]),
+         lambda g: [("D", _f_davenport_lower_rank3(n=g.n))]),
         ("cited", "rank-3 eta lower bound [Lower bounds]", KIND_LOWER,
          lambda g: g.n and g.r == 3 and g.n % 2 == 1 and g.n >= 3,
-         lambda g: [("eta", eval_formula("eta_lower_rank3_odd", n=g.n))]),
+         lambda g: [("eta", _f_eta_lower_rank3_odd(n=g.n))]),
         ("cited", "rank-4 eta lower bound [affine caps]", KIND_LOWER,
          lambda g: g.n and g.r == 4 and g.n % 2 == 1 and g.n >= 3,
-         lambda g: [("eta", eval_formula("eta_lower_rank4_odd", n=g.n))]),
+         lambda g: [("eta", _f_eta_lower_rank4_odd(n=g.n))]),
         ("paper", "binary cube determination", KIND_EQUALS, lambda g: g.n == 2 and g.r >= 3,
          lambda g: [(2**g.r - 3, 2**g.r - 2)]),
         ("paper", "length-14 zero-sum theorem", KIND_MEMBER, _cube(3, 3), ((14,),)),
@@ -580,12 +548,10 @@ def fact_from_certificate(cert) -> Fact | None:
 
 
 # -- inference rules -----------------------------------------------------------
-
-
-def _rule_fact(subject, kind, detail, rule_id, premises) -> Fact:
-    return Fact(
-        tuple(subject), kind, tuple(detail), Provenance("rule", rule_id, tuple(premises))
-    )
+#
+# Each rule reads one item, a subject or a product tuple of _uniform_products,
+# and yields the statements it derives from the store as (subject, kind,
+# detail, premises); infer keeps the new ones and makes them facts.
 
 
 def _uniform(subject) -> tuple[int, int] | None:
@@ -617,25 +583,17 @@ def _ratio(eta_value: int, n: int) -> int | None:
     return (eta_value - 1) // (n - 1)
 
 
-def _rule_r1(store: FactStore, scope: set) -> list[Fact]:
+def _rule_r1(store: FactStore, subject):
     """eta = c(n-1)+1, c <= n, Property C  =>  eta-1 in C0."""
-    out = []
-    for subject in sorted(scope):
-        u = _uniform(subject)
-        if u is None:
-            continue
-        n, _ = u
-        eta = _invariant_fact(store, subject, "eta")
-        prop = _property_fact(store, subject, "C")
-        if eta is None or prop is None:
-            continue
-        value, eta_id = eta
-        c = _ratio(value, n)
-        if c is not None and c <= n and not store.has_statement(subject, KIND_MEMBER, (value - 1,)):
-            out.append(
-                _rule_fact(subject, KIND_MEMBER, (value - 1,), "R1", (eta_id, prop[1]))
-            )
-    return out
+    if _uniform(subject) is None:
+        return
+    n = subject[0]
+    eta = _invariant_fact(store, subject, "eta")
+    prop = _property_fact(store, subject, "C")
+    if eta is not None and prop is not None:
+        c = _ratio(eta[0], n)
+        if c is not None and c <= n:
+            yield subject, KIND_MEMBER, (eta[0] - 1,), (eta[1], prop[1])
 
 
 def _uniform_products(store: FactStore, scope: set | None = None):
@@ -668,147 +626,92 @@ def _uniform_products(store: FactStore, scope: set | None = None):
                 yield (s1, m, eta1, s2, n, eta2, *target)
 
 
-def _transfer_rules(store: FactStore, scope: set, rule_id: str) -> list[Fact]:
-    """Shared body of R2 (ratio form) and R9 (subgroup equality form).  R9 is
-    the general form: R2's ratios c give c(m-1)n + c(n-1) + 1 = c(mn-1) + 1,
-    R9's equality, and since R2 runs first, R9 adds only where ratios differ."""
-    out = []
-    for _, n1, eta1, s2, n2, eta2, target, eta_t in _uniform_products(store, scope):
-        if eta_t is None:
-            continue
-        if rule_id == "R2":
-            c1 = _ratio(eta1[0], n1)
-            if c1 is None or c1 != _ratio(eta2[0], n2) or c1 != _ratio(eta_t[0], n1 * n2):
-                continue
-        else:  # R9: eta(G) = (eta(H)-1) exp(G/H) + eta(G/H)
-            if eta_t[0] != (eta1[0] - 1) * n2 + eta2[0]:
-                continue
-        prop = _property_fact(store, s2, "C")
-        if prop is None:
-            continue
-        members = store.member_ids(s2)
-        t2 = 1 if (eta2[0] - 1) in members else (2 if (eta2[0] - 2) in members else None)
-        if t2 is None or t2 > n2 - 1:
-            continue
-        t1 = t2
-        while (
-            t1 + 1 <= n2 - 1
-            and (eta2[0] - (t1 + 1)) in members
-        ):
-            t1 += 1
-        premises = [eta1[1], eta2[1], eta_t[1], prop[1]]
-        premises += [members[eta2[0] - k] for k in range(t2, t1 + 1)]
-        for k in range(t2, t1 + 1):
-            t = eta_t[0] - k
-            if not store.has_statement(target, KIND_MEMBER, (t,)):
-                out.append(_rule_fact(target, KIND_MEMBER, (t,), rule_id, premises))
-    return out
+def _transfer(store: FactStore, product, ratio_form: bool):
+    """R2 (ratio_form: the three eta ratios agree) and R9 (eta(G) =
+    (eta(H)-1) exp(G/H) + eta(G/H)): the members of C0 just below eta of the
+    factor C_n^r move below eta of the product.  R9 is the general form: R2's
+    ratios c give c(m-1)n + c(n-1) + 1 = c(mn-1) + 1, R9's equality, and since
+    R2 runs first, R9 adds only where ratios differ."""
+    _, n1, eta1, s2, n2, eta2, target, eta_t = product
+    if eta_t is None:
+        return
+    if ratio_form:
+        c1 = _ratio(eta1[0], n1)
+        if c1 is None or c1 != _ratio(eta2[0], n2) or c1 != _ratio(eta_t[0], n1 * n2):
+            return
+    elif eta_t[0] != (eta1[0] - 1) * n2 + eta2[0]:
+        return
+    prop = _property_fact(store, s2, "C")
+    if prop is None:
+        return
+    members = store.member_ids(s2)
+    t2 = 1 if (eta2[0] - 1) in members else (2 if (eta2[0] - 2) in members else None)
+    if t2 is None or t2 > n2 - 1:
+        return
+    t1 = t2
+    while t1 + 1 <= n2 - 1 and (eta2[0] - (t1 + 1)) in members:
+        t1 += 1
+    premises = (eta1[1], eta2[1], eta_t[1], prop[1],
+                *(members[eta2[0] - k] for k in range(t2, t1 + 1)))
+    for k in range(t2, t1 + 1):
+        yield target, KIND_MEMBER, (eta_t[0] - k,), premises
 
 
-def _rule_r2(store: FactStore, scope: set) -> list[Fact]:
-    return _transfer_rules(store, scope, "R2")
-
-
-def _rule_r9(store: FactStore, scope: set) -> list[Fact]:
-    return _transfer_rules(store, scope, "R9")
-
-
-def _rule_r3(store: FactStore, scope: set) -> list[Fact]:
+def _rule_r3(store: FactStore, subject):
     """C0 of C_n^r lies in a short window below eta."""
-    out = []
-    for subject in sorted(scope):
-        u = _uniform(subject)
-        if u is None:
-            continue
-        n, r = u
-        if n < 3 or r < 3:
-            continue
+    u = _uniform(subject)
+    if u is None or u[0] < 3 or u[1] < 3:
+        return
+    n, r = u
+    if alpha_r(n, r) == 0:
         span = (2**r - 1) * (n - 1)
-        if alpha_r(n, r) != 0:
-            eta = _invariant_fact(store, subject, "eta")
-            if eta is None:
-                continue
-            detail = (eval_formula("excluded_interval_start", n=n, r=r), eta[0] - 1)
-            if not store.has_statement(subject, KIND_SUBSET, detail):
-                out.append(_rule_fact(subject, KIND_SUBSET, detail, "R3", (eta[1],)))
-        else:
-            detail = (span - n, span - n + 1)
-            if not store.has_statement(subject, KIND_SUBSET_SET, detail):
-                out.append(_rule_fact(subject, KIND_SUBSET_SET, detail, "R3", ()))
-    return out
+        yield subject, KIND_SUBSET_SET, (span - n, span - n + 1), ()
+        return
+    eta = _invariant_fact(store, subject, "eta")
+    if eta is not None:
+        yield subject, KIND_SUBSET, (_f_excluded_interval_start(n=n, r=r), eta[0] - 1), (eta[1],)
 
 
-def _rule_r4(store: FactStore, scope: set) -> list[Fact]:
+def _rule_r4(store: FactStore, subject):
     """[D+1, min(2 exp + 1, eta - 1)] lies inside C0."""
-    out = []
-    for subject in sorted(scope):
-        d = _invariant_fact(store, subject, "D")
-        eta = _invariant_fact(store, subject, "eta")
-        if d is None or eta is None:
-            continue
-        exp = _exp_of(subject)
-        hi = min(2 * exp + 1, eta[0] - 1)
-        for t in range(d[0] + 1, hi + 1):
-            if not store.has_statement(subject, KIND_MEMBER, (t,)):
-                out.append(_rule_fact(subject, KIND_MEMBER, (t,), "R4", (d[1], eta[1])))
-    return out
+    d = _invariant_fact(store, subject, "D")
+    eta = _invariant_fact(store, subject, "eta")
+    if d is None or eta is None:
+        return
+    for t in range(d[0] + 1, min(2 * math.lcm(*subject) + 1, eta[0] - 1) + 1):
+        yield subject, KIND_MEMBER, (t,), (d[1], eta[1])
 
 
-def _rule_r5(store: FactStore, scope: set) -> list[Fact]:
+def _rule_r5(store: FactStore, product):
     """eta(C_mn^r) <= (eta(C_m^r) - 1) n + eta(C_n^r), for targets on file."""
-    out = []
-    for _, _, eta1, _, n, eta2, target, eta_t in _uniform_products(store, scope):
-        bound = (eta1[0] - 1) * n + eta2[0]
-        if eta_t is not None and eta_t[0] <= bound:
-            continue
-        if not store.has_statement(target, KIND_UPPER, ("eta", bound)):
-            out.append(
-                _rule_fact(target, KIND_UPPER, ("eta", bound), "R5", (eta1[1], eta2[1]))
-            )
-    return out
+    _, _, eta1, _, n, eta2, target, eta_t = product
+    bound = (eta1[0] - 1) * n + eta2[0]
+    if eta_t is None or eta_t[0] > bound:
+        yield target, KIND_UPPER, ("eta", bound), (eta1[1], eta2[1])
 
 
-def _rule_r6(store: FactStore, scope: set) -> list[Fact]:
+def _rule_r6(store: FactStore, product):
     """Property C is multiplicative under the exact eta ratio equalities."""
-    out = []
-    for s1, m, eta1, s2, n, eta2, target, eta_t in _uniform_products(store, scope):
-        p1, p2 = _property_fact(store, s1, "C"), _property_fact(store, s2, "C")
-        if None in (eta_t, p1, p2):
-            continue
-        c1 = _ratio(eta1[0], m)
-        if c1 is None or c1 != _ratio(eta2[0], n) or c1 != _ratio(eta_t[0], m * n):
-            continue
-        if not store.has_statement(target, KIND_PROPERTY, ("C", True)):
-            out.append(
-                _rule_fact(
-                    target, KIND_PROPERTY, ("C", True), "R6",
-                    (eta1[1], eta2[1], eta_t[1], p1[1], p2[1]),
-                )
-            )
-    return out
+    s1, m, eta1, s2, n, eta2, target, eta_t = product
+    p1, p2 = _property_fact(store, s1, "C"), _property_fact(store, s2, "C")
+    if None in (eta_t, p1, p2):
+        return
+    c1 = _ratio(eta1[0], m)
+    if c1 is not None and c1 == _ratio(eta2[0], n) == _ratio(eta_t[0], m * n):
+        yield target, KIND_PROPERTY, ("C", True), (eta1[1], eta2[1], eta_t[1], p1[1], p2[1])
 
 
-def _rule_r7(store: FactStore, scope: set) -> list[Fact]:
+def _rule_r7(store: FactStore, product):
     """Matching eta ratios plus a meeting lower bound pin eta of the product."""
-    out = []
-    for _, m, eta1, _, n, eta2, target, eta_t in _uniform_products(store, scope):
-        c = _ratio(eta1[0], m)
-        if c is None or _ratio(eta2[0], n) != c or eta_t is not None:
-            continue
-        value = c * (m * n - 1) + 1
-        lower_id = None
-        for f in store.of_kind(target, KIND_LOWER):
-            if f.detail[0] == "eta" and f.detail[1] >= value:
-                lower_id = f.fact_id
-                break
-        if lower_id is None:
-            continue
-        if not store.has_statement(target, KIND_INVARIANT, ("eta", value)):
-            out.append(
-                _rule_fact(target, KIND_INVARIANT, ("eta", value), "R7",
-                           (eta1[1], eta2[1], lower_id))
-            )
-    return out
+    _, m, eta1, _, n, eta2, target, eta_t = product
+    c = _ratio(eta1[0], m)
+    if c is None or _ratio(eta2[0], n) != c or eta_t is not None:
+        return
+    value = c * (m * n - 1) + 1
+    for f in store.of_kind(target, KIND_LOWER):
+        if f.detail[0] == "eta" and f.detail[1] >= value:
+            yield target, KIND_INVARIANT, ("eta", value), (eta1[1], eta2[1], f.fact_id)
+            return
 
 
 def _odd_prime_divisors(n: int) -> list[int]:
@@ -843,108 +746,74 @@ def _smooth_splits(k: int):
                 yield m, n
 
 
-def _rule_r8(store: FactStore, scope: set) -> list[Fact]:
+def _rule_r8(store: FactStore, subject):
     """EGZ value for C_k^3 under the smooth-part threshold and D0 premises.
 
-    Emits s(C_k^3) = 9k - 8 together with the induced eta upper bound
-    s - exp + 1 (the eta/s inequality is encoded here as rule arithmetic).
+    Yields s(C_k^3) = 9k - 8 together with the induced eta upper bound
+    s - exp + 1 (the eta/s inequality is encoded here as rule arithmetic),
+    for the first split that meets the premises.
     """
-    out = []
-    for subject in sorted(scope):
-        u = _uniform(subject)
-        if u is None or u[1] != 3:
+    u = _uniform(subject)
+    if u is None or u[1] != 3:
+        return
+    k = u[0]
+    for m, n in _smooth_splits(k):
+        props = [_property_fact(store, (q, q, q), "D0", c=9) for q in _odd_prime_divisors(n)]
+        if None in props or m < _f_egz_threshold(n=n):
             continue
-        k = u[0]
-        for m, n in _smooth_splits(k):
-            premises = []
-            for q in _odd_prime_divisors(n):
-                prop = _property_fact(store, (q, q, q), "D0", c=9)
-                if prop is None:
-                    premises = None
-                    break
-                premises.append(prop[1])
-            if premises is None or m < eval_formula("egz_threshold", n=n):
-                continue
-            s_value = eval_formula("egz_value", m=m, n=n)
-            if not store.has_statement(subject, KIND_INVARIANT, ("s", s_value)):
-                out.append(
-                    _rule_fact(subject, KIND_INVARIANT, ("s", s_value), "R8", premises)
-                )
-            eta_upper = s_value - k + 1
-            if _invariant_fact(store, subject, "eta") is None and not store.has_statement(
-                subject, KIND_UPPER, ("eta", eta_upper)
-            ):
-                out.append(
-                    _rule_fact(subject, KIND_UPPER, ("eta", eta_upper), "R8", premises)
-                )
-            break
-    return out
+        premises = tuple(prop[1] for prop in props)
+        s_value = _f_egz_value(m=m, n=n)
+        yield subject, KIND_INVARIANT, ("s", s_value), premises
+        if _invariant_fact(store, subject, "eta") is None:
+            yield subject, KIND_UPPER, ("eta", s_value - k + 1), premises
+        return
 
 
-def _closure_bounds_meet(store: FactStore, scope: set) -> list[Fact]:
+def _closure_bounds_meet(store: FactStore, subject):
     """Lower bound == upper bound pins the invariant value (definitional)."""
-    out = []
-    for subject in sorted(scope):
-        lowers: dict[str, tuple[int, str]] = {}
-        uppers: dict[str, tuple[int, str]] = {}
-        for f in store.of_kind(subject, KIND_LOWER):
-            name, v = f.detail
-            if name not in lowers or v > lowers[name][0]:
-                lowers[name] = (v, f.fact_id)
-        for f in store.of_kind(subject, KIND_UPPER):
-            name, v = f.detail
-            if name not in uppers or v < uppers[name][0]:
-                uppers[name] = (v, f.fact_id)
-        values = {f.detail[0] for f in store.of_kind(subject, KIND_INVARIANT)}
-        for name in lowers:
-            if name in uppers and name not in values:
-                lo, lo_id = lowers[name]
-                hi, hi_id = uppers[name]
-                if lo == hi:
-                    out.append(
-                        _rule_fact(subject, KIND_INVARIANT, (name, lo), "bounds-meet",
-                                   (lo_id, hi_id))
-                    )
-    return out
+    lowers: dict[str, tuple[int, str]] = {}
+    uppers: dict[str, tuple[int, str]] = {}
+    for f in store.of_kind(subject, KIND_LOWER):
+        name, v = f.detail
+        if name not in lowers or v > lowers[name][0]:
+            lowers[name] = (v, f.fact_id)
+    for f in store.of_kind(subject, KIND_UPPER):
+        name, v = f.detail
+        if name not in uppers or v < uppers[name][0]:
+            uppers[name] = (v, f.fact_id)
+    values = {f.detail[0] for f in store.of_kind(subject, KIND_INVARIANT)}
+    for name, (lo, lo_id) in lowers.items():
+        if name in uppers and name not in values and uppers[name][0] == lo:
+            yield subject, KIND_INVARIANT, (name, lo), (lo_id, uppers[name][1])
 
 
-def _closure_full_range(store: FactStore, scope: set) -> list[Fact]:
+def _closure_full_range(store: FactStore, subject):
     """c0_full_range plus known D and eta values yields the explicit set."""
-    out = []
-    for subject in sorted(scope):
-        fr = None
-        for f in store.for_subject(subject):
-            if f.kind == KIND_FULL_RANGE:
-                fr = f
-        if fr is None:
-            continue
-        d = _invariant_fact(store, subject, "D")
-        eta = _invariant_fact(store, subject, "eta")
-        if d is None or eta is None:
-            continue
-        detail = tuple(range(d[0] + 1, eta[0]))
-        if not store.has_statement(subject, KIND_EQUALS, detail):
-            out.append(
-                _rule_fact(subject, KIND_EQUALS, detail, "range-close",
-                           (fr.fact_id, d[1], eta[1]))
-            )
-    return out
+    fr = None
+    for f in store.for_subject(subject):
+        if f.kind == KIND_FULL_RANGE:
+            fr = f
+    d = _invariant_fact(store, subject, "D")
+    eta = _invariant_fact(store, subject, "eta")
+    if None not in (fr, d, eta):
+        yield subject, KIND_EQUALS, tuple(range(d[0] + 1, eta[0])), (fr.fact_id, d[1], eta[1])
 
 
-# in the order of their premises and ids: all rules of a round read the store
-# as the round found it
-_RULES: tuple[tuple[str, Callable[[FactStore, set], list[Fact]]], ...] = (
-    ("R1", _rule_r1),
-    ("R2", _rule_r2),
-    ("R3", _rule_r3),
-    ("R4", _rule_r4),
-    ("R5", _rule_r5),
-    ("R6", _rule_r6),
-    ("R7", _rule_r7),
-    ("R8", _rule_r8),
-    ("R9", _rule_r9),
-    ("bounds-meet", _closure_bounds_meet),
-    ("range-close", _closure_full_range),
+# (rule id, the item it reads: a "subject" or a "product" of _uniform_products,
+# rule), in the order of their premises and ids: all rules of a round read the
+# store as the round found it
+_RULES = (
+    ("R1", "subject", _rule_r1),
+    ("R2", "product", partial(_transfer, ratio_form=True)),
+    ("R3", "subject", _rule_r3),
+    ("R4", "subject", _rule_r4),
+    ("R5", "product", _rule_r5),
+    ("R6", "product", _rule_r6),
+    ("R7", "product", _rule_r7),
+    ("R8", "subject", _rule_r8),
+    ("R9", "product", partial(_transfer, ratio_form=False)),
+    ("bounds-meet", "subject", _closure_bounds_meet),
+    ("range-close", "subject", _closure_full_range),
 )
 
 
@@ -957,7 +826,7 @@ class Inference(list):
         super().__init__()
         self.rounds = 0
         self.scanned: list[int] = []
-        self.by_rule = {rule: 0 for rule, _ in _RULES}
+        self.by_rule = {rule: 0 for rule, _, _ in _RULES}
 
 
 def _scope(store: FactStore, touched: set) -> set:
@@ -982,13 +851,20 @@ def infer(store: FactStore) -> Inference:
     """Apply _RULES round after round until a round adds nothing; returns the
     new facts, which are also added to the store.
 
+    Each round lists the subjects in scope, in order, and the products of
+    _uniform_products whose target is in scope, once, and runs each rule
+    over the items of its kind.  It collects every rule's statements before
+    it adds any, so that every rule reads the store as the round found it,
+    then adds, rule by rule, each statement not yet on file as a fact whose
+    provenance is the rule and the premises it gave.
+
     The first round reads every subject on file; each later round reads only
     the _scope of the subjects the round before added facts about.  That
     gives the facts, in the order, that reading every subject in every round
     gives (semi-naive evaluation): a rule writes only about the subject it
     reads (the product, for the product rules), so a subject out of scope
     added nothing the last round it was read, and no fact that it reads has
-    been added since, so it adds nothing now.  Within a rule, subjects keep
+    been added since, so it adds nothing now.  Within a rule, items keep
     their order.
 
     The loop ends: every rule states something about a subject already on
@@ -1003,10 +879,17 @@ def infer(store: FactStore) -> Inference:
         added.rounds += 1
         added.scanned.append(len(scope))
         before = len(added)
-        for rule, facts in [(rule, apply(store, scope)) for rule, apply in _RULES]:
+        items = {"subject": sorted(scope), "product": list(_uniform_products(store, scope))}
+        # statements on file are dropped as they come, so that a round holds
+        # only new ones; the check below drops those an earlier one added
+        found = [(rule, [statement for item in items[reads] for statement in apply(store, item)
+                         if not store.has_statement(*statement[:3])])
+                 for rule, reads, apply in _RULES]
+        for rule, statements in found:
             start = len(added)
-            for fact in facts:
-                if not store.has_statement(*fact.statement()):
+            for subject, kind, detail, premises in statements:
+                if not store.has_statement(subject, kind, detail):
+                    fact = Fact(subject, kind, detail, Provenance("rule", rule, premises))
                     store.add(fact)
                     added.append(fact)
             added.by_rule[rule] += len(added) - start
@@ -1044,7 +927,7 @@ def consistency_check(store: FactStore) -> ConsistencyReport:
     report = ConsistencyReport()
     for subject in store.subjects():
         report.checked_subjects += 1
-        exp = _exp_of(subject)
+        exp = math.lcm(*subject)
         eta = store.invariant_value(subject, "eta")
         d = store.invariant_value(subject, "D")
         members = store.member_ids(subject)

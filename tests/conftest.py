@@ -372,17 +372,27 @@ def all_pairs_uniform_products(store):
 
 def naive_infer(store):
     """catalog.infer as it ran before its rounds were scoped: every rule of
-    catalog._RULES over every subject on file, in every round."""
+    catalog._RULES over every subject and every product on file, in every
+    round."""
     added = catalog.Inference()
     while True:
         added.rounds += 1
         before = len(added)
-        everything = set(store.subjects())
-        added.scanned.append(len(everything))
-        for rule, facts in [(rule, apply(store, everything)) for rule, apply in catalog._RULES]:
+        subjects = store.subjects()
+        added.scanned.append(len(subjects))
+        items = {"subject": subjects, "product": list(catalog._uniform_products(store))}
+        found = []
+        for rule, reads, apply in catalog._RULES:
+            statements = []
+            for item in items[reads]:
+                statements.extend(apply(store, item))
+            found.append((rule, statements))
+        for rule, statements in found:
             start = len(added)
-            for fact in facts:
-                if not store.has_statement(*fact.statement()):
+            for subject, kind, detail, premises in statements:
+                if not store.has_statement(subject, kind, detail):
+                    fact = catalog.Fact(subject, kind, detail,
+                                        catalog.Provenance("rule", rule, premises))
                     store.add(fact)
                     added.append(fact)
             added.by_rule[rule] += len(added) - start

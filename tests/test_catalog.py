@@ -25,10 +25,15 @@ from zerosum.catalog import (
     KIND_SUBSET_SET,
     KIND_UPPER,
     Provenance,
+    _f_davenport_p_group,
+    _f_davenport_rank2,
+    _f_egz_threshold,
+    _f_eta_rank2,
+    _f_eta_two_power,
+    _f_excluded_interval_start,
     _uniform_products,
     builtin_facts,
     consistency_check,
-    eval_formula,
     fact_from_certificate,
     infer,
     instantiate_for,
@@ -54,24 +59,22 @@ def test_builtin_values():
 
 
 def test_eval_formula_examples():
-    assert eval_formula("davenport_p_group", p=3, exponents=(1, 1, 1)) == 7
-    assert eval_formula("eta_two_power", t=2, r=3) == 22
-    assert eval_formula("excluded_interval_start", n=3, r=4) == 30
-    assert eval_formula("davenport_rank2", n1=3, n2=6) == 8
-    assert eval_formula("eta_rank2", n1=3, n2=6) == 10
+    assert _f_davenport_p_group(p=3, exponents=(1, 1, 1)) == 7
+    assert _f_eta_two_power(t=2, r=3) == 22
+    assert _f_excluded_interval_start(n=3, r=4) == 30
+    assert _f_davenport_rank2(n1=3, n2=6) == 8
+    assert _f_eta_rank2(n1=3, n2=6) == 10
 
 
 def test_eval_formula_hypotheses():
     with pytest.raises(ValueError):
-        eval_formula("davenport_rank2", n1=3, n2=7)
+        _f_davenport_rank2(n1=3, n2=7)
     with pytest.raises(ValueError):
-        eval_formula("davenport_p_group", p=6, exponents=(1,))
+        _f_davenport_p_group(p=6, exponents=(1,))
     with pytest.raises(ValueError):
-        eval_formula("excluded_interval_start", n=4, r=3)  # alpha = 0
+        _f_excluded_interval_start(n=4, r=3)  # alpha = 0
     with pytest.raises(ValueError):
-        eval_formula("egz_threshold", n=64)
-    with pytest.raises(ValueError):
-        eval_formula("no_such_formula")
+        _f_egz_threshold(n=64)
 
 
 def test_rule_r1_on_two_power_cube():
@@ -359,8 +362,9 @@ def test_conflict_check_matches_the_all_facts_scan(facts):
         assert any(str(other.payload()) in message and message.endswith(why)
                    for other, why in clashes)
     assert list(store) == kept
-    statements = {f.statement() for f in kept}
-    assert all(store.has_statement(*f.statement()) == (f.statement() in statements) for f in facts)
+    statements = {(f.subject, f.kind, f.detail) for f in kept}
+    assert all(store.has_statement(f.subject, f.kind, f.detail)
+               == ((f.subject, f.kind, f.detail) in statements) for f in facts)
     # readers of one kind still take the first match in the order added
     for name in ("D", "eta"):
         first = next((f.detail[1] for f in kept
@@ -448,6 +452,21 @@ def test_infer_reaches_its_fixpoint_on_the_full_store(full_store):
     store = fresh_store()
     derived = infer(store)
     assert (len(derived), derived.rounds) == (12, 2)
+
+
+def test_infer_lists_the_products_once_per_round(monkeypatch):
+    # the five product rules read one list of products per round, not one scan
+    # of the cubes on file each
+    calls = []
+
+    def counted(store, scope=None):
+        calls.append(len(scope))
+        return _uniform_products(store, scope)
+
+    monkeypatch.setattr(catalog, "_uniform_products", counted)
+    derived = infer(_full_catalog_store())
+    assert derived.rounds == 5
+    assert calls == derived.scanned == [485, 351, 29, 15, 3]
 
 
 def test_instantiate_for_emission_order_is_pinned():
