@@ -429,35 +429,39 @@ def _repro_thmB(args, cfg) -> bool:
 
 
 def _repro_thm13(args, cfg) -> bool:
+    """Sweep C0 of the group and add the sweep's facts to the catalog's store:
+    a member missing from or extra to a cataloged determination, or outside
+    R3's window, contradicts a fact on file and fails, as does a sweep that
+    runs out of budget."""
     spec = args.group or "C2^3"
     t0 = time.monotonic()
     group = parse_group_spec(spec)
-    predicted = _predicted_c0(group)
-    if predicted is None:
-        return _row(f"C0({spec})", False, "no cataloged determination to compare", t0)
-    known = _known_values(group)
-    members, _ = search.compute_c0(
-        group, cfg, d_value=known.get("D"), eta_value=known.get("eta")
-    )
-    ok = members == predicted
-    return _row(f"C0({spec})", ok, f"search {members} vs predicted {predicted}", t0)
-
-
-def _predicted_c0(group: AbelianGroup) -> list[int] | None:
-    """The catalog's C0 of the group, its first c0_equals fact after infer."""
     store = catalog.FactStore()
     store.add_all(catalog.instantiate_for(group.moduli))
     catalog.infer(store)
+    name = f"C0({spec})"
+    try:
+        members, certs = search.compute_c0(
+            group, cfg, d_value=store.invariant_value(group.moduli, "D"),
+            eta_value=store.invariant_value(group.moduli, "eta"),
+        )
+    except RuntimeError as exc:
+        return _row(name, False, str(exc), t0)
+    if any(cert.status == STATUS_EXHAUSTED for cert in certs.values()):
+        return _row(name, False, f"search {members} with budget_exhausted targets", t0)
+    try:
+        store.add_all(filter(None, map(catalog.fact_from_certificate, certs.values())))
+    except catalog.FactConflictError as exc:
+        return _row(name, False, str(exc), t0)
     determined = store.of_kind(group.moduli, catalog.KIND_EQUALS)
-    return sorted(determined[0].detail) if determined else None
+    cataloged = sorted(determined[0].detail) if determined else "no determination"
+    return _row(name, True, f"search {members}, catalog {cataloged}", t0)
 
 
 def _repro_lemma47(args, cfg) -> bool:
     t0 = time.monotonic()
     group = parse_group_spec("C3^3")
-    report = search.enumerate_short_free(
-        group, 16, cfg, checks=("sum_zero",), per_element=2
-    )
+    report = search.enumerate_short_free(group, 16, cfg, checks=("sum_zero",))
     ok = report.status == STATUS_PROVED and not report.violations["sum_zero"]
     return _row(
         "extremal sums vanish",

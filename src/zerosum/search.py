@@ -550,7 +550,9 @@ class _EnumGoal:
     __slots__ = ("length", "checks", "per_element", "count", "violations", "collect", "items",
                  "reads_sum")
 
-    def __init__(self, length: int, checks: tuple[str, ...], per_element: int, collect: bool) -> None:
+    def __init__(
+        self, length: int, checks: tuple[str, ...], per_element: int, collect: bool
+    ) -> None:
         if length < 1:
             raise ValueError(f"enumeration length must be >= 1, got {length}")
         for check in checks:

@@ -7,14 +7,16 @@ term is one `add_term` step, a single translation over every layer, which
 the search's layered states use too.  Terms are processed in deterministic
 order (sorted by element index, multiplicities expanded), and the bits each
 term adds first are recorded, so walking back through them rebuilds the same
-witness for the same input every time.  witnesses decides with these
-routines whether a sequence witnesses a claim, for the search's re-checks,
-certify, cache reads and the construction checks alike.
+witness for the same input every time.  Each of the three finders is one
+such table, capped at the longest length it asks about and read from its
+shortest up, so each returns a shortest witness.  witnesses decides with them
+whether a sequence witnesses a claim, for the search's re-checks, certify,
+cache reads and the construction checks alike.
 """
 
 from __future__ import annotations
 
-from .group import AbelianGroup, shift_bits, shift_steps
+from .group import shift_steps
 from .sequence import Sequence
 
 
@@ -78,49 +80,37 @@ class ReachTable:
         self.reach: tuple[int, ...] = tuple(reach >> c * order & layer for c in range(cap + 1))
 
     def witness(self, x_index: int, count: int) -> Sequence:
-        """Reconstruct one subsequence of exactly `count` terms summing to x."""
+        """Reconstruct one subsequence of exactly `count` terms summing to x:
+        at each count, from `count` down, the first term whose fresh bits hold
+        x, then x minus that term."""
         if not (0 < count <= self.cap and self.reach[count] >> x_index & 1):
             raise ValueError(f"state (count={count}, x={x_index}) is not reachable")
-        positions = []
-        x = x_index
+        group, terms, x, picked = self.group, self.terms, x_index, []
         for c in range(count, 0, -1):
-            pos, x = _step_back(self.group, self.terms, self.fresh[c], x)
-            positions.append(pos)
-        witness = Sequence.from_items(
-            self.group, ((self.terms[p], 1) for p in positions)
-        )
-        _validate_witness(witness, self.seq, x_index, count)
+            g = terms[next(p for p, new in self.fresh[c] if new >> x & 1)]
+            picked.append(g)
+            x = group.index_add(x, group.index_neg(g))
+        witness = Sequence.from_items(group, ((g, 1) for g in picked))
+        # independent of the walk back: re-check the three defining properties
+        if witness.length != count or witness.sum.index != x_index or not witness.divides(self.seq):
+            raise AssertionError(f"invalid witness for (count={count}, x={x_index})")
         return witness
 
 
-def _step_back(
-    group: AbelianGroup, terms: tuple[int, ...], fresh: list[tuple[int, int]], x: int
-) -> tuple[int, int]:
-    """The term position whose fresh bits hold x, and x minus that term."""
-    pos = next(p for p, new in fresh if new >> x & 1)
-    return pos, group.index_add(x, group.index_neg(terms[pos]))
-
-
-def _validate_witness(witness: Sequence, seq: Sequence, x_index: int, count: int) -> None:
-    # independent of the walk back: re-check the three defining properties
-    if witness.length != count:
-        raise AssertionError("witness length mismatch")
-    if witness.sum.index != x_index:
-        raise AssertionError("witness sum mismatch")
-    if not witness.divides(seq):
-        raise AssertionError("witness is not a subsequence")
-
-
-def find_short_zero_sum(seq: Sequence) -> Sequence | None:
-    """A zero-sum subsequence of length in [1, exp(G)], or None if short free."""
-    if seq.length == 0:
-        return None
-    cap = min(seq.group.exponent, seq.length)
-    table = ReachTable(seq, cap)
-    for c in range(1, cap + 1):
+def _least_zero_sum(seq: Sequence, lo: int, hi: int) -> Sequence | None:
+    """A shortest zero-sum subsequence of length in [lo, hi], or None: one
+    table capped at hi, read from layer lo up."""
+    table = ReachTable(seq, hi)
+    for c in range(lo, table.cap + 1):
         if table.reach[c] & 1:
             return table.witness(0, c)
     return None
+
+
+def find_short_zero_sum(seq: Sequence) -> Sequence | None:
+    """A shortest zero-sum subsequence of length in [1, exp(G)], or None if
+    seq is short free."""
+    return _least_zero_sum(seq, 1, seq.group.exponent)
 
 
 def find_zero_sum_exact_length(seq: Sequence, n: int) -> Sequence | None:
@@ -130,43 +120,14 @@ def find_zero_sum_exact_length(seq: Sequence, n: int) -> Sequence | None:
     """
     if not 1 <= n <= seq.length:
         raise ValueError(f"n must lie in [1, {seq.length}]")
-    table = ReachTable(seq, n)
-    if table.reach[n] & 1:
-        return table.witness(0, n)
-    return None
+    return _least_zero_sum(seq, n, n)
 
 
 def find_nonempty_zero_sum(seq: Sequence) -> Sequence | None:
-    """A nonempty zero-sum subsequence, or None if seq is zero-sum free."""
-    if seq.length == 0:
-        return None
-    group = seq.group
-    group.require_table_capacity()
-    terms = seq.term_indices()
-    reach, prev = 0, None  # sums of nonempty subsequences of the terms so far
-    fresh: list[tuple[int, int]] = []
-    for pos, g in enumerate(terms):
-        if g != prev:
-            steps, prev = shift_steps(group.moduli, g), g
-        # 0 is not reachable yet, so bit g of the new bits is the term alone
-        new = (shift_bits(reach, steps) | 1 << g) & ~reach
-        if new:
-            reach |= new
-            fresh.append((pos, new))
-        if reach & 1:
-            break
-    else:
-        return None
-    # the walk ends at the term that started the sum on its own (x - g = 0)
-    pos, x = _step_back(group, terms, fresh, 0)
-    positions = [pos]
-    while x:
-        pos, x = _step_back(group, terms, fresh, x)
-        positions.append(pos)
-    witness = Sequence.from_items(group, ((terms[p], 1) for p in positions))
-    if witness.sum.index != 0 or witness.length == 0 or not witness.divides(seq):
-        raise AssertionError("invalid zero-sum witness")
-    return witness
+    """A shortest nonempty zero-sum subsequence, or None if seq is zero-sum
+    free.  A minimal zero-sum subsequence has at most D(G) <= |G| terms, so
+    the layers up to min(|G|, |S|) decide it."""
+    return _least_zero_sum(seq, 1, seq.group.order)
 
 
 def witnesses(claim: dict, seq: Sequence) -> bool:

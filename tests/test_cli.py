@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import fcntl
 import json
@@ -532,9 +533,30 @@ def test_two_invariant_runs_at_once_both_keep_their_facts(capsys):
 def test_repro_fast_tables(capsys):
     assert main(["repro", "thmB", "--q", "3"]) == 0
     assert main(["repro", "thm13", "--group", "C2^3"]) == 0
+    # no c0_equals fact for C3^3: the sweep only has to agree with the
+    # catalog's other facts (R3's window, R4's members)
+    assert main(["repro", "thm13", "--group", "C3^3"]) == 0
     assert main(["repro", "prop410"]) == 0
     out = capsys.readouterr().out
-    assert out.count("pass") == 3
+    assert out.count("pass") == 4
+    assert "search [13, 14, 15], catalog no determination" in out
+
+
+def test_repro_thm13_fails_a_sweep_that_refutes_a_determined_member(capsys, monkeypatch):
+    # C0(C2^3) = {5, 6} is cataloged; 6, unlike 5, is no R4 member, so only
+    # the determination contradicts a sweep that refutes it
+    real = search.compute_c0
+
+    def refute_six(group, cfg, **known):
+        members, certs = real(group, cfg, **known)
+        certs[6] = dataclasses.replace(
+            certs[6], status=search.STATUS_REFUTED, claim={**certs[6].claim, "member": False}
+        )
+        return [t for t in members if t != 6], certs
+
+    monkeypatch.setattr(search, "compute_c0", refute_six)
+    assert main(["repro", "thm13", "--group", "C2^3"]) == 1
+    assert "non-member in determined C0" in capsys.readouterr().out
 
 
 def test_repro_search_tables(capsys):

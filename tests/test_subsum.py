@@ -108,6 +108,15 @@ def test_find_nonempty_zero_sum_examples():
     e1 = g2.basis(0)
     assert find_nonempty_zero_sum(Sequence.from_items(g2, [(e1.index, 2)])) is None
 
+    # over C2^2 the only zero-sum of (e1, e2, e1+e2) is all three terms,
+    # longer than exp(G) = 2: the table reaches past the short finder's cap
+    c22 = make_group([2, 2])
+    f1, f2 = c22.basis(0), c22.basis(1)
+    triangle = Sequence.from_terms(c22, [f1, f2, f1 + f2])
+    assert find_short_zero_sum(triangle) is None
+    w = find_nonempty_zero_sum(triangle)
+    assert w is not None and w.length == 3 and w == triangle
+
     for moduli in ([3, 3], [2, 4]):
         gg = make_group(moduli)
         extremal = Sequence.from_items(
@@ -183,10 +192,13 @@ def test_dp_matches_oracle_property(moduli, idxs, r):
     assert dp == naive_bounded_sums(seq, r)
     assert (find_short_zero_sum(seq) is None) == naive_is_short_free(seq)
     assert (find_nonempty_zero_sum(seq) is None) == naive_is_zero_sum_free(seq)
+    profile = naive_profile(seq)
+    w = find_nonempty_zero_sum(seq)
+    if w is not None:
+        # a shortest one, like the other two finders'
+        assert w.length == min(c for c, sums in profile.items() if 0 in sums)
     n = min(r, seq.length)
-    assert (find_zero_sum_exact_length(seq, n) is not None) == (
-        0 in naive_profile(seq).get(n, set())
-    )
+    assert (find_zero_sum_exact_length(seq, n) is not None) == (0 in profile.get(n, set()))
     assert has_zero_sum_with_length_in(seq, 1, n) == naive_has_zero_sum_in(seq, 1, n)
 
 
@@ -237,23 +249,28 @@ def test_reach_table_matches_loop_oracle(moduli, idxs, cap):
 
 
 def test_witnesses_match_pinned_digest():
-    # digest of the witnesses as computed by the set-and-row DP this kernel
-    # replaced: every witness must stay byte-identical
+    # the short and exact finders' witnesses keep the digest of the set-and-row
+    # DP this kernel replaced: every one must stay byte-identical.  The
+    # nonempty finder's, shortest zero-sums, have their own digest
     rng = random.Random(20261018)
-    texts = []
+    short_exact, nonempty = [], []
+
+    def text(w):
+        return "none\n" if w is None else write_sequence(w)
+
     for moduli in ([3, 3], [3, 3, 3], [2, 4], [2, 6], [3, 6], [4, 4], [2, 2, 2, 2], [7], [3, 3, 3, 3]):
         g = make_group(moduli)
         for _ in range(25):
             seq = _random_sequence(g, rng, max_len=14)
             k = rng.randrange(1, seq.length + 1)
-            for w in (
-                find_short_zero_sum(seq),
-                find_zero_sum_exact_length(seq, k),
-                find_nonempty_zero_sum(seq),
-            ):
-                texts.append("none\n" if w is None else write_sequence(w))
-    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
-    assert digest == "69594eb4f0f4a413c4987a2508d5b37f33bdf1c2dedf4d4c228cb67da0b727b4"
+            short_exact += [text(find_short_zero_sum(seq)), text(find_zero_sum_exact_length(seq, k))]
+            nonempty.append(text(find_nonempty_zero_sum(seq)))
+
+    def digest(texts):
+        return hashlib.sha256("".join(texts).encode()).hexdigest()
+
+    assert digest(short_exact) == "25fc6cc792147601f39e4257cb2f2d005a9d47455c12e213b9e528101fb3291c"
+    assert digest(nonempty) == "e66364cf7cf74477ae331e24810c9cccf0f6031e9ef5374028ce840874a0578c"
 
 
 def test_bounded_sums_monotone():
