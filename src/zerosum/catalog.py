@@ -86,7 +86,7 @@ class Fact:
         object.__setattr__(self, "fact_id", digest)
 
     def text(self, fid: str | None = None) -> str:
-        """_canonical(self.payload()), the text the id hashes, or with fid the
+        """The fact's canonical JSON, the text the id hashes, or with fid the
         line save writes, which also holds {"id": fid}.  It is assembled in
         sorted key order: _canonical encodes the three lists and _string the
         strings, so no payload dict is built."""
@@ -99,21 +99,9 @@ class Fact:
             f'"subject": {_canonical(self.subject)}}}'
         )
 
-    def payload(self) -> dict:
-        return {
-            "subject": list(self.subject),
-            "kind": self.kind,
-            "detail": list(self.detail),
-            "provenance": {
-                "source": self.provenance.source,
-                "reference": self.provenance.reference,
-                "premises": list(self.provenance.premises),
-            },
-        }
-
     @classmethod
     def from_payload(cls, data: dict) -> Fact:
-        """The fact whose payload() this is; ValueError on a field of another
+        """The fact whose text() data is; ValueError on a field of another
         type, so that a hand-edited line cannot build an unhashable fact, and
         on a subject with a modulus below 2, which is no group's.  A list's
         items are tested by the set of their types: json.loads makes no
@@ -251,7 +239,7 @@ class FactStore:
             for detail in others:
                 if clash(fact.detail, detail):
                     raise FactConflictError(
-                        f"fact {fact.payload()} contradicts {others[detail].payload()}: {why}"
+                        f"fact {fact.text()} contradicts {others[detail].text()}: {why}"
                     )
 
     # -- persistence ----------------------------------------------------------
@@ -309,26 +297,18 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _factor(n: int) -> dict[int, int]:
+    """n's prime factorization {p: e}, keys increasing; {} for n < 2."""
+    out: dict[int, int] = {}
     p = 2
     while p * p <= n:
-        if n % p == 0:
-            return False
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
         p += 1
-    return True
-
-
-def _prime_power(n: int) -> tuple[int, int] | None:
-    for p in range(2, n + 1):
-        if n % p == 0:  # the least divisor above 1 is prime
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            return (p, e) if n == 1 else None
-    return None
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def _f_davenport_rank2(n1: int, n2: int) -> int:
@@ -337,7 +317,7 @@ def _f_davenport_rank2(n1: int, n2: int) -> int:
 
 
 def _f_davenport_p_group(p: int, exponents: tuple[int, ...]) -> int:
-    _require(_is_prime(p), "p must be prime")
+    _require(_factor(p) == {p: 1}, "p must be prime")
     return 1 + sum(p**e - 1 for e in exponents)
 
 
@@ -399,22 +379,21 @@ def _f_egz_value(m: int, n: int) -> int:
 _Shape = namedtuple("_Shape", "r n pair pg t alpha")
 
 
-def _two_power(m: int) -> int | None:
-    """t >= 1 with m = 2^t, else None."""
-    return m.bit_length() - 1 if m >= 2 and m & (m - 1) == 0 else None
-
-
 def _shape(subject: tuple[int, ...]) -> _Shape:
-    powers = {m: _prime_power(m) for m in set(subject)}  # one per distinct modulus
+    factors = {m: _factor(m) for m in set(subject)}  # one per distinct modulus
+    primes = {p for f in factors.values() for p in f}
     pg = None
-    if None not in powers.values() and len({p for p, _ in powers.values()}) == 1:
-        pg = {"p": powers[subject[0]][0], "exponents": tuple(powers[m][1] for m in subject)}
+    if len(primes) == 1 and all(factors.values()):
+        (p,) = primes
+        pg = {"p": p, "exponents": tuple(factors[m][p] for m in subject)}
     n1, n2 = min(subject), max(subject)
     pair = {"n1": n1, "n2": n2} if len(subject) == 2 and n2 % n1 == 0 else None
     if n1 != n2:
         return _Shape(len(subject), None, pair, pg, None, None)
-    alpha = _two_power(n1 // 3) if n1 % 3 == 0 else None
-    return _Shape(len(subject), n1, pair, pg, _two_power(n1), alpha)
+    f = factors[n1]
+    t = f[2] if f.keys() == {2} else None
+    alpha = f[2] if f.keys() == {2, 3} and f[3] == 1 else None
+    return _Shape(len(subject), n1, pair, pg, t, alpha)
 
 
 def _cube(n: int, *ranks: int) -> Callable[[_Shape], bool]:
@@ -714,30 +693,11 @@ def _rule_r7(store: FactStore, product):
             return
 
 
-def _odd_prime_divisors(n: int) -> list[int]:
-    primes = []
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 2
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
 def _smooth_splits(k: int):
     """Splits k = m * n with m a {3,5}-smooth divisor and n >= 65 odd."""
-    a = b = 0
-    w = k
-    while w % 3 == 0:
-        w //= 3
-        a += 1
-    while w % 5 == 0:
-        w //= 5
-        b += 1
+    f = _factor(k)
+    a, b = f.get(3, 0), f.get(5, 0)
+    w = k // (3**a * 5**b)
     for i in range(min(a, 8) + 1):
         for j in range(min(b, 8) + 1):
             n = w * 3**i * 5**j
@@ -758,7 +718,7 @@ def _rule_r8(store: FactStore, subject):
         return
     k = u[0]
     for m, n in _smooth_splits(k):
-        props = [_property_fact(store, (q, q, q), "D0", c=9) for q in _odd_prime_divisors(n)]
+        props = [_property_fact(store, (q, q, q), "D0", c=9) for q in _factor(n)]
         if None in props or m < _f_egz_threshold(n=n):
             continue
         premises = tuple(prop[1] for prop in props)
@@ -789,14 +749,11 @@ def _closure_bounds_meet(store: FactStore, subject):
 
 def _closure_full_range(store: FactStore, subject):
     """c0_full_range plus known D and eta values yields the explicit set."""
-    fr = None
-    for f in store.for_subject(subject):
-        if f.kind == KIND_FULL_RANGE:
-            fr = f
+    fr = store.of_kind(subject, KIND_FULL_RANGE)
     d = _invariant_fact(store, subject, "D")
     eta = _invariant_fact(store, subject, "eta")
-    if None not in (fr, d, eta):
-        yield subject, KIND_EQUALS, tuple(range(d[0] + 1, eta[0])), (fr.fact_id, d[1], eta[1])
+    if fr and None not in (d, eta):
+        yield subject, KIND_EQUALS, tuple(range(d[0] + 1, eta[0])), (fr[0].fact_id, d[1], eta[1])
 
 
 # (rule id, the item it reads: a "subject" or a "product" of _uniform_products,

@@ -200,9 +200,6 @@ def _cmd_c0(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.kind != "short-free":
-        print(f"unsupported enumeration kind {args.kind!r}", file=sys.stderr)
-        return USAGE_ERROR
     group = parse_group_spec(args.group)
     cfg = _config_from_args(args)
     report = search.enumerate_short_free(group, args.len, cfg, collect=bool(args.dump))
@@ -232,8 +229,9 @@ def _check_property(
 def _cmd_check_property(args) -> int:
     group = parse_group_spec(args.group)
     cfg = _config_from_args(args)
-    if args.property == "D0" and args.c is None:
-        print("check-property D0 requires --c", file=sys.stderr)
+    if (args.property == "D0") != (args.c is not None):
+        need = "requires" if args.property == "D0" else "takes no"
+        print(f"check-property {args.property} {need} --c", file=sys.stderr)
         return USAGE_ERROR
     cert = _check_property(group, args.property, args.c, cfg)
     holds = cert.claim["holds"]
@@ -247,6 +245,17 @@ def _cmd_check_property(args) -> int:
     return status_exit_code(cert.status)
 
 
+def _given_flags(args, name: str, flags, keys) -> dict:
+    """{flag: value} of the flags given a value; ValueError naming each one
+    outside keys, the flags that the construction or table name reads."""
+    given = {key: getattr(args, key) for key in flags}
+    given = {key: value for key, value in given.items() if value is not None}
+    extra = [f"--{key}" for key in given if key not in keys]
+    if extra:
+        raise ValueError(f"unrecognized arguments for {name}: {' '.join(extra)}")
+    return given
+
+
 _CONSTRUCT_DEFAULTS = {"n": 3, "r": 3, "axis": None, "m": None}
 
 
@@ -254,11 +263,7 @@ def _construction_params(args) -> dict:
     """The construction's params from its flags; a flag it does not take, or
     a missing --axis or --m, is a ValueError.  --n and --r default to 3."""
     keys = constructions.CONSTRUCTIONS[args.name][0]
-    given = {key: getattr(args, key) for key in _CONSTRUCT_DEFAULTS}
-    given = {key: value for key, value in given.items() if value is not None}
-    extra = [f"--{key}" for key in given if key not in keys]
-    if extra:
-        raise ValueError(f"unrecognized arguments for {args.name}: {' '.join(extra)}")
+    given = _given_flags(args, args.name, _CONSTRUCT_DEFAULTS, keys)
     params = {key: given.get(key, _CONSTRUCT_DEFAULTS[key]) for key in keys}
     missing = [f"--{key}" for key, value in params.items() if value is None]
     if missing:
@@ -488,20 +493,21 @@ def _repro_propertyC(args, cfg) -> bool:
     return _row(f"property C ({spec})", cert.status == STATUS_PROVED, cert.status, t0)
 
 
+# table -> (run(args, cfg), the flags of --q and --group it reads)
 _REPRO_TABLES = {
-    "thmA": _repro_thmA,
-    "thmB": _repro_thmB,
-    "thm13": _repro_thm13,
-    "lemma47": _repro_lemma47,
-    "prop410": _repro_prop410,
-    "propertyC": _repro_propertyC,
+    "thmA": (_repro_thmA, ()),
+    "thmB": (_repro_thmB, ("q",)),
+    "thm13": (_repro_thm13, ("group",)),
+    "lemma47": (_repro_lemma47, ()),
+    "prop410": (_repro_prop410, ()),
+    "propertyC": (_repro_propertyC, ("group",)),
 }
 
 
 def _cmd_repro(args) -> int:
-    cfg = _config_from_args(args)
-    ok = _REPRO_TABLES[args.table](args, cfg)
-    return 0 if ok else 1
+    run, keys = _REPRO_TABLES[args.table]
+    _given_flags(args, args.table, ("q", "group"), keys)
+    return 0 if run(args, _config_from_args(args)) else 1
 
 
 # -- parser ------------------------------------------------------------------------
@@ -542,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate short-free sequences up to symmetry")
     p.add_argument("group")
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, choices=("short-free",))
     p.add_argument("--len", type=int, required=True)
     p.add_argument("--dump", metavar="PATH", help="write representatives to a file")
     _add_search(p)
@@ -578,6 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="run a named reproduction job")
     p.add_argument("table", choices=sorted(_REPRO_TABLES))
+    # each refused by a table that does not read it
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--group", default=None)
     _add_search(p)

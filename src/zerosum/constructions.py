@@ -143,20 +143,19 @@ _RANK4_TRIMS = {
 }
 
 
-def excluded_window_witnesses() -> list[tuple[int, Sequence]]:
+def excluded_window_witnesses() -> list[Sequence]:
     """Zero-sum short-free sequences over C3^4 of every length in [30, 36].
 
     Built by doubling the 20-term cap, dropping the two zero terms, and
-    trimming one of seven fixed blocks whose sizes run from 2 to 8.
+    trimming one of seven fixed blocks of 2 to 8 terms: lengths 36 down to 30.
     """
     cap = ternary_cap_rank4()
     group = cap.group
     base = cap.power(2).remove(Sequence.from_items(group, [(0, 2)]))
-    out = []
-    for i in sorted(_RANK4_TRIMS):
-        trim = Sequence.from_terms(group, [group.element(c) for c in _RANK4_TRIMS[i]])
-        out.append((base.length - i, base.remove(trim)))
-    return out
+    return [
+        base.remove(Sequence.from_terms(group, [group.element(c) for c in _RANK4_TRIMS[i]]))
+        for i in sorted(_RANK4_TRIMS)
+    ]
 
 
 # -- families -------------------------------------------------------------------
@@ -313,8 +312,8 @@ def _lift_members(n: int, r: int, group: AbelianGroup) -> Iterator[Sequence]:
 # name -> (members(n, r, group), window(n, r, span, alpha) or None, least n,
 # least r, needs alpha_r(n, r) != 0).  window gives the inclusive length window
 # the members fill, from span = (2^r - 1)(n - 1), the span's length, and alpha
-# = alpha_r(n, r); lift claims none.  length_swatch and known_witnesses try the
-# families in this order.
+# = alpha_r(n, r); lift claims none.  _candidates reads the families in this
+# order.
 _FAMILIES = {
     "zero-block": (_zero_block_members, lambda n, r, s, a: (n + 1, 2 * n - 1), 2, 2, False),
     "slide": (_slide_members, lambda n, r, s, a: (2 * n, 3 * n - 2), 3, 3, False),
@@ -414,7 +413,7 @@ CONSTRUCTIONS: dict[str, tuple[tuple[str, ...], Callable[..., list[Sequence]]]] 
     "span-merge": (("n", "r", "axis", "m"), lambda **params: [build_span_merged(**params)]),
     "cap3": ((), lambda: [ternary_cap_rank3()]),
     "cap4": ((), lambda: [ternary_cap_rank4()]),
-    "cap4-trims": ((), lambda: [w for _, w in excluded_window_witnesses()]),
+    "cap4-trims": ((), excluded_window_witnesses),
     **{
         name: (("n", "r"), lambda n, r, name=name: list(build_family(name, n, r).members()))
         for name in _FAMILIES
@@ -422,19 +421,28 @@ CONSTRUCTIONS: dict[str, tuple[tuple[str, ...], Callable[..., list[Sequence]]]] 
 }
 
 
-def length_swatch(n: int, r: int) -> dict[int, Sequence]:
-    """One zero-sum short-free sequence per realized length, from all applicable families."""
-    out: dict[int, Sequence] = {}
+def _candidates(n: int, r: int, t: int | None = None) -> Iterator[Sequence]:
+    """The members of each family that applies to C_n^r, in _FAMILIES order,
+    then the span when it sums to zero.  Given t, a family whose claimed
+    window misses t is skipped (lift claims none, so it is always read)."""
     for name in _FAMILIES:
         try:
             fam = build_family(name, n, r)
         except ValueError:
             continue
-        for member in fam.members():
-            out.setdefault(member.length, member)
+        window = fam.claimed_lengths
+        if t is None or window is None or window[0] <= t <= window[1]:
+            yield from fam.members()
     span = build_span_sequence(n, r)
     if span.is_zero_sum():
-        out.setdefault(span.length, span)
+        yield span
+
+
+def length_swatch(n: int, r: int) -> dict[int, Sequence]:
+    """One zero-sum short-free sequence per length, the first _candidates gives."""
+    out: dict[int, Sequence] = {}
+    for member in _candidates(n, r):
+        out.setdefault(member.length, member)
     return out
 
 
@@ -449,21 +457,6 @@ def known_witnesses(group: AbelianGroup, t: int) -> Iterator[Sequence]:
     if (n, r) == (3, 3) and t == 16:
         yield ternary_cap_rank3().power(2)
     if (n, r) == (3, 4):
-        for length, w in excluded_window_witnesses():
-            if length == t:
-                yield w
+        yield from (w for w in excluded_window_witnesses() if w.length == t)
     if r >= 2:
-        for name in _FAMILIES:
-            try:
-                fam = build_family(name, n, r)
-            except ValueError:
-                continue
-            lo_hi = fam.claimed_lengths
-            if lo_hi is not None and not lo_hi[0] <= t <= lo_hi[1]:
-                continue
-            for member in fam.members():
-                if member.length == t:
-                    yield member
-        span = build_span_sequence(n, r)
-        if span.length == t and span.is_zero_sum():
-            yield span
+        yield from (w for w in _candidates(n, r, t) if w.length == t)

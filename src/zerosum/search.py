@@ -885,9 +885,10 @@ def compute_c0_at(
 ) -> tuple[list[int], dict[int, Certificate]]:
     """Decide zero-sum short-free existence at the given exact lengths.
 
-    Construction-derived witnesses (re-validated) settle a target without any
-    search; the rest are answered by one shared canonical sweep.  Returns
-    (sorted proved members, per-target certificates).
+    The first construction-derived witness of a target settles it without
+    any search; _certificate re-checks it, and a candidate that fails raises
+    AssertionError.  The rest are answered by one shared canonical sweep.
+    Returns (sorted proved members, per-target certificates).
     """
     t0 = time.monotonic()
 
@@ -899,8 +900,7 @@ def compute_c0_at(
     remaining: list[int] = []
     for t in sorted(set(targets)):
         claim = c0_claim(t, STATUS_REFUTED)
-        candidates = constructions.known_witnesses(group, t)
-        known = next((w for w in candidates if witnesses(claim, w)), None)
+        known = next(constructions.known_witnesses(group, t), None)
         if known is None:
             remaining.append(t)
         else:

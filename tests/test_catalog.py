@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -31,6 +32,7 @@ from zerosum.catalog import (
     _f_eta_rank2,
     _f_eta_two_power,
     _f_excluded_interval_start,
+    _factor,
     _uniform_products,
     builtin_facts,
     consistency_check,
@@ -64,6 +66,20 @@ def test_eval_formula_examples():
     assert _f_excluded_interval_start(n=3, r=4) == 30
     assert _f_davenport_rank2(n1=3, n2=6) == 8
     assert _f_eta_rank2(n1=3, n2=6) == 10
+
+
+def test_factor_multiplies_back_with_increasing_prime_keys():
+    top = 5000
+    sieve = [False, False] + [True] * (top - 1)
+    for p in range(2, top + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(sieve[p * p::p])
+    for n in range(1, top + 1):
+        factors = _factor(n)
+        assert math.prod(p**e for p, e in factors.items()) == n
+        assert list(factors) == sorted(factors)
+        assert all(sieve[p] and e >= 1 for p, e in factors.items())
+    assert [_factor(n) for n in (-6, -1, 0, 1)] == [{}] * 4
 
 
 def test_eval_formula_hypotheses():
@@ -305,7 +321,7 @@ def test_every_conflict_rule_holds_in_both_orders(rule):
         with pytest.raises(FactConflictError) as err:
             store.add(b)
         # the error names both facts
-        assert str(a.payload()) in str(err.value) and str(b.payload()) in str(err.value)
+        assert a.text() in str(err.value) and b.text() in str(err.value)
     for a, b in ((first, fine), (fine, first)):
         store = FactStore()
         store.add_all([a, b])
@@ -358,8 +374,8 @@ def test_conflict_check_matches_the_all_facts_scan(facts):
             store.add(fact)
         # the error names the new fact, one fact it contradicts and the reason
         message = str(err.value)
-        assert str(fact.payload()) in message
-        assert any(str(other.payload()) in message and message.endswith(why)
+        assert fact.text() in message
+        assert any(other.text() in message and message.endswith(why)
                    for other, why in clashes)
     assert list(store) == kept
     statements = {(f.subject, f.kind, f.detail) for f in kept}
@@ -698,7 +714,7 @@ def test_infer_never_reads_a_subject_with_modulus_one(tmp_path):
     facts = [Fact((1, 1, 1), KIND_INVARIANT, ("eta", 1), cited),
              Fact((1, 1, 1), KIND_PROPERTY, ("C", True), cited)]
     path = tmp_path / "facts.jsonl"
-    path.write_text("".join(_fact_line(f.payload()) + "\n" for f in facts))
+    path.write_text("".join(_fact_line(json.loads(f.text())) + "\n" for f in facts))
     with pytest.raises(ValueError, match="line 1: .*modulus below 2"):
         infer(FactStore.load(path))
 

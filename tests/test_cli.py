@@ -224,6 +224,25 @@ def test_a_flag_a_verb_would_ignore_is_a_usage_error(argv, tmp_path, capsys, mon
     assert list(tmp_path.glob("*.json")) == []
 
 
+@pytest.mark.parametrize("argv, extra", [
+    (["thmA", "--group", "C5^3", "--q", "7"], "thmA: --q --group"),
+    (["thmB", "--group", "C3^3"], "thmB: --group"),
+    (["thm13", "--q", "3"], "thm13: --q"),
+    (["propertyC", "--q", "3"], "propertyC: --q"),
+    (["lemma47", "--group", "C3^3"], "lemma47: --group"),
+    (["prop410", "--q", "3"], "prop410: --q"),
+], ids=["thmA", "thmB", "thm13", "propertyC", "lemma47", "prop410"])
+def test_repro_refuses_a_flag_its_table_does_not_read(argv, extra, capsys):
+    assert main(["repro", *argv]) == 3
+    assert capsys.readouterr().err == f"error: unrecognized arguments for {extra}\n"
+
+
+@pytest.mark.parametrize("prop", ["C", "D"])
+def test_check_property_c_and_d_refuse_c(prop, capsys):
+    assert main(["check-property", "C3^2", prop, "--c", "5"]) == 3
+    assert capsys.readouterr().err == f"check-property {prop} takes no --c\n"
+
+
 def test_certify_rejects_a_construction_certificate_with_edited_members(tmp_path, capsys):
     path = tmp_path / "trims.json"
     assert main(["construct", "cap4-trims", "--verify", "--json", str(path)]) == 0
@@ -602,7 +621,7 @@ bad_span = span.remove(Sequence.from_terms(group, [e1, e2])).concat(
     Sequence.from_terms(group, [group.element([0, 0, 0]), e1 + e2]))
 # the trims with the length-30 member replaced by the length-31 one less a
 # term: still short free and of lengths 30..36, but not zero-sum
-trims = dict(constructions.excluded_window_witnesses())
+trims = {w.length: w for w in constructions.excluded_window_witnesses()}
 short = trims[31].remove(Sequence.from_terms(trims[31].group, [next(trims[31].terms())]))
 bad_trims = [short] + [w for t, w in trims.items() if t != 30]
 # the slide family over C3^3 without its length-7 member: its lengths no

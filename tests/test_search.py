@@ -26,7 +26,7 @@ from conftest import (
     naive_profile,
     support,
 )
-from zerosum import catalog, search
+from zerosum import catalog, constructions, search
 from zerosum.group import (
     _HEAD, SYMMETRY_LEVELS, PackedCodes, close_symmetries, make_group,
 )
@@ -356,6 +356,17 @@ def test_certificate_json_round_trip():
     text = cert.to_json()
     again = Certificate.from_json(text)
     assert again.to_json() == text
+
+
+def test_a_construction_candidate_that_is_no_witness_raises(monkeypatch):
+    # the first construction candidate of a length settles it, re-checked by
+    # the one certificate builder: a bad candidate is not skipped for the next
+    group = make_group([3, 3, 3, 3])
+    bad = Sequence.from_items(group, [(group.zero().index, 30)])  # 0 is a short zero-sum
+    real = constructions.known_witnesses
+    monkeypatch.setattr(constructions, "known_witnesses", lambda g, t: iter([bad, *real(g, t)]))
+    with pytest.raises(AssertionError, match="invalid c0_membership 30 witness"):
+        compute_c0_at(group, [30], CFG)
 
 
 def test_compute_c0_at_handles_construction_hints():
