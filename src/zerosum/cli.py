@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from . import catalog, constructions, search
@@ -153,18 +154,33 @@ def _cmd_invariant(args) -> int:
     return status_exit_code(cert.status)
 
 
+def _c0_targets(
+    group: AbelianGroup, cfg: SearchConfig, targets: list[int] | None
+) -> tuple[int, int, list[int]]:
+    """(D+1, eta-1), the group's C0 range, and the lengths to decide in it:
+    the targets, or the whole range if None.  D and eta are the catalog's, or
+    else search.c0_range proves them (RuntimeError if a search ends without a
+    proof).  A target outside the range is a ValueError."""
+    known = _known_values(group)
+    d_value, eta_value = search.c0_range(group, cfg, known.get("D"), known.get("eta"))
+    lo, hi = d_value + 1, eta_value - 1
+    for t in targets or ():
+        if not lo <= t <= hi:
+            raise ValueError(f"t={t} outside [D(G)+1, eta(G)-1] = [{lo}, {hi}]")
+    return lo, hi, list(range(lo, hi + 1) if targets is None else targets)
+
+
 def _cmd_c0(args) -> int:
     group = parse_group_spec(args.group)
     cfg = _config_from_args(args)
-    known = _known_values(group)
     try:
-        d_value, eta_value = search.c0_range(group, cfg, known.get("D"), known.get("eta"))
+        lo, hi, targets = _c0_targets(group, cfg, None if args.t is None else [args.t])
     except RuntimeError as exc:
         print(exc)
         return 2
-    lo, hi = d_value + 1, eta_value - 1
+    members, certs = search.compute_c0_at(group, targets, cfg)
     if args.t is not None:
-        cert = search.c0_contains(group, args.t, cfg, d_value=d_value, eta_value=eta_value)
+        cert = certs[args.t]
         member = cert.claim["member"]
         verdict = {True: "in C0", False: "NOT in C0", None: "undecided"}[member]
         print(
@@ -172,7 +188,6 @@ def _cmd_c0(args) -> int:
         )
         _emit(cert, args)
         return status_exit_code(cert.status)
-    members, certs = search.compute_c0(group, cfg, d_value=d_value, eta_value=eta_value)
     if lo > hi:
         print(f"C0({group.spec()}) = {{}} (empty range: D+1={lo} > eta-1={hi})")
     else:
@@ -347,7 +362,9 @@ def _cmd_certify(args) -> int:
         if kind == "invariant":
             _, fresh = search.invariant_value(group, _claim_field(claim, "invariant", str), cfg)
         elif kind == "c0_membership":
-            fresh = search.c0_contains(group, _claim_field(claim, "t", int), cfg)
+            t = _claim_field(claim, "t", int)
+            _c0_targets(group, cfg, [t])  # the verb's range check, on the verb's D and eta
+            fresh = search.compute_c0_at(group, [t], cfg)[1][t]
         elif kind == "property":
             prop = _claim_field(claim, "property", str)
             c = None if prop in ("C", "D") else _claim_field(claim, "c", int)
@@ -407,51 +424,30 @@ def _row(name: str, ok: bool, detail: str, t0: float) -> bool:
     return ok
 
 
-def _repro_thmA(args, cfg) -> bool:
-    t0 = time.monotonic()
-    group = parse_group_spec("C3^3")
-    d, _ = search.invariant_value(group, "D", cfg)
-    eta, _ = search.invariant_value(group, "eta", cfg)
-    cert = search.c0_contains(group, 14, cfg, d_value=d, eta_value=eta)
-    return _row("length-14 membership", cert.status == STATUS_PROVED, f"t=14 {cert.status}", t0)
-
-
-def _repro_thmB(args, cfg) -> bool:
-    q = args.q or 3
-    t0 = time.monotonic()
-    group = parse_group_spec(f"C{q}^2")
-    d, d_cert = search.invariant_value(group, "D", cfg)
-    eta, e_cert = search.invariant_value(group, "eta", cfg)
-    if d_cert.status != STATUS_PROVED or e_cert.status != STATUS_PROVED:
-        return _row(f"square window q={q}", False, "invariants not established", t0)
-    window = range(2 * q, 3 * q - 1)
-    targets = [t for t in window if d + 1 <= t <= eta - 1]
-    members, certs = search.compute_c0_at(group, targets, cfg)
-    ok = all(certs[t].status == STATUS_PROVED for t in targets)
-    covered = [t for t in window if t >= eta]
-    detail = f"[{2*q},{3*q-2}]: {len(targets)} searched, {len(covered)} at/above eta"
-    return _row(f"square window q={q}", ok, detail, t0)
-
-
-def _repro_thm13(args, cfg) -> bool:
-    """Sweep C0 of the group and add the sweep's facts to the catalog's store:
-    a member missing from or extra to a cataloged determination, or outside
-    R3's window, contradicts a fact on file and fails, as does a sweep that
-    runs out of budget."""
-    spec = args.group or "C2^3"
+def _repro_c0(
+    spec: str, targets: list[int] | None, references: list[str], args, cfg
+) -> bool:
+    """Sweep C0 of the group (--group, else spec) at the targets, or over its
+    whole range if None, and add the sweep's facts to the group's inferred
+    catalog store.  A sweep that contradicts a fact on file fails, as does one
+    that runs out of budget, a group whose D or eta is not established, and a
+    row named in references that gives the group no fact."""
+    spec = args.group or spec
     t0 = time.monotonic()
     group = parse_group_spec(spec)
-    store = catalog.FactStore()
-    store.add_all(catalog.instantiate_for(group.moduli))
-    catalog.infer(store)
     name = f"C0({spec})"
+    facts = catalog.instantiate_for(group.moduli)
+    missing = set(references) - {fact.provenance.reference for fact in facts}
+    if missing:
+        return _row(name, False, f"no catalog fact from {sorted(missing)}", t0)
+    store = catalog.FactStore()
+    store.add_all(facts)
+    catalog.infer(store)
     try:
-        members, certs = search.compute_c0(
-            group, cfg, d_value=store.invariant_value(group.moduli, "D"),
-            eta_value=store.invariant_value(group.moduli, "eta"),
-        )
+        *_, targets = _c0_targets(group, cfg, targets)
     except RuntimeError as exc:
         return _row(name, False, str(exc), t0)
+    members, certs = search.compute_c0_at(group, targets, cfg)
     if any(cert.status == STATUS_EXHAUSTED for cert in certs.values()):
         return _row(name, False, f"search {members} with budget_exhausted targets", t0)
     try:
@@ -460,7 +456,8 @@ def _repro_thm13(args, cfg) -> bool:
         return _row(name, False, str(exc), t0)
     determined = store.of_kind(group.moduli, catalog.KIND_EQUALS)
     cataloged = sorted(determined[0].detail) if determined else "no determination"
-    return _row(name, True, f"search {members}, catalog {cataloged}", t0)
+    swept = f"t in [{targets[0]}, {targets[-1]}]" if targets else "empty range"
+    return _row(name, True, f"search {members}, catalog {cataloged}; {swept}", t0)
 
 
 def _repro_lemma47(args, cfg) -> bool:
@@ -476,15 +473,6 @@ def _repro_lemma47(args, cfg) -> bool:
     )
 
 
-def _repro_prop410(args, cfg) -> bool:
-    t0 = time.monotonic()
-    group = parse_group_spec("C3^4")
-    # a refuted certificate carries a witness that compute_c0_at re-checked
-    _, certs = search.compute_c0_at(group, list(range(30, 37)), cfg)
-    refuted = sum(c.status == STATUS_REFUTED for c in certs.values())
-    return _row("excluded window [30,36]", refuted == 7, f"{refuted} of 7 witnesses verified", t0)
-
-
 def _repro_propertyC(args, cfg) -> bool:
     spec = args.group or "C3^3"
     t0 = time.monotonic()
@@ -493,20 +481,24 @@ def _repro_propertyC(args, cfg) -> bool:
     return _row(f"property C ({spec})", cert.status == STATUS_PROVED, cert.status, t0)
 
 
-# table -> (run(args, cfg), the flags of --q and --group it reads)
+# table -> (run(args, cfg), the --group flag if it reads it).  A C0 row names
+# its group, its targets (None: the whole range) and the catalog rows its
+# sweep is checked against.
 _REPRO_TABLES = {
-    "thmA": (_repro_thmA, ()),
-    "thmB": (_repro_thmB, ("q",)),
-    "thm13": (_repro_thm13, ("group",)),
+    "thmA": (partial(_repro_c0, "C3^3", [14], ["length-14 zero-sum theorem"]), ()),
+    "thmB": (partial(_repro_c0, "C3^2", None,
+                     ["rank-2 determination", "prime-power square theorem"]), ()),
+    "thm13": (partial(_repro_c0, "C2^3", None, []), ("group",)),
     "lemma47": (_repro_lemma47, ()),
-    "prop410": (_repro_prop410, ()),
+    "prop410": (partial(_repro_c0, "C3^4", list(range(30, 37)),
+                        ["rank-4 ternary determination"]), ()),
     "propertyC": (_repro_propertyC, ("group",)),
 }
 
 
 def _cmd_repro(args) -> int:
     run, keys = _REPRO_TABLES[args.table]
-    _given_flags(args, args.table, ("q", "group"), keys)
+    _given_flags(args, args.table, ("group",), keys)
     return 0 if run(args, _config_from_args(args)) else 1
 
 
@@ -584,9 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="run a named reproduction job")
     p.add_argument("table", choices=sorted(_REPRO_TABLES))
-    # each refused by a table that does not read it
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--group", default=None)
+    p.add_argument("--group", default=None)  # refused by a table that does not read it
     _add_search(p)
     p.set_defaults(fn=_cmd_repro)
 

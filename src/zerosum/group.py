@@ -76,9 +76,6 @@ class AbelianGroup:
     def element_by_index(self, index: int) -> GroupElement:
         return GroupElement(self, self.coords_of(index), index)
 
-    def zero(self) -> GroupElement:
-        return GroupElement(self, (0,) * len(self.moduli), 0)
-
     def basis(self, i: int) -> GroupElement:
         """The i-th standard generator e_i (0-based coordinate position)."""
         coords = [0] * len(self.moduli)

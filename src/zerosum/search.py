@@ -942,24 +942,6 @@ def compute_c0(
     return compute_c0_at(group, list(range(lo, hi + 1)), cfg)
 
 
-def c0_contains(
-    group: AbelianGroup,
-    t: int,
-    cfg: SearchConfig,
-    *,
-    d_value: int | None = None,
-    eta_value: int | None = None,
-) -> Certificate:
-    """Decide whether t is in C0(G); errors if t is outside [D(G)+1, eta(G)-1]."""
-    d_value, eta_value = c0_range(group, cfg, d_value, eta_value)
-    if not d_value + 1 <= t <= eta_value - 1:
-        raise ValueError(
-            f"t={t} outside [D(G)+1, eta(G)-1] = [{d_value + 1}, {eta_value - 1}]"
-        )
-    _, certs = compute_c0_at(group, [t], cfg)
-    return certs[t]
-
-
 @dataclass
 class EnumerationReport:
     group_spec: str
@@ -980,12 +962,12 @@ def enumerate_short_free(
     *,
     checks: tuple[str, ...] = (),
     collect: bool = False,
-    per_element: int = 0,
 ) -> EnumerationReport:
     """Visit every short-free sequence of the given length once up to symmetry;
-    with collect, the report lists the representatives in canonical order."""
+    with collect, the report lists the representatives in canonical order.
+    The check power_form asks every term to have multiplicity exp(G)-1."""
     t0 = time.monotonic()
-    make_goal = partial(_EnumGoal, length, checks, per_element, collect)
+    make_goal = partial(_EnumGoal, length, checks, group.exponent - 1, collect)
     goals, nodes, exhausted = _run(group, _PRED_SHORT_FREE, False, cfg, make_goal)
     return EnumerationReport(
         group_spec=group.spec(),

@@ -30,7 +30,6 @@ from zerosum.search import (
     check_property_D0,
     compute_c0,
     compute_c0_at,
-    c0_contains,
     enumerate_short_free,
     invariant_value,
     max_extremal_length,
@@ -146,7 +145,7 @@ def test_criterion_1_c33(c33_eta):
 
 def test_criterion_2_length14(c33_group):
     t0 = time.monotonic()
-    cert = c0_contains(c33_group, 14, CFG, d_value=7, eta_value=17)
+    cert = compute_c0_at(c33_group, [14], CFG)[1][14]
     elapsed = time.monotonic() - t0
     assert cert.status == STATUS_PROVED
     assert elapsed < 600
@@ -177,9 +176,7 @@ def test_criterion_3_c0_of_c33(c33_c0, cap_support_oracle):
 def test_criterion_4_extremal_structure(cap_support_oracle):
     t0 = time.monotonic()
     group = make_group([3, 3, 3])
-    report = enumerate_short_free(
-        group, 16, CFG, checks=("sum_zero", "power_form"), per_element=2
-    )
+    report = enumerate_short_free(group, 16, CFG, checks=("sum_zero", "power_form"))
     elapsed = time.monotonic() - t0
     assert report.status == STATUS_PROVED
     assert report.count > 0
@@ -388,16 +385,14 @@ def test_criterion_11_determinism(c33_eta, c33_c0):
         assert len(outputs) == 1, f"width-dependent certificate for {kind}({group.spec()})"
     # eta(C3^3), the length-14 run and the full C0 sweep across widths
     baseline_eta = c33_eta[1].to_json()
-    baseline_14 = c0_contains(group33, 14, SearchConfig(parallel_width=1),
-                              d_value=7, eta_value=17).to_json()
+    baseline_14 = compute_c0_at(group33, [14], SearchConfig(parallel_width=1))[1][14].to_json()
     _, baseline_c0, _ = c33_c0
     baseline_sweep = {t: c.to_json() for t, c in baseline_c0.items()}
     for width in (4, 8):
         cfg = SearchConfig(parallel_width=width)
         _, cert = invariant_value(group33, "eta", cfg)
         assert cert.to_json() == baseline_eta
-        cert = c0_contains(group33, 14, cfg, d_value=7, eta_value=17)
-        assert cert.to_json() == baseline_14
+        assert compute_c0_at(group33, [14], cfg)[1][14].to_json() == baseline_14
         _, certs = compute_c0(group33, cfg, d_value=7, eta_value=17)
         assert {t: c.to_json() for t, c in certs.items()} == baseline_sweep
     _passline("criterion 11", "byte-identical certificates at widths 1, 4, 8",

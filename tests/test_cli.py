@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from zerosum import cli, constructions, search
+from zerosum import catalog, cli, constructions, search
 from zerosum.cli import cache_dir, main
 from zerosum.constructions import build_family
 from zerosum.group import parse_group_spec
@@ -79,6 +79,28 @@ def test_c0_single_t_exit_codes(capsys, tmp_path):
     cert = Certificate.from_json(cert_path.read_text())
     assert cert.claim["t"] == 8 and cert.status == "refuted_with_witness"
     assert cert.witness.length == 8
+
+
+def test_c0_refuses_a_t_outside_the_range(capsys):
+    # D(C3^2) = 5 and eta(C3^2) = 7, so the range is [6, 6]
+    for t in (3, 7):
+        assert main(["c0", "C3^2", "--t", str(t)]) == 3
+        assert capsys.readouterr().err == f"error: t={t} outside [D(G)+1, eta(G)-1] = [6, 6]\n"
+
+
+def test_certify_replays_a_c0_certificate_without_an_invariant_search(tmp_path, capsys,
+                                                                       monkeypatch):
+    # the c0 verb takes D and eta of C4^2 from the catalog; the replay must too
+    path = tmp_path / "c0.json"
+    assert main(["c0", "C4^2", "--t", "8", "--json", str(path)]) == 0
+
+    def no_search(*args):
+        raise AssertionError("certify searched for an invariant")
+
+    monkeypatch.setattr(search, "max_extremal_length", no_search)
+    capsys.readouterr()
+    assert main(["certify", str(path)]) == 0
+    assert "replay: IDENTICAL" in capsys.readouterr().out
 
 
 def test_c0_without_a_proof_of_D_exits_2(capsys):
@@ -224,17 +246,20 @@ def test_a_flag_a_verb_would_ignore_is_a_usage_error(argv, tmp_path, capsys, mon
     assert list(tmp_path.glob("*.json")) == []
 
 
-@pytest.mark.parametrize("argv, extra", [
-    (["thmA", "--group", "C5^3", "--q", "7"], "thmA: --q --group"),
-    (["thmB", "--group", "C3^3"], "thmB: --group"),
-    (["thm13", "--q", "3"], "thm13: --q"),
-    (["propertyC", "--q", "3"], "propertyC: --q"),
-    (["lemma47", "--group", "C3^3"], "lemma47: --group"),
-    (["prop410", "--q", "3"], "prop410: --q"),
-], ids=["thmA", "thmB", "thm13", "propertyC", "lemma47", "prop410"])
-def test_repro_refuses_a_flag_its_table_does_not_read(argv, extra, capsys):
+@pytest.mark.parametrize("argv, err", [
+    (["thmA", "--group", "C5^3"], "error: unrecognized arguments for thmA: --group\n"),
+    (["thmB", "--group", "C3^3"], "error: unrecognized arguments for thmB: --group\n"),
+    (["thm13", "--q", "3"], "zerosum: error: unrecognized arguments: --q 3\n"),
+    (["propertyC", "--q", "3"], "zerosum: error: unrecognized arguments: --q 3\n"),
+    (["lemma47", "--group", "C3^3"], "error: unrecognized arguments for lemma47: --group\n"),
+    (["prop410", "--group", "C3^4"], "error: unrecognized arguments for prop410: --group\n"),
+    # --q is gone: thm13 --group Cq^2 sweeps what thmB --q q did
+    (["thmB", "--q", "0"], "zerosum: error: unrecognized arguments: --q 0\n"),
+    (["thmB", "--q", "3"], "zerosum: error: unrecognized arguments: --q 3\n"),
+], ids=["thmA", "thmB", "thm13", "propertyC", "lemma47", "prop410", "thmB--q0", "thmB--q3"])
+def test_repro_refuses_a_flag_its_table_does_not_read(argv, err, capsys):
     assert main(["repro", *argv]) == 3
-    assert capsys.readouterr().err == f"error: unrecognized arguments for {extra}\n"
+    assert capsys.readouterr().err.endswith(err)
 
 
 @pytest.mark.parametrize("prop", ["C", "D"])
@@ -550,7 +575,7 @@ def test_two_invariant_runs_at_once_both_keep_their_facts(capsys):
 
 
 def test_repro_fast_tables(capsys):
-    assert main(["repro", "thmB", "--q", "3"]) == 0
+    assert main(["repro", "thmB"]) == 0
     assert main(["repro", "thm13", "--group", "C2^3"]) == 0
     # no c0_equals fact for C3^3: the sweep only has to agree with the
     # catalog's other facts (R3's window, R4's members)
@@ -559,23 +584,58 @@ def test_repro_fast_tables(capsys):
     out = capsys.readouterr().out
     assert out.count("pass") == 4
     assert "search [13, 14, 15], catalog no determination" in out
+    assert "search [], catalog [37, 38]; t in [30, 36]" in out
+
+
+def _flip_sweep(monkeypatch, flip: int) -> None:
+    """Make search.compute_c0_at answer the opposite at t = flip: a refuted
+    length becomes a proved member, a member a refuted length."""
+    real = search.compute_c0_at
+
+    def sweep(group, targets, cfg):
+        members, certs = real(group, targets, cfg)
+        member = certs[flip].status != search.STATUS_PROVED
+        status = search.STATUS_PROVED if member else search.STATUS_REFUTED
+        certs[flip] = dataclasses.replace(
+            certs[flip], status=status, claim={**certs[flip].claim, "member": member}
+        )
+        return sorted(set(members) ^ {flip}), certs
+
+    monkeypatch.setattr(search, "compute_c0_at", sweep)
 
 
 def test_repro_thm13_fails_a_sweep_that_refutes_a_determined_member(capsys, monkeypatch):
     # C0(C2^3) = {5, 6} is cataloged; 6, unlike 5, is no R4 member, so only
     # the determination contradicts a sweep that refutes it
-    real = search.compute_c0
-
-    def refute_six(group, cfg, **known):
-        members, certs = real(group, cfg, **known)
-        certs[6] = dataclasses.replace(
-            certs[6], status=search.STATUS_REFUTED, claim={**certs[6].claim, "member": False}
-        )
-        return [t for t in members if t != 6], certs
-
-    monkeypatch.setattr(search, "compute_c0", refute_six)
+    _flip_sweep(monkeypatch, 6)
     assert main(["repro", "thm13", "--group", "C2^3"]) == 1
     assert "non-member in determined C0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("table, flip, why", [
+    ("thmA", 14, "t both in and out of C0"),
+    ("thmB", 6, "t both in and out of C0"),
+    ("prop410", 30, "member not in determined C0"),
+], ids=["thmA", "thmB", "prop410"])
+def test_repro_fails_a_sweep_that_contradicts_its_catalog_row(table, flip, why, capsys,
+                                                             monkeypatch):
+    # thmA's length-14 theorem and thmB's square theorem make 14 and 6
+    # members; prop410's determination C0(C3^4) = {37, 38} excludes 30
+    _flip_sweep(monkeypatch, flip)
+    assert main(["repro", table]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and why in out
+
+
+def test_repro_fails_when_its_catalog_row_gives_no_fact(capsys, monkeypatch):
+    # a row that no longer fires would leave the sweep unchecked
+    real = catalog.instantiate_for
+    monkeypatch.setattr(catalog, "instantiate_for", lambda subject: [
+        fact for fact in real(subject)
+        if fact.provenance.reference != "length-14 zero-sum theorem"
+    ])
+    assert main(["repro", "thmA"]) == 1
+    assert "no catalog fact from ['length-14 zero-sum theorem']" in capsys.readouterr().out
 
 
 def test_repro_search_tables(capsys):

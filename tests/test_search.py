@@ -36,7 +36,6 @@ from zerosum.search import (
     STATUS_REFUTED,
     Certificate,
     SearchConfig,
-    c0_contains,
     check_property_C,
     check_property_D,
     check_property_D0,
@@ -194,16 +193,8 @@ def test_c0_members_against_brute_force():
             seq.is_zero_sum() and naive_is_short_free(seq)
             for seq in multisets_of_length(group, t)
         )
-        cert = c0_contains(group, t, CFG, d_value=d, eta_value=eta)
+        cert = compute_c0_at(group, [t], CFG)[1][t]
         assert (cert.status == STATUS_REFUTED) == exists
-
-
-def test_c0_range_validation():
-    group = make_group([3, 3])
-    with pytest.raises(ValueError):
-        c0_contains(group, 3, CFG, d_value=5, eta_value=7)
-    with pytest.raises(ValueError):
-        c0_contains(group, 7, CFG, d_value=5, eta_value=7)
 
 
 def test_c0_witnesses_are_validated():
@@ -362,7 +353,7 @@ def test_a_construction_candidate_that_is_no_witness_raises(monkeypatch):
     # the first construction candidate of a length settles it, re-checked by
     # the one certificate builder: a bad candidate is not skipped for the next
     group = make_group([3, 3, 3, 3])
-    bad = Sequence.from_items(group, [(group.zero().index, 30)])  # 0 is a short zero-sum
+    bad = Sequence.from_items(group, [(0, 30)])  # 0 is a short zero-sum
     real = constructions.known_witnesses
     monkeypatch.setattr(constructions, "known_witnesses", lambda g, t: iter([bad, *real(g, t)]))
     with pytest.raises(AssertionError, match="invalid c0_membership 30 witness"):

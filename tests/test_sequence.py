@@ -17,12 +17,12 @@ def seq_strategy(moduli=(3, 3), max_len=8):
 def test_from_terms_examples():
     g = make_group([3, 3])
     s = Sequence.from_terms(g, [g.element([1, 0]), g.element([2, 0])])
-    assert s.length == 2 and s.sum == g.zero()
+    assert s.length == 2 and s.sum == g.element_by_index(0)
     cap = ternary_cap_rank3()
     assert cap.length == 8
     assert cap.sum.coords == (0, 0, 0)  # recomputed from the stored vectors
     assert Sequence.from_terms(g, []).length == 0
-    assert Sequence.from_terms(g, []).sum == g.zero()
+    assert Sequence.from_terms(g, []).sum == g.element_by_index(0)
 
 
 def test_remove_examples():
@@ -52,7 +52,7 @@ def test_concat_power_translate_examples():
     doubled = cap.power(2)
     assert doubled.length == 16
     g = cap.group
-    assert cap.translate(g.zero()) == cap
+    assert cap.translate(g.element_by_index(0)) == cap
     assert cap.concat(Sequence.empty(g)) == cap
 
 
