@@ -4,7 +4,7 @@ Facts are statements about one concrete group presentation (a moduli tuple):
 invariant values/bounds, C0 membership and coverage, and structural
 properties.  Provenance separates cited literature constants, results proved
 in-text, search certificates, and rule applications with premise chains.
-The inference engine applies rules R1..R9 and two closures, round after
+The inference engine applies rules R1..R8 and two closures, round after
 round, until a round adds nothing, and hard-errors on any contradiction.
 Each rule reads one subject or one product C_m^r, C_n^r -> C_mn^r and yields
 the statements it derives; infer lists the items once per round, keeps the
@@ -22,7 +22,6 @@ import tempfile
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterable
 
 from .constructions import alpha_r
@@ -579,11 +578,13 @@ def _uniform_products(store: FactStore, scope: set | None = None):
     """Pairs of cubes C_m^r, C_n^r on file whose product C_mn^r is on file too,
     and in scope if a scope is given.
 
-    Yields (s1, m, eta1, s2, n, eta2, target, eta_t) in subject order, s1 then
-    s2, for the pairs where eta of both factors is on file; each eta is
-    (value, fact id), and eta_t, the target's, may be None.  Each subject's
-    eta is looked up once per call.  s2 runs over the cubes of s1's rank in
-    order of n, up to the largest n of that rank over m.
+    Yields (s1, m, eta1, s2, n, eta2, target, eta_t, bound, ratio) in subject
+    order, s1 then s2, for the pairs where eta of both factors is on file;
+    each eta is (value, fact id), and eta_t, the target's, may be None.  bound
+    is (eta1 - 1) n + eta2, the upper bound on eta of the product, and ratio
+    the c with eta = c(q-1) + 1 that both factors C_q^r share, or None.  Each
+    subject's eta is looked up once per call.  s2 runs over the cubes of s1's
+    rank in order of n, up to the largest n of that rank over m.
     """
     uniforms = [
         (s, s[0], len(s), _invariant_fact(store, s, "eta"))
@@ -602,23 +603,17 @@ def _uniform_products(store: FactStore, scope: set | None = None):
                 break
             target = by_key.get((m * n, r))
             if eta2 is not None and target is not None and (scope is None or target[0] in scope):
-                yield (s1, m, eta1, s2, n, eta2, *target)
+                c = _ratio(eta1[0], m)  # None unless both ratios are ints
+                ratio = c if c == _ratio(eta2[0], n) else None
+                yield (s1, m, eta1, s2, n, eta2, *target, (eta1[0] - 1) * n + eta2[0], ratio)
 
 
-def _transfer(store: FactStore, product, ratio_form: bool):
-    """R2 (ratio_form: the three eta ratios agree) and R9 (eta(G) =
-    (eta(H)-1) exp(G/H) + eta(G/H)): the members of C0 just below eta of the
-    factor C_n^r move below eta of the product.  R9 is the general form: R2's
-    ratios c give c(m-1)n + c(n-1) + 1 = c(mn-1) + 1, R9's equality, and since
-    R2 runs first, R9 adds only where ratios differ."""
-    _, n1, eta1, s2, n2, eta2, target, eta_t = product
-    if eta_t is None:
-        return
-    if ratio_form:
-        c1 = _ratio(eta1[0], n1)
-        if c1 is None or c1 != _ratio(eta2[0], n2) or c1 != _ratio(eta_t[0], n1 * n2):
-            return
-    elif eta_t[0] != (eta1[0] - 1) * n2 + eta2[0]:
+def _rule_r2(store: FactStore, product):
+    """eta(G) = (eta(H)-1) exp(G/H) + eta(G/H) for H = C_m^r, G/H = C_n^r: the
+    members of C0 just below eta of the factor C_n^r move below eta of the
+    product.  Equal eta ratios c meet it, as c(m-1)n + c(n-1) + 1 = c(mn-1) + 1."""
+    _, _, eta1, s2, n2, eta2, target, eta_t, bound, _ = product
+    if eta_t is None or eta_t[0] != bound:
         return
     prop = _property_fact(store, s2, "C")
     if prop is None:
@@ -663,33 +658,27 @@ def _rule_r4(store: FactStore, subject):
 
 def _rule_r5(store: FactStore, product):
     """eta(C_mn^r) <= (eta(C_m^r) - 1) n + eta(C_n^r), for targets on file."""
-    _, _, eta1, _, n, eta2, target, eta_t = product
-    bound = (eta1[0] - 1) * n + eta2[0]
+    _, _, eta1, _, _, eta2, target, eta_t, bound, _ = product
     if eta_t is None or eta_t[0] > bound:
         yield target, KIND_UPPER, ("eta", bound), (eta1[1], eta2[1])
 
 
 def _rule_r6(store: FactStore, product):
     """Property C is multiplicative under the exact eta ratio equalities."""
-    s1, m, eta1, s2, n, eta2, target, eta_t = product
+    s1, _, eta1, s2, _, eta2, target, eta_t, bound, ratio = product
     p1, p2 = _property_fact(store, s1, "C"), _property_fact(store, s2, "C")
-    if None in (eta_t, p1, p2):
-        return
-    c1 = _ratio(eta1[0], m)
-    if c1 is not None and c1 == _ratio(eta2[0], n) == _ratio(eta_t[0], m * n):
+    if ratio is not None and eta_t is not None and eta_t[0] == bound and None not in (p1, p2):
         yield target, KIND_PROPERTY, ("C", True), (eta1[1], eta2[1], eta_t[1], p1[1], p2[1])
 
 
 def _rule_r7(store: FactStore, product):
-    """Matching eta ratios plus a meeting lower bound pin eta of the product."""
-    _, m, eta1, _, n, eta2, target, eta_t = product
-    c = _ratio(eta1[0], m)
-    if c is None or _ratio(eta2[0], n) != c or eta_t is not None:
+    """Matching eta ratios plus a meeting lower bound pin eta of the product at the bound."""
+    _, _, eta1, _, _, eta2, target, eta_t, bound, ratio = product
+    if ratio is None or eta_t is not None:
         return
-    value = c * (m * n - 1) + 1
     for f in store.of_kind(target, KIND_LOWER):
-        if f.detail[0] == "eta" and f.detail[1] >= value:
-            yield target, KIND_INVARIANT, ("eta", value), (eta1[1], eta2[1], f.fact_id)
+        if f.detail[0] == "eta" and f.detail[1] >= bound:
+            yield target, KIND_INVARIANT, ("eta", bound), (eta1[1], eta2[1], f.fact_id)
             return
 
 
@@ -761,14 +750,13 @@ def _closure_full_range(store: FactStore, subject):
 # store as the round found it
 _RULES = (
     ("R1", "subject", _rule_r1),
-    ("R2", "product", partial(_transfer, ratio_form=True)),
+    ("R2", "product", _rule_r2),
     ("R3", "subject", _rule_r3),
     ("R4", "subject", _rule_r4),
     ("R5", "product", _rule_r5),
     ("R6", "product", _rule_r6),
     ("R7", "product", _rule_r7),
     ("R8", "subject", _rule_r8),
-    ("R9", "product", partial(_transfer, ratio_form=False)),
     ("bounds-meet", "subject", _closure_bounds_meet),
     ("range-close", "subject", _closure_full_range),
 )
@@ -790,7 +778,7 @@ def _scope(store: FactStore, touched: set) -> set:
     """The subjects whose rules can add a fact in the round after one that
     added facts about touched: those subjects, and each cube on file of a
     touched cube's rank whose modulus is a multiple of that cube's.  A rule
-    reads the subject it writes about and, for R2/R5/R6/R7/R9, the factors
+    reads the subject it writes about and, for R2/R5/R6/R7, the factors
     C_m^r and C_n^r of a product C_mn^r, or, for R8, the cubes (q, q, q) of
     the odd primes q dividing k of C_k^3."""
     moduli: dict[int, set[int]] = {}

@@ -154,27 +154,12 @@ def _cmd_invariant(args) -> int:
     return status_exit_code(cert.status)
 
 
-def _c0_targets(
-    group: AbelianGroup, cfg: SearchConfig, targets: list[int] | None
-) -> tuple[int, int, list[int]]:
-    """(D+1, eta-1), the group's C0 range, and the lengths to decide in it:
-    the targets, or the whole range if None.  D and eta are the catalog's, or
-    else search.c0_range proves them (RuntimeError if a search ends without a
-    proof).  A target outside the range is a ValueError."""
-    known = _known_values(group)
-    d_value, eta_value = search.c0_range(group, cfg, known.get("D"), known.get("eta"))
-    lo, hi = d_value + 1, eta_value - 1
-    for t in targets or ():
-        if not lo <= t <= hi:
-            raise ValueError(f"t={t} outside [D(G)+1, eta(G)-1] = [{lo}, {hi}]")
-    return lo, hi, list(range(lo, hi + 1) if targets is None else targets)
-
-
 def _cmd_c0(args) -> int:
     group = parse_group_spec(args.group)
     cfg = _config_from_args(args)
+    known = _known_values(group)
     try:
-        lo, hi, targets = _c0_targets(group, cfg, None if args.t is None else [args.t])
+        lo, hi, targets = search.c0_targets(group, cfg, known, None if args.t is None else [args.t])
     except RuntimeError as exc:
         print(exc)
         return 2
@@ -232,13 +217,10 @@ def _check_property(
     group: AbelianGroup, prop: str, c: int | None, cfg: SearchConfig
 ) -> Certificate:
     """The property's certificate as check-property makes it and certify replays
-    it: C and D take eta and s from the catalog when it has them."""
-    known = _known_values(group)
-    if prop == "C":
-        return search.check_property_C(group, cfg, eta_value=known.get("eta"))
-    if prop == "D":
-        return search.check_property_D(group, cfg, s_value=known.get("s"))
-    return search.check_property_D0(group, c, cfg)
+    it: C and D read the catalog's values."""
+    if prop == "D0":
+        return search.check_property_D0(group, c, cfg)
+    return search.check_power_property(group, prop, cfg, _known_values(group))
 
 
 def _cmd_check_property(args) -> int:
@@ -363,7 +345,7 @@ def _cmd_certify(args) -> int:
             _, fresh = search.invariant_value(group, _claim_field(claim, "invariant", str), cfg)
         elif kind == "c0_membership":
             t = _claim_field(claim, "t", int)
-            _c0_targets(group, cfg, [t])  # the verb's range check, on the verb's D and eta
+            search.c0_targets(group, cfg, _known_values(group), [t])  # the verb's range check
             fresh = search.compute_c0_at(group, [t], cfg)[1][t]
         elif kind == "property":
             prop = _claim_field(claim, "property", str)
@@ -444,7 +426,7 @@ def _repro_c0(
     store.add_all(facts)
     catalog.infer(store)
     try:
-        *_, targets = _c0_targets(group, cfg, targets)
+        *_, targets = search.c0_targets(group, cfg, _known_values(group), targets)
     except RuntimeError as exc:
         return _row(name, False, str(exc), t0)
     members, certs = search.compute_c0_at(group, targets, cfg)

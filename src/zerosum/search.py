@@ -163,7 +163,8 @@ class Certificate:
     @classmethod
     def from_json(cls, text: str) -> Certificate:
         """Parse what to_json wrote; ValueError on another format or tool
-        version, an unknown status or a missing field, never a default, and on
+        version, an unknown status, a missing field, never a default, a group
+        that is not a str or a witness that is neither null nor a str, and on
         JSON nested too deeply to decode."""
         try:
             data = json.loads(text)
@@ -178,6 +179,8 @@ class Certificate:
             if data["status"] not in _EXIT_BY_STATUS:
                 raise ValueError(f"unknown certificate status {data['status']!r}")
             stats, cfg, witness = data["stats"], data["config"], data["witness"]
+            if not isinstance(data["group"], str) or not isinstance(witness, (str, type(None))):
+                raise ValueError("certificate group is not a str, or witness not null or a str")
             return cls(
                 claim=data["claim"],
                 status=data["status"],
@@ -865,19 +868,27 @@ def invariant_value(group: AbelianGroup, kind: str, cfg: SearchConfig) -> tuple[
     return best + 1, cert
 
 
-def c0_range(
-    group: AbelianGroup, cfg: SearchConfig, d_value: int | None, eta_value: int | None
-) -> tuple[int, int]:
-    """(D(G), eta(G)): each value given, or proved by search.  RuntimeError if
-    a search ends without a proof."""
+def c0_targets(
+    group: AbelianGroup, cfg: SearchConfig, known: dict, targets: list[int] | None = None
+) -> tuple[int, int, list[int]]:
+    """(D(G)+1, eta(G)-1), the C0 range, and the lengths to decide in it: the
+    targets, or the whole range if None.  D and eta are known's values, and
+    only one that known lacks (or gives as None) is proved by search
+    (RuntimeError if that search ends without a proof).  A target outside
+    the range is a ValueError."""
     values = []
-    for kind, value in (("D", d_value), ("eta", eta_value)):
+    for kind in ("D", "eta"):
+        value = known.get(kind)
         if value is None:
             value, cert = invariant_value(group, kind, cfg)
             if cert.status != STATUS_PROVED:
                 raise RuntimeError(f"could not establish {kind}(G) within budget")
         values.append(value)
-    return tuple(values)
+    lo, hi = values[0] + 1, values[1] - 1
+    for t in targets or ():
+        if not lo <= t <= hi:
+            raise ValueError(f"t={t} outside [D(G)+1, eta(G)-1] = [{lo}, {hi}]")
+    return lo, hi, list(range(lo, hi + 1) if targets is None else targets)
 
 
 def compute_c0_at(
@@ -930,16 +941,14 @@ def compute_c0(
     d_value: int | None = None,
     eta_value: int | None = None,
 ) -> tuple[list[int], dict[int, Certificate]]:
-    """Decide membership for every t in [D(G)+1, eta(G)-1].
+    """Decide membership for every t in [D(G)+1, eta(G)-1], with D(G) and
+    eta(G) given or proved by search (see c0_targets).
 
     Returns (sorted members, per-t certificates).  An empty range yields no
     certificates and an empty member list.
     """
-    d_value, eta_value = c0_range(group, cfg, d_value, eta_value)
-    lo, hi = d_value + 1, eta_value - 1
-    if lo > hi:
-        return [], {}
-    return compute_c0_at(group, list(range(lo, hi + 1)), cfg)
+    targets = c0_targets(group, cfg, {"D": d_value, "eta": eta_value})[2]
+    return compute_c0_at(group, targets, cfg)
 
 
 @dataclass
@@ -1000,18 +1009,22 @@ def _property_claim(group: AbelianGroup, prop: str, c: int | None, holds: bool |
 _POWER_PROPERTIES = {"C": ("eta", _PRED_SHORT_FREE), "D": ("s", _PRED_NO_EXACT_EXP)}
 
 
-def _check_power_property(
-    group: AbelianGroup, cfg: SearchConfig, prop: str, value: int | None
+def check_power_property(
+    group: AbelianGroup, prop: str, cfg: SearchConfig, known: dict
 ) -> Certificate:
-    """Every sequence of length value-1 (value the property's invariant, found
-    by search if None) that avoids the predicate's zero-sums is a product of
-    c distinct (n-1)-powers.  A violation's witness is the least index tuple.
-    A given value below D*(G) = 1 + r(n-1), a lower bound of both invariants,
-    is a ValueError.
+    """Property C or D: every sequence of length value-1 that avoids the
+    predicate's zero-sums is a product of c distinct (n-1)-powers, value the
+    property's invariant (eta for C, s for D) as known gives it, or found by
+    search if known has none.  A violation's witness is the least index tuple.
+    A known value below D*(G) = 1 + r(n-1), a lower bound of both invariants,
+    or another property, is a ValueError.
     """
     t0 = time.monotonic()
     n, r = _require_cube(group)
+    if prop not in _POWER_PROPERTIES:
+        raise ValueError(f"unknown power property {prop!r}")
     kind, pred_name = _POWER_PROPERTIES[prop]
+    value = known.get(kind)
     if value is not None and value < 1 + r * (n - 1):
         raise ValueError(f"{kind}(G) = {value} is below D*(G) = {1 + r * (n - 1)}")
     nodes = 0
@@ -1046,20 +1059,6 @@ def _check_power_property(
     if exhausted:
         return cert(c, None, STATUS_EXHAUSTED)
     return cert(c, True, STATUS_PROVED)
-
-
-def check_property_C(
-    group: AbelianGroup, cfg: SearchConfig, *, eta_value: int | None = None
-) -> Certificate:
-    """Every extremal short-free sequence is a product of c distinct (n-1)-powers."""
-    return _check_power_property(group, cfg, "C", eta_value)
-
-
-def check_property_D(
-    group: AbelianGroup, cfg: SearchConfig, *, s_value: int | None = None
-) -> Certificate:
-    """Every extremal sequence without length-exp zero-sums is a product of (n-1)-powers."""
-    return _check_power_property(group, cfg, "D", s_value)
 
 
 def check_property_D0(group: AbelianGroup, c: int, cfg: SearchConfig) -> Certificate:

@@ -6,7 +6,7 @@ sum.  All values are immutable; every operation returns a new sequence.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .group import (
     AbelianGroup,
@@ -78,12 +78,6 @@ class Sequence:
 
     def is_zero_sum(self) -> bool:
         return self._sum_index == 0
-
-    def terms(self) -> Iterator[GroupElement]:
-        for idx, v in self.items:
-            e = self.group.element_by_index(idx)
-            for _ in range(v):
-                yield e
 
     def term_indices(self) -> tuple[int, ...]:
         out: list[int] = []

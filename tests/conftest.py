@@ -40,6 +40,11 @@ def elements(group: AbelianGroup) -> list[GroupElement]:
     return [group.element_by_index(i) for i in range(group.order)]
 
 
+def terms(seq: Sequence) -> list[GroupElement]:
+    """The terms of seq, each repeated by its multiplicity, in index order."""
+    return [seq.group.element_by_index(idx) for idx, v in seq.items for _ in range(v)]
+
+
 def multiplicity(seq: Sequence, g: GroupElement) -> int:
     """How many times g occurs in seq."""
     return dict(seq.items).get(g.index, 0)
@@ -353,7 +358,8 @@ def scan_conflicts(facts, fact) -> list:
 
 def all_pairs_uniform_products(store):
     """catalog._uniform_products the way it used to pair every uniform subject
-    with every other, across ranks too."""
+    with every other, across ranks too, with the R5 bound and the eta ratio
+    the two factors share, or None."""
     uniforms = [
         (s, s[0], len(s), catalog._invariant_fact(store, s, "eta"))
         for s in store.subjects() if catalog._uniform(s)
@@ -367,7 +373,9 @@ def all_pairs_uniform_products(store):
                 continue
             target = by_key.get((m * n, r))
             if target is not None:
-                yield (s1, m, eta1, s2, n, eta2, *target)
+                c = catalog._ratio(eta1[0], m)
+                shared = c if c is not None and c == catalog._ratio(eta2[0], n) else None
+                yield (s1, m, eta1, s2, n, eta2, *target, (eta1[0] - 1) * n + eta2[0], shared)
 
 
 def naive_infer(store):

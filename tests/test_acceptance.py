@@ -26,7 +26,7 @@ from zerosum.search import (
     STATUS_PROVED,
     STATUS_REFUTED,
     SearchConfig,
-    check_property_C,
+    check_power_property,
     check_property_D0,
     compute_c0,
     compute_c0_at,
@@ -182,7 +182,7 @@ def test_criterion_4_extremal_structure(cap_support_oracle):
     assert report.count > 0
     assert not report.violations["sum_zero"]       # every extremal sequence sums to zero
     assert not report.violations["power_form"]     # and is a doubled 8-element set
-    cert = check_property_C(group, CFG, eta_value=17)
+    cert = check_power_property(group, "C", CFG, {"eta": 17})
     assert cert.status == STATUS_PROVED and cert.claim["c"] == 8
     # oracle: supports never exceed 8 elements and all 8-supports sum to zero
     g, add, supports = cap_support_oracle

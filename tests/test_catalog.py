@@ -218,26 +218,29 @@ def test_naive_oracle_catches_a_scope_without_the_multiples(monkeypatch):
 
 
 def test_r2_condition_implies_r9_condition(full_store):
-    # c(m-1)n + c(n-1) + 1 = c(mn-1) + 1: R2's equal ratios c give R9's equality
+    # c(m-1)n + c(n-1) + 1 = c(mn-1) + 1: equal ratios c, which R6 reads,
+    # give the equality eta_t = (eta1 - 1) n + eta2 that R2 tests
     store, _ = full_store
-    r2, r9 = [], []
-    for s1, m, eta1, s2, n, eta2, target, eta_t in _uniform_products(store):
+    ratios, equality = [], []
+    for s1, m, eta1, s2, n, eta2, target, eta_t, bound, ratio in _uniform_products(store):
         if eta_t is None:
             continue
         c = catalog._ratio(eta1[0], m)
         if c is not None and c == catalog._ratio(eta2[0], n) == catalog._ratio(eta_t[0], m * n):
-            r2.append((s1, s2))
+            ratios.append((s1, s2))
+            assert (ratio, bound) == (c, eta_t[0])
         if eta_t[0] == (eta1[0] - 1) * n + eta2[0]:
-            r9.append((s1, s2))
-    assert set(r2) <= set(r9)
-    # on this store both match the same tuples, so R9, run after R2, adds nothing
-    assert r2 == r9 and len(r2) == 238
+            equality.append((s1, s2))
+    assert set(ratios) <= set(equality)
+    # on this store both match the same tuples
+    assert ratios == equality and len(ratios) == 238
 
 
 def test_rule_r9_derives_a_member_that_r2_does_not():
     # values chosen to exercise the rule, not cited: eta(C2^3) = 8 and
-    # eta(C3^3) = 17 have ratios 7 and 8, so R2 does not apply, while
-    # eta(C6^3) = (8 - 1) * 3 + 17 = 38 meets R9's equality
+    # eta(C3^3) = 17 have ratios 7 and 8, which differ, while eta(C6^3) =
+    # (8 - 1) * 3 + 17 = 38 meets the equality that R2 tests: R2, which
+    # holds R9 as well, derives the member
     store = FactStore()
     store.add_all([
         Fact((2, 2, 2), KIND_INVARIANT, ("eta", 8), Provenance("cited", "t")),
@@ -247,9 +250,9 @@ def test_rule_r9_derives_a_member_that_r2_does_not():
         Fact((6, 6, 6), KIND_INVARIANT, ("eta", 38), Provenance("cited", "t")),
     ])
     derived = infer(store)
-    assert derived.by_rule["R2"] == 0
-    [r9] = [f for f in derived if f.provenance.reference == "R9"]
-    assert (r9.subject, r9.kind, r9.detail) == ((6, 6, 6), KIND_MEMBER, (36,))
+    assert "R9" not in derived.by_rule
+    [r2] = [f for f in derived if f.provenance.reference == "R2"]
+    assert (r2.subject, r2.kind, r2.detail) == ((6, 6, 6), KIND_MEMBER, (36,))
 
 
 def test_provenance_chains_resolve():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import terms
 from zerosum import catalog, cli, constructions, search
 from zerosum.cli import cache_dir, main
 from zerosum.constructions import build_family
@@ -283,7 +284,8 @@ def test_certify_rejects_a_construction_certificate_with_edited_members(tmp_path
     (["construct", "cap3", "--verify"], lambda claim: claim["params"].update(n=3)),
     (["construct", "slide", "--verify"], lambda claim: claim["params"].update(m=2)),
     (["invariant", "C3^2", "eta"], lambda claim: claim.pop("invariant")),
-], ids=["cap3_with_n", "slide_with_m", "invariant_without_invariant"])
+    (["check-property", "C3^2", "C"], lambda claim: claim.update(property="X", c=3)),
+], ids=["cap3_with_n", "slide_with_m", "invariant_without_invariant", "unknown_property"])
 def test_certify_rejects_a_hand_edited_claim(tmp_path, capsys, argv, edit):
     # a construction's params are exactly the ones it is built with, and a
     # claim field the replay reads must be there: error and exit 3, neither
@@ -453,7 +455,7 @@ def _cache_a_low_eta(spec: str) -> Path:
     _, cert = search.invariant_value(parse_group_spec(spec), "eta", SearchConfig())
     cert.claim.update(extremal_length=cert.claim["extremal_length"] - 1,
                       value=cert.claim["value"] - 1)
-    cert.witness = Sequence.from_terms(cert.witness.group, list(cert.witness.terms())[1:])
+    cert.witness = Sequence.from_terms(cert.witness.group, terms(cert.witness)[1:])
     cache_dir().mkdir(parents=True, exist_ok=True)
     path = cache_dir() / "0123456789abcdef.json"
     path.write_text(cert.to_json())
@@ -502,6 +504,30 @@ def test_a_cache_entry_that_does_not_hold_gives_no_fact(spoil, capsys):
     capsys.readouterr()
     assert main(["facts", "--provenance", "search"]) == 0
     assert capsys.readouterr().out == "0 fact(s); consistency: ok\n"
+
+
+@pytest.mark.parametrize("field, value", [("group", 5), ("witness", 7)])
+def test_certify_refuses_a_certificate_field_of_the_wrong_type(field, value, tmp_path, capsys):
+    path = tmp_path / "eta.json"
+    assert main(["invariant", "C3^2", "eta", "--json", str(path)]) == 0
+    _edit_entry(path, lambda data: data.update({field: value}))
+    capsys.readouterr()
+    assert main(["certify", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: certificate group is not a str")
+
+
+def test_a_cache_entry_whose_witness_is_not_a_str_is_a_miss(capsys):
+    # facts skips the entry, and invariant recomputes it and overwrites it
+    assert main(["invariant", "C3^2", "eta"]) == 0
+    [path] = cache_dir().glob("*.json")
+    good = path.read_text()
+    _edit_entry(path, lambda data: data.update(witness=7))
+    capsys.readouterr()
+    assert main(["facts", "--provenance", "search"]) == 0
+    assert capsys.readouterr().out == "0 fact(s); consistency: ok\n"
+    assert main(["invariant", "C3^2", "eta"]) == 0
+    assert "(cached)" not in capsys.readouterr().out
+    assert path.read_text() == good
 
 
 def test_a_json_certificate_in_the_cache_directory_is_no_entry(capsys):
@@ -682,7 +708,8 @@ bad_span = span.remove(Sequence.from_terms(group, [e1, e2])).concat(
 # the trims with the length-30 member replaced by the length-31 one less a
 # term: still short free and of lengths 30..36, but not zero-sum
 trims = {w.length: w for w in constructions.excluded_window_witnesses()}
-short = trims[31].remove(Sequence.from_terms(trims[31].group, [next(trims[31].terms())]))
+first = trims[31].group.element_by_index(trims[31].items[0][0])
+short = trims[31].remove(Sequence.from_terms(trims[31].group, [first]))
 bad_trims = [short] + [w for t, w in trims.items() if t != 30]
 # the slide family over C3^3 without its length-7 member: its lengths no
 # longer fill the claimed window [6, 7]
@@ -765,7 +792,7 @@ def test_a_cached_claim_against_a_cited_fact_is_an_error(capsys):
     [path] = cache_dir().glob("*.json")
     cert = Certificate.from_json(path.read_text())
     cert.claim.update(extremal_length=14, value=15)
-    cert.witness = Sequence.from_terms(cert.witness.group, list(cert.witness.terms())[:14])
+    cert.witness = Sequence.from_terms(cert.witness.group, terms(cert.witness)[:14])
     path.write_text(cert.to_json())
     capsys.readouterr()
     assert main(["invariant", "C3^3", "eta"]) == 3

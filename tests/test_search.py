@@ -36,8 +36,8 @@ from zerosum.search import (
     STATUS_REFUTED,
     Certificate,
     SearchConfig,
-    check_property_C,
-    check_property_D,
+    c0_targets,
+    check_power_property,
     check_property_D0,
     compute_c0,
     compute_c0_at,
@@ -104,8 +104,8 @@ def test_goal_objects_cross_to_width_2_workers_unchanged():
             [(t, c.to_json()) for t, c in compute_c0_at(c44, [8, 9], cfg)[1].items()],
             [(t, c.to_json()) for t, c in compute_c0_at(c224, [5, 6], cfg)[1].items()],
             (rep.count, rep.nodes, rep.status, rep.violations, rep.items),
-            check_property_C(c33, cfg).to_json(),
-            check_property_D(c33, cfg).to_json(),
+            check_power_property(c33, "C", cfg, {}).to_json(),
+            check_power_property(c33, "D", cfg, {}).to_json(),
         )
 
     assert runs(SearchConfig(parallel_width=1)) == runs(SearchConfig(parallel_width=2))
@@ -184,6 +184,27 @@ def test_c0_small_groups():
     assert members == [8, 9]
 
 
+@pytest.mark.parametrize("known, searched", [
+    ({"D": 5, "eta": 7}, []), ({"D": 5}, ["eta"]), ({"eta": 7, "s": 9}, ["D"]),
+    ({}, ["D", "eta"]),
+])
+def test_c0_targets_searches_only_what_known_lacks(known, searched, monkeypatch):
+    calls = []
+
+    def logged(group, kind, cfg):
+        calls.append(kind)
+        return {"D": 5, "eta": 7}[kind], search.Certificate(
+            {}, STATUS_PROVED, group.spec(), None, 0, cfg.symmetry_level, cfg)
+
+    monkeypatch.setattr(search, "invariant_value", logged)
+    group = make_group([3, 3])
+    assert c0_targets(group, CFG, known) == (6, 6, [6])
+    assert c0_targets(group, CFG, known, [6]) == (6, 6, [6])
+    assert calls == searched * 2
+    with pytest.raises(ValueError, match=r"t=7 outside \[D\(G\)\+1, eta\(G\)-1\] = \[6, 6\]"):
+        c0_targets(group, CFG, known, [7])
+
+
 def test_c0_members_against_brute_force():
     # enumerate all multisets of each candidate length directly
     group = make_group([3, 3])
@@ -250,21 +271,21 @@ def test_enumerate_respects_multiplicity_bound():
 
 
 def test_property_c_small():
-    cert = check_property_C(make_group([3, 3]), CFG)
+    cert = check_power_property(make_group([3, 3]), "C", CFG, {})
     assert cert.status == STATUS_PROVED and cert.claim["c"] == 3
-    cert = check_property_C(make_group([2, 2]), CFG)
+    cert = check_power_property(make_group([2, 2]), "C", CFG, {})
     assert cert.status == STATUS_PROVED
 
 
 def test_property_d_small():
-    cert = check_property_D(make_group([2, 2]), CFG)
+    cert = check_power_property(make_group([2, 2]), "D", CFG, {})
     assert cert.status == STATUS_PROVED
-    cert = check_property_D(make_group([3, 3]), CFG)
+    cert = check_power_property(make_group([3, 3]), "D", CFG, {})
     assert cert.status == STATUS_PROVED and cert.claim["c"] == 4
 
 
 def test_property_d_rank3_ternary():
-    cert = check_property_D(make_group([3, 3, 3]), CFG, s_value=19)
+    cert = check_power_property(make_group([3, 3, 3]), "D", CFG, {"s": 19})
     assert cert.status == STATUS_PROVED and cert.claim["c"] == 9
 
 
@@ -273,9 +294,20 @@ def test_power_property_refuses_a_value_below_d_star():
     # would refute the property with no witness to check
     c33 = make_group([3, 3, 3])
     with pytest.raises(ValueError, match="below D"):
-        check_property_D(c33, CFG, s_value=2)
+        check_power_property(c33, "D", CFG, {"s": 2})
     with pytest.raises(ValueError, match="below D"):
-        check_property_C(c33, CFG, eta_value=0)
+        check_power_property(c33, "C", CFG, {"eta": 0})
+
+
+def test_power_property_reads_its_invariant_from_known():
+    # Property C reads eta and Property D reads s: the other invariant in
+    # known is ignored, and a given eta runs no eta search
+    c33 = make_group([3, 3, 3])
+    cert = check_power_property(c33, "C", CFG, {"eta": 17, "s": 2})
+    assert (cert.status, cert.claim["c"], cert.cert_id()) == (
+        STATUS_PROVED, 8, "d72189ec59a858e7")
+    with pytest.raises(ValueError, match="unknown power property 'D0'"):
+        check_power_property(c33, "D0", CFG, {})
 
 
 def test_enumerate_above_eta_is_empty():
@@ -445,10 +477,11 @@ _FULL = SearchConfig(symmetry_level="full_small")
 
 # Property, C0 and D0 certificates, pinned the same way.
 PINNED_CERTS = [
-    ("C C4^2", lambda: check_property_C(_C44, CFG), 846, "623ddb63e0f1b135"),
-    ("D C4^2", lambda: check_property_D(_C44, CFG), 10997, "7f50b983ff788297"),
-    ("D C4^2 b30", lambda: check_property_D(_C44, _BUDGET30), 464, "e0ea6f38e9fc966d"),
-    ("C C3^3 b30", lambda: check_property_C(make_group((3, 3, 3)), _BUDGET30),
+    ("C C4^2", lambda: check_power_property(_C44, "C", CFG, {}), 846, "623ddb63e0f1b135"),
+    ("D C4^2", lambda: check_power_property(_C44, "D", CFG, {}), 10997, "7f50b983ff788297"),
+    ("D C4^2 b30", lambda: check_power_property(_C44, "D", _BUDGET30, {}),
+     464, "e0ea6f38e9fc966d"),
+    ("C C3^3 b30", lambda: check_power_property(make_group((3, 3, 3)), "C", _BUDGET30, {}),
      229, "d7483f90b5a3438d"),
     ("c0 C4^2 t=8", lambda: compute_c0(_C44, CFG)[1][8], 745, "36547184e24c55f0"),
     ("c0 C4^2 t=9", lambda: compute_c0(_C44, CFG)[1][9], 745, "ae6c245a4c1893bc"),
@@ -465,7 +498,7 @@ PINNED_CERTS = [
     # the full automorphism group: 11,231 non-identity permutations on C3^3
     ("s C3^3 full", lambda: max_extremal_length(make_group((3, 3, 3)), "s", _FULL)[1],
      457, "0da5f0e555c1f2ce"),
-    ("D C3^3 s=19 full", lambda: check_property_D(make_group((3, 3, 3)), _FULL, s_value=19),
+    ("D C3^3 s=19 full", lambda: check_power_property(make_group((3, 3, 3)), "D", _FULL, {"s": 19}),
      541, "c315e0fac8a47528"),
     # both stages of the canonicity test: 95 non-identity perms on C4^2
     ("s C4^2 full", lambda: max_extremal_length(_C44, "s", _FULL)[1], 585, "17e0e5ed5281f469"),

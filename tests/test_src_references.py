@@ -13,15 +13,27 @@ def _identifiers(path: Path) -> list[tuple[str, int, bool]]:
     """(identifier, line, whether it can call a method) for every name,
     attribute and import alias in the file, and, in perfbench/tracing.py,
     every part of a dotted string target such as "AbelianGroup.index_of": the
-    references code can make.  Only an attribute and a tracing target can
-    call a method.  Comments and docstrings make none."""
+    references code can make.  Only an attribute call, x.m(...), an
+    attribute bound to a name that the file calls, f = x.m, and a tracing
+    target can call a method: a data attribute x.m of the same name cannot.
+    Comments and docstrings make none."""
     out = []
     tree = ast.parse(path.read_text(encoding="utf-8"))
+    funcs = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    called = {id(func) for func in funcs}
+    called_names = {func.id for func in funcs if isinstance(func, ast.Name)}
+    for node in ast.walk(tree):  # f = x.m or f, g = x.m, y.n, then f(...)
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            pairs = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
+                     and isinstance(value, ast.Tuple) else [(target, value)])
+            called |= {id(v) for t, v in pairs
+                       if isinstance(t, ast.Name) and t.id in called_names}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.append((node.id, node.lineno, False))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno, True))
+            out.append((node.attr, node.lineno, id(node) in called))
         elif isinstance(node, ast.alias):
             names = node.name.split(".") + ([node.asname] if node.asname else [])
             out += [(name, node.lineno, False) for name in names]
@@ -48,8 +60,8 @@ def _outside_attributes(base: ast.expr) -> set[str]:
 def unreferenced(root: Path) -> list[str]:
     """The functions, classes and methods of src/zerosum/*.py whose name is
     not an identifier in src/zerosum/*.py or perfbench/*.py outside their own
-    definition; a method counts as called only through an attribute or a
-    tracing target.  Decorated definitions (registry entries, properties),
+    definition; a method counts as called only through a call or a tracing
+    target (see _identifiers).  Decorated definitions (registry entries, properties),
     dunder methods and overrides of a base class defined outside src/ are
     exempt: they are reached through a decorator, a protocol or code outside
     src/, not by name."""
@@ -127,12 +139,18 @@ def test_the_reference_scan_counts_a_method_only_through_an_attribute(tmp_path):
         "    def called(self):\n        return 2\n\n\n"
         "class Items(list):\n"
         "    def append(self, item):\n        return None\n\n"
-        "    def zero(self):\n        return 0\n",
+        "    def zero(self):\n        return 0\n\n"
+        "    def size(self):\n        return 0\n\n"
+        "    def bound(self):\n        return 1\n",
         encoding="utf-8",
     )
     (tmp_path / "perfbench" / "run.py").write_text(
-        "zero, shout = 0, 1\nParser().called()\nItems()\n", encoding="utf-8"
+        "zero, shout = 0, 1\nParser().called()\nitems = Items()\n"
+        "items.size = 3\nprint(items.size)\nfirst, f = items.size, items.bound\nf()\n",
+        encoding="utf-8",
     )
-    # zero and shout are bare names in run.py, never attributes; error and
-    # append override methods of argparse.ArgumentParser and of list
-    assert unreferenced(tmp_path) == ["mod.py:8 shout", "mod.py:19 zero"]
+    # zero and shout are bare names in run.py, never attributes, and size a
+    # data attribute, set and read but never called; bound is called through
+    # the name it is bound to; error and append override methods of
+    # argparse.ArgumentParser and of list
+    assert unreferenced(tmp_path) == ["mod.py:8 shout", "mod.py:19 zero", "mod.py:22 size"]
