@@ -76,6 +76,49 @@ def test_eta_matches_brute_force(spec):
     assert value == oracle
 
 
+# s and g against brute force: every TINY group and the smallest ones beside
+EXACT_LENGTH_GROUPS = {**TINY, "C2^2": [2, 2], "C4": [4], "C5": [5], "C6": [6]}
+
+
+def _no_zero_sum_of_length_exp(group, squarefree: bool):
+    """keep for brute_max_length: no zero-sum subsequence of length exactly
+    exp(G), by the set layers of sums of exactly c terms.  A multiplicity of
+    exp(G) or more is refused before any sum (exp(G) copies of one term sum
+    to 0), and with squarefree one above 1 too."""
+    n = group.exponent
+    top = 1 if squarefree else n - 1
+
+    def keep(seq) -> bool:
+        if any(v > top for _, v in seq.items):
+            return False
+        return 0 not in layers_by_count(group, seq.term_indices(), n)[n]
+
+    return keep
+
+
+def _brute_force_disagrees(spec: str, kind: str) -> str | None:
+    """What differs between the search's proved s or g of the group and
+    brute force, or None.  brute_max_length scans down from the search's
+    value, so it confirms that no sequence of that length avoids a length-exp
+    zero-sum (nor, by heredity, any longer one) and that one of the length
+    below does."""
+    group = make_group(EXACT_LENGTH_GROUPS[spec])
+    value, cert = invariant_value(group, kind, CFG)
+    if cert.status != STATUS_PROVED:
+        return f"{kind}({spec}): status {cert.status}"
+    keep = _no_zero_sum_of_length_exp(group, kind == "g")
+    longest = brute_max_length(group, value, keep)
+    if longest != value - 1:
+        return f"{kind}({spec}): search {value}, brute force's longest {longest}"
+    return None
+
+
+@pytest.mark.parametrize("kind", ["s", "g"])
+@pytest.mark.parametrize("spec", sorted(EXACT_LENGTH_GROUPS))
+def test_s_and_g_match_brute_force(spec, kind):
+    assert _brute_force_disagrees(spec, kind) is None
+
+
 def test_invariants_independent_of_symmetry_level():
     for spec, want in [("C3^2", (5, 7)), ("C2+C4", (5, 6)), ("C2^3", (4, 8))]:
         group = make_group(TINY[spec])
