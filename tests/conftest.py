@@ -245,10 +245,12 @@ def loop_root_jobs(ctx, pred, make_goal) -> list:
 
 def layers_by_count(group: AbelianGroup, terms, top: int) -> list[set[int]]:
     """layers[c] is the set of sums of exactly c of the terms, c in [0, top]."""
+    add = _add_table(group)
     layers = [{0}] + [set() for _ in range(top)]
     for t in terms:
+        row = add[t]
         for c in range(top, 0, -1):
-            layers[c] |= {group.index_add(x, t) for x in layers[c - 1]}
+            layers[c] |= {row[x] for x in layers[c - 1]}
     return layers
 
 

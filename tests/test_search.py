@@ -98,14 +98,21 @@ def _no_zero_sum_of_length_exp(group, squarefree: bool):
 
 def _brute_force_disagrees(spec: str, kind: str) -> str | None:
     """What differs between the search's proved s or g of the group and
-    brute force, or None.  brute_max_length scans down from the search's
-    value, so it confirms that no sequence of that length avoids a length-exp
+    brute force, or None.  The search runs twice, the second time with a
+    greedy lower bound of 0: on most of these groups the greedy sequence is
+    already extremal, so only the tree alone shows a prune that drops every
+    longest sequence.  brute_max_length scans down from the search's value,
+    so it confirms that no sequence of that length avoids a length-exp
     zero-sum (nor, by heredity, any longer one) and that one of the length
     below does."""
     group = make_group(EXACT_LENGTH_GROUPS[spec])
     value, cert = invariant_value(group, kind, CFG)
     if cert.status != STATUS_PROVED:
         return f"{kind}({spec}): status {cert.status}"
+    with mock.patch.object(search, "_greedy_lb", lambda ctx, pred: (0, None)):
+        tree_value = invariant_value(group, kind, CFG)[0]
+    if tree_value != value:
+        return f"{kind}({spec}): search {value}, from a greedy bound of 0 {tree_value}"
     keep = _no_zero_sum_of_length_exp(group, kind == "g")
     longest = brute_max_length(group, value, keep)
     if longest != value - 1:
