@@ -35,7 +35,15 @@ order, choosing each element's multiplicity at first visit.  Pruning rules:
   that passes it, and g is skipped if none does; then each g^m meets the
   goal and potential cuts, the head test and the full test.  At a root job
   the cuts and pushes run first, so a root whose children are all cut
-  closes nothing.
+  closes nothing;
+* translation, for the exact-length goals (s, g, Property D): a length-exp
+  zero-sum does not move under T -> T + a, so an element of largest
+  multiplicity m may be put at 0.  Their root jobs are (0, m) alone, each
+  branch capping every bound and potential weight at m.  Automorphisms fix
+  0 and keep multiplicities, so lex-min canonicity below the root stays
+  sound; dropping the last element's copies keeps 0 at multiplicity m, so
+  orderly generation stays complete.  D, eta, f, C0 and D0 (whose 0 is
+  fixed already) keep their roots at the orbit minima.
 
 Every search (an invariant, the C0 sweep, an enumeration, Properties C, D
 and D0) goes through one run loop, _run: it builds the context (tables and
@@ -347,10 +355,18 @@ def _orbit_minima(gens, order: int) -> tuple[int, ...]:
 
 
 class _Pred:
-    __slots__ = ("ctx",)
+    """A predicate over ctx, with its branch's bounds and potential weights."""
+
+    __slots__ = ("ctx", "bound", "weights")
+    translates = False  # roots at 0^m, each bound capped at m: see the module docstring
 
     def __init__(self, ctx: _Ctx) -> None:
-        self.ctx = ctx
+        self.ctx, self.bound, self.weights = ctx, ctx.bound, ctx.weights
+
+    def cap(self, m: int) -> None:
+        """Cap every bound, and so every weight, at m."""
+        self.bound = tuple(min(b, m) for b in self.ctx.bound)
+        self.weights = tuple((min(b, m), mask) for b, mask in self.ctx.weights)
 
 
 class _PairPred(_Pred):
@@ -370,7 +386,7 @@ class _PairPred(_Pred):
         ctx = self.ctx
         counted = ~state[-1] & ctx.ge[start] & ~(~state[-2] & ctx.nge[start] & ctx.less)
         pot = 0
-        for b, mask in ctx.weights:
+        for b, mask in self.weights:
             pot += b * (counted & mask).bit_count()
         return pot
 
@@ -443,6 +459,7 @@ class _NoExactExp(_Pred):
     zero-sum, that is pushing g while -g is a sum of exactly exp-1 terms."""
 
     __slots__ = ()
+    translates = True
 
     def initial(self):
         return 1
@@ -472,7 +489,7 @@ class _NoExactExp(_Pred):
         ctx = self.ctx
         free = ~(state >> ctx.top) & ctx.nge[start]
         pot = 0
-        for b, mask in ctx.weights:
+        for b, mask in self.weights:
             pot += b * (free & mask).bit_count()
         return pot
 
@@ -482,6 +499,7 @@ class _D0Units(_NoExactExp):
     after the translated term 0, and a unit of g is n-1 copies of it."""
 
     __slots__ = ()
+    translates = False  # the translated 0 is already fixed
 
     def initial(self):
         return 1 | 1 << self.ctx.order  # the sums of none and of one term: 0
@@ -663,7 +681,7 @@ def _dfs(
     room = _NO_CAP if hi is None else hi - length
     if room <= 0:
         return
-    bound, neg, steps = ctx.bound, ctx.neg, ctx.steps
+    bound, neg, steps = pred.bound, ctx.neg, ctx.steps
     frame = pred.frame(state)
     if q is not None:  # a tested child, so the codes are built
         codes = ctx._codes
@@ -733,6 +751,8 @@ def _branch_worker(job: tuple) -> tuple:
     group, pred_name, squarefree, cfg, make_goal, (g, m) = job
     ctx = _context(group, pred_name, squarefree, cfg.symmetry_level)
     pred = _PREDS[pred_name](ctx)
+    if pred.translates:
+        pred.cap(m)
     stats = _Stats(cfg.node_budget, cfg.time_budget)
     goal = make_goal()
     states = pred.chain(pred.initial(), g, m)
@@ -748,11 +768,11 @@ def _root_jobs(ctx: _Ctx, pred, make_goal) -> list:
     pairs within the length cap of a fresh goal.
 
     g^m is canonical iff no perm maps g below itself, that is iff g is the
-    least element of its orbit.
+    least element of its orbit; a translating predicate roots at 0 alone.
     """
     hi = make_goal().needs()[1]
     jobs = []
-    for g in ctx.minima:
+    for g in (0,) if pred.translates else ctx.minima:
         for m in range(len(pred.chain(pred.initial(), g, ctx.bound[g])), 0, -1):
             if hi is None or m <= hi:
                 jobs.append((g, m))

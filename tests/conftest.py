@@ -221,7 +221,11 @@ def loop_chain(pred, state, g: int, copies: int) -> list:
 
 
 def loop_root_jobs(ctx, pred, make_goal) -> list:
-    """search._root_jobs the way it tested each root job with loop_extend."""
+    """search._root_jobs the way it tested each root job with loop_extend.
+
+    no_exact_exp roots at (0, m) alone: a length-exp zero-sum does not move
+    under T -> T + a, so an element of largest multiplicity m is translated
+    to 0, which every automorphism fixes."""
     empty = [0] * len(ctx.perms)
     unit = loop_units(ctx.order, max(ctx.bound))
     goal = make_goal()
@@ -233,8 +237,9 @@ def loop_root_jobs(ctx, pred, make_goal) -> list:
             and loop_extend(0, empty, ctx.perms, unit, g, 1) is not None
         ]
     hi = goal.needs()[1]
+    translated = type(pred) is search._NoExactExp
     jobs = []
-    for g in range(ctx.order):
+    for g in (0,) if translated else range(ctx.order):
         for m in range(len(loop_chain(pred, pred.initial(), g, ctx.bound[g])), 0, -1):
             if hi is not None and m > hi:
                 continue

@@ -454,9 +454,9 @@ def test_compute_c0_at_handles_construction_hints():
 PINNED_SEARCHES = [
     ("D", (3, 3, 3), 3509, "fd21010b24993d22"),
     ("eta", (3, 3, 3), 5575, "600497b480f9f429"),
-    ("g", (3, 3, 3), 2180, "3c9f7d9124bd661a"),
-    ("s", (4, 4), 4725, "1fe61f10f7a70fee"),
-    ("s", (2, 6), 6189, "7003abb1fe947d76"),
+    ("g", (3, 3, 3), 599, "40f4cda6749f46b7"),
+    ("s", (4, 4), 462, "4f743cfdda9572a4"),
+    ("s", (2, 6), 444, "8ce2e27671ca4a16"),
     ("eta", (2,) * 7, 8, "cf2f5c4b4037911e"),
     ("eta", (2,) * 8, 9, "6f72b81aa9e29904"),
 ]
@@ -528,9 +528,9 @@ _FULL = SearchConfig(symmetry_level="full_small")
 # Property, C0 and D0 certificates, pinned the same way.
 PINNED_CERTS = [
     ("C C4^2", lambda: check_power_property(_C44, "C", CFG, {}), 846, "623ddb63e0f1b135"),
-    ("D C4^2", lambda: check_power_property(_C44, "D", CFG, {}), 10997, "7f50b983ff788297"),
+    ("D C4^2", lambda: check_power_property(_C44, "D", CFG, {}), 1093, "a163b13334f3b520"),
     ("D C4^2 b30", lambda: check_power_property(_C44, "D", _BUDGET30, {}),
-     464, "e0ea6f38e9fc966d"),
+     68, "3cd3356b982f1062"),
     ("C C3^3 b30", lambda: check_power_property(make_group((3, 3, 3)), "C", _BUDGET30, {}),
      229, "d7483f90b5a3438d"),
     ("c0 C4^2 t=8", lambda: compute_c0(_C44, CFG)[1][8], 745, "36547184e24c55f0"),
@@ -542,16 +542,16 @@ PINNED_CERTS = [
     ("eta C3^4 b20", lambda: max_extremal_length(make_group((3,) * 4), "eta", _BUDGET20)[1],
      290, "e2b4ff9e7100396c"),
     ("s C4^3 b20", lambda: max_extremal_length(make_group((4,) * 3), "s", _BUDGET20)[1],
-     724, "8c2e218cf7afa415"),
+     61, "be44194f3a91c4d8"),
     ("f C5^3 b20", lambda: max_extremal_length(make_group((5,) * 3), "f", _BUDGET20)[1],
      181, "c76240fa91c74482"),
     # the full automorphism group: 11,231 non-identity permutations on C3^3
     ("s C3^3 full", lambda: max_extremal_length(make_group((3, 3, 3)), "s", _FULL)[1],
-     457, "0da5f0e555c1f2ce"),
+     86, "ee98aa142412b912"),
     ("D C3^3 s=19 full", lambda: check_power_property(make_group((3, 3, 3)), "D", _FULL, {"s": 19}),
-     541, "c315e0fac8a47528"),
+     108, "5190b500902004e6"),
     # both stages of the canonicity test: 95 non-identity perms on C4^2
-    ("s C4^2 full", lambda: max_extremal_length(_C44, "s", _FULL)[1], 585, "17e0e5ed5281f469"),
+    ("s C4^2 full", lambda: max_extremal_length(_C44, "s", _FULL)[1], 74, "fb713b969a6c59b0"),
     ("D0 C3^3 c=9 full", lambda: check_property_D0(make_group((3, 3, 3)), 9, _FULL),
      25, "493e97123f4889e1"),
     # D0 trees cut by a budget, and a refutation with the full automorphism group
@@ -716,7 +716,9 @@ def test_packed_codes_match_loop_oracle(data):
 @pytest.mark.parametrize("level", SYMMETRY_LEVELS)
 def test_root_jobs_are_the_orbit_minima(level):
     # root jobs by orbit minimum, against the per-permutation test of each
-    # root's code, with and without a length cap, and D0's (g, 1) at two caps
+    # root's code, with and without a length cap, and D0's (g, 1) at two caps;
+    # no_exact_exp alone is translated to (0, m), so D, eta, f, C0 and D0 keep
+    # a root at every nonzero orbit minimum
     partial = functools.partial
     goals = [partial(search._MaxGoal, 0), partial(search._EnumGoal, 2, (), 0, False)]
     d0_goals = [partial(search._D0Goal, 1), partial(search._D0Goal, 9)]
@@ -724,10 +726,26 @@ def test_root_jobs_are_the_orbit_minima(level):
         for pred_name in ("short_free", "zero_sum_free", "no_exact_exp", "d0_units"):
             ctx = _canon_ctx(spec, pred_name, level)
             pred = search._PREDS[pred_name](ctx)
+            minima = {g for g in range(ctx.order) if is_orbit_minimal([g], ctx.perms)}
             for make_goal in d0_goals if pred_name == "d0_units" else goals:
-                want = loop_root_jobs(ctx, pred, make_goal)
-                assert search._root_jobs(ctx, pred, make_goal) == want, (
-                    spec, pred_name, make_goal.func.__name__, make_goal.args)
+                jobs = search._root_jobs(ctx, pred, make_goal)
+                where = (spec, pred_name, make_goal.func.__name__, make_goal.args)
+                assert jobs == loop_root_jobs(ctx, pred, make_goal), where
+                roots = {g for g, _ in jobs}
+                # the others have one root at each nonzero orbit minimum:
+                # 0 has bound 0, and a unit of D0's 0 completes a zero-sum
+                assert roots == ({0} if pred_name == "no_exact_exp" else minima - {0}), where
+
+
+def test_s_and_g_brute_force_catches_a_cap_one_below_the_root(monkeypatch):
+    # capping each bound one below the root's multiplicity m drops every
+    # sequence with two elements of largest multiplicity: the sweep must see it
+    cap = search._Pred.cap
+    monkeypatch.setattr(search._Pred, "cap", lambda pred, m: cap(pred, m - 1))
+    assert any(
+        _brute_force_disagrees(spec, kind)
+        for spec in sorted(EXACT_LENGTH_GROUPS) for kind in ("s", "g")
+    )
 
 
 @settings(max_examples=100, deadline=None)
