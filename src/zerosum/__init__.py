@@ -1,10 +1,10 @@
 """Exact computation of zero-sum invariants over finite abelian groups."""
 
 from .group import AbelianGroup, GroupElement, make_group, parse_group_spec, symmetries
-from .search import Certificate, SearchConfig, compute_c0, invariant_value
+from .search import TOOL_VERSION, Certificate, SearchConfig, compute_c0, invariant_value
 from .sequence import Sequence, read_sequence, write_sequence
 
-__version__ = "0.1.0"
+__version__ = TOOL_VERSION
 
 __all__ = [
     "AbelianGroup",

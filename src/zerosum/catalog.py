@@ -503,7 +503,7 @@ def fact_from_certificate(cert) -> Fact | None:
     """Translate a search certificate into a fact, or None when inconclusive."""
     claim = cert.claim
     prov = Provenance("search", cert.cert_id())
-    subject = parse_group_spec(claim.get("group", cert.group_spec)).moduli
+    subject = parse_group_spec(cert.group_spec).moduli
     if claim["type"] == "invariant":
         if cert.status == "proved_exhaustive":
             return Fact(subject, KIND_INVARIANT, (claim["invariant"], claim["value"]), prov)

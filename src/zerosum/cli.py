@@ -44,23 +44,23 @@ def cache_dir() -> Path:
 
 
 def _cache_key(verb: str, group_spec: str, cfg: SearchConfig, extra: str = "") -> str:
-    blob = "|".join([TOOL_VERSION, verb, group_spec, str(cfg.node_budget),
-                     str(cfg.time_budget), cfg.symmetry_level, extra])
+    """The entry's name: the config enters as the fields its certificate records."""
+    blob = "|".join([TOOL_VERSION, verb, group_spec, *map(str, cfg.recorded().values()), extra])
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _cache_load(path: Path, group_spec: str | None = None) -> Certificate | None:
-    """The invariant certificate cached at path, or None if it does not load,
-    a claim field has the wrong type, the claim is about another group (than
-    its own, or than group_spec if one is given), or its witness does not hold
-    (checked when the extremal length is positive)."""
+    """The invariant certificate cached at path, or None if it does not load
+    (another format included), a claim field has the wrong type, its group is
+    not written canonically or is not group_spec (if one is given), or its
+    witness does not hold (checked when the extremal length is positive)."""
     try:
         cert = Certificate.from_json(path.read_text(encoding="utf-8"))
         claim = cert.claim
-        types = [type(claim[key]) for key in ("invariant", "group", "value", "extremal_length")]
-        ok = (claim["type"] == "invariant" and types == [str, str, int, int]
-              and claim["group"] == cert.group_spec == parse_group_spec(claim["group"]).spec()
-              and group_spec in (None, claim["group"])
+        types = [type(claim[key]) for key in ("invariant", "value", "extremal_length")]
+        ok = (claim["type"] == "invariant" and types == [str, int, int]
+              and cert.group_spec == parse_group_spec(cert.group_spec).spec()
+              and group_spec in (None, cert.group_spec)
               and (claim["extremal_length"] <= 0 or search.witness_valid(cert)))
     except (OSError, ValueError, KeyError, TypeError):
         return None
@@ -183,7 +183,7 @@ def _cmd_c0(args) -> int:
         print(f"  t={t}: {cert.status} nodes={cert.nodes}{extra}")
     if args.json:
         payload = {
-            "format": "zerosum.c0/1",
+            "format": "zerosum.c0/2",
             "tool_version": TOOL_VERSION,
             "group": group.spec(),
             "range": [lo, hi],
@@ -288,7 +288,7 @@ def _verified_construction(
              "members": len(outputs), "verified": True}
     return outputs, Certificate(
         claim=claim, status=STATUS_PROVED, group_spec=outputs[0].group.spec(), witness=None,
-        nodes=0, symmetry_level="none", config=cfg,
+        nodes=0, config=cfg,
     )
 
 
@@ -513,9 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("c0", help="decide C0 membership with certificates")
     p.add_argument("group")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--t", type=int, default=None)
-    g.add_argument("--all", action="store_true")
+    p.add_argument("--t", type=int, default=None, help="one length (default: the whole range)")
     _add_search(p)
     _add_json(p)
     p.set_defaults(fn=_cmd_c0)

@@ -87,7 +87,7 @@ from .sequence import Sequence, read_sequence, write_sequence
 from .subsum import add_term, repeated_steps, witnesses
 
 TOOL_VERSION = "0.1.0"
-_CERT_FORMAT = "zerosum.certificate/1"
+_CERT_FORMAT = "zerosum.certificate/2"
 
 STATUS_PROVED = "proved_exhaustive"
 STATUS_REFUTED = "refuted_with_witness"
@@ -122,7 +122,6 @@ class SearchConfig:
     time_budget: float = 0.0
     symmetry_level: str = "coord_perms+scalar"
     parallel_width: int = 1
-    record_witnesses: bool = True
 
     def __post_init__(self) -> None:
         if self.node_budget < 0 or self.time_budget < 0:
@@ -132,9 +131,13 @@ class SearchConfig:
         if self.symmetry_level not in SYMMETRY_LEVELS:
             raise ValueError(f"unknown symmetry level {self.symmetry_level!r}")
 
+    def recorded(self) -> dict:
+        """The fields a certificate records, on which a result depends:
+        parallel_width changes none."""
+        return {key: getattr(self, key) for key in _CONFIG_KEYS}
 
-# the SearchConfig fields a certificate records (parallel_width changes no result)
-_CONFIG_KEYS = ("node_budget", "time_budget", "symmetry_level", "record_witnesses")
+
+_CONFIG_KEYS = ("node_budget", "time_budget", "symmetry_level")
 
 
 @dataclass
@@ -146,7 +149,6 @@ class Certificate:
     group_spec: str
     witness: Sequence | None
     nodes: int
-    symmetry_level: str
     config: SearchConfig
     wall_time_s: float = 0.0  # display only; excluded from the canonical payload
 
@@ -158,8 +160,8 @@ class Certificate:
             "status": self.status,
             "group": self.group_spec,
             "witness": None if self.witness is None else write_sequence(self.witness),
-            "stats": {"nodes": self.nodes, "symmetry_level": self.symmetry_level},
-            "config": {key: getattr(self.config, key) for key in _CONFIG_KEYS},
+            "stats": {"nodes": self.nodes},
+            "config": self.config.recorded(),
         }
 
     def to_json(self) -> str:
@@ -195,7 +197,6 @@ class Certificate:
                 group_spec=data["group"],
                 witness=None if witness is None else read_sequence(witness),
                 nodes=stats["nodes"],
-                symmetry_level=stats["symmetry_level"],
                 config=SearchConfig(**{key: cfg[key] for key in _CONFIG_KEYS}),
             )
         except (KeyError, TypeError) as exc:
@@ -843,7 +844,7 @@ def _certificate(
     the property or the C0 length."""
     cert = Certificate(
         claim=claim, status=status, group_spec=group.spec(), witness=witness, nodes=nodes,
-        symmetry_level=cfg.symmetry_level, config=cfg, wall_time_s=time.monotonic() - t0,
+        config=cfg, wall_time_s=time.monotonic() - t0,
     )
     if witness is not None and not witness_valid(cert):
         what = claim.get("invariant") or f"{claim['type']} {claim.get('property', claim.get('t'))}"
@@ -872,13 +873,8 @@ def max_extremal_length(
     if found:
         neg_best, witness = min(found)
         best = -neg_best
-    claim = {"type": "invariant", "invariant": kind, "group": group.spec(),
-             "extremal_length": best, "value": best + 1, "exact": not exhausted}
-    wit_seq = (
-        _sequence_from_indices(group, witness)
-        if (witness is not None and cfg.record_witnesses)
-        else None
-    )
+    claim = {"type": "invariant", "invariant": kind, "extremal_length": best, "value": best + 1}
+    wit_seq = None if witness is None else _sequence_from_indices(group, witness)
     status = STATUS_EXHAUSTED if exhausted else STATUS_PROVED
     return best, _certificate(group, cfg, claim, status, wit_seq, nodes, t0)
 
@@ -925,7 +921,7 @@ def compute_c0_at(
 
     def c0_claim(t: int, status: str) -> dict:
         member = {STATUS_PROVED: True, STATUS_REFUTED: False}.get(status)
-        return {"type": "c0_membership", "group": group.spec(), "t": t, "member": member}
+        return {"type": "c0_membership", "t": t, "member": member}
 
     certs: dict[int, Certificate] = {}
     remaining: list[int] = []
@@ -973,15 +969,11 @@ def compute_c0(
 
 @dataclass
 class EnumerationReport:
-    group_spec: str
-    length: int
     count: int
     nodes: int
     status: str
-    symmetry_level: str
     violations: dict[str, list[Sequence]]
     items: list[Sequence]
-    wall_time_s: float
 
 
 def enumerate_short_free(
@@ -995,22 +987,17 @@ def enumerate_short_free(
     """Visit every short-free sequence of the given length once up to symmetry;
     with collect, the report lists the representatives in canonical order.
     The check power_form asks every term to have multiplicity exp(G)-1."""
-    t0 = time.monotonic()
     make_goal = partial(_EnumGoal, length, checks, group.exponent - 1, collect)
     goals, nodes, exhausted = _run(group, _PRED_SHORT_FREE, False, cfg, make_goal)
     return EnumerationReport(
-        group_spec=group.spec(),
-        length=length,
         count=sum(goal.count for goal in goals),
         nodes=nodes,
         status=STATUS_EXHAUSTED if exhausted else STATUS_PROVED,
-        symmetry_level=cfg.symmetry_level,
         violations={
             c: [_sequence_from_indices(group, s) for goal in goals for s in goal.violations[c]]
             for c in checks
         },
         items=[_sequence_from_indices(group, s) for goal in goals for s in goal.items],
-        wall_time_s=time.monotonic() - t0,
     )
 
 
@@ -1018,10 +1005,6 @@ def _require_cube(group: AbelianGroup) -> tuple[int, int]:
     if len(set(group.moduli)) != 1:
         raise ValueError("property checks are defined for groups C_n^r only")
     return group.moduli[0], group.rank
-
-
-def _property_claim(group: AbelianGroup, prop: str, c: int | None, holds: bool | None) -> dict:
-    return {"type": "property", "property": prop, "group": group.spec(), "c": c, "holds": holds}
 
 
 # Property C and D: the invariant whose extremal sequences are enumerated, and
@@ -1050,7 +1033,7 @@ def check_power_property(
     nodes = 0
 
     def cert(c, holds, status, witness=None, reason=None):
-        claim = _property_claim(group, prop, c, holds)
+        claim = {"type": "property", "property": prop, "c": c, "holds": holds}
         if reason:
             claim["reason"] = reason
         return _certificate(group, cfg, claim, status, witness, nodes, t0)
@@ -1100,5 +1083,5 @@ def check_property_D0(group: AbelianGroup, c: int, cfg: SearchConfig) -> Certifi
         holds, status = False, STATUS_REFUTED
     else:
         holds, status = (None, STATUS_EXHAUSTED) if exhausted else (True, STATUS_PROVED)
-    claim = _property_claim(group, "D0", c, holds)
+    claim = {"type": "property", "property": "D0", "c": c, "holds": holds}
     return _certificate(group, cfg, claim, status, witness, nodes, t0)

@@ -138,7 +138,7 @@ def test_criterion_1_c33(c33_eta):
     assert time.monotonic() - t0 < 60
     eta, e_cert, elapsed = c33_eta
     assert e_cert.status == STATUS_PROVED and eta == 17
-    assert e_cert.symmetry_level == "coord_perms+scalar"
+    assert e_cert.config.symmetry_level == "coord_perms+scalar"
     assert elapsed < 600
     _passline("criterion 1 (C3^3)", f"D=7, eta=17 in {elapsed:.1f}s", time.monotonic() - t0)
 

@@ -113,7 +113,7 @@ def test_c0_without_a_proof_of_D_exits_2(capsys):
 
 def test_c0_all_json_round_trip(tmp_path, capsys):
     out_path = tmp_path / "all.json"
-    assert main(["c0", "C2^3", "--all", "--json", str(out_path)]) == 0
+    assert main(["c0", "C2^3", "--json", str(out_path)]) == 0
     data = json.loads(out_path.read_text())
     assert data["members"] == [5, 6]
     for payload in data["certificates"].values():
@@ -127,9 +127,9 @@ def test_c0_all_json_round_trip(tmp_path, capsys):
 def test_c0_all_json_on_an_empty_range_writes_the_payload(tmp_path, capsys):
     # D(C5) = eta(C5) = 5, so [D+1, eta-1] is empty
     out_path = tmp_path / "c5.json"
-    assert main(["c0", "C5", "--all", "--json", str(out_path)]) == 0
+    assert main(["c0", "C5", "--json", str(out_path)]) == 0
     data = json.loads(out_path.read_text())
-    assert data == {"format": "zerosum.c0/1", "tool_version": search.TOOL_VERSION, "group": "C5",
+    assert data == {"format": "zerosum.c0/2", "tool_version": search.TOOL_VERSION, "group": "C5",
                     "range": [6, 4], "members": [], "certificates": {}}
 
 
@@ -191,12 +191,12 @@ def test_construct_verbs(tmp_path, capsys):
 _EXTRA_ARGS = {"span-merge": ["--axis", "3", "--m", "2"], "lift": ["--r", "4"]}
 # cert_id of each construction's certificate, with only the args above
 _CERT_IDS = {
-    "span": "9abf401ea871b439", "span-merge": "5e80165bbc8344a9",
-    "cap3": "508202de67d5a58f", "cap4": "234cbb88ac897529", "cap4-trims": "c68e8bdbe0e4a5db",
-    "zero-block": "a794a2ffaabe15bf", "slide": "59ca62bb6daccd28", "pivot": "e2a4d1d3144086e2",
-    "braid": "990c1dd65d9c8e59", "span-carve-block": "46cdb6da13bd4893",
-    "span-carve-axes": "56dd66f4922c6083", "span-carve-axes-x": "9bb9755492b687f6",
-    "span-carve-mixed": "3e3dda1565fec81e", "lift": "19818cec18b9a93d",
+    "span": "1d33c0eeebba5a18", "span-merge": "69c7c998e12278f6",
+    "cap3": "2c805b29bbc9ae47", "cap4": "f42bef74c6df22e7", "cap4-trims": "8ce6ce72fee9c11a",
+    "zero-block": "66463c2b0e64efe8", "slide": "c1b6989950fd02bb", "pivot": "fafebb8cd8c000a2",
+    "braid": "6b46c09c7860e62b", "span-carve-block": "91fdc840057db958",
+    "span-carve-axes": "7ec340231099c3be", "span-carve-axes-x": "5ab73aba92377b14",
+    "span-carve-mixed": "ffb47c43fe124a6b", "lift": "174b32da6ddc6e2a",
 }
 
 
@@ -329,8 +329,20 @@ def test_certify_replays_a_property_certificate(tmp_path, capsys, spec, prop):
     assert "replay: IDENTICAL" in capsys.readouterr().out
 
 
+def _as_v1(data) -> None:
+    """Rewrite a certificate's payload in format 1, which also wrote the
+    group in the claim, an invariant claim's "exact", the symmetry level in
+    stats and config's record_witnesses."""
+    data.update(format="zerosum.certificate/1")
+    data["claim"]["group"] = data["group"]
+    if data["claim"]["type"] == "invariant":
+        data["claim"]["exact"] = data["status"] == "proved_exhaustive"
+    data["stats"]["symmetry_level"] = data["config"]["symmetry_level"]
+    data["config"]["record_witnesses"] = True
+
+
 @pytest.mark.parametrize("edit", [
-    lambda data: data.update(format="zerosum.certificate/0"),
+    _as_v1,
     lambda data: data.update(tool_version="9.9.9"),
     lambda data: data["config"].pop("symmetry_level"),
     lambda data: data["config"].update(symmetry_level="translations"),
@@ -339,8 +351,9 @@ def test_certify_replays_a_property_certificate(tmp_path, capsys, spec, prop):
 ], ids=["format", "tool_version", "missing_config_field", "unknown_symmetry_level",
         "unknown_symmetry_level_coord_perms", "unknown_symmetry_level_scalar"])
 def test_certify_rejects_a_hand_edited_certificate(tmp_path, capsys, edit):
-    # an unknown format, version or symmetry level, or a missing field, is an
-    # error (exit 3), not a certificate read with defaults filled in
+    # another format (format 1 included), an unknown version or symmetry
+    # level, or a missing field, is an error (exit 3), not a certificate read
+    # with defaults filled in
     path = tmp_path / "eta.json"
     assert main(["invariant", "C3^2", "eta", "--json", str(path)]) == 0
     data = json.loads(path.read_text())
@@ -379,9 +392,9 @@ def test_certify_rejects_witness_from_another_group(tmp_path, capsys):
     )
     group = parse_group_spec("C3^3")
     cert = Certificate(
-        claim={"type": "c0_membership", "group": "C3^3", "t": 16, "member": False},
+        claim={"type": "c0_membership", "t": 16, "member": False},
         status="refuted_with_witness", group_spec=group.spec(), witness=member,
-        nodes=0, symmetry_level="none", config=SearchConfig(),
+        nodes=0, config=SearchConfig(),
     )
     assert main(["certify", _write_cert(tmp_path / "c0.json", cert)]) == 1
     assert "INVALID" in capsys.readouterr().out
@@ -398,10 +411,10 @@ def test_certify_rejects_witness_from_another_group(tmp_path, capsys):
 def test_certify_rejects_property_witness_that_refutes_nothing(tmp_path, capsys, spec, prop, c, items):
     group = parse_group_spec(spec)
     cert = Certificate(
-        claim={"type": "property", "property": prop, "group": spec, "c": c, "holds": False},
+        claim={"type": "property", "property": prop, "c": c, "holds": False},
         status="refuted_with_witness", group_spec=group.spec(),
         witness=Sequence.from_items(group, items),
-        nodes=0, symmetry_level="none", config=SearchConfig(),
+        nodes=0, config=SearchConfig(),
     )
     assert main(["certify", _write_cert(tmp_path / "prop.json", cert)]) == 1
     assert "INVALID" in capsys.readouterr().out
@@ -517,17 +530,20 @@ def test_certify_refuses_a_certificate_field_of_the_wrong_type(field, value, tmp
 
 
 def test_a_cache_entry_whose_witness_is_not_a_str_is_a_miss(capsys):
-    # facts skips the entry, and invariant recomputes it and overwrites it
+    # facts skips the entry, and invariant recomputes it and overwrites it;
+    # so too for an entry in format 1, which the same key names
     assert main(["invariant", "C3^2", "eta"]) == 0
     [path] = cache_dir().glob("*.json")
     good = path.read_text()
-    _edit_entry(path, lambda data: data.update(witness=7))
-    capsys.readouterr()
-    assert main(["facts", "--provenance", "search"]) == 0
-    assert capsys.readouterr().out == "0 fact(s); consistency: ok\n"
-    assert main(["invariant", "C3^2", "eta"]) == 0
-    assert "(cached)" not in capsys.readouterr().out
-    assert path.read_text() == good
+    assert json.loads(good)["format"] == "zerosum.certificate/2"
+    for spoil in (lambda data: data.update(witness=7), _as_v1):
+        _edit_entry(path, spoil)
+        capsys.readouterr()
+        assert main(["facts", "--provenance", "search"]) == 0
+        assert capsys.readouterr().out == "0 fact(s); consistency: ok\n"
+        assert main(["invariant", "C3^2", "eta"]) == 0
+        assert "(cached)" not in capsys.readouterr().out
+        assert path.read_text() == good
 
 
 def test_a_json_certificate_in_the_cache_directory_is_no_entry(capsys):

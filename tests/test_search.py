@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import (
     brute_max_length,
     element_order,
-    elements,
     is_orbit_minimal,
     layers_by_count,
     loop_chain,
@@ -22,7 +21,6 @@ from conftest import (
     multiplicity,
     multisets_of_length,
     naive_is_short_free,
-    naive_is_zero_sum_free,
     naive_profile,
     support,
 )
@@ -57,55 +55,50 @@ TINY = {
 }
 
 
-@pytest.mark.parametrize("spec", sorted(TINY))
-def test_davenport_matches_brute_force(spec):
-    group = make_group(TINY[spec])
-    value, cert = invariant_value(group, "D", CFG)
-    assert cert.status == STATUS_PROVED
-    oracle = brute_max_length(group, group.order, naive_is_zero_sum_free) + 1
-    assert value == oracle
+# D, eta, s and g against brute force: each kind on every TINY group and on the
+# smallest groups beside them where brute force stays under about 1.5 s (C8
+# s, C4^2 g, C2+C6 s and C2^4 g take 8 to over 30 s)
+BRUTE_FORCE_GROUPS = {
+    **TINY, "C2^2": [2, 2], "C4": [4], "C5": [5], "C6": [6], "C7": [7], "C8": [8],
+    "C2+C6": [2, 6],
+}
+BRUTE_FORCE = {
+    "D": [*TINY, "C7", "C8"],
+    "eta": [*TINY, "C7", "C8"],
+    "s": [*TINY, "C2^2", "C4", "C5", "C6", "C7"],
+    "g": [*TINY, "C2^2", "C4", "C5", "C6", "C7", "C8", "C2+C6"],
+}
 
 
-@pytest.mark.parametrize("spec", sorted(TINY))
-def test_eta_matches_brute_force(spec):
-    group = make_group(TINY[spec])
-    value, cert = invariant_value(group, "eta", CFG)
-    assert cert.status == STATUS_PROVED
-    upper = sum(element_order(g) - 1 for g in elements(group))
-    oracle = brute_max_length(group, min(upper, 9), naive_is_short_free) + 1
-    assert value == oracle
-
-
-# s and g against brute force: every TINY group and the smallest ones beside
-EXACT_LENGTH_GROUPS = {**TINY, "C2^2": [2, 2], "C4": [4], "C5": [5], "C6": [6]}
-
-
-def _no_zero_sum_of_length_exp(group, squarefree: bool):
-    """keep for brute_max_length: no zero-sum subsequence of length exactly
-    exp(G), by the set layers of sums of exactly c terms.  A multiplicity of
-    exp(G) or more is refused before any sum (exp(G) copies of one term sum
-    to 0), and with squarefree one above 1 too."""
+def _keep(group, kind: str):
+    """keep for brute_max_length: no zero-sum subsequence of a length the
+    kind forbids (D any, eta 1 to exp(G), s and g exactly exp(G)), by the set
+    layers of sums of exactly c terms.  For s a multiplicity of exp(G) or more
+    is refused before any sum (exp(G) copies of one term sum to 0), and for g
+    one above 1."""
     n = group.exponent
-    top = 1 if squarefree else n - 1
+    top = {"s": n - 1, "g": 1}.get(kind)
 
     def keep(seq) -> bool:
-        if any(v > top for _, v in seq.items):
+        if top is not None and any(v > top for _, v in seq.items):
             return False
-        return 0 not in layers_by_count(group, seq.term_indices(), n)[n]
+        lengths = {"D": range(1, seq.length + 1), "eta": range(1, n + 1)}.get(kind, [n])
+        layers = layers_by_count(group, seq.term_indices(), max(lengths, default=0))
+        return all(0 not in layers[c] for c in lengths)
 
     return keep
 
 
 def _brute_force_disagrees(spec: str, kind: str) -> str | None:
-    """What differs between the search's proved s or g of the group and
-    brute force, or None.  The search runs twice, the second time with a
-    greedy lower bound of 0: on most of these groups the greedy sequence is
-    already extremal, so only the tree alone shows a prune that drops every
-    longest sequence.  brute_max_length scans down from the search's value,
-    so it confirms that no sequence of that length avoids a length-exp
-    zero-sum (nor, by heredity, any longer one) and that one of the length
-    below does."""
-    group = make_group(EXACT_LENGTH_GROUPS[spec])
+    """What differs between the search's proved value of the kind for the
+    group and brute force, or None.  The search runs twice, the second time
+    with a greedy lower bound of 0: on most of these groups the greedy
+    sequence is already extremal, so only the tree alone shows a prune that
+    drops every longest sequence.  brute_max_length scans down from the
+    search's value, so it confirms that no sequence of that length avoids the
+    forbidden zero-sums (nor, by heredity, any longer one) and that one of
+    the length below does."""
+    group = make_group(BRUTE_FORCE_GROUPS[spec])
     value, cert = invariant_value(group, kind, CFG)
     if cert.status != STATUS_PROVED:
         return f"{kind}({spec}): status {cert.status}"
@@ -113,15 +106,24 @@ def _brute_force_disagrees(spec: str, kind: str) -> str | None:
         tree_value = invariant_value(group, kind, CFG)[0]
     if tree_value != value:
         return f"{kind}({spec}): search {value}, from a greedy bound of 0 {tree_value}"
-    keep = _no_zero_sum_of_length_exp(group, kind == "g")
-    longest = brute_max_length(group, value, keep)
+    longest = brute_max_length(group, value, _keep(group, kind))
     if longest != value - 1:
         return f"{kind}({spec}): search {value}, brute force's longest {longest}"
     return None
 
 
-@pytest.mark.parametrize("kind", ["s", "g"])
-@pytest.mark.parametrize("spec", sorted(EXACT_LENGTH_GROUPS))
+@pytest.mark.parametrize("spec", BRUTE_FORCE["D"])
+def test_davenport_matches_brute_force(spec):
+    assert _brute_force_disagrees(spec, "D") is None
+
+
+@pytest.mark.parametrize("spec", BRUTE_FORCE["eta"])
+def test_eta_matches_brute_force(spec):
+    assert _brute_force_disagrees(spec, "eta") is None
+
+
+@pytest.mark.parametrize("spec, kind",
+                         [(spec, kind) for kind in "sg" for spec in BRUTE_FORCE[kind]])
 def test_s_and_g_match_brute_force(spec, kind):
     assert _brute_force_disagrees(spec, kind) is None
 
@@ -244,7 +246,7 @@ def test_c0_targets_searches_only_what_known_lacks(known, searched, monkeypatch)
     def logged(group, kind, cfg):
         calls.append(kind)
         return {"D": 5, "eta": 7}[kind], search.Certificate(
-            {}, STATUS_PROVED, group.spec(), None, 0, cfg.symmetry_level, cfg)
+            {}, STATUS_PROVED, group.spec(), None, 0, cfg)
 
     monkeypatch.setattr(search, "invariant_value", logged)
     group = make_group([3, 3])
@@ -355,7 +357,7 @@ def test_power_property_reads_its_invariant_from_known():
     c33 = make_group([3, 3, 3])
     cert = check_power_property(c33, "C", CFG, {"eta": 17, "s": 2})
     assert (cert.status, cert.claim["c"], cert.cert_id()) == (
-        STATUS_PROVED, 8, "d72189ec59a858e7")
+        STATUS_PROVED, 8, "545320be175df7a9")
     with pytest.raises(ValueError, match="unknown power property 'D0'"):
         check_power_property(c33, "D0", CFG, {})
 
@@ -452,17 +454,18 @@ def test_compute_c0_at_handles_construction_hints():
 # The search tree and certificate bytes of the default configuration; a
 # change to either is a change of behaviour and must update these on purpose.
 PINNED_SEARCHES = [
-    ("D", (3, 3, 3), 3509, "fd21010b24993d22"),
-    ("eta", (3, 3, 3), 5575, "600497b480f9f429"),
-    ("g", (3, 3, 3), 599, "40f4cda6749f46b7"),
-    ("s", (4, 4), 462, "4f743cfdda9572a4"),
-    ("s", (2, 6), 444, "8ce2e27671ca4a16"),
-    ("eta", (2,) * 7, 8, "cf2f5c4b4037911e"),
-    ("eta", (2,) * 8, 9, "6f72b81aa9e29904"),
+    ("D", (3, 3, 3), 3509, "8712ab90e6139f55"),
+    ("eta", (3, 3, 3), 5575, "49172867ff21b435"),
+    ("g", (3, 3, 3), 599, "9df29784c4501db2"),
+    ("s", (4, 4), 462, "3302ae9724fac36c"),
+    ("s", (2, 6), 444, "ca76802e33e3cd9e"),
+    ("eta", (2,) * 7, 8, "813b0cf1199404c0"),
+    ("eta", (2,) * 8, 9, "be7baa14b8329bba"),
 ]
 
 
-@pytest.mark.parametrize("kind,moduli,nodes,cert_id", PINNED_SEARCHES)
+@pytest.mark.parametrize("kind,moduli,nodes,cert_id", PINNED_SEARCHES,
+                         ids=[f"{p[0]} {make_group(p[1]).spec()}" for p in PINNED_SEARCHES])
 def test_search_tree_is_pinned(kind, moduli, nodes, cert_id):
     _, cert = max_extremal_length(make_group(moduli), kind, CFG)
     assert (cert.nodes, cert.cert_id()) == (nodes, cert_id)
@@ -474,7 +477,7 @@ def test_eta_of_c2_9_is_proved_past_the_closure_cap():
     group = make_group((2,) * 9)
     value, cert = invariant_value(group, "eta", CFG)
     assert (value, cert.status, cert.nodes, cert.cert_id()) == (
-        512, STATUS_PROVED, 10, "f1fd700b5a287f9b")
+        512, STATUS_PROVED, 10, "4e8788c411e2affa")
     assert invariant_value(group, "eta", SearchConfig(symmetry_level="none"))[0] == 512
     cited = {f.detail[1] for f in catalog.instantiate_for(group.moduli)
              if f.kind == catalog.KIND_INVARIANT and f.detail[0] == "eta"}
@@ -527,40 +530,40 @@ _FULL = SearchConfig(symmetry_level="full_small")
 
 # Property, C0 and D0 certificates, pinned the same way.
 PINNED_CERTS = [
-    ("C C4^2", lambda: check_power_property(_C44, "C", CFG, {}), 846, "623ddb63e0f1b135"),
-    ("D C4^2", lambda: check_power_property(_C44, "D", CFG, {}), 1093, "a163b13334f3b520"),
+    ("C C4^2", lambda: check_power_property(_C44, "C", CFG, {}), 846, "e38eccea770add14"),
+    ("D C4^2", lambda: check_power_property(_C44, "D", CFG, {}), 1093, "298bc4828aeb64fa"),
     ("D C4^2 b30", lambda: check_power_property(_C44, "D", _BUDGET30, {}),
-     68, "3cd3356b982f1062"),
+     68, "046028ee3e29f990"),
     ("C C3^3 b30", lambda: check_power_property(make_group((3, 3, 3)), "C", _BUDGET30, {}),
-     229, "d7483f90b5a3438d"),
-    ("c0 C4^2 t=8", lambda: compute_c0(_C44, CFG)[1][8], 745, "36547184e24c55f0"),
-    ("c0 C4^2 t=9", lambda: compute_c0(_C44, CFG)[1][9], 745, "ae6c245a4c1893bc"),
-    ("D0 C3^2 c=2", lambda: check_property_D0(make_group((3, 3)), 2, CFG), 6, "8a3cb99a35c78f22"),
+     229, "15a874d6bc1d3273"),
+    ("c0 C4^2 t=8", lambda: compute_c0(_C44, CFG)[1][8], 745, "c44aeb1f8f225189"),
+    ("c0 C4^2 t=9", lambda: compute_c0(_C44, CFG)[1][9], 745, "b71a484bdebf8a87"),
+    ("D0 C3^2 c=2", lambda: check_property_D0(make_group((3, 3)), 2, CFG), 6, "a9fc4c4804eac19d"),
     ("D0 C3^3 c=9 w2", lambda: check_property_D0(
-        make_group((3, 3, 3)), 9, SearchConfig(parallel_width=2)), 7601, "20465f1eb6a11b0c"),
+        make_group((3, 3, 3)), 9, SearchConfig(parallel_width=2)), 7601, "a9411006967f21df"),
     # the node-budgeted searches of groups above order 64
     ("eta C3^4 b20", lambda: max_extremal_length(make_group((3,) * 4), "eta", _BUDGET20)[1],
-     290, "e2b4ff9e7100396c"),
+     290, "7ffd0a777f9c22b0"),
     ("s C4^3 b20", lambda: max_extremal_length(make_group((4,) * 3), "s", _BUDGET20)[1],
-     61, "be44194f3a91c4d8"),
+     61, "f4ae01042fe2a61e"),
     ("f C5^3 b20", lambda: max_extremal_length(make_group((5,) * 3), "f", _BUDGET20)[1],
-     181, "c76240fa91c74482"),
+     181, "f2b202d5b0779d64"),
     # the full automorphism group: 11,231 non-identity permutations on C3^3
     ("s C3^3 full", lambda: max_extremal_length(make_group((3, 3, 3)), "s", _FULL)[1],
-     86, "ee98aa142412b912"),
+     86, "974c8e799e6b7b3d"),
     ("D C3^3 s=19 full", lambda: check_power_property(make_group((3, 3, 3)), "D", _FULL, {"s": 19}),
-     108, "5190b500902004e6"),
+     108, "45ddfb2b8b9101f4"),
     # both stages of the canonicity test: 95 non-identity perms on C4^2
-    ("s C4^2 full", lambda: max_extremal_length(_C44, "s", _FULL)[1], 74, "fb713b969a6c59b0"),
+    ("s C4^2 full", lambda: max_extremal_length(_C44, "s", _FULL)[1], 74, "49b9647cde95325a"),
     ("D0 C3^3 c=9 full", lambda: check_property_D0(make_group((3, 3, 3)), 9, _FULL),
-     25, "493e97123f4889e1"),
+     25, "22a545faba44132b"),
     # D0 trees cut by a budget, and a refutation with the full automorphism group
     ("D0 C3^3 c=9 b50", lambda: check_property_D0(
-        make_group((3, 3, 3)), 9, SearchConfig(node_budget=50)), 166, "93ff7331830d09c7"),
+        make_group((3, 3, 3)), 9, SearchConfig(node_budget=50)), 166, "9b4804cc85204d35"),
     ("D0 C3^3 c=8 b50", lambda: check_property_D0(
-        make_group((3, 3, 3)), 8, SearchConfig(node_budget=50)), 130, "8baef99bf8c8adde"),
+        make_group((3, 3, 3)), 8, SearchConfig(node_budget=50)), 130, "ba839e919309bcd0"),
     ("D0 C3^3 c=8 full", lambda: check_property_D0(make_group((3, 3, 3)), 8, _FULL),
-     14, "283d18802d0fa388"),
+     14, "d0177c0cf71b21eb"),
 ]
 
 
@@ -573,7 +576,7 @@ def test_certificate_is_pinned(run, nodes, cert_id):
 
 def test_d0_and_enumeration_trees_are_pinned(c33):
     cert = check_property_D0(c33, 9, CFG)
-    assert (cert.nodes, cert.cert_id()) == (7601, "20465f1eb6a11b0c")
+    assert (cert.nodes, cert.cert_id()) == (7601, "a9411006967f21df")
     rep = enumerate_short_free(c33, 18, CFG)
     assert (rep.nodes, rep.count, rep.status) == (2720, 0, STATUS_PROVED)
 
@@ -583,7 +586,7 @@ def test_refuted_d0_certificate_is_pinned(c33, width):
     # a counterexample found deep in the tree: every root branch still runs to
     # its end, so the node count and the least counterexample hold at any width
     cert = check_property_D0(c33, 8, SearchConfig(parallel_width=width))
-    assert (cert.status, cert.nodes, cert.cert_id()) == (STATUS_REFUTED, 449, "fb7c02635af45164")
+    assert (cert.status, cert.nodes, cert.cert_id()) == (STATUS_REFUTED, 449, "89f05e35c4cbf722")
     assert cert.witness.items == (
         (0, 1), (1, 2), (3, 2), (4, 2), (9, 2), (10, 2), (14, 2), (17, 2), (23, 2)
     )
@@ -593,7 +596,7 @@ def test_c0_search_witness_is_pinned():
     # no construction settles t=9 on C2^4, so the sweep's running sum finds it
     group = make_group((2, 2, 2, 2))
     cert = compute_c0_at(group, list(range(6, 16)), CFG)[1][9]
-    assert (cert.status, cert.nodes, cert.cert_id()) == (STATUS_REFUTED, 558, "87590f0691f9f7e3")
+    assert (cert.status, cert.nodes, cert.cert_id()) == (STATUS_REFUTED, 558, "89b64582edff95fe")
     assert cert.witness.items == (
         (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (8, 1), (10, 1), (12, 1), (15, 1)
     )
@@ -742,10 +745,17 @@ def test_s_and_g_brute_force_catches_a_cap_one_below_the_root(monkeypatch):
     # sequence with two elements of largest multiplicity: the sweep must see it
     cap = search._Pred.cap
     monkeypatch.setattr(search._Pred, "cap", lambda pred, m: cap(pred, m - 1))
-    assert any(
-        _brute_force_disagrees(spec, kind)
-        for spec in sorted(EXACT_LENGTH_GROUPS) for kind in ("s", "g")
-    )
+    assert any(_brute_force_disagrees(spec, kind) for kind in "sg" for spec in BRUTE_FORCE[kind])
+
+
+@pytest.mark.parametrize("pred, kinds", [(search._PairPred, ("D", "eta")),
+                                         (search._NoExactExp, ("s", "g"))],
+                         ids=["pair", "no_exact_exp"])
+def test_brute_force_catches_a_potential_one_below(monkeypatch, pred, kinds):
+    # a potential one short cuts a branch that could still reach the goal
+    potential = pred.potential
+    monkeypatch.setattr(pred, "potential", lambda self, state, g: potential(self, state, g) - 1)
+    assert any(_brute_force_disagrees(spec, kind) for kind in kinds for spec in BRUTE_FORCE[kind])
 
 
 @settings(max_examples=100, deadline=None)

@@ -358,6 +358,6 @@ def test_pinned_witnesses_refute_c0_membership_of_c4_cubed(t):
     assert _zero_sum_lengths_by_sets(terms, 4, 4) == []
     group = make_group((4, 4, 4))
     seq = Sequence.from_terms(group, [group.element(coords) for coords in terms])
-    claim = {"type": "c0_membership", "group": "C4^3", "t": t, "member": False}
+    claim = {"type": "c0_membership", "t": t, "member": False}
     assert witnesses(claim, seq)
     assert not witnesses({**claim, "t": t + 1}, seq)
