@@ -154,18 +154,13 @@ _CONFLICT_RULES = (
      "property both holds and fails"),
 )
 
-# each rule keyed by (new fact's kind, existing fact's kind), in both directions;
-# the swapped entry calls clash with its arguments swapped
-_CONFLICTS: dict[tuple[str, str], tuple[Callable[[tuple, tuple], bool], str]] = {
-    (other, kind): (lambda a, b, clash=clash: clash(b, a), why)
-    for kind, other, clash, why in _CONFLICT_RULES
-}
-_CONFLICTS.update({(kind, other): (clash, why) for kind, other, clash, why in _CONFLICT_RULES})
-
-# the same rows by new fact's kind: [(other kind, clash, why), ...]
+# the same rows by new fact's kind, in both directions: [(other kind, clash,
+# why), ...]; the swapped entry calls clash with its arguments swapped
 _PARTNERS: dict[str, list[tuple[str, Callable[[tuple, tuple], bool], str]]] = {}
-for (_kind, _other), _rule in _CONFLICTS.items():
-    _PARTNERS.setdefault(_kind, []).append((_other, *_rule))
+for _kind, _other, _clash, _why in _CONFLICT_RULES:
+    _PARTNERS.setdefault(_kind, []).append((_other, _clash, _why))
+    if _other != _kind:
+        _PARTNERS.setdefault(_other, []).append((_kind, lambda a, b, c=_clash: c(b, a), _why))
 
 
 class FactStore:
@@ -288,9 +283,6 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-# -- closed-form evaluators --------------------------------------------------
-# Each _f_ function raises ValueError outside its hypothesis.
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
@@ -310,89 +302,29 @@ def _factor(n: int) -> dict[int, int]:
     return out
 
 
-def _f_davenport_rank2(n1: int, n2: int) -> int:
-    _require(n2 % n1 == 0 and n1 >= 2, "requires n1 | n2")
-    return n1 + n2 - 1
-
-
-def _f_davenport_p_group(p: int, exponents: tuple[int, ...]) -> int:
-    _require(_factor(p) == {p: 1}, "p must be prime")
-    return 1 + sum(p**e - 1 for e in exponents)
-
-
-def _f_eta_rank2(n1: int, n2: int) -> int:
-    _require(n2 % n1 == 0 and n1 >= 2, "requires n1 | n2")
-    return 2 * n1 + n2 - 2
-
-
-def _f_eta_two_power(t: int, r: int) -> int:
-    _require(t >= 1 and r >= 1, "requires t, r >= 1")
-    return (2**r - 1) * (2**t - 1) + 1
-
-
-def _f_eta_three_two_power(alpha: int) -> int:
-    _require(alpha >= 1, "requires alpha >= 1")
-    return 7 * (3 * 2**alpha - 1) + 1
-
-
-def _f_eta_lower_rank3_odd(n: int) -> int:
-    _require(n >= 3 and n % 2 == 1, "requires odd n >= 3")
-    return 8 * n - 7
-
-
-def _f_eta_lower_rank4_odd(n: int) -> int:
-    _require(n >= 3 and n % 2 == 1, "requires odd n >= 3")
-    return 19 * n - 18
-
-
-def _f_davenport_lower_rank3(n: int) -> int:
-    _require(n >= 2, "requires n >= 2")
-    return 3 * n - 2
-
-
-def _f_excluded_interval_start(n: int, r: int) -> int:
-    _require(n >= 3 and r >= 3, "requires n, r >= 3")
-    a = alpha_r(n, r)
-    _require(a != 0, "requires alpha_r(n, r) != 0")
-    return (2**r - 1) * (n - 1) - a + 1
-
-
-def _f_egz_threshold(n: int) -> int:
-    _require(n >= 65 and n % 2 == 1, "threshold requires odd n >= 65")
-    return math.ceil(Fraction(2 * 5**7 * n**17, (n * n - 7) * n - 64))
-
-
-def _f_egz_value(m: int, n: int) -> int:
-    _require(m >= 1 and n >= 1, "requires m, n >= 1")
-    return 9 * m * n - 8
-
-
 # -- builtin facts ---------------------------------------------------------------
 
 
-# What the conditions of _CLAIMS read of a presentation: r, its rank; n, the
-# modulus of a cube C_n^r (None if the moduli differ); pair, {n1, n2} of a
-# rank-2 presentation with n1 | n2; pg, {p, exponents} when every modulus is a
-# power of one prime p; t of a cube C_{2^t}^r; alpha of a cube C_{3*2^alpha}^r.
-# pair and pg hold the parameters of the formulas that read them.
-_Shape = namedtuple("_Shape", "r n pair pg t alpha")
+# What the rows of _CLAIMS read of a presentation: moduli, the subject; r, its
+# rank; n, the modulus of a cube C_n^r (None if the moduli differ); pair,
+# (n1, n2) of a rank-2 presentation with n1 | n2; p, the prime when every
+# modulus is a power of one prime; t of a cube C_{2^t}^r; alpha of a cube
+# C_{3*2^alpha}^r.
+_Shape = namedtuple("_Shape", "moduli r n pair p t alpha")
 
 
 def _shape(subject: tuple[int, ...]) -> _Shape:
     factors = {m: _factor(m) for m in set(subject)}  # one per distinct modulus
-    primes = {p for f in factors.values() for p in f}
-    pg = None
-    if len(primes) == 1 and all(factors.values()):
-        (p,) = primes
-        pg = {"p": p, "exponents": tuple(factors[m][p] for m in subject)}
+    primes = {q for f in factors.values() for q in f}
+    p = min(primes) if len(primes) == 1 and all(factors.values()) else None
     n1, n2 = min(subject), max(subject)
-    pair = {"n1": n1, "n2": n2} if len(subject) == 2 and n2 % n1 == 0 else None
+    pair = (n1, n2) if len(subject) == 2 and n2 % n1 == 0 else None
     if n1 != n2:
-        return _Shape(len(subject), None, pair, pg, None, None)
+        return _Shape(subject, len(subject), None, pair, p, None, None)
     f = factors[n1]
     t = f[2] if f.keys() == {2} else None
     alpha = f[2] if f.keys() == {2, 3} and f[3] == 1 else None
-    return _Shape(len(subject), n1, pair, pg, t, alpha)
+    return _Shape(subject, len(subject), n1, pair, p, t, alpha)
 
 
 def _cube(n: int, *ranks: int) -> Callable[[_Shape], bool]:
@@ -403,28 +335,29 @@ def _cube(n: int, *ranks: int) -> Callable[[_Shape], bool]:
 # The cited (literature) and paper (in-text) results, one row per reference:
 # (source, reference, kind, when(shape), details).  A presentation whose _Shape
 # meets when gets one fact of the kind per detail; details is the tuple of
-# them, or a function of the shape that gives it.  The rows are in the order
+# them, or a function of the shape that gives it.  when states the result's
+# hypothesis and details its formula, each in this one place.  The rows are in the order
 # instantiate_for emits their facts: the rules read the first fact of a kind,
 # so the order picks premise ids.
 _CLAIMS = tuple(
     (Provenance(source, reference), kind, when, details)
     for source, reference, kind, when, details in (
-        ("cited", "p-group Davenport constant [Olson]", KIND_INVARIANT, lambda g: g.pg,
-         lambda g: [("D", _f_davenport_p_group(**g.pg))]),
+        ("cited", "p-group Davenport constant [Olson]", KIND_INVARIANT, lambda g: g.p,
+         lambda g: [("D", 1 + sum(m - 1 for m in g.moduli))]),
         ("cited", "rank-2 Davenport constant [Olson]", KIND_INVARIANT, lambda g: g.pair,
-         lambda g: [("D", _f_davenport_rank2(**g.pair))]),
+         lambda g: [("D", g.pair[0] + g.pair[1] - 1)]),
         ("cited", "rank-2 eta [GZ]", KIND_INVARIANT, lambda g: g.pair,
-         lambda g: [("eta", _f_eta_rank2(**g.pair))]),
-        ("paper", "rank-2 determination", KIND_FULL_RANGE, lambda g: g.pair and g.pair["n1"] >= 3,
+         lambda g: [("eta", 2 * g.pair[0] + g.pair[1] - 2)]),
+        ("paper", "rank-2 determination", KIND_FULL_RANGE, lambda g: g.pair and g.pair[0] >= 3,
          ((),)),
-        ("paper", "excluded family C2+C2m", KIND_EQUALS, lambda g: g.pair and g.pair["n1"] == 2,
+        ("paper", "excluded family C2+C2m", KIND_EQUALS, lambda g: g.pair and g.pair[0] == 2,
          ((),)),
         # length window [2q, 3q-2] clipped to the C0 range [D+1, eta-1]
         ("paper", "prime-power square theorem", KIND_MEMBER,
-         lambda g: g.r == 2 and g.pg and g.n and g.n >= 3,
+         lambda g: g.r == 2 and g.p and g.n and g.n >= 3,
          lambda g: [(t,) for t in range(2 * g.n, 3 * g.n - 2)]),
         ("cited", "eta for two-power cubes [Harborth]", KIND_INVARIANT, lambda g: g.t,
-         lambda g: [("eta", _f_eta_two_power(t=g.t, r=g.r))]),
+         lambda g: [("eta", (2**g.r - 1) * (2**g.t - 1) + 1)]),
         ("cited", "two-power cubes have C [GHST]", KIND_PROPERTY, lambda g: g.t and g.r >= 2,
          (("C", True),)),
         ("cited", "ternary cubes have C [Harborth]", KIND_PROPERTY, lambda g: g.n == 3 and g.r >= 2,
@@ -438,15 +371,15 @@ _CLAIMS = tuple(
         ("cited", "eta(C5^3) [GHST]", KIND_INVARIANT, _cube(5, 3), (("eta", 33),)),
         ("cited", "C5^3 has C [GHST]", KIND_PROPERTY, _cube(5, 3), (("C", True),)),
         ("cited", "eta for 3*2^a cubes [GHST]", KIND_INVARIANT, lambda g: g.alpha and g.r == 3,
-         lambda g: [("eta", _f_eta_three_two_power(alpha=g.alpha))]),
+         lambda g: [("eta", 7 * (3 * 2**g.alpha - 1) + 1)]),
         ("cited", "rank-3 Davenport lower bound [Olson]", KIND_LOWER, lambda g: g.n and g.r == 3,
-         lambda g: [("D", _f_davenport_lower_rank3(n=g.n))]),
+         lambda g: [("D", 3 * g.n - 2)]),
         ("cited", "rank-3 eta lower bound [Lower bounds]", KIND_LOWER,
          lambda g: g.n and g.r == 3 and g.n % 2 == 1 and g.n >= 3,
-         lambda g: [("eta", _f_eta_lower_rank3_odd(n=g.n))]),
+         lambda g: [("eta", 8 * g.n - 7)]),
         ("cited", "rank-4 eta lower bound [affine caps]", KIND_LOWER,
          lambda g: g.n and g.r == 4 and g.n % 2 == 1 and g.n >= 3,
-         lambda g: [("eta", _f_eta_lower_rank4_odd(n=g.n))]),
+         lambda g: [("eta", 19 * g.n - 18)]),
         ("paper", "binary cube determination", KIND_EQUALS, lambda g: g.n == 2 and g.r >= 3,
          lambda g: [(2**g.r - 3, 2**g.r - 2)]),
         ("paper", "length-14 zero-sum theorem", KIND_MEMBER, _cube(3, 3), ((14,),)),
@@ -637,13 +570,13 @@ def _rule_r3(store: FactStore, subject):
     if u is None or u[0] < 3 or u[1] < 3:
         return
     n, r = u
-    if alpha_r(n, r) == 0:
-        span = (2**r - 1) * (n - 1)
+    span, alpha = (2**r - 1) * (n - 1), alpha_r(n, r)
+    if alpha == 0:
         yield subject, KIND_SUBSET_SET, (span - n, span - n + 1), ()
         return
     eta = _invariant_fact(store, subject, "eta")
     if eta is not None:
-        yield subject, KIND_SUBSET, (_f_excluded_interval_start(n=n, r=r), eta[0] - 1), (eta[1],)
+        yield subject, KIND_SUBSET, (span - alpha + 1, eta[0] - 1), (eta[1],)
 
 
 def _rule_r4(store: FactStore, subject):
@@ -708,10 +641,10 @@ def _rule_r8(store: FactStore, subject):
     k = u[0]
     for m, n in _smooth_splits(k):
         props = [_property_fact(store, (q, q, q), "D0", c=9) for q in _factor(n)]
-        if None in props or m < _f_egz_threshold(n=n):
+        if None in props or m < math.ceil(Fraction(2 * 5**7 * n**17, (n * n - 7) * n - 64)):
             continue
         premises = tuple(prop[1] for prop in props)
-        s_value = _f_egz_value(m=m, n=n)
+        s_value = 9 * k - 8
         yield subject, KIND_INVARIANT, ("s", s_value), premises
         if _invariant_fact(store, subject, "eta") is None:
             yield subject, KIND_UPPER, ("eta", s_value - k + 1), premises
@@ -848,7 +781,6 @@ def infer(store: FactStore) -> Inference:
 
 @dataclass
 class ConsistencyReport:
-    checked_subjects: int = 0
     violations: list[str] = field(default_factory=list)
 
     @property
@@ -871,7 +803,6 @@ def consistency_check(store: FactStore) -> ConsistencyReport:
     """Verify stored C0 knowledge against the window and run-length laws."""
     report = ConsistencyReport()
     for subject in store.subjects():
-        report.checked_subjects += 1
         exp = math.lcm(*subject)
         eta = store.invariant_value(subject, "eta")
         d = store.invariant_value(subject, "D")

@@ -277,13 +277,11 @@ def _verified_construction(
     exactly the construction's own, all ints."""
     if name not in constructions.CONSTRUCTIONS:
         raise ValueError(f"unknown construction {name!r}")
-    keys, build = constructions.CONSTRUCTIONS[name]
+    keys, build, _ = constructions.CONSTRUCTIONS[name]
     if sorted(params) != sorted(keys) or any(type(v) is not int for v in params.values()):
         raise ValueError(f"construction {name!r} takes the int params {list(keys)}, not {params}")
     outputs = build(**params)
-    constructions.verify_construction(
-        name, outputs, n=params.get("n", 3), r=params.get("r", 3), m=params.get("m")
-    )
+    constructions.verify_construction(name, outputs, params)
     claim = {"type": "construction", "name": name, "params": params,
              "members": len(outputs), "verified": True}
     return outputs, Certificate(
@@ -299,8 +297,7 @@ def _cmd_construct(args) -> int:
         print(f"construct {args.name}: {len(outputs)} member(s), all claims verified")
         _emit(cert, args)
     else:
-        _, build = constructions.CONSTRUCTIONS[args.name]
-        outputs = build(**params)
+        outputs = constructions.CONSTRUCTIONS[args.name][1](**params)
     text = "\n".join(write_sequence(s) for s in outputs)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

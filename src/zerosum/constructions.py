@@ -4,10 +4,10 @@ Two tables name every construction.  _FAMILIES maps a family name to its
 member generator over C_n^r, the length window its members claim to fill and
 the (n, r) it applies to; build_family instantiates one.  CONSTRUCTIONS maps
 each name `zerosum construct` accepts (the span, its merge, the two caps, the
-cap4 trims and every family) to its parameter keys and its build function.
-verify_family and verify_construction state the claim each sequence
-witnesses and check it with subsum.witnesses instead of trusting the
-construction, so a transcription or generation bug fails loudly.
+cap4 trims and every family) to its parameter keys, its build function and
+the claim its outputs witness.  verify_family and verify_construction check
+that claim with subsum.witnesses instead of trusting the construction, so a
+transcription or generation bug fails loudly.
 """
 
 from __future__ import annotations
@@ -372,50 +372,43 @@ def verify_family(spec: FamilySpec) -> set[int]:
     return lengths
 
 
-def verify_construction(
-    name: str, outputs: list[Sequence], *, n: int = 3, r: int = 3, m: int | None = None
-) -> None:
-    """Re-check, by subsum.witnesses, the claim a named construction's outputs witness.
-
-    span and span-merge witness the extremal length of eta over C_n^r (the
-    span also has sum alpha_r * (e_1 + ... + e_r)), cap3 that of f over C3^3
-    and cap4 that of g over C3^4.  The outputs of cap4-trims and of every
-    family are checked by verify_family: C0 membership at each member's own
-    length, and lengths that fill the window [30, 36] for cap4-trims and the
-    one build_family(name, n, r) claims for a family.  n, r and m are the
-    parameters the outputs were built with.  Raises AssertionError on the
+def verify_construction(name: str, outputs: list[Sequence], params: dict) -> None:
+    """Re-check, by subsum.witnesses, the claim that the CONSTRUCTIONS row
+    of name states for outputs built with params: the first output is an
+    extremal sequence of the claimed invariant and length, or, for a "c0"
+    claim, verify_family holds of the outputs and the window.  The span must
+    also sum to alpha_r * (e_1 + ... + e_r).  Raises AssertionError on the
     first claim that fails, ValueError on a name that is no construction.
     """
-    if name == "cap4-trims" or name in _FAMILIES:
-        window = (30, 36) if name == "cap4-trims" else build_family(name, n, r).claimed_lengths
-        verify_family(FamilySpec(name, outputs[0].group, lambda: iter(outputs), window))
-        return
-    if name == "cap3":
-        kind, length = "f", 8
-    elif name == "cap4":
-        kind, length = "g", 20
-    elif name in ("span", "span-merge"):
-        kind, length = "eta", (2**r - 1) * (n - 1) - (m - 1 if name == "span-merge" else 0)
-    else:
+    if name not in CONSTRUCTIONS:
         raise ValueError(f"unknown construction {name!r}")
+    kind, claimed = CONSTRUCTIONS[name][2](**params)
+    if kind == "c0":
+        verify_family(FamilySpec(name, outputs[0].group, lambda: iter(outputs), claimed))
+        return
     seq = outputs[0]
-    claim = {"type": "invariant", "invariant": kind, "extremal_length": length}
-    if not witnesses(claim, seq):
-        raise AssertionError(f"{name}: not an extremal {kind} sequence of length {length}")
-    if name == "span" and seq.sum != alpha_r(n, r) * seq.group.element([1] * r):
+    if not witnesses({"type": "invariant", "invariant": kind, "extremal_length": claimed}, seq):
+        raise AssertionError(f"{name}: not an extremal {kind} sequence of length {claimed}")
+    if name == "span" and seq.sum != alpha_r(**params) * seq.group.element([1] * params["r"]):
         raise AssertionError(f"{name}: wrong sum")
 
 
-# name -> (param keys, build(**params) -> outputs): what `zerosum construct`
-# emits, and the params its certificates record.
-CONSTRUCTIONS: dict[str, tuple[tuple[str, ...], Callable[..., list[Sequence]]]] = {
-    "span": (("n", "r"), lambda n, r: [build_span_sequence(n, r)]),
-    "span-merge": (("n", "r", "axis", "m"), lambda **params: [build_span_merged(**params)]),
-    "cap3": ((), lambda: [ternary_cap_rank3()]),
-    "cap4": ((), lambda: [ternary_cap_rank4()]),
-    "cap4-trims": ((), excluded_window_witnesses),
+# name -> (param keys, build(**params) -> outputs, claim(**params)): what
+# `zerosum construct` emits, the params its certificates record, and the claim
+# its outputs witness: (invariant, extremal length) for the first output, or
+# ("c0", window) for C0 membership of every output at its own length, with
+# lengths that fill the inclusive window (None for lift, which claims none).
+CONSTRUCTIONS: dict[str, tuple[tuple[str, ...], Callable[..., list[Sequence]], Callable]] = {
+    "span": (("n", "r"), lambda n, r: [build_span_sequence(n, r)],
+             lambda n, r: ("eta", (2**r - 1) * (n - 1))),
+    "span-merge": (("n", "r", "axis", "m"), lambda **params: [build_span_merged(**params)],
+                   lambda n, r, axis, m: ("eta", (2**r - 1) * (n - 1) - (m - 1))),
+    "cap3": ((), lambda: [ternary_cap_rank3()], lambda: ("f", 8)),
+    "cap4": ((), lambda: [ternary_cap_rank4()], lambda: ("g", 20)),
+    "cap4-trims": ((), excluded_window_witnesses, lambda: ("c0", (30, 36))),
     **{
-        name: (("n", "r"), lambda n, r, name=name: list(build_family(name, n, r).members()))
+        name: (("n", "r"), lambda n, r, name=name: list(build_family(name, n, r).members()),
+               lambda n, r, name=name: ("c0", build_family(name, n, r).claimed_lengths))
         for name in _FAMILIES
     },
 }

@@ -636,28 +636,23 @@ _NO_CAP = 1 << 62
 
 
 class _Stats:
-    __slots__ = ("nodes", "node_budget", "deadline", "exhausted", "stopped", "tick")
+    __slots__ = ("nodes", "node_budget", "deadline", "exhausted")
 
     def __init__(self, node_budget: int, time_budget: float) -> None:
         self.nodes = 0
         self.node_budget = node_budget
         self.deadline = time.monotonic() + time_budget if time_budget else None
         self.exhausted = False
-        self.stopped = False
-        self.tick = 0
 
     def should_stop(self) -> bool:
-        if self.stopped:
+        """Whether a budget is spent; the clock is read every 256 nodes."""
+        if self.exhausted:
             return True
         if self.node_budget and self.nodes >= self.node_budget:
-            self.exhausted = self.stopped = True
-            return True
-        self.tick += 1
-        if self.deadline is not None and (self.tick & 255) == 0:
-            if time.monotonic() > self.deadline:
-                self.exhausted = self.stopped = True
-                return True
-        return False
+            self.exhausted = True
+        elif self.deadline is not None and (self.nodes & 255) == 0:
+            self.exhausted = time.monotonic() > self.deadline
+        return self.exhausted
 
 
 def _dfs(
@@ -734,7 +729,7 @@ def _dfs(
                 for _ in range(m):
                     sg = shift_bits(sg, steps[g])
             _dfs(ctx, pred, goal, seq + [g] * m, st_m, sg, g, stats, child)
-            if stats.stopped:
+            if stats.exhausted:
                 return
             lo, hi = needs()
             room = _NO_CAP if hi is None else hi - length

@@ -351,13 +351,21 @@ def inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+# (new fact's kind, existing fact's kind) -> (clash, why) for each row of
+# catalog._CONFLICT_RULES, in both directions, built apart from catalog._PARTNERS
+_CONFLICTS = {(other, kind): (lambda a, b, clash=clash: clash(b, a), why)
+              for kind, other, clash, why in catalog._CONFLICT_RULES}
+_CONFLICTS.update({(kind, other): (clash, why)
+                   for kind, other, clash, why in catalog._CONFLICT_RULES})
+
+
 def scan_conflicts(facts, fact) -> list:
     """The facts, all about fact's subject, that fact contradicts, each with
     the reason: the check FactStore.add used to run, one _CONFLICTS lookup per
     fact of the subject."""
     out = []
     for other in facts:
-        rule = catalog._CONFLICTS.get((fact.kind, other.kind))
+        rule = _CONFLICTS.get((fact.kind, other.kind))
         if rule is not None and rule[0](fact.detail, other.detail):
             out.append((other, rule[1]))
     return out

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import all_pairs_uniform_products, naive_infer, property_holds, scan_conflicts
 from zerosum import catalog
 from zerosum.catalog import (
-    DEFAULT_SUBJECTS,
     Fact,
     FactConflictError,
     FactStore,
@@ -26,13 +25,8 @@ from zerosum.catalog import (
     KIND_SUBSET_SET,
     KIND_UPPER,
     Provenance,
-    _f_davenport_p_group,
-    _f_davenport_rank2,
-    _f_egz_threshold,
-    _f_eta_rank2,
-    _f_eta_two_power,
-    _f_excluded_interval_start,
     _factor,
+    _smooth_splits,
     _uniform_products,
     builtin_facts,
     consistency_check,
@@ -60,12 +54,32 @@ def test_builtin_values():
     assert property_holds(store, (5, 5, 5), "D0", c=9) is True
 
 
-def test_eval_formula_examples():
-    assert _f_davenport_p_group(p=3, exponents=(1, 1, 1)) == 7
-    assert _f_eta_two_power(t=2, r=3) == 22
-    assert _f_excluded_interval_start(n=3, r=4) == 30
-    assert _f_davenport_rank2(n1=3, n2=6) == 8
-    assert _f_eta_rank2(n1=3, n2=6) == 10
+def _row_details(subject, kind, reference=None) -> set:
+    """The details of the subject's builtin facts of kind, from the _CLAIMS
+    row of reference if one is given."""
+    return {f.detail for f in instantiate_for(subject)
+            if f.kind == kind and reference in (None, f.provenance.reference)}
+
+
+def _inferred(subject, kind, rule) -> set:
+    """The details of kind that rule adds about subject when the builtin facts
+    are inferred."""
+    store = fresh_store()
+    infer(store)
+    return {f.detail for f in store.of_kind(subject, kind) if f.provenance.reference == rule}
+
+
+def test_formula_rows_give_known_values():
+    assert _row_details((3, 3, 3), KIND_INVARIANT, "p-group Davenport constant [Olson]") == {
+        ("D", 7)}
+    assert _row_details((4, 4, 4), KIND_INVARIANT, "eta for two-power cubes [Harborth]") == {
+        ("eta", 22)}
+    assert _row_details((3, 6), KIND_INVARIANT) == {("D", 8), ("eta", 10)}
+    assert _row_details((6, 6, 6), KIND_INVARIANT) == {("eta", 36)}
+    assert _row_details((5, 5, 5), KIND_LOWER) == {("D", 13), ("eta", 33)}
+    assert _row_details((3, 3, 3, 3), KIND_LOWER) == {("eta", 39)}
+    # R3: C0(C3^4) lies in [(2^4 - 1)(3 - 1) - alpha_4(3) + 1, eta - 1] = [30, 38]
+    assert _inferred((3, 3, 3, 3), KIND_SUBSET, "R3") == {(30, 38)}
 
 
 def test_factor_multiplies_back_with_increasing_prime_keys():
@@ -82,15 +96,18 @@ def test_factor_multiplies_back_with_increasing_prime_keys():
     assert [_factor(n) for n in (-6, -1, 0, 1)] == [{}] * 4
 
 
-def test_eval_formula_hypotheses():
-    with pytest.raises(ValueError):
-        _f_davenport_rank2(n1=3, n2=7)
-    with pytest.raises(ValueError):
-        _f_davenport_p_group(p=6, exponents=(1,))
-    with pytest.raises(ValueError):
-        _f_excluded_interval_start(n=4, r=3)  # alpha = 0
-    with pytest.raises(ValueError):
-        _f_egz_threshold(n=64)
+def test_formula_rows_hold_back_outside_their_hypotheses():
+    # 3 does not divide 7: no rank-2 fact
+    assert not [f for f in instantiate_for((3, 7)) if "rank-2" in f.provenance.reference]
+    # C6^3 is no p-group, and 6 is even: no p-group D, no odd-n eta lower bound
+    assert _row_details((6, 6, 6), KIND_INVARIANT, "p-group Davenport constant [Olson]") == set()
+    assert _row_details((6, 6, 6), KIND_LOWER) == {("D", 16)}
+    # alpha_3(4) = 0: R3 gives C4^3 its two-length set, not an interval
+    assert _inferred((4, 4, 4), KIND_SUBSET, "R3") == set()
+    assert _inferred((4, 4, 4), KIND_SUBSET_SET, "R3") == {(17, 18)}
+    # R8's threshold is read only for odd n >= 65
+    splits = [(k, m, n) for k in range(2, 3000) for m, n in _smooth_splits(k)]
+    assert splits and all(m * n == k and n >= 65 and n % 2 for k, m, n in splits)
 
 
 def test_rule_r1_on_two_power_cube():
@@ -790,7 +807,6 @@ def test_default_subjects_consistent():
     infer(store)
     report = consistency_check(store)
     assert report.ok, report.violations
-    assert report.checked_subjects >= len(DEFAULT_SUBJECTS)
 
 
 def test_d0_premise_for_ternary_cube_can_come_from_search():

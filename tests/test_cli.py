@@ -731,15 +731,15 @@ bad_trims = [short] + [w for t, w in trims.items() if t != 30]
 # longer fill the claimed window [6, 7]
 bad_slide = list(constructions.build_family("slide", 3, 3).members())[:1]
 failures = []
-if not rejects(constructions.verify_construction, "cap3", [bad_cap3]):
+if not rejects(constructions.verify_construction, "cap3", [bad_cap3], {}):
     failures.append("construct cap3 --verify")
-if not rejects(constructions.verify_construction, "cap4", [bad_cap4]):
+if not rejects(constructions.verify_construction, "cap4", [bad_cap4], {}):
     failures.append("construct cap4 --verify")
-if not rejects(constructions.verify_construction, "span", [bad_span]):
+if not rejects(constructions.verify_construction, "span", [bad_span], {"n": 3, "r": 3}):
     failures.append("construct span --verify")
-if not rejects(constructions.verify_construction, "cap4-trims", bad_trims):
+if not rejects(constructions.verify_construction, "cap4-trims", bad_trims, {}):
     failures.append("construct cap4-trims --verify")
-if not rejects(constructions.verify_construction, "slide", bad_slide):
+if not rejects(constructions.verify_construction, "slide", bad_slide, {"n": 3, "r": 3}):
     failures.append("construct slide --verify")
 job = (
     group, "zero_sum_free", False, search.SearchConfig(), functools.partial(search._MaxGoal, 0),
@@ -824,3 +824,13 @@ def test_facts_infer_reports_rounds_fixpoint_and_rule_yields(capsys):
     assert main(["facts", "--infer", "--group", "C15^3"]) == 0
     out = capsys.readouterr().out
     assert "in 4 round(s), to a fixpoint\n  subjects read per round: 18, 11, 1, 1\n" in out
+
+
+def test_pyproject_takes_its_version_from_tool_version():
+    # one source for the installed metadata and the certificates' tool_version;
+    # read as text, as tomllib is not in Python 3.10
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert not [line for line in project.splitlines() if line.split("=")[0].strip() == "version"]
+    assert 'dynamic = ["version"]' in project.splitlines()
+    assert '\n[tool.setuptools.dynamic]\nversion = {attr = "zerosum.search.TOOL_VERSION"}\n' in text

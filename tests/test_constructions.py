@@ -168,8 +168,8 @@ def test_lift_members_verified_by_sampling():
 
 
 def test_cap_tables():
-    verify_construction("cap3", [ternary_cap_rank3()])
-    verify_construction("cap4", [ternary_cap_rank4()])
+    verify_construction("cap3", [ternary_cap_rank3()], {})
+    verify_construction("cap4", [ternary_cap_rank4()], {})
     cap3 = ternary_cap_rank3()
     assert cap3.length == 8 and cap3.is_squarefree()
     assert find_short_zero_sum(cap3) is None
@@ -186,14 +186,14 @@ def test_verify_construction_checks_the_family_members_it_is_given():
     # window build_family claims, not a rebuilt copy of the family
     members = list(build_family("slide", 3, 3).members())
     assert [s.length for s in members] == [6, 7]
-    verify_construction("slide", members, n=3, r=3)
+    verify_construction("slide", members, {"n": 3, "r": 3})
     group = members[0].group
     not_zero_sum = members[0].concat(Sequence.from_terms(group, [group.basis(0)]))
     for bad in (members[:1], [members[0], not_zero_sum]):
         with pytest.raises(AssertionError):
-            verify_construction("slide", bad, n=3, r=3)
+            verify_construction("slide", bad, {"n": 3, "r": 3})
     with pytest.raises(ValueError):
-        verify_construction("no-such-construction", members)
+        verify_construction("no-such-construction", members, {})
 
 
 def test_excluded_window_witnesses():

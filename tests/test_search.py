@@ -425,6 +425,28 @@ def test_budget_exhaustion_is_honest():
     assert w is not None and find_short_zero_sum(w) is None
 
 
+def test_a_time_budget_reads_the_clock_every_256_nodes():
+    stats = search._Stats(0, 60.0)
+    stats.deadline -= 120.0  # passed, but read only when nodes & 255 == 0
+    stats.nodes = 1
+    assert not stats.should_stop()
+    stats.nodes = 256
+    assert stats.should_stop() and stats.exhausted
+    stats.nodes = 257
+    assert stats.should_stop()  # a spent budget stays spent
+    stats = search._Stats(10, 0.0)
+    stats.nodes = 9
+    assert not stats.should_stop()
+    stats.nodes = 10
+    assert stats.should_stop() and stats.exhausted
+
+
+def test_a_spent_time_budget_cuts_the_search_honestly():
+    value, cert = invariant_value(make_group([3, 3, 3]), "eta", SearchConfig(time_budget=1e-9))
+    assert cert.status == STATUS_EXHAUSTED
+    assert value <= 17 and find_short_zero_sum(cert.witness) is None
+
+
 def test_certificate_json_round_trip():
     group = make_group([3, 3])
     _, cert = invariant_value(group, "eta", CFG)
