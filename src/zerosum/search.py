@@ -63,7 +63,8 @@ one under no_exact_exp.  Property D0 is a goal over sets of g_i, each one
 unit of n-1 copies pushed onto a no_exact_exp state that starts with the
 translated 0, so a forbidden push is a zero-sum of length exactly n; it
 runs on the squarefree context of g, as a second unit of g_i would hold
-2(n-1) >= n copies and n*g_i = 0 in C_n^r.  The running sum is carried
+2(n-1) >= n copies and n*g_i = 0 in C_n^r.  Its goal asks for exactly c
+units, so it meets the potential cut at length c.  The running sum is carried
 only for goals that read it.  One builder, _certificate, makes every
 search certificate and re-checks its witness by witness_valid, and so by
 subsum.witnesses, before it is returned.
@@ -320,7 +321,9 @@ _ctx_memo: dict[tuple, _Ctx] = {}
 
 
 def _context(group: AbelianGroup, pred_name: str, squarefree: bool, level: str) -> _Ctx:
-    """The context for these arguments, kept until another one is asked for.
+    """The context for these arguments, kept with every other context of its
+    group until one of another group is asked for: a process builds each
+    context once, whatever the order of its searches.
 
     The tables are a function of the key alone, and so is every delta the
     packed codes fill in later, so every root job of a run, and every run in
@@ -331,7 +334,8 @@ def _context(group: AbelianGroup, pred_name: str, squarefree: bool, level: str) 
     key = (group.moduli, pred_name, squarefree, level)
     ctx = _ctx_memo.get(key)
     if ctx is None:
-        _ctx_memo.clear()
+        if any(moduli != group.moduli for moduli, *_ in _ctx_memo):
+            _ctx_memo.clear()
         ctx = _ctx_memo[key] = _Ctx(group, pred_name, squarefree, level)
     return ctx
 
@@ -611,8 +615,10 @@ class _EnumGoal:
 
 
 class _D0Goal:
-    """Find the first set of c units, a counterexample to Property D0;
-    needs() then caps every length at -1, so the run stops."""
+    """Find the first set of c units, a counterexample to Property D0.
+    needs() asks for exactly c, so the potential cut applies (an element
+    blocked once stays blocked, so no cut branch holds a witness); once one
+    is found it caps every length at -1, so the run stops."""
 
     __slots__ = ("c", "witness")
     reads_sum = False
@@ -625,7 +631,7 @@ class _D0Goal:
             self.witness = tuple(seq)
 
     def needs(self):
-        return (None, self.c) if self.witness is None else (None, -1)
+        return (self.c, self.c) if self.witness is None else (None, -1)
 
 
 # -- DFS core ----------------------------------------------------------------

@@ -259,6 +259,21 @@ def layers_by_count(group: AbelianGroup, terms, top: int) -> list[set[int]]:
     return layers
 
 
+def d0_blocked(group: AbelianGroup, units) -> bool:
+    """Whether 0 * prod g^(n-1) over the units g, n = exp(G), has no zero-sum
+    subsequence of length exactly n: a counterexample to Property D0."""
+    n = group.exponent
+    terms = [0] + [g for g in units for _ in range(n - 1)]
+    return 0 not in layers_by_count(group, terms, n)[n]
+
+
+def d0_counterexample(group: AbelianGroup, c: int) -> tuple[int, ...] | None:
+    """The lex-least set of c distinct element indices that d0_blocked
+    accepts, by trying every set, or None if Property D0 holds with c."""
+    return next((units for units in itertools.combinations(range(group.order), c)
+                 if d0_blocked(group, units)), None)
+
+
 def tuple_add_term(layers: tuple[int, ...], steps) -> tuple[int, ...]:
     """The tuple kernel subsum.add_term used to be: one shift_bits per layer,
     layer c of the result being layer c or layer c-1 translated by the term."""

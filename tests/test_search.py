@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_max_length,
+    d0_counterexample,
     element_order,
     is_orbit_minimal,
     layers_by_count,
@@ -26,7 +27,7 @@ from conftest import (
 )
 from zerosum import catalog, constructions, search
 from zerosum.group import (
-    _HEAD, SYMMETRY_LEVELS, PackedCodes, close_symmetries, make_group,
+    _HEAD, SYMMETRY_LEVELS, PackedCodes, close_symmetries, make_group, symmetries,
 )
 from zerosum.search import (
     STATUS_EXHAUSTED,
@@ -400,19 +401,56 @@ def test_property_d0_brute_force_cross_check():
     )
     cert = check_property_D0(group, 2, CFG)
     assert (cert.status == STATUS_PROVED) == all_hold
-    # and every verdict and witness for c in 1..9 on three groups against the
-    # unreduced search: the least counterexample is the least of its orbit, so
-    # the reduced search finds the same one.  Levels outside, so that each
-    # context, with its symmetry closure, is built once
-    for moduli in ((3, 3), (2, 2, 2), (2, 2, 2, 2)):
+    # and every verdict and witness for c in 1..9 on three groups, and c = 8
+    # and 9 on C3^3, against the unreduced search: the least counterexample is
+    # the least of its orbit, so the reduced search finds the same one
+    for moduli, cs in (((3, 3), range(1, 10)), ((2, 2, 2), range(1, 10)),
+                       ((2, 2, 2, 2), range(1, 10)), ((3, 3, 3), (8, 9))):
         group = make_group(moduli)
         want = {}
         for level in ("none", "coord_perms+scalar", "full_small"):
             cfg = SearchConfig(symmetry_level=level)
-            for c in range(1, 10):
+            for c in cs:
                 cert = check_property_D0(group, c, cfg)
                 got = want.setdefault(c, (cert.claim, cert.witness))
                 assert (cert.claim, cert.witness) == got, (moduli, c, level)
+
+
+# Property D0 against brute force over every set of c elements
+# (conftest.d0_counterexample), which fixes the leading term at 0 as the
+# search does: about 0.3 s
+D0_BRUTE_FORCE = {(3, 3): range(1, 10), (2, 2, 2): range(1, 8), (4, 4): range(1, 6)}
+
+
+def _d0_brute_force_disagrees() -> list[str]:
+    """Each case of D0_BRUTE_FORCE where check_property_D0 differs from brute
+    force: in its verdict, or in a witness other than 0 * prod g_i^(n-1) over
+    the least counterexample."""
+    problems = []
+    for moduli, cs in D0_BRUTE_FORCE.items():
+        group = make_group(moduli)
+        n = group.exponent
+        for c in cs:
+            cert = check_property_D0(group, c, CFG)
+            least = d0_counterexample(group, c)
+            where = f"D0 {group.spec()} c={c}"
+            if cert.claim["holds"] is not (least is None):
+                problems.append(f"{where}: holds {cert.claim['holds']}, brute force {least}")
+            elif least is not None and cert.witness.items != ((0, 1), *((g, n - 1) for g in least)):
+                problems.append(f"{where}: witness {cert.witness.items}, brute force {least}")
+    return problems
+
+
+def test_property_d0_matches_brute_force():
+    assert _d0_brute_force_disagrees() == []
+
+
+def test_d0_brute_force_catches_a_goal_one_above_c(monkeypatch):
+    # asking the potential for c+1 units cuts every branch that reaches exactly
+    # c, so a counterexample is missed and D0 reads as holding
+    monkeypatch.setattr(search._D0Goal, "needs", lambda goal: (
+        (goal.c + 1, goal.c) if goal.witness is None else (None, -1)))
+    assert _d0_brute_force_disagrees()
 
 
 def test_budget_exhaustion_is_honest():
@@ -522,6 +560,39 @@ def test_the_closure_is_built_at_the_first_child_test(monkeypatch, c33):
         check_property_D0(c33, 2, CFG)
 
 
+def test_contexts_are_built_once_per_group_in_any_order(monkeypatch, c33):
+    # the searches of the exact_c3_3 benchmark workload, in two orders, build
+    # the same contexts; alternating levels on one group builds each context
+    # once, and a search of another group drops the first group's contexts
+    built = []
+
+    def counted(group, level):
+        built.append((group.moduli, level))
+        return symmetries(group, level)
+
+    monkeypatch.setattr(search, "symmetries", counted)
+    runs = [
+        lambda: invariant_value(c33, "D", CFG), lambda: invariant_value(c33, "eta", CFG),
+        lambda: invariant_value(c33, "g", CFG), lambda: check_property_D0(c33, 9, CFG),
+        lambda: enumerate_short_free(c33, 18, CFG),
+    ]
+    counts = []
+    for k in (0, 3):
+        monkeypatch.setattr(search, "_ctx_memo", {})
+        built.clear()
+        for run in runs[k:] + runs[:k]:
+            run()
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+    built.clear()
+    c24 = make_group((2, 2, 2, 2))
+    for level in ("none", "full_small") * 3:
+        check_property_D0(c24, 2, SearchConfig(symmetry_level=level))
+    assert built == [(c24.moduli, "none"), (c24.moduli, "full_small")]
+    check_property_D0(make_group((3, 3)), 2, CFG)
+    assert {key[0] for key in search._ctx_memo} == {(3, 3)}
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers inherit the patched closure only when forked")
 def test_a_closure_past_its_cap_is_built_once_at_width_2(monkeypatch, tmp_path):
@@ -562,7 +633,7 @@ PINNED_CERTS = [
     ("c0 C4^2 t=9", lambda: compute_c0(_C44, CFG)[1][9], 745, "b71a484bdebf8a87"),
     ("D0 C3^2 c=2", lambda: check_property_D0(make_group((3, 3)), 2, CFG), 6, "a9fc4c4804eac19d"),
     ("D0 C3^3 c=9 w2", lambda: check_property_D0(
-        make_group((3, 3, 3)), 9, SearchConfig(parallel_width=2)), 7601, "a9411006967f21df"),
+        make_group((3, 3, 3)), 9, SearchConfig(parallel_width=2)), 595, "17f7281cfee76ace"),
     # the node-budgeted searches of groups above order 64
     ("eta C3^4 b20", lambda: max_extremal_length(make_group((3,) * 4), "eta", _BUDGET20)[1],
      290, "7ffd0a777f9c22b0"),
@@ -578,14 +649,14 @@ PINNED_CERTS = [
     # both stages of the canonicity test: 95 non-identity perms on C4^2
     ("s C4^2 full", lambda: max_extremal_length(_C44, "s", _FULL)[1], 74, "49b9647cde95325a"),
     ("D0 C3^3 c=9 full", lambda: check_property_D0(make_group((3, 3, 3)), 9, _FULL),
-     25, "22a545faba44132b"),
+     13, "3e874f2f008c4e45"),
     # D0 trees cut by a budget, and a refutation with the full automorphism group
     ("D0 C3^3 c=9 b50", lambda: check_property_D0(
-        make_group((3, 3, 3)), 9, SearchConfig(node_budget=50)), 166, "9b4804cc85204d35"),
+        make_group((3, 3, 3)), 9, SearchConfig(node_budget=50)), 133, "67c2512df25b12f6"),
     ("D0 C3^3 c=8 b50", lambda: check_property_D0(
-        make_group((3, 3, 3)), 8, SearchConfig(node_budget=50)), 130, "ba839e919309bcd0"),
+        make_group((3, 3, 3)), 8, SearchConfig(node_budget=50)), 105, "9f60b5a1ac147470"),
     ("D0 C3^3 c=8 full", lambda: check_property_D0(make_group((3, 3, 3)), 8, _FULL),
-     14, "d0177c0cf71b21eb"),
+     11, "6799d788fb475794"),
 ]
 
 
@@ -598,7 +669,7 @@ def test_certificate_is_pinned(run, nodes, cert_id):
 
 def test_d0_and_enumeration_trees_are_pinned(c33):
     cert = check_property_D0(c33, 9, CFG)
-    assert (cert.nodes, cert.cert_id()) == (7601, "a9411006967f21df")
+    assert (cert.nodes, cert.cert_id()) == (595, "17f7281cfee76ace")
     rep = enumerate_short_free(c33, 18, CFG)
     assert (rep.nodes, rep.count, rep.status) == (2720, 0, STATUS_PROVED)
 
@@ -608,7 +679,7 @@ def test_refuted_d0_certificate_is_pinned(c33, width):
     # a counterexample found deep in the tree: every root branch still runs to
     # its end, so the node count and the least counterexample hold at any width
     cert = check_property_D0(c33, 8, SearchConfig(parallel_width=width))
-    assert (cert.status, cert.nodes, cert.cert_id()) == (STATUS_REFUTED, 449, "89f05e35c4cbf722")
+    assert (cert.status, cert.nodes, cert.cert_id()) == (STATUS_REFUTED, 105, "00cb229157179b75")
     assert cert.witness.items == (
         (0, 1), (1, 2), (3, 2), (4, 2), (9, 2), (10, 2), (14, 2), (17, 2), (23, 2)
     )
